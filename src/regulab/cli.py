@@ -97,14 +97,57 @@ def _check_name(entry) -> str:
     return entry if isinstance(entry, str) else entry.get("name", "")
 
 
+def _number(field: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        _fail(f"{field} must be a number, got {value!r}")
+
+
+def _dim(key: str, value) -> int:
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        _fail(f"{key} must be an integer, got {value!r}")
+    if n < 1:
+        _fail(f"{key} must be >= 1")
+    return n
+
+
+def _validate_query(q: dict, spaces: dict):
+    """Numbers where numbers go, finite rates, and reference points whose
+    lengths match the declared spaces."""
+    for key in ("alpha", "gamma", "tau", "l", "l_prime"):
+        if q.get(key) is not None and \
+                not math.isfinite(_number(f"query.{key}", q[key])):
+            _fail(f"query.{key} must be finite, got {q[key]!r}")
+    for key in ("delta", "mu", "eta"):
+        if q.get(key) not in ("unbounded", None):
+            _number(f"query.{key}", q[key])
+    for key, dim_key in (("xbar", "x_dim"), ("ybar", "y_dim"),
+                         ("pbar", "p_dim")):
+        if q.get(key) is None or dim_key not in spaces:
+            continue
+        try:
+            v = np.atleast_1d(np.asarray(q[key], dtype=float))
+        except (TypeError, ValueError):
+            _fail(f"query.{key} must be a vector of numbers, got {q[key]!r}")
+        if v.shape != (int(spaces[dim_key]),):
+            _fail(f"query.{key} must have {dim_key} = {spaces[dim_key]} "
+                  f"entries, got {q[key]!r}")
+        if not np.all(np.isfinite(v)):
+            _fail(f"query.{key} must be finite, got {q[key]!r}")
+
+
 def _validate(sc: Scenario):
     for dim_key in ("x_dim", "y_dim"):
         if dim_key not in sc.spaces:
             _fail(f"spaces block needs {dim_key}")
-        if int(sc.spaces[dim_key]) < 1:
-            _fail(f"{dim_key} must be >= 1")
+        _dim(dim_key, sc.spaces[dim_key])
     if ("p_dim" in sc.spaces) == ("p_labels" in sc.spaces):
         _fail("spaces block needs exactly one of p_dim or p_labels")
+    if "p_dim" in sc.spaces:
+        _dim("p_dim", sc.spaces["p_dim"])
     kind = sc.mapping.get("kind")
     if kind not in ("rule", "polyhedral"):
         _fail("mapping.kind must be 'rule' or 'polyhedral'")
@@ -130,6 +173,7 @@ def _validate(sc: Scenario):
     for q_key in ("xbar", "ybar", "alpha", "delta", "mu"):
         if q_key not in sc.query:
             _fail(f"query block needs {q_key}")
+    _validate_query(sc.query, sc.spaces)
     for entry in sc.checks:
         name = _check_name(entry)
         if name not in KNOWN_CHECKS:
@@ -168,9 +212,8 @@ def _affine_map(X, Y, P, a, b, c):
         return np.linalg.solve(a, ybar - (b @ np.atleast_1d(p) + c))[None, :]
 
     def cone(p, x, y):
-        ny = a.shape[0]
-        lin = np.hstack([-a.T @ np.eye(ny), np.eye(ny)])
-        return ConeRep.make(lineality=lin)
+        # the graph's normal space {(-a^T w, w)} has basis rows [-a | I]
+        return ConeRep.make(lineality=np.hstack([-a, np.eye(a.shape[0])]))
 
     def residual_rule(p, xs, ybar):
         vals = xs @ a.T + (b @ np.atleast_1d(p) + c)[None, :]
@@ -403,8 +446,13 @@ def run_scenario(sc: Scenario, out_dir: str | None = None,
     F = build_mapping(sc)
     q = build_query(sc)
     grids = build_grids(sc)
-    if max_points is not None and grids.x.point_count() > max_points:
-        raise ResourceCapError(grids.x.point_count(), max_points)
+    if max_points is not None:
+        # the oracle scans every X grid point at every parameter
+        n_params = len(F.param_labels) if F.param_labels is not None else \
+            grids.p.point_count() if grids.p is not None else 1
+        n_points = grids.x.point_count() * n_params
+        if n_points > max_points:
+            raise ResourceCapError(n_points, max_points)
 
     entries = sorted(sc.checks, key=lambda e: _DEP_ORDER[_check_name(e)])
     rows = []
@@ -544,13 +592,10 @@ def main():
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Directory for the CSV and report files.")
 @click.option("--max-points", type=int, default=None,
-              help="Refuse scans whose X grid exceeds this point count.")
-@click.option("--threads", type=int,
-              default=lambda: int(os.environ.get("REGULAB_THREADS", "1")),
-              help="Worker count (scans currently run sequentially).")
-def run_cmd(scenario_file, out_dir, max_points, threads):
+              help="Refuse scenarios whose oracle scan, X grid points times "
+                   "P grid points (or parameter labels), exceeds this count.")
+def run_cmd(scenario_file, out_dir, max_points):
     """Run all checks of a scenario and report verdicts."""
-    del threads
     try:
         sc = load_scenario(scenario_file)
         code, report = run_scenario(sc, out_dir=out_dir, max_points=max_points)

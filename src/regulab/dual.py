@@ -15,14 +15,13 @@ built from the normal cone N to the graph at (x, y):
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 
 from .errors import InputError
-from .mappings import RegularityQuery, ScanGrids, SetValuedMap, condition_scan_points
-from .oracle import Certificate, _base_meta, _finish
+from .mappings import RegularityQuery, ScanGrids, SetValuedMap, condition_scan
+from .oracle import Certificate, MarginScan, _base_meta
 from .sets import ConeRep, cone_min_norm, gamma_dual_distance, _unit_directions
 from .spaces import GammaMetric, as_point
 
@@ -94,13 +93,6 @@ def coderivative_distance(F: SetValuedMap, p, x, y, ystar, eta: float) -> float:
     return cone_min_norm(cone, F.nx, -ystar, eta)
 
 
-def _scan(F, q, grids, mode):
-    if mode not in ("sufficient", "necessary"):
-        raise InputError(f"unknown mode {mode!r}")
-    x_radius = q.delta if mode == "necessary" else q.delta + q.mu
-    return condition_scan_points(F, q, grids, x_radius), x_radius
-
-
 def check_subdifferential_condition(F: SetValuedMap, q: RegularityQuery,
                                     grids: ScanGrids, mode: str = "sufficient",
                                     tol: float = 1e-9,
@@ -114,29 +106,21 @@ def check_subdifferential_condition(F: SetValuedMap, q: RegularityQuery,
     """
     if not F.convex_graph:
         raise InputError("subdifferential condition requires a convex graph")
-    if mode == "necessary":
-        q = dataclasses.replace(q, gamma=1.0 / q.alpha)
-    points, x_radius = _scan(F, q, grids, mode)
-    margin = math.inf
-    witness = None
-    n = 0
+    q, x_radius, points = condition_scan(F, q, grids, mode)
+    scan = MarginScan(tol)
     flags = 0
     for sp in points:
-        n += 1
         val = subdiff_distance(F, q, sp.p, sp.x, sp.y)
-        m = val - q.alpha
-        if m < margin:
-            margin = m
-            if m < -tol:
-                witness = {"p": sp.p, "x": sp.x, "y": sp.y, "value": val,
-                           "inequality": "d_gamma(0, subdifferential) >= alpha"}
+        scan.add(val - q.alpha, lambda _: {
+            "p": sp.p, "x": sp.x, "y": sp.y, "value": val,
+            "inequality": "d_gamma(0, subdifferential) >= alpha"})
         pp, cone = merit_subdifferential(F, q, sp.p, sp.x, sp.y)
         xnorm = cone_min_norm(cone, F.nx, -as_point(pp[F.nx:]), small_ystar_eps)
         if math.isfinite(xnorm) and xnorm < q.alpha - tol:
             flags += 1
     meta = dict(_base_meta(q, grids), mode=mode, x_radius=x_radius,
                 small_ystar_flags=flags)
-    return _finish(margin, witness, n, F.approximate, meta)
+    return scan.certificate(F.approximate, meta)
 
 
 def check_normal_cone_condition(F: SetValuedMap, q: RegularityQuery,
@@ -154,32 +138,23 @@ def check_normal_cone_condition(F: SetValuedMap, q: RegularityQuery,
         raise InputError(f"unknown variant {variant!r}")
     if variant == "convex-normal" and not F.convex_graph:
         raise InputError("convex-normal variant requires a convex graph")
-    if mode == "necessary":
-        if not F.convex_graph:
-            raise InputError("necessity of the normal-cone condition needs convexity")
-        q = dataclasses.replace(q, gamma=1.0 / q.alpha)
+    if mode == "necessary" and not F.convex_graph:
+        raise InputError("necessity of the normal-cone condition needs convexity")
     kind = "exact" if variant == "convex-normal" else "cap"
+    q, x_radius, points = condition_scan(F, q, grids, mode)
     g = GammaMetric(q.gamma)
-    points, x_radius = _scan(F, q, grids, mode)
-    margin = math.inf
-    witness = None
-    n = 0
+    scan = MarginScan(tol)
     for sp in points:
         cone = F.normal_cone(sp.p, sp.x, sp.y)
         for ystar in dual_candidates(sp.y, q.ybar_arr, kind, q.tau):
-            n += 1
             qvec = np.concatenate([np.zeros(F.nx), -ystar])
             val = gamma_dual_distance(qvec, cone, g, F.nx)
-            m = val - q.alpha
-            if m < margin:
-                margin = m
-                if m < -tol:
-                    witness = {"p": sp.p, "x": sp.x, "y": sp.y, "value": val,
-                               "ystar": ystar,
-                               "inequality": "d_gamma((0,-y*), N) >= alpha"}
+            scan.add(val - q.alpha, lambda _: {
+                "p": sp.p, "x": sp.x, "y": sp.y, "value": val, "ystar": ystar,
+                "inequality": "d_gamma((0,-y*), N) >= alpha"})
     meta = dict(_base_meta(q, grids), mode=mode, variant=variant,
                 x_radius=x_radius)
-    return _finish(margin, witness, n, F.approximate, meta)
+    return scan.certificate(F.approximate, meta)
 
 
 def check_coderivative_condition(F: SetValuedMap, q: RegularityQuery,
@@ -213,26 +188,18 @@ def check_coderivative_condition(F: SetValuedMap, q: RegularityQuery,
     if variant not in ("convex-normal", "frechet-cap"):
         raise InputError(f"unknown variant {variant!r}")
     kind = "exact" if variant == "convex-normal" else "cap"
-    points, x_radius = _scan(F, q, grids, mode)
-    margin = math.inf
-    witness = None
-    n = 0
+    q, x_radius, points = condition_scan(F, q, grids, mode)
+    scan = MarginScan(tol)
     vacuous = 0
     for sp in points:
         cone = F.normal_cone(sp.p, sp.x, sp.y)
         for ystar in dual_candidates(sp.y, q.ybar_arr, kind, q.tau):
-            n += 1
             val = cone_min_norm(cone, F.nx, -ystar, q.eta)
             if math.isinf(val):
-                vacuous += 1
-                continue
-            m = val - threshold
-            if m < margin:
-                margin = m
-                if m < -tol:
-                    witness = {"p": sp.p, "x": sp.x, "y": sp.y, "value": val,
-                               "ystar": ystar,
-                               "inequality": f"min |x*| >= {threshold:.6g}"}
+                vacuous += 1  # margin +inf: never the scan minimum
+            scan.add(val - threshold, lambda _: {
+                "p": sp.p, "x": sp.x, "y": sp.y, "value": val, "ystar": ystar,
+                "inequality": f"min |x*| >= {threshold:.6g}"})
     meta = dict(_base_meta(q, grids), mode=mode, form=form, variant=variant,
                 x_radius=x_radius, threshold=threshold, vacuous=vacuous)
-    return _finish(margin, witness, n, F.approximate, meta)
+    return scan.certificate(F.approximate, meta)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .mappings import RegularityQuery, ScanGrids, SetValuedMap
-from .oracle import Certificate, _finish
+from .oracle import Certificate, MarginScan, Verdict
 from .sets import dist_to_region, region_sample_points
 from .spaces import as_point, ball_mask, make_grid
 
@@ -77,53 +77,39 @@ def check_recede(F: SetValuedMap, q: RegularityQuery, l: float,
     if not l > 0:
         raise InputError(f"rate l must be positive, got {l}")
     ybar = q.ybar_arr
-    margin = math.inf
-    witness = None
-    n = 0
+    scan = MarginScan(tol)
     for p, pp, dpp in _param_pairs(F, q.pbar_arr, q.eta, q.mu, grids):
         xs = _solution_points(F, pp, ybar, q.xbar_arr, q.delta, grids)
         if xs.shape[0] == 0:
             continue
         res = F.residual_vec(p, xs, ybar)
-        margins = l * dpp - res
-        n += xs.shape[0]
-        i = int(np.argmin(margins))
-        if margins[i] < margin:
-            margin = float(margins[i])
-            if margin < -tol:
-                witness = {"p": (p.copy(), pp.copy()), "x": xs[i].copy(),
-                           "y": None, "value": float(res[i]),
-                           "inequality": "d(ybar, F(p,x)) <= l*d(p,p')"}
+        scan.add(l * dpp - res, lambda i: {
+            "p": (p.copy(), pp.copy()), "x": xs[i].copy(), "y": None,
+            "value": float(res[i]),
+            "inequality": "d(ybar, F(p,x)) <= l*d(p,p')"})
     meta = {"l": l, "eta": q.eta, "delta": q.delta, "mu": q.mu,
             "grid_res": grids.x.resolution}
-    return _finish(margin, witness, n, F.approximate, meta)
+    return scan.certificate(F.approximate, meta)
 
 
 def check_aubin(F: SetValuedMap, aq: AubinQuery, grids: ScanGrids,
                 tol: float = 1e-9) -> Certificate:
     """Scan ``d(x, G(p)) <= l d(p, p')`` for x in G(p') near xbar."""
     ybar = as_point(aq.ybar)
-    margin = math.inf
-    witness = None
-    n = 0
+    scan = MarginScan(tol)
     for p, pp, dpp in _param_pairs(F, aq.pbar, aq.eta, aq.mu, grids):
         xs = _solution_points(F, pp, ybar, aq.xbar, aq.delta, grids)
         if xs.shape[0] == 0:
             continue
         region = F.solution_set(p, ybar, grids)
-        n += xs.shape[0]
-        for x in xs:
-            d, _ = dist_to_region(x, region)
-            m = aq.l * dpp - d
-            if m < margin:
-                margin = float(m)
-                if margin < -tol:
-                    witness = {"p": (p.copy(), pp.copy()), "x": x.copy(),
-                               "y": None, "value": float(d),
-                               "inequality": "d(x, G(p)) <= l*d(p,p')"}
+        dist = np.array([dist_to_region(x, region)[0] for x in xs])
+        scan.add(aq.l * dpp - dist, lambda i: {
+            "p": (p.copy(), pp.copy()), "x": xs[i].copy(), "y": None,
+            "value": float(dist[i]),
+            "inequality": "d(x, G(p)) <= l*d(p,p')"})
     meta = {"l": aq.l, "eta": aq.eta, "delta": aq.delta, "mu": aq.mu,
             "grid_res": grids.x.resolution}
-    return _finish(margin, witness, n, F.approximate, meta)
+    return scan.certificate(F.approximate, meta)
 
 
 def compose_aubin_rate(F: SetValuedMap, q: RegularityQuery,
@@ -198,10 +184,8 @@ def certify_aubin(F: SetValuedMap, q: RegularityQuery, l_prime: float,
             "recede": recede.verdict.value, "condition_verdict": cond.verdict.value}
     if recede.holds and cond.holds:
         margin = min(recede.margin, cond.margin)
-        from .oracle import Verdict
         return Certificate(Verdict.HOLDS, margin, None, meta,
                            f"Aubin property certified at rate {l}")
-    from .oracle import Verdict
     bad = recede if not recede.holds else cond
     return Certificate(bad.verdict, bad.margin, bad.witness, meta,
                        "premise failed: " +

@@ -11,6 +11,7 @@ cloud per parameter, inherently approximate).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,12 @@ from .sets import (
 from .spaces import GridSpec, NormedSpace, as_point, ball_mask, make_grid
 
 _GRAPH_TOL = 1e-9
+
+
+def strict_cap(bound: float) -> float:
+    """Deterministic guard for a strict upper bound: admit scan values up
+    to bound*(1-1e-12)."""
+    return bound - 1e-12 * bound if math.isfinite(bound) else math.inf
 
 
 @dataclass(frozen=True)
@@ -470,8 +477,7 @@ def condition_scan_points(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
     """
     ybar = q.ybar_arr
     xbar = q.xbar_arr
-    cap = q.alpha * q.mu
-    strict = cap - 1e-12 * cap if math.isfinite(cap) else math.inf
+    strict = strict_cap(q.alpha * q.mu)
     nx = F.nx
     for p in F.param_points(q, grids):
         pts = F.graph_points(p, grids)
@@ -488,3 +494,22 @@ def condition_scan_points(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
                 continue
             yield ScanPoint(p=p, x=x, y=y, dist_to_target=float(dty),
                             sol_dist=float(sd))
+
+
+def condition_scan(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
+                   mode: str):
+    """Query, x-radius and admissible points of a condition check in ``mode``.
+
+    Sufficient mode scans the (delta + mu)-ball at the caller's gamma;
+    necessary mode scans the delta-ball at gamma = 1/alpha.  Returns
+    ``(query, x_radius, points)`` with ``points`` a lazy
+    ``condition_scan_points`` stream.
+    """
+    if mode not in ("sufficient", "necessary"):
+        raise InputError(f"unknown mode {mode!r}")
+    if mode == "necessary":
+        q = dataclasses.replace(q, gamma=1.0 / q.alpha)
+        x_radius = q.delta
+    else:
+        x_radius = q.delta + q.mu
+    return q, x_radius, condition_scan_points(F, q, grids, x_radius)

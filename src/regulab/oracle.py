@@ -1,10 +1,12 @@
-"""Ground-truth scans for uniform metric subregularity.
+"""Ground-truth scans for uniform metric subregularity, and the reducer
+every checker shares.
 
 Everything here works straight from the defining inequalities on finite
 grids: the subregularity estimate ``alpha * d(x, G(p)) <= d(ybar, F(p, x))``
 over the admissible scan set, its geometric ball-intersection counterpart,
-and a bisection estimate of the best rate.  Other modules' condition checkers
-are validated against these scans.
+and the best rate in closed form.  Other modules' condition checkers are
+validated against these scans; every checker, here and there, reduces its
+margins to a ``Certificate`` through ``MarginScan``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .mappings import RegularityQuery, ScanGrids, SetValuedMap
+from .mappings import RegularityQuery, ScanGrids, SetValuedMap, strict_cap
 from .spaces import ball_mask, make_grid
 
 
@@ -55,22 +57,64 @@ def _base_meta(q: RegularityQuery, grids: ScanGrids) -> dict:
     return meta
 
 
-def _finish(margin, witness, n_scanned, approximate, meta, detail="") -> Certificate:
-    meta = dict(meta, points_scanned=n_scanned, sampled=approximate)
-    if n_scanned == 0:
-        return Certificate(Verdict.INCONCLUSIVE, math.nan, None, meta,
-                           detail or "no admissible scan points")
-    if witness is not None:
-        return Certificate(Verdict.VIOLATED, margin, witness, meta, detail)
-    if approximate:
-        return Certificate(Verdict.INCONCLUSIVE, margin, None, meta,
-                           "no violation found on the sampled data")
-    return Certificate(Verdict.HOLDS, margin, None, meta, detail)
+class MarginScan:
+    """Running minimum of a check's margins and the certificate it yields.
+
+    ``add`` takes the margins of one batch of scanned points (a number or an
+    array) and ``witness(i)``, which builds the witness of the batch's i-th
+    point; it is called only when that point lowers the running minimum below
+    ``-tol``, so the witness is the first point attaining the scan minimum.
+    """
+
+    def __init__(self, tol: float = 0.0):
+        self.tol = tol
+        self.margin = math.inf
+        self.witness = None
+        self.points_scanned = 0
+
+    def add(self, margins, witness) -> None:
+        margins = np.atleast_1d(margins)
+        self.points_scanned += margins.size
+        i = int(np.argmin(margins))
+        if margins[i] < self.margin:
+            self.margin = float(margins[i])
+            if self.margin < -self.tol:
+                self.witness = witness(i)
+
+    def certificate(self, approximate: bool, meta: dict) -> Certificate:
+        """VIOLATED with the witness, else HOLDS (INCONCLUSIVE on sampled
+        data or an empty scan)."""
+        n = self.points_scanned
+        meta = dict(meta, points_scanned=n, sampled=approximate)
+        if n == 0:
+            return Certificate(Verdict.INCONCLUSIVE, math.nan, None, meta,
+                               "no admissible scan points")
+        if self.witness is not None:
+            return Certificate(Verdict.VIOLATED, self.margin, self.witness,
+                               meta)
+        if approximate:
+            return Certificate(Verdict.INCONCLUSIVE, self.margin, None, meta,
+                               "no violation found on the sampled data")
+        return Certificate(Verdict.HOLDS, self.margin, None, meta)
 
 
-def _strict_cap(cap: float) -> float:
-    """Deterministic strict-inequality guard: scan residual <= cap*(1-1e-12)."""
-    return cap - 1e-12 * cap if math.isfinite(cap) else math.inf
+def _residual_scan(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
+                   cap: float):
+    """Per scanned parameter p: the X-grid points of B_delta(xbar) with
+    residual <= cap, their residuals and their distances to G(p).
+
+    Yields ``(p, xs, res, dist)``, skipping parameters with no such point.
+    """
+    ybar = q.ybar_arr
+    xs_all = make_grid(grids.x)
+    xs_all = xs_all[ball_mask(xs_all, q.xbar_arr, q.delta)]
+    for p in F.param_points(q, grids):
+        res = F.residual_vec(p, xs_all, ybar)
+        mask = res <= cap
+        if not mask.any():
+            continue
+        xs = xs_all[mask]
+        yield p, xs, res[mask], F.solution_distance_vec(p, xs, ybar, grids)
 
 
 def check_subreg_uniform(F: SetValuedMap, q: RegularityQuery,
@@ -82,37 +126,15 @@ def check_subreg_uniform(F: SetValuedMap, q: RegularityQuery,
     of that difference, and the first (lexicographic) violating point is the
     witness.
     """
-    xbar, ybar = q.xbar_arr, q.ybar_arr
-    cap = _strict_cap(q.alpha * q.mu)
-    xs_all = make_grid(grids.x)
-    xs_all = xs_all[ball_mask(xs_all, xbar, q.delta)]
-    margin = math.inf
-    witness = None
-    n_scanned = 0
-    for p in F.param_points(q, grids):
-        res = F.residual_vec(p, xs_all, ybar)
-        mask = res <= cap
-        if not mask.any():
-            continue
-        xs, res = xs_all[mask], res[mask]
-        dist = F.solution_distance_vec(p, xs, ybar, grids)
-        margins = res - q.alpha * dist
-        n_scanned += xs.shape[0]
-        i = int(np.argmin(margins))
-        if margins[i] < margin:
-            margin = float(margins[i])
-            if margin < 0:
-                witness = {
-                    "p": p,
-                    "x": xs[i].copy(),
-                    "y": None,
-                    "value": float(res[i] / dist[i]) if dist[i] > 0 else math.inf,
-                    "inequality": "alpha*d(x, G(p)) <= d(ybar, F(p,x))",
-                }
-    if witness is not None and witness["value"] is not math.inf:
-        witness["y"] = _nearest_value(F, witness["p"], witness["x"], ybar)
-    return _finish(margin, witness, n_scanned, F.approximate,
-                   _base_meta(q, grids))
+    ybar = q.ybar_arr
+    scan = MarginScan()
+    for p, xs, res, dist in _residual_scan(F, q, grids,
+                                           strict_cap(q.alpha * q.mu)):
+        scan.add(res - q.alpha * dist, lambda i: {
+            "p": p, "x": xs[i].copy(), "y": _nearest_value(F, p, xs[i], ybar),
+            "value": float(res[i] / dist[i]),
+            "inequality": "alpha*d(x, G(p)) <= d(ybar, F(p,x))"})
+    return scan.certificate(F.approximate, _base_meta(q, grids))
 
 
 def _nearest_value(F, p, x, ybar):
@@ -137,42 +159,31 @@ def check_geometric(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
     scan point, with the critical radius residual/alpha so the scan cannot
     miss a violation that falls between ladder rungs.
     """
-    xbar, ybar = q.xbar_arr, q.ybar_arr
+    ybar = q.ybar_arr
     mu = q.mu if math.isfinite(q.mu) else _grid_diameter(grids)
     ladder = np.linspace(mu / (n_rho + 1), mu, n_rho, endpoint=False)
-    xs_all = make_grid(grids.x)
-    xs_all = xs_all[ball_mask(xs_all, xbar, q.delta)]
-    margin = math.inf
-    witness = None
-    n_scanned = 0
-    for p in F.param_points(q, grids):
-        res = F.residual_vec(p, xs_all, ybar)
-        mask = res <= _strict_cap(q.alpha * mu)
-        if not mask.any():
-            continue
-        xs, res = xs_all[mask], res[mask]
-        dist = F.solution_distance_vec(p, xs, ybar, grids)
+    scan = MarginScan()
+    for p, xs, res, dist in _residual_scan(F, q, grids,
+                                           strict_cap(q.alpha * mu)):
+        tested = []  # (x, rhos, rhos - dist) of each point with a radius
         for x, r, d in zip(xs, res, dist):
             crit = r / q.alpha
             rhos = np.concatenate([ladder[ladder > crit / (1 - 1e-12)],
                                    [crit * (1 + 1e-9)] if crit * (1 + 1e-9) < mu else []])
-            if rhos.size == 0:
-                continue
-            n_scanned += 1
-            m = float(np.min(rhos - d))
-            if m < margin:
-                margin = m
-                if m < 0:
-                    rho_bad = float(rhos[int(np.argmin(rhos - d))])
-                    witness = {
-                        "p": p, "x": x.copy(), "y": None,
-                        "value": rho_bad,
-                        "inequality": "G(p) meets closed ball of radius rho around x",
-                    }
-    if witness is not None:
-        witness["y"] = _nearest_value(F, witness["p"], witness["x"], ybar)
-    return _finish(margin, witness, n_scanned, F.approximate,
-                   dict(_base_meta(q, grids), n_rho=n_rho))
+            if rhos.size:
+                tested.append((x, rhos, rhos - d))
+        if not tested:
+            continue
+
+        def witness(i):
+            x, rhos, gaps = tested[i]
+            return {"p": p, "x": x.copy(), "y": _nearest_value(F, p, x, ybar),
+                    "value": float(rhos[int(np.argmin(gaps))]),
+                    "inequality": "G(p) meets closed ball of radius rho around x"}
+
+        scan.add(np.array([gaps.min() for _, _, gaps in tested]), witness)
+    return scan.certificate(F.approximate,
+                            dict(_base_meta(q, grids), n_rho=n_rho))
 
 
 def _grid_diameter(grids: ScanGrids) -> float:
@@ -180,52 +191,26 @@ def _grid_diameter(grids: ScanGrids) -> float:
 
 
 def estimate_modulus(F: SetValuedMap, xbar, ybar, delta, mu,
-                     grids: ScanGrids, pbar=None, eta=math.inf,
-                     iters: int = 40) -> float:
-    """Best rate alpha for which the subregularity scan holds, by bisection.
+                     grids: ScanGrids, pbar=None, eta=math.inf) -> float:
+    """Best rate alpha for which the subregularity scan holds, in closed form.
 
-    The admissible set couples to alpha through the residual filter, but the
-    scan verdict is monotone in alpha, so bisection applies.  Returns +inf
-    when every scan is vacuous (no admissible points at any tested rate).
+    A scanned point off the solution set, with residual res and solution
+    distance dist, is admitted at rate alpha once res <= alpha*mu' (mu' the
+    strict cap of mu) and then violates the estimate iff alpha > res/dist.
+    It therefore rules out exactly the rates above max(res/dist, res/mu'),
+    and the best rate is the minimum of that bound over the scan.  Returns
+    +inf when no scanned point lies off the solution set.
     """
-
-    def holds(alpha: float) -> bool:
-        q = RegularityQuery(xbar=tuple(np.atleast_1d(xbar)),
-                            ybar=tuple(np.atleast_1d(ybar)),
-                            alpha=alpha, delta=delta, mu=mu,
-                            pbar=None if pbar is None else tuple(np.atleast_1d(pbar)),
-                            eta=eta)
-        cert = check_subreg_uniform(F, q, grids)
-        return cert.verdict is not Verdict.VIOLATED, cert
-
-    lo, lo_cert = 0.0, None
-    hi = 1.0
-    ok, cert = holds(hi)
-    doublings = 0
-    while ok and doublings < 60:
-        lo, lo_cert = hi, cert
-        hi *= 2.0
-        ok, cert = holds(hi)
-        doublings += 1
-    if doublings == 0:
-        # shrink until the estimate holds (or give up near zero)
-        for _ in range(60):
-            hi /= 2.0
-            ok, cert = holds(hi)
-            if ok:
-                lo, lo_cert = hi, cert
-                break
-        if lo == 0.0:
-            return 0.0
-        hi = lo * 2.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        ok, cert = holds(mid)
-        if ok:
-            lo, lo_cert = mid, cert
-        else:
-            hi = mid
-    if lo_cert is not None and lo_cert.verdict is Verdict.INCONCLUSIVE \
-            and lo_cert.scan_meta.get("points_scanned", 0) == 0:
-        return math.inf
-    return lo
+    # the rate only enters the scan through the residual cap, applied below
+    q = RegularityQuery(xbar=tuple(np.atleast_1d(xbar)),
+                        ybar=tuple(np.atleast_1d(ybar)),
+                        alpha=1.0, delta=delta, mu=mu,
+                        pbar=None if pbar is None else tuple(np.atleast_1d(pbar)),
+                        eta=eta)
+    mu_strict = strict_cap(mu)
+    bounds = [np.zeros(0)]
+    for _, _, res, dist in _residual_scan(F, q, grids, math.inf):
+        off = (dist > 0) & np.isfinite(res)
+        bounds.append(np.maximum(res[off] / dist[off], res[off] / mu_strict))
+    bounds = np.concatenate(bounds)
+    return float(bounds.min()) if bounds.size else math.inf

@@ -271,9 +271,6 @@ class Sampler(RegionSpec):
         return self._cloud
 
 
-EMPTY_REGION = PointCloud(np.zeros((0, 1)))
-
-
 def dist_to_region(x, region: RegionSpec) -> tuple[float, np.ndarray | None]:
     """Distance from ``x`` to the region and a nearest point.
 

@@ -12,7 +12,6 @@ certificates.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -25,9 +24,10 @@ from .mappings import (
     SampledGraphMap,
     ScanGrids,
     SetValuedMap,
-    condition_scan_points,
+    condition_scan,
+    strict_cap,
 )
-from .oracle import Certificate, _base_meta, _finish
+from .oracle import Certificate, MarginScan, _base_meta
 from .sets import ConeRep, dist_to_region, gamma_dual_distance
 from .spaces import GammaMetric, as_point, ball_mask, prod_dist
 
@@ -198,8 +198,7 @@ def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
     if x_radius is None:
         x_radius = q.delta + q.mu
     g = GammaMetric(q.gamma)
-    cap = q.alpha * q.mu
-    cap = cap - 1e-12 * cap if math.isfinite(cap) else math.inf
+    cap = strict_cap(q.alpha * q.mu)
 
     best = 0.0
 
@@ -283,34 +282,20 @@ def local_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
 
 
 def _condition_check(F, q, grids, mode, slope_fn, tol, local) -> Certificate:
-    if mode not in ("sufficient", "necessary"):
-        raise InputError(f"unknown mode {mode!r}")
-    if mode == "necessary":
-        q = dataclasses.replace(q, gamma=1.0 / q.alpha)
-        x_radius = q.delta
-        if local and not F.convex_graph:
-            raise InputError(
-                "the local-slope bound is necessary only for convex graphs"
-            )
-    else:
-        x_radius = q.delta + q.mu
-    margin = math.inf
-    witness = None
-    n = 0
-    for sp in condition_scan_points(F, q, grids, x_radius):
-        n += 1
+    q, x_radius, points = condition_scan(F, q, grids, mode)
+    if mode == "necessary" and local and not F.convex_graph:
+        raise InputError(
+            "the local-slope bound is necessary only for convex graphs"
+        )
+    scan = MarginScan(tol)
+    for sp in points:
         val = slope_fn(F, q, sp.p, sp.x, sp.y, grids)
-        m = val - q.alpha
-        if m < margin:
-            margin = m
-            if m < -tol:
-                witness = {"p": sp.p, "x": sp.x, "y": sp.y, "value": val,
-                           "inequality": "slope >= alpha"}
-    if witness is None and margin < 0:
-        margin = float(margin)
+        scan.add(val - q.alpha, lambda _: {
+            "p": sp.p, "x": sp.x, "y": sp.y, "value": val,
+            "inequality": "slope >= alpha"})
     meta = dict(_base_meta(q, grids), mode=mode, x_radius=x_radius,
                 kind="local" if local else "nonlocal")
-    return _finish(margin, witness, n, F.approximate, meta)
+    return scan.certificate(F.approximate, meta)
 
 
 def check_nonlocal_slope_condition(F: SetValuedMap, q: RegularityQuery,
@@ -323,19 +308,11 @@ def check_nonlocal_slope_condition(F: SetValuedMap, q: RegularityQuery,
     the scan runs at gamma = 1/alpha over the delta-ball and must hold
     whenever subregularity does.
     """
-
-    def fn(F, q, p, x, y, grids):
-        return nonlocal_slope(F, q, p, x, y, grids)
-
-    return _condition_check(F, q, grids, mode, fn, tol, local=False)
+    return _condition_check(F, q, grids, mode, nonlocal_slope, tol, local=False)
 
 
 def check_local_slope_condition(F: SetValuedMap, q: RegularityQuery,
                                 grids: ScanGrids, mode: str = "sufficient",
                                 tol: float = 1e-7) -> Certificate:
     """Scan ``local_slope >= alpha``; necessary mode requires convex graphs."""
-
-    def fn(F, q, p, x, y, grids):
-        return local_slope(F, q, p, x, y, grids)
-
-    return _condition_check(F, q, grids, mode, fn, tol, local=True)
+    return _condition_check(F, q, grids, mode, local_slope, tol, local=True)

@@ -29,21 +29,14 @@ def as_point(v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormedSpace:
-    """A finite-dimensional real coordinate space with a Euclidean norm.
-
-    ``norm_kind`` is kept as a descriptor so other norms can be added later;
-    only ``"euclidean"`` is supported.
-    """
+    """A finite-dimensional real coordinate space with a Euclidean norm."""
 
     name: str
     dim: int
-    norm_kind: str = "euclidean"
 
     def __post_init__(self):
         if self.dim < 1:
             raise InputError(f"space {self.name!r}: dim must be >= 1, got {self.dim}")
-        if self.norm_kind != "euclidean":
-            raise InputError(f"unsupported norm kind {self.norm_kind!r}")
 
     def norm(self, v) -> float:
         v = self.check(v)
@@ -137,13 +130,6 @@ def make_grid(spec: GridSpec, cap: int = DEFAULT_POINT_CAP) -> np.ndarray:
     axes = spec.axes()
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-def clamp_radius(radius: float, fallback: float) -> tuple[float, bool]:
-    """Replace an unbounded radius by a finite fallback; report if clamped."""
-    if math.isinf(radius):
-        return fallback, True
-    return radius, False
 
 
 def ball_mask(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:

@@ -81,7 +81,7 @@ def affine_map_2d(A: np.ndarray, B: np.ndarray) -> ClosedFormMap:
         return np.linalg.solve(A, -(B @ np.atleast_1d(p)))[None, :]
 
     def cone(p, x, y):
-        lin = np.hstack([-A.T, np.eye(2)])
+        lin = np.hstack([-A, np.eye(2)])
         return ConeRep.make(lineality=lin)
 
     def residual_rule(p, xs, ybar):

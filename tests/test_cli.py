@@ -143,17 +143,35 @@ def test_cli_exit_code_one_on_mismatch(tmp_path):
 
 
 def test_cli_exit_code_two_on_input_error(tmp_path):
-    text = FAST_SCENARIO.replace("alpha: 1.0", "alpha: -1.0")
-    res = CliRunner().invoke(main, ["run", write(tmp_path, text)])
-    assert res.exit_code == 2
-    assert "input error" in res.output
+    for old, new in (("alpha: 1.0", "alpha: -1.0"),
+                     ("alpha: 1.0", "alpha: abc"),
+                     ("alpha: 1.0", "alpha: .inf"),
+                     ("eta: 1.0", "eta: 1.0\n  gamma: .inf"),
+                     ("eta: 1.0", "eta: 1.0\n  tau: .nan"),
+                     ("xbar: [0.0]", "xbar: [0.0, 0.0]"),
+                     ("ybar: [0.0]", "ybar: [0.0, 1.0]"),
+                     ("pbar: [0.0]", "pbar: []")):
+        text = FAST_SCENARIO.replace(old, new)
+        assert text != FAST_SCENARIO
+        res = CliRunner().invoke(main, ["run", write(tmp_path, text)])
+        assert res.exit_code == 2, (new, res.output)
+        assert "input error" in res.output
 
 
 def test_cli_exit_code_three_on_resource_cap(tmp_path):
-    path = write(tmp_path, FAST_SCENARIO)
-    res = CliRunner().invoke(main, ["run", path, "--max-points", "10"])
-    assert res.exit_code == 3
-    assert "resource cap" in res.output
+    # the cap counts X grid points times parameters, so a tiny X grid
+    # over a huge P grid is refused before any scan starts
+    huge_p = FAST_SCENARIO.replace(
+        "x: {lower: [-1.0], upper: [1.0], resolution: 41}",
+        "x: {lower: [-1.0], upper: [1.0], resolution: 3}").replace(
+        "p: {lower: [-0.5], upper: [0.5], resolution: 5}",
+        "p: {lower: [-0.5], upper: [0.5], resolution: 3000000}")
+    assert "resolution: 3}" in huge_p and "3000000" in huge_p
+    for text, cap in ((FAST_SCENARIO, "10"), (huge_p, "100")):
+        res = CliRunner().invoke(main, ["run", write(tmp_path, text),
+                                        "--max-points", cap])
+        assert res.exit_code == 3, res.output
+        assert "resource cap" in res.output
 
 
 def test_cli_validate(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from regulab import (
     GammaMetric,
     InputError,
+    RegularityQuery,
     Verdict,
     check_coderivative_condition,
     check_normal_cone_condition,
@@ -19,7 +20,7 @@ from regulab import (
     merit_subdifferential,
     subdiff_distance,
 )
-from regulab.cli import _rule_quadratic_difference
+from regulab.cli import _rule_affine, _rule_quadratic_difference
 from regulab.mappings import condition_scan_points
 from regulab.spaces import NormedSpace
 from conftest import (
@@ -193,6 +194,37 @@ def test_sum_rule_consistency_identity():
             qvec = np.concatenate([np.zeros(F.nx), -ystar])
             nc = gamma_dual_distance(qvec, cone, g, F.nx)
             assert abs(sd - nc) <= 1e-8
+
+
+def test_affine_rule_normal_space_and_subdiff_distance():
+    from scipy.optimize import minimize
+
+    a = np.array([[1.2, 0.4], [-0.3, 0.9]])
+    F = _rule_affine(NormedSpace("X", 2), NormedSpace("Y", 2),
+                     NormedSpace("P", 1), {"a": a, "b": [[0.3], [-0.2]]})
+    p, x = np.array([0.1]), np.array([0.3, -0.2])
+    y = F.values(p, x)[0]
+    cone = F.normal_cone(p, x, y)
+    for d in np.eye(2):
+        tangent = np.concatenate([d, a @ d])
+        assert np.allclose(cone.lineality @ tangent, 0.0, atol=1e-12)
+
+    gamma = 0.5
+    ystar = y / np.linalg.norm(y)
+
+    def f(v):  # dual norm of (-a^T v, y* + v), an element of (0, y*) + N
+        return np.linalg.norm(a.T @ v) + np.linalg.norm(ystar + v) / gamma
+
+    starts = [np.zeros(2), -ystar] + [
+        r * np.array([np.cos(t), np.sin(t)])
+        for r in (0.5, 1.5) for t in np.linspace(0, 2 * np.pi, 8, endpoint=False)]
+    ref = min(min(f(v0), minimize(f, v0, method="Nelder-Mead",
+                                  options={"xatol": 1e-12, "fatol": 1e-14,
+                                           "maxiter": 20000}).fun)
+              for v0 in starts)
+    q = RegularityQuery(xbar=(0.0, 0.0), ybar=(0.0, 0.0), alpha=1.0,
+                        delta=1.0, mu=1.0, gamma=gamma)
+    assert abs(subdiff_distance(F, q, p, x, y) - ref) < 1e-6
 
 
 def test_dual_checks_2d_instance():

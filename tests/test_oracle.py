@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from regulab import (
+    ClosedFormMap,
     GridSpec,
     ScanGrids,
     Verdict,
@@ -137,3 +138,28 @@ def test_empty_scan_is_inconclusive():
     cert = check_subreg_uniform(F, q, grids_1d())
     assert cert.verdict is Verdict.INCONCLUSIVE
     assert cert.scan_meta["points_scanned"] == 0
+
+
+def test_modulus_is_the_rate_where_the_scan_flips():
+    cases = [(F, grids_1d(21, 5), 0.6, 0.4)
+             for F, _, _ in random_convex_instances(9, seed=13)]
+    cases.append((quadratic_map(), grids_1d(81, 9, p_lim=1.0), 1.0, 2.0))
+    for F, grids, delta, eta in cases:
+        m = estimate_modulus(F, (0.0,), (0.0,), delta, delta, grids,
+                             pbar=(0.0,), eta=eta)
+        assert 0 < m < math.inf
+        below = check_subreg_uniform(
+            F, query_1d(m * (1 - 1e-9), delta=delta, mu=delta, eta=eta), grids)
+        above = check_subreg_uniform(
+            F, query_1d(m * (1 + 1e-9), delta=delta, mu=delta, eta=eta), grids)
+        assert below.verdict is not Verdict.VIOLATED, m
+        assert above.verdict is Verdict.VIOLATED, m
+
+
+def test_modulus_without_points_off_the_solution_set_is_inf():
+    n1 = NormedSpace("N", 1)
+    F = ClosedFormMap(n1, n1, lambda p, x: np.array([[0.0]]),
+                      param_space=n1)  # F(p, x) = {0}: G(p) is all of X
+    m = estimate_modulus(F, (0.0,), (0.0,), 0.6, 0.6, grids_1d(11, 3),
+                         pbar=(0.0,), eta=0.4)
+    assert m == math.inf

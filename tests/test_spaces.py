@@ -18,7 +18,7 @@ from regulab import (
     make_grid,
     prod_dist,
 )
-from regulab.spaces import ball_mask, clamp_radius
+from regulab.spaces import ball_mask
 
 finite = st.floats(-10, 10, allow_nan=False)
 gammas = st.floats(0.01, 10, allow_nan=False)
@@ -84,10 +84,7 @@ def test_normed_space_checks():
         NormedSpace("bad", 0)
 
 
-def test_clamp_radius_and_ball_mask():
-    r, clamped = clamp_radius(math.inf, 2.0)
-    assert (r, clamped) == (2.0, True)
-    assert clamp_radius(1.0, 2.0) == (1.0, False)
+def test_ball_mask():
     pts = np.array([[0.0], [0.5], [2.0]])
     assert ball_mask(pts, np.array([0.0]), 1.0).tolist() == [True, True, False]
     assert ball_mask(pts, np.array([0.0]), math.inf).all()
