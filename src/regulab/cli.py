@@ -114,6 +114,23 @@ def _dim(key: str, value) -> int:
     return n
 
 
+_DIM_KEYS = {"x": "x_dim", "y": "y_dim", "p": "p_dim"}
+
+
+def _vector(field: str, value, spaces: dict, dim_key: str) -> np.ndarray:
+    """A finite vector, of length ``spaces[dim_key]`` when that is declared."""
+    try:
+        v = np.atleast_1d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError):
+        _fail(f"{field} must be a vector of numbers, got {value!r}")
+    if dim_key in spaces and v.shape != (int(spaces[dim_key]),):
+        _fail(f"{field} must have {dim_key} = {spaces[dim_key]} "
+              f"entries, got {value!r}")
+    if not np.all(np.isfinite(v)):
+        _fail(f"{field} must be finite, got {value!r}")
+    return v
+
+
 def _validate_query(q: dict, spaces: dict):
     """Numbers where numbers go, finite rates, and reference points whose
     lengths match the declared spaces."""
@@ -124,19 +141,30 @@ def _validate_query(q: dict, spaces: dict):
     for key in ("delta", "mu", "eta"):
         if q.get(key) not in ("unbounded", None):
             _number(f"query.{key}", q[key])
-    for key, dim_key in (("xbar", "x_dim"), ("ybar", "y_dim"),
-                         ("pbar", "p_dim")):
-        if q.get(key) is None or dim_key not in spaces:
-            continue
-        try:
-            v = np.atleast_1d(np.asarray(q[key], dtype=float))
-        except (TypeError, ValueError):
-            _fail(f"query.{key} must be a vector of numbers, got {q[key]!r}")
-        if v.shape != (int(spaces[dim_key]),):
-            _fail(f"query.{key} must have {dim_key} = {spaces[dim_key]} "
-                  f"entries, got {q[key]!r}")
-        if not np.all(np.isfinite(v)):
-            _fail(f"query.{key} must be finite, got {q[key]!r}")
+    for axis, dim_key in _DIM_KEYS.items():
+        if q.get(axis + "bar") is not None and dim_key in spaces:
+            _vector(f"query.{axis}bar", q[axis + "bar"], spaces, dim_key)
+
+
+def _validate_grids(grids: dict, spaces: dict):
+    """Finite bounds of the declared length with lower < upper, and an
+    integer resolution of at least 2, in each grid."""
+    if not isinstance(grids, dict) or "x" not in grids:
+        _fail("grids block needs an 'x' grid")
+    for gname, g in grids.items():
+        for k in ("lower", "upper", "resolution"):
+            if not isinstance(g, dict) or k not in g:
+                _fail(f"grid {gname!r} needs {k}")
+        dim_key = _DIM_KEYS.get(gname, "")
+        lower = _vector(f"grids.{gname}.lower", g["lower"], spaces, dim_key)
+        upper = _vector(f"grids.{gname}.upper", g["upper"], spaces, dim_key)
+        if lower.shape != upper.shape or not np.all(lower < upper):
+            _fail(f"grid {gname!r} needs lower < upper in every dimension")
+        res = g["resolution"]
+        if isinstance(res, bool) or not isinstance(res, (int, float)) or \
+                not float(res).is_integer() or res < 2:
+            _fail(f"grids.{gname}.resolution must be an integer >= 2, "
+                  f"got {res!r}")
 
 
 def _validate(sc: Scenario):
@@ -184,12 +212,7 @@ def _validate(sc: Scenario):
     for name in sc.expect:
         if name not in [_check_name(e) for e in sc.checks]:
             _fail(f"expect block references unknown check {name!r}")
-    if "x" not in sc.grids:
-        _fail("grids block needs an 'x' grid")
-    for gname, g in sc.grids.items():
-        for k in ("lower", "upper", "resolution"):
-            if k not in g:
-                _fail(f"grid {gname!r} needs {k}")
+    _validate_grids(sc.grids, sc.spaces)
 
 
 # ---------------------------------------------------------------------------

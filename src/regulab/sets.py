@@ -11,13 +11,15 @@ Distances from a dual vector to a cone in the weighted dual norm
 
     d(q, C) = max { <q, u> : |u_x| <= 1, |u_y| <= 1/gamma, u in polar(C) },
 
-which is an LP when both factors are one-dimensional and a small smooth
-convex program otherwise.
+which has a closed form when both factors are one-dimensional (the maximum
+sits at a vertex of a polygon) and is a small smooth convex program
+otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -562,11 +564,11 @@ def gamma_dual_distance(q, cone: ConeRep, g: GammaMetric, nx: int,
                         with_direction: bool = False):
     """Distance from ``q=(q_x, q_y)`` to the cone in the norm |.|+|.|/gamma.
 
-    ``nx`` is the length of the first block.  Computed in support form; exact
-    LP when both blocks are one-dimensional, SLSQP otherwise.  With
-    ``with_direction`` the maximizing primal direction (an element of the
-    polar of the cone with ``|u_x| <= 1``, ``|u_y| <= 1/gamma``) is returned
-    alongside the value.
+    ``nx`` is the length of the first block.  Computed in support form; in
+    closed form when both blocks are one-dimensional, by SLSQP otherwise.
+    With ``with_direction`` the maximizing primal direction (an element of
+    the polar of the cone with ``|u_x| <= 1``, ``|u_y| <= 1/gamma``) is
+    returned alongside the value.
     """
     q = as_point(q)
     n = q.shape[0]
@@ -579,21 +581,50 @@ def gamma_dual_distance(q, cone: ConeRep, g: GammaMetric, nx: int,
         return (0.0, np.zeros(n)) if with_direction else 0.0
     M = cone.polar_halfspaces()  # u in polar(C): M u <= 0
     if nx == 1 and ny == 1:
-        val, u = _support_lp(q, M, g, nx)
+        val, u = _support_2d(q, M, 1.0 / g.gamma)
     else:
         val, u = _support_slsqp(q, M, g, nx)
     return (val, u) if with_direction else val
 
 
-def _support_lp(q, M, g: GammaMetric, nx: int):
-    n = q.shape[0]
-    bounds = [(-1.0, 1.0)] * nx + [(-1.0 / g.gamma, 1.0 / g.gamma)] * (n - nx)
-    A_ub = M if M.shape[0] else None
-    b_ub = np.zeros(M.shape[0]) if M.shape[0] else None
-    res = linprog(-q, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise NumericError(f"support LP failed (status {res.status})")
-    return float(max(0.0, -res.fun)), res.x
+def _polar_vertices(M, c: float = math.inf) -> np.ndarray:
+    """Vertices of ``P = {u in R^2 : M u <= 0, |u_x| <= 1, |u_y| <= c}`` and
+    of its halves ``u_y >= 0`` and ``u_y <= 0``.
+
+    A vertex is where two of the lines ``M_i u = 0`` (all through the
+    origin), ``u_x = +-1``, ``u_y = +-c`` and, for the halves, ``u_y = 0``
+    meet.  The candidates are, in this order: the origin, the box corners,
+    each line ``M_i u = 0`` cut by the box edges, and ``(+-1, 0)``; those
+    outside ``P`` are dropped.  With ``c`` infinite there are no corners and
+    no edges ``u_y = +-c``.
+    """
+    bounded = math.isfinite(c)
+    pts = [(0.0, 0.0)]
+    if bounded:
+        pts += [(-1.0, -c), (-1.0, c), (1.0, -c), (1.0, c)]
+    for mx, my in M:
+        if my != 0:
+            pts += [(1.0, -mx / my), (-1.0, mx / my)]
+        if mx != 0 and bounded:
+            pts += [(-my * c / mx, c), (my * c / mx, -c)]
+    pts += [(-1.0, 0.0), (1.0, 0.0)]
+    P = np.array(pts)
+    ok = (np.abs(P[:, 0]) <= 1.0) & (np.abs(P[:, 1]) <= c)
+    # a point on the line M_i u = 0 meets it only up to rounding
+    ok &= np.all(M @ P.T <= 1e-12 * (np.abs(M) @ np.abs(P).T), axis=0)
+    return P[ok]
+
+
+def _support_2d(q, M, c: float):
+    """max q.u over ``{M u <= 0, |u_x| <= 1, |u_y| <= c}`` and a maximizer.
+
+    A linear function attains its maximum over the (bounded) polygon at a
+    vertex; ties go to the first vertex in ``_polar_vertices``' order.
+    """
+    P = _polar_vertices(M, c)
+    vals = P @ q
+    i = int(np.argmax(vals))
+    return float(max(0.0, vals[i])), P[i]
 
 
 def _support_slsqp(q, M, g: GammaMetric, nx: int):
@@ -647,9 +678,10 @@ def cone_min_norm(
     """min |w_x| over cone elements ``w=(w_x, w_y)`` with ``|w_y - y_target| <= eta``.
 
     Returns +inf when no cone element meets the ball constraint (the check is
-    then vacuous).  Used for coderivative distances: the coderivative of F at
-    (x, y) applied to v* collects the x-parts of cone elements with y-part
-    ``-v*``.
+    then vacuous).  In closed form when both blocks are one-dimensional, by
+    SLSQP otherwise.  Used for coderivative distances: the coderivative of F
+    at (x, y) applied to v* collects the x-parts of cone elements with
+    y-part ``-v*``.
     """
     if cone.empty:
         return np.inf
@@ -659,10 +691,12 @@ def cone_min_norm(
     if y_target.shape[0] != ny:
         raise DimensionMismatchError("target dim mismatch in cone_min_norm")
     k, m = cone.generators.shape[0], cone.lineality.shape[0]
-    B = cone.basis_matrix()  # n x (k+m)
     if k + m == 0:
         # cone = {0}: w_y = 0
         return 0.0 if np.linalg.norm(y_target) <= eta + 1e-12 else np.inf
+    if nx == 1 and ny == 1:
+        return _min_norm_2d(cone.polar_halfspaces(), float(y_target[0]), eta)
+    B = cone.basis_matrix()  # n x (k+m)
     By, Bx = B[nx:], B[:nx]
     lo = np.concatenate([np.zeros(k), -np.inf * np.ones(m)])
     hi = np.inf * np.ones(k + m)
@@ -670,37 +704,28 @@ def cone_min_norm(
     gap = np.linalg.norm(By @ feas.x - y_target)
     if gap > eta + 1e-10:
         return np.inf
-    if nx == 1 and ny == 1:
-        return _min_norm_lp(Bx, By, y_target, eta, k, m)
     return _min_norm_slsqp(Bx, By, y_target, eta, k, m, feas.x)
 
 
-def _min_norm_lp(Bx, By, y_target, eta, k, m) -> float:
-    # variables: coeffs c (k+m), t >= |Bx c|; 1-D blocks make this an LP
-    nv = k + m + 1
-    cobj = np.zeros(nv)
-    cobj[-1] = 1.0
-    A_ub = []
-    b_ub = []
-    # t >= Bx c and t >= -Bx c
-    row = np.concatenate([Bx[0], [-1.0]])
-    A_ub.append(row)
-    b_ub.append(0.0)
-    A_ub.append(np.concatenate([-Bx[0], [-1.0]]))
-    b_ub.append(0.0)
-    # |By c - y| <= eta  (1-D)
-    A_ub.append(np.concatenate([By[0], [0.0]]))
-    b_ub.append(float(y_target[0] + eta))
-    A_ub.append(np.concatenate([-By[0], [0.0]]))
-    b_ub.append(float(-y_target[0] + eta))
-    bounds = [(0.0, None)] * k + [(None, None)] * m + [(0.0, None)]
-    res = linprog(cobj, A_ub=np.array(A_ub), b_ub=np.array(b_ub), bounds=bounds,
-                  method="highs")
-    if res.status == 2:
+def _min_norm_2d(M, y: float, eta: float) -> float:
+    """min |w_x| over ``w`` with ``|w_y - y| <= eta`` in the cone generated
+    by the rows of ``M`` (whose polar is ``{v : M v <= 0}``), both blocks
+    one-dimensional.
+
+    Solved through its LP dual
+
+        max { y v_y - eta |v_y| : M v <= 0, |v_x| <= 1 }.
+
+    The dual is unbounded, and the primal infeasible (+inf), exactly when
+    the polar holds the ray (0, +-1) along which the objective grows;
+    otherwise its maximum sits at a vertex of one of the halves
+    ``v_y >= 0`` and ``v_y <= 0``, where the objective is linear.
+    """
+    lo, hi = y - eta, y + eta
+    if (lo > 0 and np.all(M[:, 1] <= 0)) or (hi < 0 and np.all(M[:, 1] >= 0)):
         return np.inf
-    if res.status != 0:
-        raise NumericError(f"min-norm LP failed (status {res.status})")
-    return float(max(0.0, res.fun))
+    vy = _polar_vertices(M)[:, 1]
+    return float(max(0.0, np.max(np.where(vy >= 0, lo * vy, hi * vy))))
 
 
 def _min_norm_slsqp(Bx, By, y_target, eta, k, m, c0) -> float:

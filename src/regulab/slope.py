@@ -29,7 +29,7 @@ from .mappings import (
 )
 from .oracle import Certificate, MarginScan, _base_meta
 from .sets import ConeRep, dist_to_region, gamma_dual_distance
-from .spaces import GammaMetric, as_point, ball_mask, prod_dist
+from .spaces import GammaMetric, as_point, ball_mask
 
 _LEVELS = 13
 _LAST = 3
@@ -49,21 +49,29 @@ def _require_graph_point(F, p, x, y):
         raise InputError("slope is only defined at points of the graph")
 
 
-def _quotient(w, u, v, x, y, g: GammaMetric) -> float:
-    """Stable difference quotient (|y-ybar| - |v-ybar|) / d_gamma.
+def _row_dots(a: np.ndarray) -> np.ndarray:
+    """``a_i . a_i`` for every row, rounded as the 1-D ``a_i @ a_i`` is
+    (``np.sum(a * a, 1)`` and ``np.linalg.norm(a, axis=1)`` round some 2-D
+    rows differently)."""
+    return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
 
-    ``w = y - ybar``; the numerator is evaluated through the difference-of-
-    squares identity to avoid cancellation when v is close to y.
+
+def _quotients(w, us, vs, x, y, gamma: float):
+    """Distances and merit difference quotients of stacked candidates.
+
+    Row i of ``us`` and ``vs`` is a competitor (u, v); returns
+    ``d = max(|u-x|, gamma*|v-y|)`` and ``(|y-ybar| - |v-ybar|) / d`` for
+    every row, with ``w = y - ybar``.  The numerator is evaluated through
+    the difference-of-squares identity to avoid cancellation when v is close
+    to y.  Rows with ``d = 0`` give no quotient; callers drop them.
     """
-    d = prod_dist(u, v, x, y, g)
-    if d <= 0:
-        return -math.inf
-    wv = v - (y - w)  # v - ybar
-    nw, nv = np.linalg.norm(w), np.linalg.norm(wv)
-    if nw + nv == 0:
-        return 0.0
-    num = (w @ w - wv @ wv) / (nw + nv)
-    return float(num / d)
+    d = np.maximum(np.sqrt(_row_dots(us - x)),
+                   gamma * np.sqrt(_row_dots(vs - y)))
+    wv = vs - (y - w)  # v - ybar
+    wv2 = _row_dots(wv)
+    num = (w @ w - wv2) / (np.linalg.norm(w) + np.sqrt(wv2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return d, num / d
 
 
 def _direction_candidates(F: SetValuedMap, q: RegularityQuery, p, x, y,
@@ -164,8 +172,9 @@ def _step_schedule(nw: float, gamma: float) -> np.ndarray:
 
 
 def _short_step_candidates(F, q, p, x, y, ts):
-    """Honest graph points stepped from (x, y); used by both slope variants
-    so the local value never exceeds the nonlocal one numerically."""
+    """Honest graph points stepped from (x, y), as stacked ``(us, vs)``;
+    used by both slope variants so the local value never exceeds the
+    nonlocal one numerically."""
     cands: list[tuple[np.ndarray, np.ndarray]] = []
     for d in _direction_candidates(F, q, p, x, y, q.gamma):
         cands.extend(_points_on_graph_along(F, p, x, y, d, ts))
@@ -175,7 +184,10 @@ def _short_step_candidates(F, q, p, x, y, ts):
         nx = F.nx
         for row in F.graph_cloud(p):
             cands.append((row[:nx], row[nx:]))
-    return cands
+    if not cands:
+        return np.zeros((0, F.nx)), np.zeros((0, F.ny))
+    us, vs = zip(*cands)
+    return np.array(us), np.array(vs)
 
 
 def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
@@ -197,22 +209,9 @@ def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
         raise InputError("slope scan requires y != ybar")
     if x_radius is None:
         x_radius = q.delta + q.mu
-    g = GammaMetric(q.gamma)
     cap = strict_cap(q.alpha * q.mu)
 
     best = 0.0
-
-    def consider(u, v):
-        nonlocal best
-        u, v = as_point(u), as_point(v)
-        if np.linalg.norm(u - q.xbar_arr) >= x_radius:
-            return
-        if np.linalg.norm(v - ybar) > cap:
-            return
-        r = _quotient(w, u, v, x, y, g)
-        if r > best:
-            best = r
-
     pts = F.graph_points(p, grids)
     if pts.shape[0]:
         nx = F.nx
@@ -227,21 +226,23 @@ def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
             dyv = np.linalg.norm(vs[ok] - ybar[None, :], axis=1)
             best = max(best, float(np.max((nw - dyv) / d[ok])))
 
-    # nearest solution point paired with the target
-    try:
-        sd, upt = dist_to_region(x, F.solution_set(p, ybar, grids))
-    except InputError:
-        upt = None
-    if upt is not None:
-        consider(upt, ybar)
-
     # the same short honest steps the local slope uses, plus coarser ones,
     # so the nonlocal value dominates the local one numerically
     ts = _step_schedule(nw, q.gamma)
     coarse = min(0.1 * nw, 0.1 * nw * q.gamma) * 2.0 ** (-np.arange(6, dtype=float))
-    for u, v in _short_step_candidates(F, q, p, x, y,
-                                       np.concatenate([coarse, ts])):
-        consider(u, v)
+    us, vs = _short_step_candidates(F, q, p, x, y, np.concatenate([coarse, ts]))
+    # nearest solution point paired with the target
+    try:
+        _, upt = dist_to_region(x, F.solution_set(p, ybar, grids))
+    except InputError:
+        upt = None
+    if upt is not None:
+        us, vs = np.vstack([upt, us]), np.vstack([ybar, vs])
+    d, r = _quotients(w, us, vs, x, y, q.gamma)
+    ok = (np.sqrt(_row_dots(us - q.xbar_arr)) < x_radius) & (d > 0)
+    ok &= np.sqrt(_row_dots(vs - ybar)) <= cap
+    if ok.any():
+        best = max(best, float(np.max(r[ok])))
     return best
 
 
@@ -250,7 +251,8 @@ def local_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
     """Limit of merit difference quotients as competitors approach (x, y).
 
     Approximated on the geometric radius schedule ``r0 * 2^-k``, k = 0..12;
-    the reported value is the maximum over the last three levels.  Competitors
+    the reported value is the maximum over the last three levels; the levels
+    are nested, so that is the level of the third-last radius.  Competitors
     are honest graph points stepped along first-order optimal directions.
     """
     _require_graph_point(F, p, x, y)
@@ -259,26 +261,15 @@ def local_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
     nw = float(np.linalg.norm(w))
     if nw == 0:
         raise InputError("slope scan requires y != ybar")
-    g = GammaMetric(q.gamma)
     if r0 is None:
         radii = _step_schedule(nw, q.gamma)
     else:
         radii = r0 * 2.0 ** (-np.arange(_LEVELS, dtype=float))
 
-    cands = _short_step_candidates(F, q, p, x, y, radii)
-    scored = []
-    for u, v in cands:
-        dxy = prod_dist(u, v, x, y, g)
-        if dxy > 0:
-            scored.append((dxy, _quotient(w, u, v, x, y, g)))
-    levels = []
-    for r in radii:
-        best = 0.0
-        for dxy, val in scored:
-            if dxy <= r * (1 + 1e-9) and val > best:
-                best = val
-        levels.append(best)
-    return max(levels[-_LAST:])
+    us, vs = _short_step_candidates(F, q, p, x, y, radii)
+    d, r = _quotients(w, us, vs, x, y, q.gamma)
+    ok = (d > 0) & (d <= radii[-_LAST] * (1 + 1e-9))
+    return float(max(0.0, np.max(r[ok]))) if ok.any() else 0.0
 
 
 def _condition_check(F, q, grids, mode, slope_fn, tol, local) -> Certificate:

@@ -150,7 +150,11 @@ def test_cli_exit_code_two_on_input_error(tmp_path):
                      ("eta: 1.0", "eta: 1.0\n  tau: .nan"),
                      ("xbar: [0.0]", "xbar: [0.0, 0.0]"),
                      ("ybar: [0.0]", "ybar: [0.0, 1.0]"),
-                     ("pbar: [0.0]", "pbar: []")):
+                     ("pbar: [0.0]", "pbar: []"),
+                     ("resolution: 41}", "resolution: abc}"),
+                     ("resolution: 5}", "resolution: 1}"),
+                     ("p: {lower: [-0.5]", "p: {lower: [abc]"),
+                     ("x: {lower: [-1.0]", "x: {lower: [-1.0, -1.0]")):
         text = FAST_SCENARIO.replace(old, new)
         assert text != FAST_SCENARIO
         res = CliRunner().invoke(main, ["run", write(tmp_path, text)])
@@ -193,9 +197,44 @@ def test_cli_examples_emitted_and_runnable(tmp_path):
         assert sc.expect
 
 
+# `regulab run --out` CSVs of the shipped examples, frozen: verdicts and CSV
+# bytes of these two scenarios must not move.  The slope-local row's margin
+# of -1.5457386815e-08 is a known defect, not a goal: slope checks use
+# tol=1e-7 where the dual checks use 1e-9, so a slightly negative margin
+# passes as HOLDS.  The fix that gives every check one tolerance must update
+# that line.
+_CSV_HEADER = ("check,verdict,margin,witness_p,witness_x,witness_y,value,"
+               "alpha,delta,mu,eta,gamma,tau,grid_res,seconds")
+FROZEN_CSV = {
+    "example_quadratic": [
+        _CSV_HEADER,
+        "oracle,VIOLATED,-0.0625,-1,-0.75,0.0625,0.25,0.5,1,1,2,1,0.99,201,",
+        "geometric,VIOLATED,-0.124999999875,-1,-0.75,0.0625,0.125000000125,"
+        "0.5,1,1,2,1,0.99,201,",
+    ],
+    "example_difference": [
+        _CSV_HEADER,
+        "oracle,HOLDS,0,,,,,1,0.5,0.5,1,1,0.99,81,",
+        "geometric,HOLDS,0,,,,,1,0.5,0.5,1,1,0.99,81,",
+        "slope-nonlocal,HOLDS,0,,,,,1,0.5,0.5,1,1,0.99,81,",
+        "slope-local,HOLDS,-1.5457386815e-08,,,,,1,0.5,0.5,1,1,0.99,81,",
+        "subdifferential,HOLDS,0,,,,,1,0.5,0.5,1,1,0.99,81,",
+        "normal-cone,HOLDS,0,,,,,1,0.5,0.5,1,1,0.99,81,",
+        "recede,HOLDS,0,,,,,1,0.5,0.5,1,1,0.99,81,",
+        "aubin,HOLDS,0,,,,,1,0.5,0.5,1,1,0.99,81,",
+    ],
+}
+
+
 def test_shipped_examples_match_expectations(tmp_path):
-    # the quadratic example must refute, the difference example certify
-    for text in (EXAMPLE_QUADRATIC, EXAMPLE_DIFFERENCE):
-        sc = load_scenario(write(tmp_path, text, "ex.yaml"))
-        code, _ = run_scenario(sc)
-        assert code == 0
+    # the quadratic example must refute, the difference example certify,
+    # and both CSVs must match the frozen bytes
+    for stem, text in (("example_quadratic", EXAMPLE_QUADRATIC),
+                       ("example_difference", EXAMPLE_DIFFERENCE)):
+        path = write(tmp_path, text, stem + ".yaml")
+        res = CliRunner().invoke(main, ["run", path,
+                                        "--out", str(tmp_path / "out")])
+        assert res.exit_code == 0, res.output
+        csv_bytes = (tmp_path / "out" / (stem + ".csv")).read_bytes()
+        assert csv_bytes == "".join(
+            line + "\r\n" for line in FROZEN_CSV[stem]).encode()

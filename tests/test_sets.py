@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from regulab import (
     EmptySetError,
@@ -251,3 +254,69 @@ def test_cone_min_norm_slanted_and_vacuous():
     # generator-only cone pointing the wrong way: ball unreachable
     away = ConeRep.make(generators=[[1.0, 1.0]])
     assert math.isinf(cone_min_norm(away, 1, np.array([-5.0]), 0.5))
+
+
+# ---------------------------------------------------------------------------
+# 1-D closed forms against HiGHS as the reference.  Integer cone rows and
+# quarter-step targets keep every infeasibility gap either 0 or at least a
+# quarter, far above the LP solver's feasibility tolerance, so vacuity must
+# agree exactly.
+
+_rows = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+                 .filter(lambda r: r != (0, 0)), max_size=3)
+_quarters = st.integers(-12, 12).map(lambda i: i / 4)
+
+
+def _ref_support(q, M, gamma):
+    # q is an arbitrary float pair.  HiGHS's default dual feasibility
+    # tolerance (1e-7) accepts a non-optimal vertex once every reduced cost
+    # is that small, e.g. q = (1e-7, 0) comes back as -1e-7 instead of 1e-7;
+    # its tightest tolerances keep the reference exact to 1e-9.
+    c = 1.0 / gamma
+    res = linprog(-q, A_ub=M if M.shape[0] else None,
+                  b_ub=np.zeros(M.shape[0]) if M.shape[0] else None,
+                  bounds=[(-1.0, 1.0), (-c, c)], method="highs",
+                  options={"dual_feasibility_tolerance": 1e-10,
+                           "primal_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return max(0.0, -res.fun)
+
+
+def _ref_min_norm(cone, y, eta):
+    """min t over cone coefficients c with |Bx c| <= t, |By c - y| <= eta."""
+    k, m = cone.generators.shape[0], cone.lineality.shape[0]
+    B = cone.basis_matrix()
+    A_ub = np.array([np.append(B[0], -1.0), np.append(-B[0], -1.0),
+                     np.append(B[1], 0.0), np.append(-B[1], 0.0)])
+    res = linprog(np.append(np.zeros(k + m), 1.0), A_ub=A_ub,
+                  b_ub=[0.0, 0.0, y + eta, eta - y],
+                  bounds=[(0, None)] * k + [(None, None)] * m + [(0, None)],
+                  method="highs")
+    assert res.status in (0, 2)
+    return math.inf if res.status == 2 else res.fun
+
+
+@given(gens=_rows, lin=_rows.map(lambda r: r[:2]), empty=st.booleans(),
+       q=st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+       gamma=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]), y=_quarters,
+       eta=st.integers(1, 8).map(lambda i: i / 4))
+@settings(max_examples=300, deadline=None)
+def test_1d_closed_forms_match_lp(gens, lin, empty, q, gamma, y, eta):
+    cone = (ConeRep.empty_cone(2) if empty else
+            ConeRep.make(generators=gens or None, lineality=lin or None, dim=2))
+    q = np.array(q)
+    val, u = gamma_dual_distance(q, cone, GammaMetric(gamma), 1,
+                                 with_direction=True)
+    mn = cone_min_norm(cone, 1, np.array([y]), eta)
+    if empty:
+        assert math.isinf(val) and u is None and math.isinf(mn)
+        return
+    M = cone.polar_halfspaces()
+    assert abs(val - _ref_support(q, M, gamma)) <= 1e-9
+    assert np.all(M @ u <= 1e-12)
+    assert abs(u[0]) <= 1.0 and abs(u[1]) <= 1.0 / gamma
+    assert abs(q @ u - val) <= 1e-12
+    ref = _ref_min_norm(cone, y, eta)
+    assert math.isinf(mn) == math.isinf(ref)
+    if not math.isinf(ref):
+        assert abs(mn - ref) <= 1e-9

@@ -16,7 +16,8 @@ from regulab import (
 )
 from regulab.cli import _rule_quadratic_difference
 from regulab.mappings import condition_scan_points
-from regulab.spaces import NormedSpace
+from regulab.slope import _quotients
+from regulab.spaces import GammaMetric, NormedSpace, prod_dist
 from conftest import (
     affine_map_1d,
     grids_1d,
@@ -56,6 +57,24 @@ def test_quadratic_slope_degenerates_near_origin():
                                 np.array([x * x]), grids))
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 0.05
+
+
+def test_quotients_round_as_the_per_candidate_formula():
+    # array scoring must give bit-equal slopes to scoring one candidate at a
+    # time; np.linalg.norm(a, axis=1) rounds some 2-D rows differently
+    rng = np.random.default_rng(7)
+    g = GammaMetric(1.3)
+    for n in (1, 2, 3):
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        w = y - rng.normal(size=n)
+        us = x + rng.normal(size=(300, n))
+        vs = y + rng.normal(size=(300, n))
+        d, r = _quotients(w, us, vs, x, y, g.gamma)
+        for u, v, di, ri in zip(us, vs, d, r):
+            dist = prod_dist(u, v, x, y, g)
+            wv = v - (y - w)
+            num = (w @ w - wv @ wv) / (np.linalg.norm(w) + np.linalg.norm(wv))
+            assert di == dist and ri == num / dist
 
 
 def test_slope_requires_graph_point():
