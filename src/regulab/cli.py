@@ -167,6 +167,29 @@ def _validate_grids(grids: dict, spaces: dict):
                   f"got {res!r}")
 
 
+def _validate_coeffs(mapping: dict):
+    """A known rule, and only the coefficients it reads, each made of
+    finite numbers."""
+    rule = mapping.get("rule")
+    if rule not in _RULES:
+        _fail(f"unknown mapping rule {rule!r}; known: {sorted(_RULES)}")
+    coeffs = mapping.get("coeffs") or {}
+    if not isinstance(coeffs, dict):
+        _fail(f"mapping.coeffs must be a mapping, got {coeffs!r}")
+    reads = _RULE_COEFFS.get(rule, ())
+    for name, value in coeffs.items():
+        if name not in reads:
+            _fail(f"rule {rule!r} has no coefficient {name!r}; "
+                  f"it reads {list(reads)}")
+        try:
+            ok = np.all(np.isfinite(np.asarray(value, dtype=float)))
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            _fail(f"mapping.coeffs.{name} must be finite numbers, "
+                  f"got {value!r}")
+
+
 def _validate(sc: Scenario):
     for dim_key in ("x_dim", "y_dim"):
         if dim_key not in sc.spaces:
@@ -179,9 +202,8 @@ def _validate(sc: Scenario):
     kind = sc.mapping.get("kind")
     if kind not in ("rule", "polyhedral"):
         _fail("mapping.kind must be 'rule' or 'polyhedral'")
-    if kind == "rule" and sc.mapping.get("rule") not in _RULES:
-        _fail(f"unknown mapping rule {sc.mapping.get('rule')!r}; "
-              f"known: {sorted(_RULES)}")
+    if kind == "rule":
+        _validate_coeffs(sc.mapping)
     if kind == "polyhedral":
         pieces = sc.mapping.get("pieces")
         if not pieces:
@@ -307,6 +329,8 @@ _RULES = {
     "identity": _rule_identity,
     "scale": _rule_scale,
 }
+# the coefficients each rule reads; any other name is an input error
+_RULE_COEFFS = {"affine": ("a", "b", "c"), "scale": ("k",)}
 
 
 def build_mapping(sc: Scenario) -> SetValuedMap:

@@ -30,6 +30,9 @@ from .sets import (
 from .spaces import GridSpec, NormedSpace, as_point, ball_mask, make_grid
 
 _GRAPH_TOL = 1e-9
+# a scanned point whose solution distance is at most this is on the
+# solution set: its distance is float noise between grids
+SOL_TOL = 1e-9
 
 
 def strict_cap(bound: float) -> float:
@@ -468,7 +471,7 @@ class ScanPoint:
 
 
 def condition_scan_points(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
-                          x_radius: float, sol_tol: float = 1e-9):
+                          x_radius: float, sol_tol: float = SOL_TOL):
     """Admissible (p, x, y) triples shared by every condition checker.
 
     Yields graph points with x in the open ball of radius ``x_radius`` around

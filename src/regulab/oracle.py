@@ -17,7 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .mappings import RegularityQuery, ScanGrids, SetValuedMap, strict_cap
+from .mappings import (SOL_TOL, RegularityQuery, ScanGrids, SetValuedMap,
+                       strict_cap)
 from .spaces import ball_mask, make_grid
 
 
@@ -101,7 +102,8 @@ class MarginScan:
 def _residual_scan(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
                    cap: float):
     """Per scanned parameter p: the X-grid points of B_delta(xbar) with
-    residual <= cap, their residuals and their distances to G(p).
+    residual <= cap, their residuals and their distances to G(p), where a
+    distance within ``SOL_TOL`` (float noise between grids) counts as 0.
 
     Yields ``(p, xs, res, dist)``, skipping parameters with no such point.
     """
@@ -114,7 +116,8 @@ def _residual_scan(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
         if not mask.any():
             continue
         xs = xs_all[mask]
-        yield p, xs, res[mask], F.solution_distance_vec(p, xs, ybar, grids)
+        dist = F.solution_distance_vec(p, xs, ybar, grids)
+        yield p, xs, res[mask], np.where(dist <= SOL_TOL, 0.0, dist)
 
 
 def check_subreg_uniform(F: SetValuedMap, q: RegularityQuery,

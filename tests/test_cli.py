@@ -154,7 +154,9 @@ def test_cli_exit_code_two_on_input_error(tmp_path):
                      ("resolution: 41}", "resolution: abc}"),
                      ("resolution: 5}", "resolution: 1}"),
                      ("p: {lower: [-0.5]", "p: {lower: [abc]"),
-                     ("x: {lower: [-1.0]", "x: {lower: [-1.0, -1.0]")):
+                     ("x: {lower: [-1.0]", "x: {lower: [-1.0, -1.0]"),
+                     ("rule: difference}", "rule: scale, coeffs: {kk: 2}}"),
+                     ("rule: difference}", "rule: scale, coeffs: {k: abc}}")):
         text = FAST_SCENARIO.replace(old, new)
         assert text != FAST_SCENARIO
         res = CliRunner().invoke(main, ["run", write(tmp_path, text)])

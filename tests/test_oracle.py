@@ -122,6 +122,16 @@ def test_modulus_quadratic_shrinks_with_delta():
     assert prev < 0.1
 
 
+def test_modulus_treats_float_noise_as_on_the_solution_set():
+    # x = -0.01 and p = -0.01 come from different linspace calls and differ
+    # by 8.7e-18; that point is on the solution set, and the best rate is
+    # the one at p = 0.005, x in {0, 0.01}: res/dist = 0.005^2 / 0.005
+    F = quadratic_map()
+    m = estimate_modulus(F, (0.0,), (0.0,), 0.05, 0.05,
+                         grids_1d(201, 5, p_lim=0.01), pbar=(0.0,), eta=0.02)
+    assert abs(m - 0.005) <= 1e-12
+
+
 def test_modulus_at_least_certified_alpha():
     grids = grids_1d(21, 5)
     for F, modulus, _ in random_convex_instances(9, seed=13):
@@ -144,6 +154,7 @@ def test_modulus_is_the_rate_where_the_scan_flips():
     cases = [(F, grids_1d(21, 5), 0.6, 0.4)
              for F, _, _ in random_convex_instances(9, seed=13)]
     cases.append((quadratic_map(), grids_1d(81, 9, p_lim=1.0), 1.0, 2.0))
+    cases.append((quadratic_map(), grids_1d(201, 5, p_lim=0.01), 0.05, 0.02))
     for F, grids, delta, eta in cases:
         m = estimate_modulus(F, (0.0,), (0.0,), delta, delta, grids,
                              pbar=(0.0,), eta=eta)

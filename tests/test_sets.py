@@ -1,6 +1,8 @@
 """Polyhedra, projections, cones, and weighted dual-norm distances."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,8 +25,9 @@ from regulab import (
     normal_cone_at,
     project_polyhedron,
 )
+from regulab.mappings import PolyhedralGraphMap, ScanGrids
 from regulab.sets import ConeRep, Sampler, cone_rays_from_halfspaces
-from regulab.spaces import make_grid
+from regulab.spaces import NormedSpace, make_grid
 
 
 def unit_box(n):
@@ -97,6 +100,73 @@ def test_projection_variational_inequality():
 def test_projection_onto_empty_raises():
     with pytest.raises(EmptySetError):
         project_polyhedron([0.0], Polyhedron([[1.0], [-1.0]], [-1.0, -1.0]))
+
+
+def _ref_projection(x, A, b):
+    """Nearest point of ``{A q <= b}`` to ``x`` by brute force: equality-
+    constrained least squares on every full-rank set of at most n rows, the
+    feasible results kept; None when the polyhedron is empty."""
+    best, best_d = None, math.inf
+    n, m = A.shape[1], A.shape[0]
+    for k in range(min(n, m) + 1):
+        for rows in itertools.combinations(range(m), k):
+            Ai, bi = A[list(rows)], b[list(rows)]
+            if k and np.linalg.matrix_rank(Ai) < k:
+                continue
+            q = x - Ai.T @ np.linalg.solve(Ai @ Ai.T, Ai @ x - bi) if k else x
+            scale = 1 + np.abs(b) + np.abs(A) @ np.abs(q)
+            if np.all(A @ q - b <= 1e-12 * scale):
+                d = np.linalg.norm(q - x)
+                if d < best_d:
+                    best, best_d = q, d
+    return best
+
+
+_halves = st.integers(-12, 12).map(lambda i: i / 2)
+
+
+@st.composite
+def _polyhedra_and_points(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6))
+    A = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    b = draw(st.lists(_halves, min_size=m, max_size=m))
+    x = draw(st.lists(_halves, min_size=n, max_size=n))
+    return np.array(A, float), np.array(b), np.array(x)
+
+
+@given(_polyhedra_and_points())
+@settings(max_examples=400, deadline=None)
+def test_projection_matches_active_set_enumeration(case):
+    A, b, x = case
+    Q = Polyhedron(A, b)
+    ref = _ref_projection(x, A, b)
+    if ref is None:
+        with pytest.raises(EmptySetError):
+            project_polyhedron(x, Q)
+        return
+    q = project_polyhedron(x, Q)
+    assert Q.contains(q)
+    d = np.linalg.norm(ref - x)
+    assert np.linalg.norm(q - ref) <= 1e-9 * (1 + d), (q, ref)
+
+
+def test_graph_points_of_a_wedge_are_on_the_graph():
+    # {2x + y >= 1, 3x - 2y <= -2, y <= 3x} is a wedge with apex (2/3, 2),
+    # the projection of the grid point (2, -4)
+    A = np.array([[-2.0, -1.0], [3.0, -2.0], [-3.0, 1.0]])
+    b = np.array([-1.0, -2.0, 0.0])
+    one = NormedSpace("R", 1)
+    F = PolyhedralGraphMap(one, one, lambda p: [(A, b)], param_space=one,
+                           convex=True)
+    g = GridSpec((-4.0,), (4.0,), 17)
+    pts = F.graph_points((0.0,), ScanGrids(x=g, y=g, p=g))
+    assert pts.shape[0] > 0
+    for x, y in pts:
+        assert F.in_graph((0.0,), [x], [y]), (x, y)
+    assert np.allclose(project_polyhedron([2.0, -4.0], Polyhedron(A, b)),
+                       [2 / 3, 2.0], atol=1e-12)
 
 
 def test_sampler_region_materializes():
@@ -193,6 +263,43 @@ def test_cone_membership_distance_consistency():
     assert cone.contains([3.0, 1.0])  # (2,2) + (1,-1)
     assert cone.euclidean_distance([3.0, 1.0]) <= 1e-9
     assert cone.euclidean_distance([-1.0, -1.0]) > 1e-3
+    # more columns than rows, and all of R^2
+    whole = ConeRep.make(generators=[[-3, 3], [3, 0]],
+                         lineality=[[-3, 0], [-2, 1]])
+    assert whole.contains([1.6554360668998278, -1.9079672547264401])
+
+
+def _ref_cone_distance(v, cone):
+    """Distance to the cone generated by the columns [G, L, -L]: least
+    squares on every linearly independent set of columns, kept when its
+    coefficients are nonnegative (the nearest point is such a solution)."""
+    B = cone.polar_halfspaces()
+    best = np.linalg.norm(v)
+    for k in (1, 2):
+        for cols in itertools.combinations(range(B.shape[0]), k):
+            Bs = B[list(cols)].T
+            if np.linalg.matrix_rank(Bs) < k:
+                continue
+            c = np.linalg.lstsq(Bs, v, rcond=None)[0]
+            if np.all(c >= -1e-12):
+                best = min(best, np.linalg.norm(Bs @ c - v))
+    return best
+
+
+_int_rows = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                     max_size=3)
+
+
+@given(gens=_int_rows, lin=_int_rows.map(lambda r: r[:2]),
+       v=st.tuples(st.floats(-2, 2), st.floats(-2, 2)))
+@settings(max_examples=300, deadline=None)
+def test_cone_distance_matches_column_enumeration(gens, lin, v):
+    cone = ConeRep.make(generators=gens or None, lineality=lin or None, dim=2)
+    v = np.array(v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        d = cone.euclidean_distance(v)
+    assert abs(d - _ref_cone_distance(v, cone)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
