@@ -35,7 +35,6 @@ from .mappings import (
     ClosedFormMap,
     PolyhedralGraphMap,
     RegularityQuery,
-    SampledGraphMap,
     ScanGrids,
     SetValuedMap,
     hat_reduction,
@@ -52,7 +51,6 @@ from .sets import (
     PointCloud,
     PolyUnion,
     Polyhedron,
-    Sampler,
     cone_min_norm,
     dist_to_region,
     gamma_dual_distance,

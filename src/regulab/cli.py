@@ -24,7 +24,7 @@ import yaml
 from .dual import check_coderivative_condition, check_normal_cone_condition, \
     check_subdifferential_condition
 from .ekeland import evp_search
-from .errors import InputError, ResourceCapError
+from .errors import InputError, NumericError, ResourceCapError
 from .implicit import AubinQuery, check_aubin, check_recede, compose_aubin_rate, \
     certify_aubin
 from .mappings import ClosedFormMap, PolyhedralGraphMap, RegularityQuery, \
@@ -509,7 +509,11 @@ def run_scenario(sc: Scenario, out_dir: str | None = None,
         name = _check_name(entry)
         opts = entry if isinstance(entry, dict) else {}
         t0 = time.perf_counter()
-        cert = _run_one(name, opts, F, q, grids, sc)
+        try:
+            cert = _run_one(name, opts, F, q, grids, sc)
+        except NumericError as exc:
+            # a failed solver is no verdict
+            cert = Certificate(Verdict.INCONCLUSIVE, detail=str(exc))
         elapsed = time.perf_counter() - t0
         expect = sc.expect.get(name)
         status = ""

@@ -120,7 +120,7 @@ def check_subdifferential_condition(F: SetValuedMap, q: RegularityQuery,
             flags += 1
     meta = dict(_base_meta(q, grids), mode=mode, x_radius=x_radius,
                 small_ystar_flags=flags)
-    return scan.certificate(F.approximate, meta)
+    return scan.certificate(meta)
 
 
 def check_normal_cone_condition(F: SetValuedMap, q: RegularityQuery,
@@ -154,7 +154,7 @@ def check_normal_cone_condition(F: SetValuedMap, q: RegularityQuery,
                 "inequality": "d_gamma((0,-y*), N) >= alpha"})
     meta = dict(_base_meta(q, grids), mode=mode, variant=variant,
                 x_radius=x_radius)
-    return scan.certificate(F.approximate, meta)
+    return scan.certificate(meta)
 
 
 def check_coderivative_condition(F: SetValuedMap, q: RegularityQuery,
@@ -202,4 +202,4 @@ def check_coderivative_condition(F: SetValuedMap, q: RegularityQuery,
                 "inequality": f"min |x*| >= {threshold:.6g}"})
     meta = dict(_base_meta(q, grids), mode=mode, form=form, variant=variant,
                 x_radius=x_radius, threshold=threshold, vacuous=vacuous)
-    return scan.certificate(F.approximate, meta)
+    return scan.certificate(meta)

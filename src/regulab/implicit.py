@@ -89,7 +89,7 @@ def check_recede(F: SetValuedMap, q: RegularityQuery, l: float,
             "inequality": "d(ybar, F(p,x)) <= l*d(p,p')"})
     meta = {"l": l, "eta": q.eta, "delta": q.delta, "mu": q.mu,
             "grid_res": grids.x.resolution}
-    return scan.certificate(F.approximate, meta)
+    return scan.certificate(meta)
 
 
 def check_aubin(F: SetValuedMap, aq: AubinQuery, grids: ScanGrids,
@@ -109,7 +109,7 @@ def check_aubin(F: SetValuedMap, aq: AubinQuery, grids: ScanGrids,
             "inequality": "d(x, G(p)) <= l*d(p,p')"})
     meta = {"l": aq.l, "eta": aq.eta, "delta": aq.delta, "mu": aq.mu,
             "grid_res": grids.x.resolution}
-    return scan.certificate(F.approximate, meta)
+    return scan.certificate(meta)
 
 
 def compose_aubin_rate(F: SetValuedMap, q: RegularityQuery,

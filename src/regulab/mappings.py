@@ -3,10 +3,9 @@
 A mapping exposes, for each parameter ``p``: its values F(p, x), the graph of
 the slice F_p as a region in X x Y, residuals d(ybar, F(p, x)), the solution
 set {x : ybar in F(p, x)}, and normal cones to the graph at graph points.
-Three concrete models are provided: closed-form (finite value sets given by a
-rule, with optional exact solution sets and cones), polyhedral (graph given as
-a finite union of polyhedra per parameter), and sampled (a finite graph point
-cloud per parameter, inherently approximate).
+Two concrete models are provided, both exact: closed-form (finite value sets
+given by a rule, with optional exact solution sets and cones) and polyhedral
+(graph given as a finite union of polyhedra per parameter).
 """
 
 from __future__ import annotations
@@ -111,7 +110,6 @@ class SetValuedMap:
     parameters are points of ``param_space`` and scans draw them from a grid.
     """
 
-    approximate = False
     convex_graph = False
 
     def __init__(self, domain_space: NormedSpace, range_space: NormedSpace,
@@ -343,65 +341,6 @@ class PolyhedralGraphMap(SetValuedMap):
         return normal_cone_at(self.graph_region(p), xy)
 
 
-class SampledGraphMap(SetValuedMap):
-    """Mapping known only through a finite graph sample per parameter.
-
-    All derived objects are approximate: values are cloud slices at x within
-    half a grid cell, solution sets are residual-filtered, and normal cones
-    carry the sampled flag.  ``slice_tol`` defaults to half the X spacing.
-    """
-
-    approximate = True
-
-    def __init__(self, domain_space, range_space, cloud_fn, *,
-                 param_space=None, param_labels=None, slice_tol=None):
-        super().__init__(domain_space, range_space, param_space, param_labels)
-        self.cloud_fn = cloud_fn
-        self.slice_tol = slice_tol
-        self._cache: dict = {}
-
-    def graph_cloud(self, p) -> np.ndarray:
-        key = PolyhedralGraphMap._pkey(p)
-        if key not in self._cache:
-            pts = np.atleast_2d(np.asarray(self.cloud_fn(p), dtype=float))
-            if pts.shape[1] != self.nx + self.ny:
-                raise DimensionMismatchError(
-                    "graph sample width must equal dim X + dim Y"
-                )
-            self._cache[key] = pts
-        return self._cache[key]
-
-    def _tol(self, grids: ScanGrids | None) -> float:
-        if self.slice_tol is not None:
-            return self.slice_tol
-        if grids is not None:
-            return 0.5 * grids.x.spacing
-        raise InputError("sampled mapping needs slice_tol or a grid")
-
-    def values(self, p, x, grids: ScanGrids | None = None) -> np.ndarray:
-        x = as_point(x)
-        pts = self.graph_cloud(p)
-        tol = self._tol(grids)
-        mask = np.linalg.norm(pts[:, : self.nx] - x, axis=1) <= tol
-        return pts[mask, self.nx:]
-
-    def solution_set(self, p, ybar, grids=None) -> PointCloud:
-        ybar = as_point(ybar)
-        pts = self.graph_cloud(p)
-        tol = self._tol(grids)
-        mask = np.linalg.norm(pts[:, self.nx:] - ybar, axis=1) <= tol
-        return PointCloud(pts[mask, : self.nx], dedupe_tol=0.0)
-
-    def graph_points(self, p, grids: ScanGrids) -> np.ndarray:
-        return self.graph_cloud(p)
-
-    def normal_cone(self, p, x, y) -> ConeRep:
-        xy = np.concatenate([as_point(x), as_point(y)])
-        cone = normal_cone_at(PointCloud(self.graph_cloud(p), dedupe_tol=0.0), xy)
-        cone.exact = False
-        return cone
-
-
 class ShiftedTargetMap(SetValuedMap):
     """Canonical-perturbation reduction: parameters (p, y), values F(p,x) - y.
 
@@ -419,7 +358,6 @@ class ShiftedTargetMap(SetValuedMap):
         else:
             labels = [(None, tuple(s)) for s in shifts]
         super().__init__(base.domain_space, base.range_space, param_labels=labels)
-        self.approximate = base.approximate
         self.convex_graph = base.convex_graph
 
     @staticmethod

@@ -17,6 +17,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import InputError
 from .mappings import (SOL_TOL, RegularityQuery, ScanGrids, SetValuedMap,
                        strict_cap)
 from .spaces import ball_mask, make_grid
@@ -82,20 +83,17 @@ class MarginScan:
             if self.margin < -self.tol:
                 self.witness = witness(i)
 
-    def certificate(self, approximate: bool, meta: dict) -> Certificate:
-        """VIOLATED with the witness, else HOLDS (INCONCLUSIVE on sampled
-        data or an empty scan)."""
+    def certificate(self, meta: dict) -> Certificate:
+        """VIOLATED with the witness, else HOLDS (INCONCLUSIVE on an empty
+        scan)."""
         n = self.points_scanned
-        meta = dict(meta, points_scanned=n, sampled=approximate)
+        meta = dict(meta, points_scanned=n)
         if n == 0:
             return Certificate(Verdict.INCONCLUSIVE, math.nan, None, meta,
                                "no admissible scan points")
         if self.witness is not None:
             return Certificate(Verdict.VIOLATED, self.margin, self.witness,
                                meta)
-        if approximate:
-            return Certificate(Verdict.INCONCLUSIVE, self.margin, None, meta,
-                               "no violation found on the sampled data")
         return Certificate(Verdict.HOLDS, self.margin, None, meta)
 
 
@@ -137,14 +135,15 @@ def check_subreg_uniform(F: SetValuedMap, q: RegularityQuery,
             "p": p, "x": xs[i].copy(), "y": _nearest_value(F, p, xs[i], ybar),
             "value": float(res[i] / dist[i]),
             "inequality": "alpha*d(x, G(p)) <= d(ybar, F(p,x))"})
-    return scan.certificate(F.approximate, _base_meta(q, grids))
+    return scan.certificate(_base_meta(q, grids))
 
 
 def _nearest_value(F, p, x, ybar):
-    """Point of F(p, x) nearest to ybar, for witness reporting."""
+    """Point of F(p, x) nearest to ybar, for witness reporting; None when
+    the model gives its values as a region."""
     try:
         vals = F.values(p, x)
-    except Exception:
+    except InputError:
         return None
     if vals is None or len(vals) == 0:
         return None
@@ -185,8 +184,7 @@ def check_geometric(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
                     "inequality": "G(p) meets closed ball of radius rho around x"}
 
         scan.add(np.array([gaps.min() for _, _, gaps in tested]), witness)
-    return scan.certificate(F.approximate,
-                            dict(_base_meta(q, grids), n_rho=n_rho))
+    return scan.certificate(dict(_base_meta(q, grids), n_rho=n_rho))
 
 
 def _grid_diameter(grids: ScanGrids) -> float:

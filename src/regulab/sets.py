@@ -1,14 +1,15 @@
 """Closed-set representations, projections, and normal cones.
 
-Sets are finite unions of convex polyhedra ``{x : A x <= b}``, finite point
-clouds, or closed-form samplers materialized on a grid.  Normal cones are
-finitely generated (generators plus a lineality basis); for a convex
-polyhedron the cone at a boundary point is spanned by the active rows, and for
-a union it is the intersection of the per-piece cones at the point.
+Sets are finite unions of convex polyhedra ``{x : A x <= b}`` or finite
+point clouds.  Normal cones are finitely generated (generators plus a
+lineality basis); for a convex polyhedron the cone at a boundary point is
+spanned by the active rows, and for a union it is the intersection of the
+per-piece cones at the point.
 
 Euclidean projections onto polyhedra and distances to cones are exact: each
 is one finite nonnegative least-squares solve (``_nonneg_lsq``), the
-projection through Lawson and Hanson's least-distance program.
+projection through Lawson and Hanson's least-distance program, and each
+solve is checked against its optimality conditions.
 
 Distances from a dual vector to a cone in the weighted dual norm
 ``|u*| + |v*|/gamma`` are computed through the support-function form
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # lsq_linear is unused here; the benchmark warms and traces it by this name
@@ -109,11 +110,54 @@ class Polyhedron:
 
 def _nonneg_lsq(B, v) -> np.ndarray:
     """argmin ``|B c - v|`` over ``c >= 0``, by Lawson and Hanson's finite
-    active-set method; raises ``NumericError`` when it does not finish."""
+    active-set method, its answer checked against the optimality conditions.
+
+    An answer that fails the check, or a run that does not finish, is
+    replaced by ``_nonneg_lsq_enum``; ``NumericError`` when that answer
+    fails the check too.
+    """
     try:
-        return nnls(B, v)[0]
-    except RuntimeError as exc:
-        raise NumericError(f"nonnegative least squares failed: {exc}") from exc
+        c = nnls(B, v)[0]
+    except RuntimeError:
+        c = None
+    if c is not None and _is_nonneg_lsq_optimal(B, v, c):
+        return c
+    c = _nonneg_lsq_enum(B, v)
+    if not _is_nonneg_lsq_optimal(B, v, c):
+        raise NumericError("nonnegative least squares failed its optimality "
+                           "check")
+    return c
+
+
+def _is_nonneg_lsq_optimal(B, v, c) -> bool:
+    """KKT conditions of min ``|B c - v|`` over ``c >= 0`` at ``c >= 0``:
+    ``g = B^T (B c - v)`` is >= 0, and 0 where ``c_j > 0``, within a rounding
+    tolerance scaled by the largest entries of B and v and by the sum of c."""
+    g = ((B @ c - v) @ B).tolist()
+    a = float(np.abs(B).max())
+    tol = 1e-9 * a * (float(np.abs(v).max()) + a * float(c.sum()))
+    return all(gj >= -tol and (cj == 0 or gj <= tol)
+               for gj, cj in zip(g, c.tolist()))
+
+
+def _nonneg_lsq_enum(B, v) -> np.ndarray:
+    """argmin ``|B c - v|`` over ``c >= 0`` by enumeration: least squares on
+    every linearly independent set of columns, keeping the nonnegative
+    solution of least residual (some minimizer has independent support, by
+    Caratheodory's theorem).  For the few columns of the cones and
+    least-distance programs here."""
+    m, k = B.shape
+    best, best_r = np.zeros(k), np.linalg.norm(v)
+    for size in range(1, min(m, k) + 1):
+        for cols in map(list, itertools.combinations(range(k), size)):
+            cs, _, rank, _ = np.linalg.lstsq(B[:, cols], v, rcond=None)
+            if rank < size or np.any(cs < 0):
+                continue
+            r = np.linalg.norm(B[:, cols] @ cs - v)
+            if r < best_r:
+                best, best_r = np.zeros(k), r
+                best[cols] = cs
+    return best
 
 
 def project_polyhedron(x, Q: Polyhedron) -> np.ndarray:
@@ -142,20 +186,10 @@ def project_polyhedron(x, Q: Polyhedron) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# region specifications
+# regions
 
 
-class RegionSpec:
-    """Base class for set representations."""
-
-    approximate = False
-
-    @property
-    def dim(self) -> int:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class PolyUnion(RegionSpec):
+class PolyUnion:
     """Finite union of convex polyhedra sharing one ambient dimension."""
 
     def __init__(self, pieces):
@@ -177,10 +211,8 @@ class PolyUnion(RegionSpec):
         return any(p.contains(x, tol) for p in self.pieces)
 
 
-class PointCloud(RegionSpec):
+class PointCloud:
     """Finite point set, duplicate-free under tolerance."""
-
-    approximate = True
 
     def __init__(self, points, dedupe_tol: float = 1e-12):
         pts = np.asarray(points, dtype=float)
@@ -207,41 +239,11 @@ class PointCloud(RegionSpec):
         return bool(np.min(np.linalg.norm(self.points - x, axis=1)) <= tol)
 
 
-class Sampler(RegionSpec):
-    """Deterministic membership rule evaluated on an attached grid."""
-
-    approximate = True
-
-    def __init__(self, rule, grid: GridSpec | None = None):
-        self.rule = rule
-        self.grid = grid
-        self._cloud = None
-
-    @property
-    def dim(self) -> int:
-        if self.grid is None:
-            raise InputError("sampler region has no attached grid")
-        return self.grid.dim
-
-    def materialize(self) -> PointCloud:
-        if self.grid is None:
-            raise InputError("sampler region has no attached grid")
-        if self._cloud is None:
-            pts = make_grid(self.grid)
-            mask = np.array([bool(self.rule(p)) for p in pts])
-            self._cloud = PointCloud(pts[mask], dedupe_tol=0.0)
-        return self._cloud
-
-
-def dist_to_region(x, region: RegionSpec) -> tuple[float, np.ndarray | None]:
-    """Distance from ``x`` to the region and a nearest point.
-
-    Returns ``(inf, None)`` for an empty region (convention d(x, empty) = inf).
-    Exact for polyhedral unions and clouds; grid-exact for samplers.
+def dist_to_region(x, region) -> tuple[float, np.ndarray | None]:
+    """Exact distance from ``x`` to a polyhedral union or a point cloud, and
+    a nearest point; ``(inf, None)`` for an empty region (d(x, empty) = inf).
     """
     x = as_point(x)
-    if isinstance(region, Sampler):
-        region = region.materialize()
     if isinstance(region, PointCloud):
         if region.points.shape[0] == 0:
             return np.inf, None
@@ -261,14 +263,12 @@ def dist_to_region(x, region: RegionSpec) -> tuple[float, np.ndarray | None]:
     raise InputError(f"unsupported region type {type(region).__name__}")
 
 
-def region_sample_points(region: RegionSpec, grid: GridSpec | None = None) -> np.ndarray:
+def region_sample_points(region, grid: GridSpec | None = None) -> np.ndarray:
     """Representative points of a region for scanning.
 
     Clouds return their points; polyhedral unions project the grid points onto
     each piece (plus vertices), so boundary structure is represented exactly.
     """
-    if isinstance(region, Sampler):
-        return region.materialize().points
     if isinstance(region, PointCloud):
         return region.points
     if isinstance(region, PolyUnion):
@@ -304,11 +304,10 @@ class ConeRep:
     generators: np.ndarray
     lineality: np.ndarray
     empty: bool = False
-    exact: bool = True
-    meta: dict = field(default_factory=dict)
 
     @classmethod
-    def make(cls, generators=None, lineality=None, dim=None, **kw) -> "ConeRep":
+    def make(cls, generators=None, lineality=None, dim=None,
+             empty: bool = False) -> "ConeRep":
         if generators is None or len(generators) == 0:
             if dim is None and lineality is not None and len(lineality):
                 dim = len(np.atleast_2d(lineality)[0])
@@ -320,7 +319,7 @@ class ConeRep:
             lineality = np.zeros((0, dim))
         else:
             lineality = np.atleast_2d(np.asarray(lineality, dtype=float))
-        return cls(generators=generators, lineality=lineality, **kw)
+        return cls(generators=generators, lineality=lineality, empty=empty)
 
     @classmethod
     def empty_cone(cls, dim: int) -> "ConeRep":
@@ -419,57 +418,34 @@ def intersect_cones(c1: ConeRep, c2: ConeRep) -> ConeRep:
                       polar1.lineality, -polar1.lineality,
                       polar2.generators, polar2.lineality, -polar2.lineality])
     # (C1 n C2) = polar(C1^o + C2^o); C1^o + C2^o is generated by `gens`
-    result = cone_rays_from_halfspaces(gens, n)
-    result.exact = c1.exact and c2.exact
-    return result
+    return cone_rays_from_halfspaces(gens, n)
 
 
-def normal_cone_at(region, x, act_tol: float = 1e-8, cloud_radius: float = 0.5) -> ConeRep:
-    """Normal cone to a region at a point.
+def normal_cone_at(region, x, act_tol: float = 1e-8) -> ConeRep:
+    """Normal cone to a polyhedron or a polyhedral union at a point.
 
     Convex polyhedron: conic hull of the active rows.  Union: intersection of
-    the per-piece cones over pieces containing the point.  Cloud: sampled
-    approximation via the limiting pairing test against nearby cloud points.
-    A point outside the region yields the empty cone (flagged, not an error).
+    the per-piece cones over pieces containing the point.  A point outside
+    the region yields the empty cone (flagged, not an error).
     """
     x = as_point(x)
     if isinstance(region, Polyhedron):
         region = PolyUnion([region])
-    if isinstance(region, Sampler):
-        region = region.materialize()
-    if isinstance(region, PolyUnion):
-        cones = []
-        for piece in region.pieces:
-            if piece.is_empty() or not piece.contains(x, act_tol):
-                continue
-            act = piece.active_rows(x, act_tol)
-            cones.append(ConeRep.make(generators=piece.A[act] if act.size else None,
-                                      dim=piece.dim))
-        if not cones:
-            return ConeRep.empty_cone(region.dim)
-        cone = cones[0]
-        for other in cones[1:]:
-            cone = intersect_cones(cone, other)
-        return cone
-    if isinstance(region, PointCloud):
-        pts = region.points
-        if pts.shape[0] == 0 or not region.contains(x, act_tol):
-            return ConeRep.empty_cone(pts.shape[1] if pts.size else x.shape[0])
-        n = pts.shape[1]
-        diffs = pts - x
-        norms = np.linalg.norm(diffs, axis=1)
-        mask = (norms > 1e-12) & (norms <= cloud_radius)
-        dirs = diffs[mask] / norms[mask][:, None]
-        cands = _unit_directions(n, 256)
-        ctol = 10 * act_tol + (np.min(norms[mask]) if mask.any() else 0.0)
-        if dirs.shape[0] == 0:
-            gens = cands
-        else:
-            pairing = cands @ dirs.T
-            gens = cands[np.max(pairing, axis=1) <= ctol]
-        return ConeRep.make(generators=gens if gens.size else None, dim=n,
-                            exact=False, meta={"sampled": True})
-    raise InputError(f"unsupported region type {type(region).__name__}")
+    if not isinstance(region, PolyUnion):
+        raise InputError(f"unsupported region type {type(region).__name__}")
+    cones = []
+    for piece in region.pieces:
+        if piece.is_empty() or not piece.contains(x, act_tol):
+            continue
+        act = piece.active_rows(x, act_tol)
+        cones.append(ConeRep.make(generators=piece.A[act] if act.size else None,
+                                  dim=piece.dim))
+    if not cones:
+        return ConeRep.empty_cone(region.dim)
+    cone = cones[0]
+    for other in cones[1:]:
+        cone = intersect_cones(cone, other)
+    return cone
 
 
 def _unit_directions(n: int, count: int) -> np.ndarray:

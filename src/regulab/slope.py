@@ -21,7 +21,6 @@ from .mappings import (
     ClosedFormMap,
     PolyhedralGraphMap,
     RegularityQuery,
-    SampledGraphMap,
     ScanGrids,
     SetValuedMap,
     condition_scan,
@@ -143,8 +142,6 @@ def _points_on_graph_along(F, p, x, y, d, ts) -> list[tuple[np.ndarray, np.ndarr
                 dz, zp = dist_to_region(z, F.graph_region(p))
                 if zp is not None and dz <= abs(t):
                     out.append((zp[:nx], zp[nx:]))
-        else:
-            pass  # sampled graphs: only cloud points are honest
     return out
 
 
@@ -180,10 +177,6 @@ def _short_step_candidates(F, q, p, x, y, ts):
         cands.extend(_points_on_graph_along(F, p, x, y, d, ts))
     cands.extend(_coordinate_probes(F, p, x, list(ts) +
                                     [t / (1 + q.gamma) for t in ts]))
-    if isinstance(F, SampledGraphMap):
-        nx = F.nx
-        for row in F.graph_cloud(p):
-            cands.append((row[:nx], row[nx:]))
     if not cands:
         return np.zeros((0, F.nx)), np.zeros((0, F.ny))
     us, vs = zip(*cands)
@@ -286,7 +279,7 @@ def _condition_check(F, q, grids, mode, slope_fn, tol, local) -> Certificate:
             "inequality": "slope >= alpha"})
     meta = dict(_base_meta(q, grids), mode=mode, x_radius=x_radius,
                 kind="local" if local else "nonlocal")
-    return scan.certificate(F.approximate, meta)
+    return scan.certificate(meta)
 
 
 def check_nonlocal_slope_condition(F: SetValuedMap, q: RegularityQuery,

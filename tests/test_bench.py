@@ -3,12 +3,27 @@
 import importlib.util
 from pathlib import Path
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 def test_bench_warm_solvers_finds_every_solver():
     # bench/worker.py warms the scipy solvers through the names regulab.sets
     # imports them by; dropping one of those names breaks the benchmark
-    path = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
-    spec = importlib.util.spec_from_file_location("bench_worker", path)
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
-    worker.warm_solvers()
+    _load("worker").warm_solvers()
+
+
+def test_bench_tracer_finds_every_hook():
+    # the tracer wraps a name only where an owner defines it itself and
+    # skips it silently otherwise, so a deleted or renamed callee would
+    # zero its per-layer metric
+    missing = [(attr, span) for owners, attr, span in _load("tracing")._LAYERS
+               if not any(attr in vars(owner) for owner in owners)]
+    assert not missing

@@ -5,7 +5,8 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from regulab import InputError
+import regulab.cli
+from regulab import InputError, NumericError
 from regulab.cli import (
     EXAMPLE_DIFFERENCE,
     EXAMPLE_QUADRATIC,
@@ -162,6 +163,24 @@ def test_cli_exit_code_two_on_input_error(tmp_path):
         res = CliRunner().invoke(main, ["run", write(tmp_path, text)])
         assert res.exit_code == 2, (new, res.output)
         assert "input error" in res.output
+
+
+def test_cli_failed_solver_gives_inconclusive_row(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise NumericError("least-distance problem found no feasible point")
+
+    monkeypatch.setattr(regulab.cli, "check_geometric", broken)
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, ["run", write(tmp_path, FAST_SCENARIO),
+                                    "--out", str(out)])
+    # the verdict differs from the expected HOLDS: a mismatch, no traceback
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "note: least-distance problem found no feasible point" in res.output
+    rows = (out / "sc.csv").read_text().splitlines()
+    assert rows[1].startswith("oracle,HOLDS,")
+    assert rows[2].startswith("geometric,INCONCLUSIVE,,")
+    assert rows[3].startswith("normal-cone,HOLDS,")
 
 
 def test_cli_exit_code_three_on_resource_cap(tmp_path):

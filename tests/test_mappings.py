@@ -11,7 +11,6 @@ from regulab import (
     InputError,
     NormedSpace,
     RegularityQuery,
-    SampledGraphMap,
     ScanGrids,
     hat_reduction,
 )
@@ -111,19 +110,6 @@ def test_hat_double_shift_recovers_residuals():
     p2 = ((0.1, (0.2,)), (-0.2,))
     assert abs(HH.residual(p2, [0.3], [0.0])
                - F.residual(0.1, [0.3], [0.0])) < 1e-12
-
-
-def test_sampled_map_slices():
-    xs = np.linspace(-1, 1, 21)
-    cloud = np.stack([xs, 2 * xs], axis=1)
-    F = SampledGraphMap(NormedSpace("X", 1), NormedSpace("Y", 1),
-                        lambda p: cloud, param_labels=["only"],
-                        slice_tol=0.051)
-    assert F.approximate
-    v = F.values("only", [0.5])
-    assert np.allclose(v, [[1.0]])
-    sol = F.solution_set("only", [0.0])
-    assert np.allclose(sol.points, [[0.0]])
 
 
 def test_query_validation():

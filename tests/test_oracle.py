@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from regulab import (
     ClosedFormMap,
@@ -68,6 +69,11 @@ def test_witness_violation_reproducible():
     res = F.residual(w["p"], w["x"], [0.0])
     dist = F.solution_distance(w["p"], w["x"], [0.0])
     assert abs((res - q.alpha * dist) - cert.margin) < 1e-9
+    # a fault in the value rule, which only the witness's y reads here,
+    # surfaces instead of leaving y empty
+    F.value_fn = lambda p, x: 1 / 0
+    with pytest.raises(ZeroDivisionError):
+        check_subreg_uniform(F, q, grids_1d(31, 7))
 
 
 def test_geometric_matches_subreg_on_suite():

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -26,7 +26,7 @@ from regulab import (
     project_polyhedron,
 )
 from regulab.mappings import PolyhedralGraphMap, ScanGrids
-from regulab.sets import ConeRep, Sampler, cone_rays_from_halfspaces
+from regulab.sets import ConeRep, cone_rays_from_halfspaces
 from regulab.spaces import NormedSpace, make_grid
 
 
@@ -100,6 +100,11 @@ def test_projection_variational_inequality():
 def test_projection_onto_empty_raises():
     with pytest.raises(EmptySetError):
         project_polyhedron([0.0], Polyhedron([[1.0], [-1.0]], [-1.0, -1.0]))
+    # empty, yet the least-distance residual of the origin is +-1.1e-16:
+    # emptiness must not be decided on its sign alone
+    with pytest.raises(EmptySetError):
+        project_polyhedron([0.0], Polyhedron([[2.0], [-1.0], [-1.0]],
+                                             [-1.0, 1.0, -1.0]))
 
 
 def _ref_projection(x, A, b):
@@ -167,13 +172,6 @@ def test_graph_points_of_a_wedge_are_on_the_graph():
         assert F.in_graph((0.0,), [x], [y]), (x, y)
     assert np.allclose(project_polyhedron([2.0, -4.0], Polyhedron(A, b)),
                        [2 / 3, 2.0], atol=1e-12)
-
-
-def test_sampler_region_materializes():
-    s = Sampler(lambda p: p[0] >= 0, GridSpec((-1.0,), (1.0,), 5))
-    d, near = dist_to_region([-0.6], s)
-    assert abs(d - 0.6) < 1e-12
-    assert near[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +273,7 @@ def _ref_cone_distance(v, cone):
     coefficients are nonnegative (the nearest point is such a solution)."""
     B = cone.polar_halfspaces()
     best = np.linalg.norm(v)
-    for k in (1, 2):
+    for k in range(1, len(v) + 1):
         for cols in itertools.combinations(range(B.shape[0]), k):
             Bs = B[list(cols)].T
             if np.linalg.matrix_rank(Bs) < k:
@@ -292,14 +290,46 @@ _int_rows = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
 
 @given(gens=_int_rows, lin=_int_rows.map(lambda r: r[:2]),
        v=st.tuples(st.floats(-2, 2), st.floats(-2, 2)))
+# nnls alone returns 7.0767 here; v is orthogonal to both generators, so the
+# origin is nearest and the distance is |v| = 5.0194844557355776
+@example(gens=[(-2, 1, 3), (2, -2, -1)], lin=[],
+         v=(3.7413028183427626, 2.993042254674209, 1.4965211273371055))
 @settings(max_examples=300, deadline=None)
 def test_cone_distance_matches_column_enumeration(gens, lin, v):
-    cone = ConeRep.make(generators=gens or None, lineality=lin or None, dim=2)
+    cone = ConeRep.make(generators=gens or None, lineality=lin or None,
+                        dim=len(v))
     v = np.array(v)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         d = cone.euclidean_distance(v)
     assert abs(d - _ref_cone_distance(v, cone)) <= 1e-9
+
+
+@st.composite
+def _cone_point_plus_polar_vector(draw):
+    """A cone in R^3 or R^4 with n - 1 integer generators, one more
+    generator turned away from their unit normal u, and
+    v = (a cone point) + s u: u lies in the polar and is orthogonal to the
+    cone point, the ties on which Lawson-Hanson's method can stop early."""
+    n = draw(st.sampled_from([3, 4]))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    G = np.array(draw(st.lists(row, min_size=n - 1, max_size=n - 1)), float)
+    assume(np.linalg.matrix_rank(G) == n - 1)
+    u = np.linalg.svd(G)[2][-1]
+    extra = np.array(draw(st.lists(row, max_size=1)), float).reshape(-1, n)
+    extra *= np.where(extra @ u > 0, -1.0, 1.0)[:, None]
+    coef = np.array(draw(st.lists(_halves.map(abs), min_size=n - 1,
+                                  max_size=n - 1)))
+    s = draw(st.floats(0.5, 8.0))
+    return ConeRep.make(generators=np.vstack([G, extra])), coef @ G + s * u
+
+
+@given(_cone_point_plus_polar_vector())
+@settings(max_examples=300, deadline=None)
+def test_cone_distance_at_a_cone_point_plus_a_polar_vector(case):
+    cone, v = case
+    assert abs(cone.euclidean_distance(v) - _ref_cone_distance(v, cone)) \
+        <= 1e-9
 
 
 # ---------------------------------------------------------------------------
