@@ -204,6 +204,7 @@ def _validate(sc: Scenario):
         _fail("mapping.kind must be 'rule' or 'polyhedral'")
     if kind == "rule":
         _validate_coeffs(sc.mapping)
+        build_mapping(sc)  # the rule checks its dimensions and coefficients
     if kind == "polyhedral":
         pieces = sc.mapping.get("pieces")
         if not pieces:
@@ -245,6 +246,11 @@ def _affine_map(X, Y, P, a, b, c):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     c = np.atleast_1d(np.asarray(c, dtype=float))
+    if Y.dim != X.dim or a.shape != (Y.dim, X.dim) or c.shape != (Y.dim,) \
+            or b.shape != (Y.dim, P.dim) or np.linalg.matrix_rank(a) < X.dim:
+        _fail("rule a x + b p + c needs y_dim = x_dim, a nonsingular y_dim x "
+              "x_dim a, a y_dim x p_dim b and c of length y_dim; got (x_dim, "
+              f"y_dim, p_dim) = ({X.dim}, {Y.dim}, {P.dim}), a = {a.tolist()}")
 
     def value(p, x):
         return (a @ x + b @ np.atleast_1d(p) + c)[None, :]

@@ -27,8 +27,4 @@ class ResourceCapError(RegulabError):
 
 
 class NumericError(RegulabError):
-    """An iterative routine failed to converge; best iterate attached."""
-
-    def __init__(self, message, best=None):
-        self.best = best
-        super().__init__(message)
+    """A numerical routine failed, or its answer failed its check."""

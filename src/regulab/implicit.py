@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError
 from .mappings import RegularityQuery, ScanGrids, SetValuedMap
 from .oracle import Certificate, MarginScan, Verdict
-from .sets import dist_to_region, region_sample_points
+from .sets import region_sample_points
 from .spaces import as_point, ball_mask, make_grid
 
 
@@ -101,8 +101,7 @@ def check_aubin(F: SetValuedMap, aq: AubinQuery, grids: ScanGrids,
         xs = _solution_points(F, pp, ybar, aq.xbar, aq.delta, grids)
         if xs.shape[0] == 0:
             continue
-        region = F.solution_set(p, ybar, grids)
-        dist = np.array([dist_to_region(x, region)[0] for x in xs])
+        dist = F.solution_distance_vec(p, xs, ybar, grids)
         scan.add(aq.l * dpp - dist, lambda i: {
             "p": (p.copy(), pp.copy()), "x": xs[i].copy(), "y": None,
             "value": float(dist[i]),

@@ -7,9 +7,11 @@ spanned by the active rows, and for a union it is the intersection of the
 per-piece cones at the point.
 
 Euclidean projections onto polyhedra and distances to cones are exact: each
-is one finite nonnegative least-squares solve (``_nonneg_lsq``), the
-projection through Lawson and Hanson's least-distance program, and each
-solve is checked against its optimality conditions.
+is one finite nonnegative least-squares solve (``_nonneg_lsq``), checked
+against its optimality conditions.  Projection and emptiness are one
+program, Lawson and Hanson's least-distance program (``_least_distance``),
+which decides only from a certificate that checks either way: a feasible
+nearest point, or a Farkas vector proving there is none.
 
 Distances from a dual vector to a cone in the weighted dual norm
 ``|u*| + |v*|/gamma`` are computed through the support-function form
@@ -28,7 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# lsq_linear is unused here; the benchmark warms and traces it by this name
+# linprog and lsq_linear are not called here; the benchmark warms and traces
+# them by these names
 from scipy.optimize import linprog, lsq_linear, minimize, nnls  # noqa: F401
 
 from .errors import (
@@ -75,15 +78,10 @@ class Polyhedron:
         return bool(np.all(self.A @ x - self.b <= tol * scale))
 
     def is_empty(self) -> bool:
+        """Whether no ``x`` has ``A x <= b``, decided (and cached) by the
+        least-distance program that projects, with a certificate either way."""
         if self._empty is None:
-            res = linprog(
-                np.zeros(self.dim),
-                A_ub=self.A,
-                b_ub=self.b,
-                bounds=[(None, None)] * self.dim,
-                method="highs",
-            )
-            self._empty = res.status == 2
+            self._empty = _least_distance(self.A, self.b) is None
         return self._empty
 
     def active_rows(self, x, act_tol: float = 1e-8) -> np.ndarray:
@@ -132,10 +130,11 @@ def _nonneg_lsq(B, v) -> np.ndarray:
 def _is_nonneg_lsq_optimal(B, v, c) -> bool:
     """KKT conditions of min ``|B c - v|`` over ``c >= 0`` at ``c >= 0``:
     ``g = B^T (B c - v)`` is >= 0, and 0 where ``c_j > 0``, within a rounding
-    tolerance scaled by the largest entries of B and v and by the sum of c."""
+    tolerance scaled by the largest entries of B and v and by the sum of c,
+    with a floor of 1e-300 for a ``g`` that underflows (a subnormal ``v``)."""
     g = ((B @ c - v) @ B).tolist()
     a = float(np.abs(B).max())
-    tol = 1e-9 * a * (float(np.abs(v).max()) + a * float(c.sum()))
+    tol = 1e-9 * a * (float(np.abs(v).max()) + a * float(c.sum())) + 1e-300
     return all(gj >= -tol and (cj == 0 or gj <= tol)
                for gj, cj in zip(g, c.tolist()))
 
@@ -160,29 +159,43 @@ def _nonneg_lsq_enum(B, v) -> np.ndarray:
     return best
 
 
-def project_polyhedron(x, Q: Polyhedron) -> np.ndarray:
-    """Euclidean projection of ``x`` onto ``Q``.
+def _least_distance(A, h) -> np.ndarray | None:
+    """Least-norm ``z`` with ``A z <= h``, or ``None`` when there is none.
 
-    The step ``z = q - x`` is the least-distance point of
-    ``{z : -A z >= A x - b}``.  With ``E = [-A^T; (A x - b)^T]`` and
-    ``r = E c - e_last`` at the nonnegative least-squares ``c``, it is
-    ``z = -r[:n] / r[n]``, and ``-r[n] <= 0`` means no feasible point
-    (Lawson and Hanson, *Solving Least Squares Problems*, ch. 23).
+    With ``E = [-A^T; -h^T]`` and ``r = E c - e_last`` at the nonnegative
+    least-squares ``c``, ``z = -r[:n] / r[n]`` when ``r[n] < 0`` (Lawson and
+    Hanson, *Solving Least Squares Problems*, ch. 23).  That sign can be
+    rounding, so it decides nothing: ``z`` is returned only if it passes
+    ``Polyhedron.contains``, and ``None`` only if ``y = c / sum(c)`` is a
+    Farkas vector, ``h.y < 0`` with ``|A^T y| <= 1e-9 (-h.y)``, which leaves
+    no feasible ``z`` with ``|z| <= 1e9``; else ``NumericError``.
     """
+    m, n = A.shape
+    if m == 0:
+        return np.zeros(n)
+    E, f = np.vstack([-A.T, -h]), np.eye(n + 1)[n]
+    c = _nonneg_lsq(E, f)
+    r = E @ c - f
+    if r[n] < 0 and Polyhedron(A, h).contains(-r[:n] / r[n]):
+        return -r[:n] / r[n]
+    hc = float(h @ c)  # the Farkas test is the same for c as for c / sum(c)
+    if hc < 0 and np.linalg.norm(A.T @ c) <= 1e-9 * -hc:
+        return None
+    raise NumericError("least-distance problem has neither a feasible point "
+                       "nor a Farkas certificate")
+
+
+def project_polyhedron(x, Q: Polyhedron) -> np.ndarray:
+    """Euclidean projection of ``x`` onto ``Q``: ``x + z`` for the
+    least-distance step ``z``, the least-norm ``z`` with
+    ``A z <= b - A x``; ``EmptySetError`` when there is none."""
     x = as_point(x)
-    if Q.is_empty():
-        raise EmptySetError("cannot project onto an empty polyhedron")
     if Q.contains(x, 1e-10):
         return x.copy()
-    n = Q.dim
-    E = np.vstack([-Q.A.T, Q.A @ x - Q.b])
-    f = np.zeros(n + 1)
-    f[n] = 1.0
-    r = E @ _nonneg_lsq(E, f) - f
-    if not -r[n] > 0:
-        raise NumericError("least-distance problem found no feasible point",
-                           best=x.copy())
-    return x - r[:n] / r[n]
+    z = _least_distance(Q.A, Q.b - Q.A @ x)
+    if z is None:
+        raise EmptySetError("cannot project onto an empty polyhedron")
+    return x + z
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +265,7 @@ def dist_to_region(x, region) -> tuple[float, np.ndarray | None]:
         return float(d[i]), region.points[i]
     if isinstance(region, PolyUnion):
         best, best_pt = np.inf, None
-        for piece in region.pieces:
-            if piece.is_empty():
-                continue
+        for piece in region.nonempty_pieces():
             q = project_polyhedron(x, piece)
             d = float(np.linalg.norm(q - x))
             if d < best:
@@ -273,9 +284,7 @@ def region_sample_points(region, grid: GridSpec | None = None) -> np.ndarray:
         return region.points
     if isinstance(region, PolyUnion):
         pts: list[np.ndarray] = []
-        for piece in region.pieces:
-            if piece.is_empty():
-                continue
+        for piece in region.nonempty_pieces():
             v = piece.vertices()
             if v.size:
                 pts.extend(v)
@@ -434,8 +443,8 @@ def normal_cone_at(region, x, act_tol: float = 1e-8) -> ConeRep:
     if not isinstance(region, PolyUnion):
         raise InputError(f"unsupported region type {type(region).__name__}")
     cones = []
-    for piece in region.pieces:
-        if piece.is_empty() or not piece.contains(x, act_tol):
+    for piece in region.nonempty_pieces():
+        if not piece.contains(x, act_tol):
             continue
         act = piece.active_rows(x, act_tol)
         cones.append(ConeRep.make(generators=piece.A[act] if act.size else None,

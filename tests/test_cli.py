@@ -6,7 +6,16 @@ import pytest
 from click.testing import CliRunner
 
 import regulab.cli
-from regulab import InputError, NumericError
+import regulab.sets
+from regulab import (
+    EmptySetError,
+    InputError,
+    NumericError,
+    Polyhedron,
+    PolyUnion,
+    dist_to_region,
+    project_polyhedron,
+)
 from regulab.cli import (
     EXAMPLE_DIFFERENCE,
     EXAMPLE_QUADRATIC,
@@ -128,6 +137,25 @@ def test_run_polyhedral_scenario(tmp_path):
     assert code == 0
 
 
+def test_no_linprog_at_run_time(tmp_path, monkeypatch):
+    # sets.py imports linprog only so that the benchmark can warm and trace
+    # it by that name; the program decides emptiness without it
+    def no_linprog(*args, **kwargs):
+        raise AssertionError("linprog called at run time")
+
+    monkeypatch.setattr(regulab.sets, "linprog", no_linprog)
+    empty = Polyhedron([[1.0], [-1.0]], [-1.0, -1.0])
+    box = Polyhedron([[1.0], [-1.0]], [1.0, 1.0])
+    assert empty.is_empty() and not box.is_empty()
+    with pytest.raises(EmptySetError):
+        project_polyhedron([0.0], empty)
+    assert project_polyhedron([3.0], box) == pytest.approx([1.0])
+    assert dist_to_region([3.0], PolyUnion([empty, box]))[0] == \
+        pytest.approx(2.0)
+    code, _ = run_scenario(load_scenario(write(tmp_path, POLY_SCENARIO)))
+    assert code == 0
+
+
 def test_cli_exit_code_zero_and_report(tmp_path):
     runner = CliRunner()
     path = write(tmp_path, FAST_SCENARIO)
@@ -141,6 +169,28 @@ def test_cli_exit_code_one_on_mismatch(tmp_path):
     res = CliRunner().invoke(main, ["run", write(tmp_path, text)])
     assert res.exit_code == 1
     assert "[expected VIOLATED]" in res.output
+
+
+# FAST_SCENARIO's reference point and grid of one axis made two-dimensional
+X_2D = (("xbar: [0.0]", "xbar: [0.0, 0.0]"),
+        ("x: {lower: [-1.0], upper: [1.0]", "x: {lower: [-1.0, -1.0], "
+         "upper: [1.0, 1.0]"))
+Y_2D = (("ybar: [0.0]", "ybar: [0.0, 0.0]"),
+        ("y: {lower: [-1.0], upper: [1.0]", "y: {lower: [-1.0, -1.0], "
+         "upper: [1.0, 1.0]"))
+P_2D = (("pbar: [0.0]", "pbar: [0.0, 0.0]"),
+        ("p: {lower: [-0.5], upper: [0.5]", "p: {lower: [-0.5, -0.5], "
+         "upper: [0.5, 0.5]"))
+AFFINE_2D = (("x_dim: 1, y_dim: 1", "x_dim: 2, y_dim: 2"),
+             ("rule: difference}", "rule: affine, coeffs: {a: A}}"),
+             *X_2D, *Y_2D)
+
+
+def replaced(text, pairs):
+    for old, new in pairs:
+        assert old in text
+        text = text.replace(old, new)
+    return text
 
 
 def test_cli_exit_code_two_on_input_error(tmp_path):
@@ -163,6 +213,23 @@ def test_cli_exit_code_two_on_input_error(tmp_path):
         res = CliRunner().invoke(main, ["run", write(tmp_path, text)])
         assert res.exit_code == 2, (new, res.output)
         assert "input error" in res.output
+    # affine-family rules F(p, x) = {a x + b p + c} whose a is singular or
+    # not square, or whose b or c does not fit the declared spaces
+    for pairs in ((("rule: difference}", "rule: scale, coeffs: {k: 0}}"),),
+                  (*AFFINE_2D, ("A", "[[1, 2], [2, 4]]")),
+                  (("x_dim: 1", "x_dim: 2"),
+                   ("rule: difference}", "rule: affine}"), *X_2D),
+                  (("y_dim: 1", "y_dim: 2"), *Y_2D),
+                  (("p_dim: 1", "p_dim: 2"), *P_2D)):
+        path = write(tmp_path, replaced(FAST_SCENARIO, pairs))
+        for cmd in ("run", "validate"):
+            res = CliRunner().invoke(main, [cmd, path])
+            assert res.exit_code == 2, (cmd, pairs, res.output)
+            assert "input error: rule a x + b p + c needs" in res.output
+    # the same 2-D scenario with a nonsingular a is valid
+    path = write(tmp_path, replaced(FAST_SCENARIO,
+                                    (*AFFINE_2D, ("A", "[[1, 2], [0, 4]]"))))
+    assert CliRunner().invoke(main, ["validate", path]).exit_code == 0
 
 
 def test_cli_failed_solver_gives_inconclusive_row(tmp_path, monkeypatch):

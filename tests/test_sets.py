@@ -26,7 +26,7 @@ from regulab import (
     project_polyhedron,
 )
 from regulab.mappings import PolyhedralGraphMap, ScanGrids
-from regulab.sets import ConeRep, cone_rays_from_halfspaces
+from regulab.sets import ConeRep, _least_distance, cone_rays_from_halfspaces
 from regulab.spaces import NormedSpace, make_grid
 
 
@@ -155,6 +155,31 @@ def test_projection_matches_active_set_enumeration(case):
     assert Q.contains(q)
     d = np.linalg.norm(ref - x)
     assert np.linalg.norm(q - ref) <= 1e-9 * (1 + d), (q, ref)
+
+
+@given(_polyhedra_and_points())
+# empty, yet the least-distance residual of the origin is +-1.1e-16:
+# emptiness must not be decided on its sign alone
+@example((np.array([[2.0], [-1.0], [-1.0]]), np.array([-1.0, 1.0, -1.0]),
+          np.zeros(1)))
+# no rows: all of R^2 (nnls with no columns would crash the interpreter)
+@example((np.zeros((0, 2)), np.zeros(0), np.zeros(2)))
+@settings(max_examples=400, deadline=None)
+def test_emptiness_matches_highs(case):
+    A, b, _ = case
+    n = A.shape[1]
+    res = linprog(np.zeros(n), A_ub=A, b_ub=b, bounds=[(None, None)] * n,
+                  method="highs")
+    assert res.status in (0, 2)
+    Q = Polyhedron(A, b)
+    assert Q.is_empty() == (res.status == 2)
+    z = _least_distance(A, b)
+    assert (z is None) == (res.status == 2)
+    if z is not None:
+        # the least-norm point of Q, as the projection of the origin
+        assert Q.contains(z)
+        ref = _ref_projection(np.zeros(n), A, b)
+        assert np.linalg.norm(z - ref) <= 1e-9 * (1 + np.linalg.norm(ref))
 
 
 def test_graph_points_of_a_wedge_are_on_the_graph():
@@ -294,6 +319,9 @@ _int_rows = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
 # origin is nearest and the distance is |v| = 5.0194844557355776
 @example(gens=[(-2, 1, 3), (2, -2, -1)], lin=[],
          v=(3.7413028183427626, 2.993042254674209, 1.4965211273371055))
+# a subnormal v: B^T (B c - v) underflows, so the optimality check needs a
+# tolerance floor
+@example(gens=[], lin=[(0, 2)], v=(0.0, 5e-324))
 @settings(max_examples=300, deadline=None)
 def test_cone_distance_matches_column_enumeration(gens, lin, v):
     cone = ConeRep.make(generators=gens or None, lineality=lin or None,
