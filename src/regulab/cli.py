@@ -323,8 +323,10 @@ def _rule_identity(X, Y, P, coeffs):
 
 
 def _rule_scale(X, Y, P, coeffs):
-    k = float(coeffs.get("k", 1.0))
-    return _affine_map(X, Y, P, k * np.eye(X.dim),
+    k = coeffs.get("k", 1.0)
+    if np.ndim(k):
+        _fail(f"rule scale needs a number k, got {k!r}")
+    return _affine_map(X, Y, P, float(k) * np.eye(X.dim),
                        np.zeros((Y.dim, P.dim)), np.zeros(Y.dim))
 
 

@@ -162,22 +162,28 @@ def _nonneg_lsq_enum(B, v) -> np.ndarray:
 def _least_distance(A, h) -> np.ndarray | None:
     """Least-norm ``z`` with ``A z <= h``, or ``None`` when there is none.
 
-    With ``E = [-A^T; -h^T]`` and ``r = E c - e_last`` at the nonnegative
-    least-squares ``c``, ``z = -r[:n] / r[n]`` when ``r[n] < 0`` (Lawson and
-    Hanson, *Solving Least Squares Problems*, ch. 23).  That sign can be
-    rounding, so it decides nothing: ``z`` is returned only if it passes
-    ``Polyhedron.contains``, and ``None`` only if ``y = c / sum(c)`` is a
-    Farkas vector, ``h.y < 0`` with ``|A^T y| <= 1e-9 (-h.y)``, which leaves
-    no feasible ``z`` with ``|z| <= 1e9``; else ``NumericError``.
+    Lawson and Hanson's program (*Solving Least Squares Problems*, ch. 23)
+    on rows scaled by powers of two to norms in [1/2, 1) and ``h`` to entries
+    of at most 1, for ``z / s``, so it is as accurate far from the origin as
+    near it: with ``E = [-A^T; -h^T]`` and ``r = E c - e_last`` at the
+    nonnegative least-squares ``c``, ``z / s = -r[:n] / r[n]``.  The sign of
+    ``r[n]`` can be rounding and decides nothing: ``z`` is returned only if
+    ``z / s`` passes ``Polyhedron.contains`` on the scaled rows, ``None`` only
+    if ``y = c / sum(c)`` is a Farkas vector, ``h.y < 0`` with
+    ``|A^T y| <= 1e-9 (-h.y)`` (no feasible ``|z / s| <= 1e9``); else
+    ``NumericError``.
     """
     m, n = A.shape
     if m == 0:
         return np.zeros(n)
+    d = np.ldexp(1.0, np.frexp(np.linalg.norm(A, axis=1))[1])
+    s = math.ldexp(1.0, max(0, math.frexp(float(np.abs(h / d).max()))[1]))
+    A, h = A / d[:, None], h / (d * s)
     E, f = np.vstack([-A.T, -h]), np.eye(n + 1)[n]
     c = _nonneg_lsq(E, f)
     r = E @ c - f
     if r[n] < 0 and Polyhedron(A, h).contains(-r[:n] / r[n]):
-        return -r[:n] / r[n]
+        return -r[:n] / r[n] * s
     hc = float(h @ c)  # the Farkas test is the same for c as for c / sum(c)
     if hc < 0 and np.linalg.norm(A.T @ c) <= 1e-9 * -hc:
         return None
@@ -186,9 +192,8 @@ def _least_distance(A, h) -> np.ndarray | None:
 
 
 def project_polyhedron(x, Q: Polyhedron) -> np.ndarray:
-    """Euclidean projection of ``x`` onto ``Q``: ``x + z`` for the
-    least-distance step ``z``, the least-norm ``z`` with
-    ``A z <= b - A x``; ``EmptySetError`` when there is none."""
+    """Euclidean projection of ``x`` onto ``Q``: ``x`` plus the least-norm
+    ``z`` with ``A z <= b - A x``; ``EmptySetError`` when there is none."""
     x = as_point(x)
     if Q.contains(x, 1e-10):
         return x.copy()
@@ -285,9 +290,7 @@ def region_sample_points(region, grid: GridSpec | None = None) -> np.ndarray:
     if isinstance(region, PolyUnion):
         pts: list[np.ndarray] = []
         for piece in region.nonempty_pieces():
-            v = piece.vertices()
-            if v.size:
-                pts.extend(v)
+            pts.extend(piece.vertices())
             if grid is not None:
                 for g in make_grid(grid):
                     if piece.contains(g):

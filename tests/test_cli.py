@@ -226,6 +226,12 @@ def test_cli_exit_code_two_on_input_error(tmp_path):
             res = CliRunner().invoke(main, [cmd, path])
             assert res.exit_code == 2, (cmd, pairs, res.output)
             assert "input error: rule a x + b p + c needs" in res.output
+    path = write(tmp_path, FAST_SCENARIO.replace(
+        "rule: difference}", "rule: scale, coeffs: {k: [1]}}"))
+    for cmd in ("run", "validate"):
+        res = CliRunner().invoke(main, [cmd, path])
+        assert res.exit_code == 2, (cmd, res.output)
+        assert "input error: rule scale needs a number k" in res.output
     # the same 2-D scenario with a nonsingular a is valid
     path = write(tmp_path, replaced(FAST_SCENARIO,
                                     (*AFFINE_2D, ("A", "[[1, 2], [0, 4]]"))))

@@ -141,7 +141,15 @@ def _polyhedra_and_points(draw):
     return np.array(A, float), np.array(b), np.array(x)
 
 
+_BOX_AT_1E4 = (np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+               np.array([1e4 + 1, -1e4 + 1, -1e4 + 1, 1e4 + 1]))
+
+
 @given(_polyhedra_and_points())
+# far from the point: the least-distance step is long
+@example((np.array([[-1.0]]), np.array([-1000.0]), np.zeros(1)))
+@example((*_BOX_AT_1E4, np.zeros(2)))
+@example((_BOX_AT_1E4[0], np.ones(4), np.array([1e6, -3e5])))
 @settings(max_examples=400, deadline=None)
 def test_projection_matches_active_set_enumeration(case):
     A, b, x = case
@@ -164,6 +172,12 @@ def test_projection_matches_active_set_enumeration(case):
           np.zeros(1)))
 # no rows: all of R^2 (nnls with no columns would crash the interpreter)
 @example((np.zeros((0, 2)), np.zeros(0), np.zeros(2)))
+# far from the origin: {x >= 1000}, a box around (1e4, -1e4), and a
+# triangle scaled by 1e6
+@example((np.array([[-1.0]]), np.array([-1000.0]), np.zeros(1)))
+@example((*_BOX_AT_1E4, np.zeros(2)))
+@example((np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]),
+          np.array([-1e6, -1e6, 3e6]), np.zeros(2)))
 @settings(max_examples=400, deadline=None)
 def test_emptiness_matches_highs(case):
     A, b, _ = case
@@ -180,6 +194,19 @@ def test_emptiness_matches_highs(case):
         assert Q.contains(z)
         ref = _ref_projection(np.zeros(n), A, b)
         assert np.linalg.norm(z - ref) <= 1e-9 * (1 + np.linalg.norm(ref))
+
+
+@given(_polyhedra_and_points(), st.integers(1, 8))
+@settings(max_examples=200, deadline=None)
+def test_least_distance_is_scale_equivariant(case, k):
+    # {A z <= t b} is t {A z <= b}: the same emptiness and t times the
+    # least-norm point, however far from the origin t puts the polyhedron
+    A, b, _ = case
+    t = 10.0 ** k
+    z, zt = _least_distance(A, b), _least_distance(A, t * b)
+    assert (z is None) == (zt is None)
+    if z is not None:
+        assert np.linalg.norm(zt - t * z) <= 1e-9 * t * (1 + np.linalg.norm(z))
 
 
 def test_graph_points_of_a_wedge_are_on_the_graph():
