@@ -236,6 +236,8 @@ def _validate(sc: Scenario):
         if name not in [_check_name(e) for e in sc.checks]:
             _fail(f"expect block references unknown check {name!r}")
     _validate_grids(sc.grids, sc.spaces)
+    build_query(sc)  # the query and the grids check their own ranges
+    build_grids(sc)
 
 
 # ---------------------------------------------------------------------------

@@ -108,13 +108,15 @@ def check_subdifferential_condition(F: SetValuedMap, q: RegularityQuery,
         raise InputError("subdifferential condition requires a convex graph")
     q, x_radius, points = condition_scan(F, q, grids, mode)
     scan = MarginScan(tol)
+    g = GammaMetric(q.gamma)
     flags = 0
     for sp in points:
-        val = subdiff_distance(F, q, sp.p, sp.x, sp.y)
+        # scan points have y != ybar, so the point part is (0, y*)
+        pp, cone = merit_subdifferential(F, q, sp.p, sp.x, sp.y)
+        val = gamma_dual_distance(-pp, cone, g, F.nx)
         scan.add(val - q.alpha, lambda _: {
             "p": sp.p, "x": sp.x, "y": sp.y, "value": val,
             "inequality": "d_gamma(0, subdifferential) >= alpha"})
-        pp, cone = merit_subdifferential(F, q, sp.p, sp.x, sp.y)
         xnorm = cone_min_norm(cone, F.nx, -as_point(pp[F.nx:]), small_ystar_eps)
         if math.isfinite(xnorm) and xnorm < q.alpha - tol:
             flags += 1

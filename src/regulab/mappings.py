@@ -120,6 +120,7 @@ class SetValuedMap:
         self.param_labels = list(param_labels) if param_labels is not None else None
         if (param_space is None) == (param_labels is None):
             raise InputError("provide exactly one of param_space or param_labels")
+        self._cache: dict = {}
 
     @property
     def nx(self) -> int:
@@ -129,13 +130,31 @@ class SetValuedMap:
     def ny(self) -> int:
         return self.range_space.dim
 
+    @staticmethod
+    def _pkey(p):
+        try:
+            return tuple(np.atleast_1d(np.asarray(p, dtype=float)))
+        except (TypeError, ValueError):
+            return p
+
+    def _memo(self, key, p, build):
+        """The map's per-parameter memo: ``build()`` once per ``(key, p)``.
+        Arrays are shared by every caller, so they come back read-only."""
+        k = (key, self._pkey(p))
+        if k not in self._cache:
+            v = self._cache[k] = build()
+            if isinstance(v, np.ndarray):
+                v.setflags(write=False)
+        return self._cache[k]
+
     # --- model interface -------------------------------------------------
     def values(self, p, x) -> np.ndarray:
         """F(p, x) as an (m, ny) array of points (possibly m = 0)."""
         raise NotImplementedError
 
     def graph_points(self, p, grids: ScanGrids) -> np.ndarray:
-        """Sample of gph F_p as an (n, nx+ny) array, deterministic order."""
+        """Sample of gph F_p as an (n, nx+ny) array, deterministic order; the
+        concrete maps build it once per (p, grids) and share it read-only."""
         raise NotImplementedError
 
     def solution_set(self, p, ybar, grids: ScanGrids | None = None):
@@ -244,12 +263,11 @@ class ClosedFormMap(SetValuedMap):
         return super().solution_distance_vec(p, xs, ybar, grids)
 
     def graph_points(self, p, grids: ScanGrids) -> np.ndarray:
-        xs = make_grid(grids.x)
-        rows = []
-        for x in xs:
-            for y in self.values(p, x):
-                rows.append(np.concatenate([x, y]))
-        return np.array(rows) if rows else np.zeros((0, self.nx + self.ny))
+        def sample():
+            rows = [np.concatenate([x, y]) for x in make_grid(grids.x)
+                    for y in self.values(p, x)]
+            return np.array(rows) if rows else np.zeros((0, self.nx + self.ny))
+        return self._memo(grids, p, sample)
 
     def normal_cone(self, p, x, y) -> ConeRep:
         if self.cone_fn is None:
@@ -272,11 +290,9 @@ class PolyhedralGraphMap(SetValuedMap):
         super().__init__(domain_space, range_space, param_space, param_labels)
         self.pieces_fn = pieces_fn
         self._convex = convex
-        self._cache: dict = {}
 
     def graph_region(self, p) -> PolyUnion:
-        key = self._pkey(p)
-        if key not in self._cache:
+        def region():
             pieces = [pc if isinstance(pc, Polyhedron) else Polyhedron(*pc)
                       for pc in self.pieces_fn(p)]
             for pc in pieces:
@@ -284,15 +300,8 @@ class PolyhedralGraphMap(SetValuedMap):
                     raise DimensionMismatchError(
                         "graph piece dimension must equal dim X + dim Y"
                     )
-            self._cache[key] = PolyUnion(pieces)
-        return self._cache[key]
-
-    @staticmethod
-    def _pkey(p):
-        try:
-            return tuple(np.atleast_1d(np.asarray(p, dtype=float)))
-        except (TypeError, ValueError):
-            return p
+            return PolyUnion(pieces)
+        return self._memo("region", p, region)
 
     @property
     def convex_graph(self) -> bool:
@@ -334,7 +343,8 @@ class PolyhedralGraphMap(SetValuedMap):
         return PolyUnion(pieces)
 
     def graph_points(self, p, grids: ScanGrids) -> np.ndarray:
-        return region_sample_points(self.graph_region(p), grids.product_xy())
+        return self._memo(grids, p, lambda: region_sample_points(
+            self.graph_region(p), grids.product_xy()))
 
     def normal_cone(self, p, x, y) -> ConeRep:
         xy = np.concatenate([as_point(x), as_point(y)])

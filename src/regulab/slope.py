@@ -28,7 +28,7 @@ from .mappings import (
 )
 from .oracle import Certificate, MarginScan, _base_meta
 from .sets import ConeRep, dist_to_region, gamma_dual_distance
-from .spaces import GammaMetric, as_point, ball_mask
+from .spaces import GammaMetric, as_point
 
 _LEVELS = 13
 _LAST = 3
@@ -75,7 +75,8 @@ def _quotients(w, us, vs, x, y, gamma: float):
 
 def _direction_candidates(F: SetValuedMap, q: RegularityQuery, p, x, y,
                           gamma: float) -> list[np.ndarray]:
-    """Unit-scale descent directions in the product space.
+    """Unit-scale descent directions in the product space at the graph
+    point (x, y), given as arrays.
 
     Directions with ``max(|d_x|, gamma |d_y|) <= 1``: the maximizer of the
     dual-distance support problem over each graph tangent cone at (x, y)
@@ -84,19 +85,23 @@ def _direction_candidates(F: SetValuedMap, q: RegularityQuery, p, x, y,
     """
     g = GammaMetric(gamma)
     ybar = q.ybar_arr
-    w = as_point(y) - ybar
+    w = y - ybar
     nw = np.linalg.norm(w)
     dirs: list[np.ndarray] = []
     qvec = np.concatenate([np.zeros(F.nx), -w / nw]) if nw > 0 else None
 
     cones: list[ConeRep] = []
     if isinstance(F, PolyhedralGraphMap):
-        xy = np.concatenate([as_point(x), as_point(y)])
+        xy = np.concatenate([x, y])
         for piece in F.graph_region(p).nonempty_pieces():
             if piece.contains(xy, 1e-8):
                 act = piece.active_rows(xy)
                 cones.append(ConeRep.make(
                     generators=piece.A[act] if act.size else None, dim=piece.dim))
+    elif isinstance(F, ClosedFormMap):
+        # (x, y) has passed the graph check, so the rule's cone applies as is
+        if F.cone_fn is not None:
+            cones.append(F.cone_fn(p, x, y))
     else:
         try:
             cone = F.normal_cone(p, x, y)
@@ -112,11 +117,11 @@ def _direction_candidates(F: SetValuedMap, q: RegularityQuery, p, x, y,
 
     # direction toward the nearest solution point, paired with the target
     try:
-        sd, upt = dist_to_region(as_point(x), F.solution_set(p, ybar))
+        sd, upt = dist_to_region(x, F.solution_set(p, ybar))
     except InputError:
         sd, upt = math.inf, None
     if upt is not None and math.isfinite(sd):
-        step = np.concatenate([upt - as_point(x), ybar - as_point(y)])
+        step = np.concatenate([upt - x, ybar - y])
         s = max(np.linalg.norm(step[: F.nx]), gamma * np.linalg.norm(step[F.nx:]))
         if s > 0:
             dirs.append(step / s)
@@ -124,41 +129,19 @@ def _direction_candidates(F: SetValuedMap, q: RegularityQuery, p, x, y,
 
 
 def _points_on_graph_along(F, p, x, y, d, ts) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Honest graph points near (x, y) stepping along direction ``d``."""
-    x, y = as_point(x), as_point(y)
-    nx = F.nx
+    """Polyhedral graph points near (x, y) stepping along direction ``d``."""
+    nx, region = F.nx, F.graph_region(p)
     out = []
     for t in ts:
         u = x + t * d[:nx]
         v = y + t * d[nx:]
-        if isinstance(F, ClosedFormMap):
-            for val in F.values(p, u):
-                out.append((u, val))
-        elif isinstance(F, PolyhedralGraphMap):
-            z = np.concatenate([u, v])
-            if F.graph_region(p).contains(z, 1e-10):
-                out.append((u, v))
-            else:
-                dz, zp = dist_to_region(z, F.graph_region(p))
-                if zp is not None and dz <= abs(t):
-                    out.append((zp[:nx], zp[nx:]))
-    return out
-
-
-def _coordinate_probes(F, p, x, ts) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Closed-form maps: values at coordinate-perturbed base points."""
-    if not isinstance(F, ClosedFormMap):
-        return []
-    x = as_point(x)
-    out = []
-    for i in range(F.nx):
-        e = np.zeros(F.nx)
-        e[i] = 1.0
-        for t in ts:
-            for sgn in (1.0, -1.0):
-                u = x + sgn * t * e
-                for val in F.values(p, u):
-                    out.append((u, val))
+        z = np.concatenate([u, v])
+        if region.contains(z, 1e-10):
+            out.append((u, v))
+        else:
+            dz, zp = dist_to_region(z, region)
+            if zp is not None and dz <= abs(t):
+                out.append((zp[:nx], zp[nx:]))
     return out
 
 
@@ -171,12 +154,28 @@ def _step_schedule(nw: float, gamma: float) -> np.ndarray:
 def _short_step_candidates(F, q, p, x, y, ts):
     """Honest graph points stepped from (x, y), as stacked ``(us, vs)``;
     used by both slope variants so the local value never exceeds the
-    nonlocal one numerically."""
+    nonlocal one numerically.
+
+    A closed-form map's honest step is (x + s, F(p, x + s)), so it depends
+    only on the x-step s: each first-order direction's x-part times each
+    radius, and each +-e_i times each radius and radius/(1 + gamma).  The
+    rule is evaluated once per distinct step.  A polyhedral map steps along
+    each direction and projects back onto the graph.
+    """
+    x, y = as_point(x), as_point(y)
+    dirs = _direction_candidates(F, q, p, x, y, q.gamma)
+    if isinstance(F, ClosedFormMap):
+        radii = np.concatenate([ts, ts / (1 + q.gamma)])
+        radii = np.concatenate([radii, -radii])
+        steps = [np.outer(ts, d[:F.nx]) for d in dirs]
+        steps += [np.outer(radii, e) for e in np.eye(F.nx)]
+        us = np.unique(x + np.vstack(steps), axis=0)
+        vals = [F.values(p, u) for u in us]
+        return np.repeat(us, [len(v) for v in vals], axis=0), np.vstack(vals)
     cands: list[tuple[np.ndarray, np.ndarray]] = []
-    for d in _direction_candidates(F, q, p, x, y, q.gamma):
-        cands.extend(_points_on_graph_along(F, p, x, y, d, ts))
-    cands.extend(_coordinate_probes(F, p, x, list(ts) +
-                                    [t / (1 + q.gamma) for t in ts]))
+    if isinstance(F, PolyhedralGraphMap):
+        for d in dirs:
+            cands.extend(_points_on_graph_along(F, p, x, y, d, ts))
     if not cands:
         return np.zeros((0, F.nx)), np.zeros((0, F.ny))
     us, vs = zip(*cands)
@@ -204,27 +203,14 @@ def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
         x_radius = q.delta + q.mu
     cap = strict_cap(q.alpha * q.mu)
 
-    best = 0.0
+    # the graph sample, the same short honest steps the local slope uses
+    # plus coarser ones (so the nonlocal value dominates the local one
+    # numerically), and the nearest solution point paired with the target
     pts = F.graph_points(p, grids)
-    if pts.shape[0]:
-        nx = F.nx
-        us, vs = pts[:, :nx], pts[:, nx:]
-        ok = ball_mask(us, q.xbar_arr, x_radius)
-        ok &= np.linalg.norm(vs - ybar[None, :], axis=1) <= cap
-        dux = np.linalg.norm(us - x[None, :], axis=1)
-        dvy = np.linalg.norm(vs - y[None, :], axis=1)
-        d = np.maximum(dux, q.gamma * dvy)
-        ok &= d > 0
-        if ok.any():
-            dyv = np.linalg.norm(vs[ok] - ybar[None, :], axis=1)
-            best = max(best, float(np.max((nw - dyv) / d[ok])))
-
-    # the same short honest steps the local slope uses, plus coarser ones,
-    # so the nonlocal value dominates the local one numerically
     ts = _step_schedule(nw, q.gamma)
     coarse = min(0.1 * nw, 0.1 * nw * q.gamma) * 2.0 ** (-np.arange(6, dtype=float))
     us, vs = _short_step_candidates(F, q, p, x, y, np.concatenate([coarse, ts]))
-    # nearest solution point paired with the target
+    us, vs = np.vstack([pts[:, :F.nx], us]), np.vstack([pts[:, F.nx:], vs])
     try:
         _, upt = dist_to_region(x, F.solution_set(p, ybar, grids))
     except InputError:
@@ -234,9 +220,7 @@ def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
     d, r = _quotients(w, us, vs, x, y, q.gamma)
     ok = (np.sqrt(_row_dots(us - q.xbar_arr)) < x_radius) & (d > 0)
     ok &= np.sqrt(_row_dots(vs - ybar)) <= cap
-    if ok.any():
-        best = max(best, float(np.max(r[ok])))
-    return best
+    return float(max(0.0, np.max(r[ok]))) if ok.any() else 0.0
 
 
 def local_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,

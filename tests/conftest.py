@@ -100,6 +100,19 @@ def affine_map_2d(A: np.ndarray, B: np.ndarray) -> ClosedFormMap:
                          target=np.zeros(2), convex=True)
 
 
+def counting_rule(F: ClosedFormMap) -> list:
+    """Wrap F's rule so that it records every (p, x) it is evaluated at."""
+    seen = []
+    rule = F.value_fn
+
+    def value(p, x):
+        seen.append((tuple(np.atleast_1d(p)), tuple(x)))
+        return rule(p, x)
+
+    F.value_fn = value
+    return seen
+
+
 def grids_1d(x_res=21, p_res=5, x_lim=1.0, p_lim=0.3) -> ScanGrids:
     return ScanGrids(
         x=GridSpec((-x_lim,), (x_lim,), x_res),

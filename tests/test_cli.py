@@ -207,12 +207,16 @@ def test_cli_exit_code_two_on_input_error(tmp_path):
                      ("p: {lower: [-0.5]", "p: {lower: [abc]"),
                      ("x: {lower: [-1.0]", "x: {lower: [-1.0, -1.0]"),
                      ("rule: difference}", "rule: scale, coeffs: {kk: 2}}"),
-                     ("rule: difference}", "rule: scale, coeffs: {k: abc}}")):
+                     ("rule: difference}", "rule: scale, coeffs: {k: abc}}"),
+                     ("delta: 0.5", "delta: -1"),
+                     ("eta: 1.0", "eta: 1.0\n  tau: 1.5")):
         text = FAST_SCENARIO.replace(old, new)
         assert text != FAST_SCENARIO
-        res = CliRunner().invoke(main, ["run", write(tmp_path, text)])
-        assert res.exit_code == 2, (new, res.output)
-        assert "input error" in res.output
+        path = write(tmp_path, text)
+        for cmd in ("run", "validate"):
+            res = CliRunner().invoke(main, [cmd, path])
+            assert res.exit_code == 2, (cmd, new, res.output)
+            assert "input error" in res.output
     # affine-family rules F(p, x) = {a x + b p + c} whose a is singular or
     # not square, or whose b or c does not fit the declared spaces
     for pairs in ((("rule: difference}", "rule: scale, coeffs: {k: 0}}"),),

@@ -62,6 +62,22 @@ def test_subdiff_distance_difference_map():
     assert abs(subdiff_distance(F, q, [0.2], [-0.1], [0.3]) - 1.0) < 1e-9
 
 
+def test_subdifferential_check_builds_one_cone_per_point(monkeypatch):
+    # the distance and the small-y* flag come from the same cone, with the
+    # same values as subdiff_distance point by point
+    F = halfplane_map_1d(1.5, 0.5)
+    q, grids = query_1d(0.8), grids_1d(21, 3)
+    cones = []
+    normal_cone = F.normal_cone
+    monkeypatch.setattr(F, "normal_cone",
+                        lambda *a: cones.append(a) or normal_cone(*a))
+    cert = check_subdifferential_condition(F, q, grids)
+    points = list(condition_scan_points(F, q, grids, q.delta + q.mu))
+    assert len(cones) == cert.scan_meta["points_scanned"] == len(points)
+    assert cert.margin == min(subdiff_distance(F, q, sp.p, sp.x, sp.y)
+                              for sp in points) - q.alpha
+
+
 def test_subdiff_distance_equals_finite_difference_subgradient_bound():
     # convex check: every element (a*t, t - sign) of the subdifferential
     # satisfies the subgradient inequality for the merit function

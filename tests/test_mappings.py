@@ -15,7 +15,13 @@ from regulab import (
     hat_reduction,
 )
 from regulab.mappings import condition_scan_points
-from conftest import affine_map_1d, grids_1d, halfplane_map_1d, query_1d
+from conftest import (
+    affine_map_1d,
+    counting_rule,
+    grids_1d,
+    halfplane_map_1d,
+    query_1d,
+)
 
 
 def test_values_difference_rule():
@@ -78,6 +84,24 @@ def test_empty_value_set_gives_inf_residual():
     F = ClosedFormMap(X, X, lambda p, x: np.zeros((0, 1)),
                       param_labels=[0])
     assert math.isinf(F.residual(0, [0.0], [0.0]))
+
+
+def test_graph_points_built_once_per_parameter():
+    F = affine_map_1d(-1.0, 1.0)
+    seen = counting_rule(F)
+    grids = grids_1d(21, 5)
+    pts = F.graph_points([0.1], grids)
+    assert len(seen) == 21
+    assert F.graph_points(np.array([0.1]), grids) is pts
+    assert len(seen) == 21
+    with pytest.raises(ValueError):
+        pts[0, 0] = 1.0
+    F.graph_points([0.2], grids)  # another parameter is another sample
+    assert len(seen) == 42
+    H = halfplane_map_1d(1.0, 1.0)
+    hp = H.graph_points([0.1], grids)
+    assert H.graph_points([0.1], grids) is hp
+    assert not hp.flags.writeable
 
 
 def test_hat_reduction_shifts_values():

@@ -15,11 +15,13 @@ from regulab import (
     subdiff_distance,
 )
 from regulab.cli import _rule_quadratic_difference
-from regulab.mappings import condition_scan_points
+from regulab.mappings import RegularityQuery, ScanGrids, condition_scan_points
 from regulab.slope import _quotients
-from regulab.spaces import GammaMetric, NormedSpace, prod_dist
+from regulab.spaces import GammaMetric, GridSpec, NormedSpace, prod_dist
 from conftest import (
     affine_map_1d,
+    affine_map_2d,
+    counting_rule,
     grids_1d,
     halfplane_map_1d,
     query_1d,
@@ -85,6 +87,27 @@ def test_slope_requires_graph_point():
                        grids_1d())
     with pytest.raises(InputError):
         local_slope(F, q, [0.0], np.array([0.0]), np.array([0.0]), grids_1d())
+
+
+def test_slopes_evaluate_the_rule_once_per_point():
+    # the scan builds the graph sample before the slopes run; within one
+    # slope call the rule never sees the same (p, u) twice
+    grids2 = ScanGrids(x=GridSpec((-1.0, -1.0), (1.0, 1.0), 9),
+                       p=GridSpec((-0.3,), (0.3,), 3))
+    F2 = affine_map_2d([[1.2, 0.4], [-0.3, 0.9]], [0.5, -0.2])
+    for F, grids, gamma in ((affine_map_1d(-1.0, 1.0), grids_1d(41, 5), 1.0),
+                            (affine_map_1d(1.5, 0.5), grids_1d(41, 5), 0.5),
+                            (F2, grids2, 2.0)):
+        q = RegularityQuery(xbar=(0.0,) * F.nx, ybar=(0.0,) * F.ny,
+                            pbar=(0.0,), alpha=0.5, delta=0.6, mu=0.6,
+                            eta=0.4, gamma=gamma)
+        points = list(condition_scan_points(F, q, grids, q.delta + q.mu))
+        seen = counting_rule(F)
+        for sp in points[::5]:
+            for slope in (nonlocal_slope, local_slope):
+                seen.clear()
+                slope(F, q, sp.p, sp.x, sp.y, grids)
+                assert seen and len(set(seen)) == len(seen)
 
 
 def test_local_at_most_nonlocal_pointwise():
