@@ -24,7 +24,7 @@ import yaml
 from .dual import check_coderivative_condition, check_normal_cone_condition, \
     check_subdifferential_condition
 from .ekeland import evp_search
-from .errors import InputError, NumericError, ResourceCapError
+from .errors import InputError, NumericError, RegulabError, ResourceCapError
 from .implicit import AubinQuery, check_aubin, check_recede, compose_aubin_rate, \
     certify_aubin
 from .mappings import ClosedFormMap, PolyhedralGraphMap, RegularityQuery, \
@@ -666,6 +666,9 @@ def run_cmd(scenario_file, out_dir, max_points):
     except InputError as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)
+    except RegulabError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(4)
     click.echo(report, nl=False)
     sys.exit(code)
 

@@ -19,8 +19,11 @@ Distances from a dual vector to a cone in the weighted dual norm
     d(q, C) = max { <q, u> : |u_x| <= 1, |u_y| <= 1/gamma, u in polar(C) },
 
 which has a closed form when both factors are one-dimensional (the maximum
-sits at a vertex of a polygon) and is a small smooth convex program
-otherwise.
+sits at a vertex of a polygon) and when the cone is a subspace (the polar
+is then a subspace, and one scalar search closes a primal-dual bracket that
+is checked on every call); only a cone with generators in more dimensions
+leaves it to a small smooth convex program (SLSQP), and a run of that
+program that finds nothing raises ``NumericError``.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ from .errors import (
 from .spaces import GammaMetric, GridSpec, as_point, make_grid
 
 _FEAS_TOL = 1e-9
+# the multipliers that the closed forms on subspace cones search lie in
+# [1 / _LAM_MAX, _LAM_MAX]; the two ends stand for the limits 0 and infinity
+_LAM_MAX = 2.0 ** 128
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +375,19 @@ class ConeRep:
         return np.vstack([self.generators, self.lineality, -self.lineality])
 
 
+def _orthonormal_split(M: np.ndarray, tol: float = 1e-10):
+    """Orthonormal bases, as rows, of the row space of ``M`` and of its
+    nullspace."""
+    if M.size == 0:
+        return np.zeros((0, M.shape[1])), np.eye(M.shape[1])
+    _, s, vt = np.linalg.svd(M)
+    rank = int(np.sum(s > tol * max(M.shape) * s[0]))
+    return vt[:rank], vt[rank:]
+
+
 def _nullspace(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis of the nullspace, as rows."""
-    if M.size == 0:
-        n = M.shape[1]
-        return np.eye(n)
-    _, s, vt = np.linalg.svd(M)
-    rank = int(np.sum(s > tol * max(M.shape) * (s[0] if s.size else 1.0)))
-    return vt[rank:]
+    return _orthonormal_split(M, tol)[1]
 
 
 def cone_rays_from_halfspaces(M: np.ndarray, n: int, tol: float = 1e-9) -> ConeRep:
@@ -509,11 +520,14 @@ def gamma_dual_distance(q, cone: ConeRep, g: GammaMetric, nx: int,
                         with_direction: bool = False):
     """Distance from ``q=(q_x, q_y)`` to the cone in the norm |.|+|.|/gamma.
 
-    ``nx`` is the length of the first block.  Computed in support form; in
-    closed form when both blocks are one-dimensional, by SLSQP otherwise.
-    With ``with_direction`` the maximizing primal direction (an element of
-    the polar of the cone with ``|u_x| <= 1``, ``|u_y| <= 1/gamma``) is
-    returned alongside the value.
+    ``nx`` is the length of the first block.  Computed in support form: in
+    closed form when both blocks are one-dimensional or the cone is a
+    subspace (``_support_subspace``), by SLSQP for a cone with generators
+    in more dimensions.  With ``with_direction`` the maximizing primal
+    direction (an element of the polar of the cone with ``|u_x| <= 1``,
+    ``|u_y| <= 1/gamma``) is returned alongside the value.  ``NumericError``
+    when the subspace form's bracket does not close or SLSQP finds no
+    maximizer.
     """
     q = as_point(q)
     n = q.shape[0]
@@ -526,6 +540,9 @@ def gamma_dual_distance(q, cone: ConeRep, g: GammaMetric, nx: int,
     if nx == 1 and ny == 1:
         # 0 when q is in the cone: the origin is the first vertex
         val, u = _support_2d(q, M, 1.0 / g.gamma)
+    elif cone.generators.shape[0] == 0:
+        val, u = _support_subspace(q, _nullspace(cone.lineality), nx,
+                                   1.0 / g.gamma)
     elif cone.euclidean_distance(q) <= 1e-13:
         val, u = 0.0, np.zeros(n)
     else:
@@ -573,6 +590,110 @@ def _support_2d(q, M, c: float):
     return float(max(0.0, vals[i])), P[i]
 
 
+def _block_basis(R, nx: int):
+    """An orthonormal basis ``G`` (rows) of the row space of the orthonormal
+    rows ``R`` whose x-parts are mutually orthogonal, and so are its y-parts,
+    with the squared norms ``sx`` and ``sy = 1 - sx`` of those parts:
+    ``u = G^T w`` has ``|u_x|^2 = sum sx_i w_i^2`` and ``|u_y|^2 = sum sy_i
+    w_i^2``.  Both norms are computed, not one from the other, so that each
+    is accurate where it is small."""
+    Rx = R[:, :nx]
+    G = np.linalg.eigh(Rx @ Rx.T)[1].T @ R
+    return G, (G[:, :nx] ** 2).sum(axis=1), (G[:, nx:] ** 2).sum(axis=1)
+
+
+def _closed_bracket(at, ends=()):
+    """``(lower, upper, u)``: the closest bounds on the optimum of a
+    subspace problem that ``at`` gives over multipliers ``lam > 0``, checked
+    to be within 1e-10 of each other (relative above 1), else
+    ``NumericError``.
+
+    ``at(lam)`` returns ``(f, df/dlam, lower, upper, u)``: bounds valid at
+    every ``lam`` (nan or inf where undefined), the point ``u`` whose value
+    is ``lower``, and ``f``, which changes sign once, from negative to
+    positive, where the bounds meet.  After the points ``ends``, a Newton
+    search on ``f`` keeps a bracket of the sign change, all of
+    ``[1 / _LAM_MAX, _LAM_MAX]`` at first, and bisects it geometrically when
+    a step would leave it or would not halve the move before it (as in
+    Numerical Recipes' ``rtsafe``).  A step taken from ``f < 0`` is doubled,
+    and lengthened by 2^-44 of ``lam`` to get past rounding, where the
+    bracket allows: so the points fall on both sides of the sign change, and
+    a bound that holds only on one side closes too.  The search stops once
+    the bounds are within 1e-13, the bracket is within rounding of a point,
+    or after 100 steps.
+    """
+    lower, upper, u = -math.inf, math.inf, None
+
+    def take(lam):
+        nonlocal lower, upper, u
+        f, df, low, up, u_lam = at(lam)
+        if low > lower:
+            lower, u = low, u_lam
+        upper = min(upper, up)
+        return f, df
+
+    def closed(tol):
+        return upper < math.inf and upper - lower <= tol * max(1.0, upper)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lam in ends:
+            take(lam)
+        lo, hi, lam, moved = 1 / _LAM_MAX, _LAM_MAX, 1.0, math.inf
+        for _ in range(100):
+            if closed(1e-13) or hi - lo <= 2.0 ** -50 * hi:
+                break
+            f, df = take(lam)
+            if f < 0:
+                lo = lam
+            else:
+                hi = lam
+            step = -f / df
+            if lo < lam + step < hi and abs(step) <= moved / 2:
+                new = lam + step
+                if f < 0 and new + step + 2.0 ** -44 * lam < hi:
+                    new += step + 2.0 ** -44 * lam
+            else:
+                new = math.sqrt(lo * hi)
+            lam, moved = new, abs(new - lam)
+    if not closed(1e-10):
+        raise NumericError(f"closed-form bracket [{lower!r}, {upper!r}] did "
+                           "not close")
+    return lower, upper, u
+
+
+def _support_subspace(q, N, nx: int, c: float):
+    """max q.u over ``u`` in the row space of the orthonormal rows ``N``
+    with ``|u_x| <= 1`` and ``|u_y| <= c``, and a maximizer; 0 when ``q``
+    is within 1e-13 of the orthogonal complement (the cone).
+
+    In the basis of ``_block_basis``, with ``h = G q``: for every ``lam >
+    0``, the Lagrangian dual value at the multipliers ``rho (1, lam)`` of the
+    two balls, minimized over ``rho``, bounds the maximum above by
+    ``sqrt((1 + lam c^2) sum h_i^2 / E_i)``, ``E = sx + lam sy``; ``w = h /
+    E`` scaled onto the nearer ball edge is a feasible ``u`` that bounds it
+    below.  The bounds meet where ``c^2 |w_x|^2 - |w_y|^2``, the sign of the
+    upper one's derivative, changes sign, or in the limit ``lam -> 0`` or
+    ``lam -> inf``, for which the ends of the search range stand.  Returns
+    the lower bound, the value of the returned ``u``.
+    """
+    G, sx, sy = _block_basis(N, nx)
+    h = G @ q
+    if np.linalg.norm(h) <= 1e-13:
+        return 0.0, np.zeros(q.shape[0])
+    c2 = c * c
+
+    def at(lam):
+        E = sx + lam * sy
+        w = h / E
+        P, Q = sx @ (w * w), sy @ (w * w)
+        u = G.T @ w * (c / max(c * math.sqrt(P), math.sqrt(Q)))
+        return (c2 * P - Q, -2 * ((c2 * sx - sy) * sy / E) @ (w * w),
+                float(q @ u), math.sqrt((1 + lam * c2) * (h @ w)), u)
+
+    lower, _, u = _closed_bracket(at, ends=(1 / _LAM_MAX, _LAM_MAX))
+    return lower, u
+
+
 def _support_slsqp(q, M, g: GammaMetric, nx: int):
     n = q.shape[0]
     gamma = g.gamma
@@ -589,8 +710,7 @@ def _support_slsqp(q, M, g: GammaMetric, nx: int):
     if M.shape[0]:
         cons.append({"type": "ineq", "fun": lambda u: -(M @ u), "jac": lambda u: -M})
 
-    best = 0.0
-    best_u = np.zeros(n)
+    found, best, best_u = False, 0.0, np.zeros(n)
     starts = [np.zeros(n)]
     scaled = q.copy()
     if np.linalg.norm(scaled):
@@ -602,16 +722,20 @@ def _support_slsqp(q, M, g: GammaMetric, nx: int):
             neg_obj, u0, jac=lambda u: -q, constraints=cons, method="SLSQP",
             options={"maxiter": 400, "ftol": 1e-14},
         )
-        if res.success or res.status == 0:
+        if res.success:
             u = res.x
             feas = (
                 u[:nx] @ u[:nx] <= 1 + 1e-9
                 and u[nx:] @ u[nx:] <= 1 / gamma**2 + 1e-9
                 and (M.shape[0] == 0 or np.all(M @ u <= 1e-8))
             )
+            found = found or feas
             if feas and float(q @ u) > best:
                 best = float(q @ u)
                 best_u = u
+    if not found:
+        raise NumericError("SLSQP found no feasible point of the support "
+                           "problem")
     return best, best_u
 
 
@@ -624,10 +748,12 @@ def cone_min_norm(
     """min |w_x| over cone elements ``w=(w_x, w_y)`` with ``|w_y - y_target| <= eta``.
 
     Returns +inf when no cone element meets the ball constraint (the check is
-    then vacuous).  In closed form when both blocks are one-dimensional, by
-    SLSQP otherwise.  Used for coderivative distances: the coderivative of F
-    at (x, y) applied to v* collects the x-parts of cone elements with
-    y-part ``-v*``.
+    then vacuous).  In closed form when both blocks are one-dimensional or
+    the cone is a subspace (``_min_norm_subspace``), by SLSQP for a cone
+    with generators in more dimensions; ``NumericError`` when the subspace
+    form's bracket does not close or SLSQP finds no feasible point.  Used
+    for coderivative distances: the coderivative of F at (x, y) applied to
+    v* collects the x-parts of cone elements with y-part ``-v*``.
     """
     if cone.empty:
         return np.inf
@@ -649,6 +775,9 @@ def cone_min_norm(
     c = _nonneg_lsq(Bp, y_target)
     if np.linalg.norm(Bp @ c - y_target) > eta + 1e-10:
         return np.inf
+    if k == 0:
+        return _min_norm_subspace(_orthonormal_split(cone.lineality)[0], nx,
+                                  y_target, eta)
     c0 = np.concatenate([c[:k], c[k:k + m] - c[k + m:]])
     return _min_norm_slsqp(Bx, By, y_target, eta, k, m, c0)
 
@@ -672,6 +801,40 @@ def _min_norm_2d(M, y: float, eta: float) -> float:
         return np.inf
     vy = _polar_vertices(M)[:, 1]
     return float(max(0.0, np.max(np.where(vy >= 0, lo * vy, hi * vy))))
+
+
+def _min_norm_subspace(R, nx: int, y, eta: float) -> float:
+    """min |w_x| over ``w`` in the row space of the orthonormal rows ``R``
+    with ``|w_y - y| <= eta``, for a ball that the y-parts of that space
+    meet.
+
+    A trust-region problem (Moré and Sorensen, *Computing a trust region
+    step*, 1983), in the basis of ``_block_basis`` with ``b = G_y y``: at the
+    ball's multiplier ``lam``, ``w = G^T z`` with ``z = lam b / E``, ``E = sx
+    + lam sy``, minimizes ``|w_x|^2 + lam |w_y - y|^2``, so ``|w_x|^2 + lam
+    (|w_y - y|^2 - eta^2)`` bounds the square of the minimum below, and
+    ``|w_x|`` bounds it above where ``w`` is in the ball.  ``|w_y - y|``
+    falls as ``lam`` grows, and the bounds meet where it equals ``eta``, or
+    in the limit ``lam -> 0``, where only the directions with no x-part move
+    ``w`` (the answer is then 0), for which the lower end of the search range
+    stands.  Returns the upper bound.
+    """
+    yy, e2 = float(y @ y), eta * eta
+    if yy <= e2:
+        return 0.0  # w = 0
+    G, sx, sy = _block_basis(R, nx)
+    b = G[:, nx:] @ y
+
+    def at(lam):
+        E = sx + lam * sy
+        z = lam * b / E
+        cost = sx @ (z * z)
+        r = yy - 2 * (b @ z) + sy @ (z * z)  # |w_y - y|^2
+        return (e2 - r, 2 * ((b * sx) ** 2 / E ** 3).sum(),
+                math.sqrt(max(cost + lam * (r - e2), 0.0)),
+                math.sqrt(cost) if r <= e2 else math.inf, None)
+
+    return _closed_bracket(at, ends=(1 / _LAM_MAX,))[1]
 
 
 def _min_norm_slsqp(Bx, By, y_target, eta, k, m, c0) -> float:
@@ -699,6 +862,9 @@ def _min_norm_slsqp(Bx, By, y_target, eta, k, m, c0) -> float:
         res = minimize(obj, start, jac=obj_jac, constraints=cons, bounds=bounds,
                        method="SLSQP", options={"maxiter": 400, "ftol": 1e-16})
         c = res.x
-        if ball(c) >= -1e-9 and np.all(c[:k] >= -1e-10):
+        if res.success and ball(c) >= -1e-9 and np.all(c[:k] >= -1e-10):
             best = min(best, float(np.linalg.norm(Bx @ c)))
+    if math.isinf(best):
+        raise NumericError("SLSQP found no feasible point of the min-norm "
+                           "problem")
     return best

@@ -156,6 +156,42 @@ def test_no_linprog_at_run_time(tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_no_slsqp_for_affine_rules(tmp_path, monkeypatch):
+    # an affine-family rule's graph normal cone is a subspace, on which every
+    # dual distance has a closed form: a 2-D scenario with every slope and
+    # dual check reaches the same verdicts with SLSQP gone
+    def no_minimize(*args, **kwargs):
+        raise AssertionError("SLSQP called at run time")
+
+    monkeypatch.setattr(regulab.sets, "minimize", no_minimize)
+    checks = ["oracle", "slope-nonlocal", "slope-local", "subdifferential",
+              "normal-cone", "coderivative-ball", "coderivative-normalized"]
+    expect = dict.fromkeys(checks[:5], "HOLDS") | dict.fromkeys(checks[5:],
+                                                                "VIOLATED")
+    text = replaced(FAST_SCENARIO, (
+        *AFFINE_2D, ("A", "[[1, 2], [0, 4]]"), ("alpha: 1.0", "alpha: 0.8"),
+        ("eta: 1.0", "eta: 0.5"), ("resolution: 41}", "resolution: 7}"),
+        ("resolution: 5}", "resolution: 3}"),
+        ("checks: [oracle, geometric, normal-cone]",
+         f"checks: [{', '.join(checks)}]"),
+        ("expect: {oracle: HOLDS, geometric: HOLDS, normal-cone: HOLDS}",
+         "expect: {" + ", ".join(f"{k}: {v}" for k, v in expect.items())
+         + "}")))
+    code, report = run_scenario(load_scenario(write(tmp_path, text)))
+    assert code == 0, report
+
+
+def test_cli_exit_code_four_on_other_errors(tmp_path, monkeypatch):
+    def empty(*args, **kwargs):
+        raise EmptySetError("cannot project onto an empty polyhedron")
+
+    monkeypatch.setattr(regulab.cli, "run_scenario", empty)
+    res = CliRunner().invoke(main, ["run", write(tmp_path, FAST_SCENARIO)])
+    assert res.exit_code == 4, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "error: cannot project onto an empty polyhedron" in res.output
+
+
 def test_cli_exit_code_zero_and_report(tmp_path):
     runner = CliRunner()
     path = write(tmp_path, FAST_SCENARIO)

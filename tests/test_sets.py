@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog, minimize
 
+import regulab.sets
 from regulab import (
     EmptySetError,
     GammaMetric,
     GridSpec,
+    NumericError,
     PointCloud,
     Polyhedron,
     PolyUnion,
@@ -26,7 +28,17 @@ from regulab import (
     project_polyhedron,
 )
 from regulab.mappings import PolyhedralGraphMap, ScanGrids
-from regulab.sets import ConeRep, _least_distance, cone_rays_from_halfspaces
+from regulab.sets import (
+    ConeRep,
+    _least_distance,
+    _min_norm_2d,
+    _min_norm_subspace,
+    _nullspace,
+    _orthonormal_split,
+    _support_2d,
+    _support_subspace,
+    cone_rays_from_halfspaces,
+)
 from regulab.spaces import NormedSpace, make_grid
 
 
@@ -446,6 +458,139 @@ def test_cone_min_norm_slanted_and_vacuous():
     # generator-only cone pointing the wrong way: ball unreachable
     away = ConeRep.make(generators=[[1.0, 1.0]])
     assert math.isinf(cone_min_norm(away, 1, np.array([-5.0]), 0.5))
+
+
+# ---------------------------------------------------------------------------
+# closed forms on subspace cones, and SLSQP failures on the other cones
+
+
+def _graph_normal_space(a):
+    """The normal space of the graph of x -> a x: basis rows [-a | I]."""
+    a = np.asarray(a, dtype=float)
+    return ConeRep.make(lineality=np.hstack([-a, np.eye(a.shape[0])]))
+
+
+def test_subspace_dual_distance_regressions():
+    # SLSQP gave 0.0 on the first two: every start failed or stopped short
+    for a, q, gamma, exact in (([[-2, -1], [3, 3]], [-1, 1, 0, -2], 1.0,
+                                math.sqrt(5)),
+                               ([[-1, -3], [2, -2]], [2, -2, -2, -2], 2.0,
+                                math.sqrt(5) / 2),
+                               ([[2, 1], [0, -2]], [-1, -2, -2, -2], 0.5,
+                                5.0)):
+        v = gamma_dual_distance(np.array(q, float), _graph_normal_space(a),
+                                GammaMetric(gamma), 2)
+        assert abs(v - exact) <= 1e-9
+    # SLSQP gave inf (vacuous) here.  a is sqrt(10) times a rotation, so
+    # |a^T v| over |v - y| <= 1 is least at sqrt(10) (|y| - 1)
+    cone = _graph_normal_space([[1, 3], [-3, 1]])
+    v = cone_min_norm(cone, 2, np.array([1.0, 1.5]), 1.0)
+    assert abs(v - math.sqrt(10) * (math.sqrt(3.25) - 1)) <= 1e-9
+
+
+def _nelder_mead_min(f, starts):
+    return min(min(f(z0), minimize(f, z0, method="Nelder-Mead",
+                                   options={"xatol": 1e-11, "fatol": 1e-13,
+                                            "maxiter": 20000}).fun)
+               for z0 in starts)
+
+
+def _grid_starts(f, center, radius, dim, best=3):
+    """``center`` and the ``best`` points of a dense grid around it."""
+    axes = [np.linspace(-radius, radius, 25 if dim <= 2 else 11)] * dim
+    pts = center + np.stack(np.meshgrid(*axes), -1).reshape(-1, dim)
+    vals = np.array([f(z) for z in pts])
+    return [center, *pts[np.argsort(vals)[:best]]]
+
+
+@st.composite
+def _subspace_case(draw):
+    n = draw(st.sampled_from([3, 4]))
+    nx = draw(st.integers(1, n - 1))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n) \
+        .filter(any)
+    L = np.array(draw(st.lists(row, min_size=1, max_size=n - 1)), float)
+    q = np.array(draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n)))
+    gamma = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]))
+    return L, nx, q, gamma
+
+
+@given(_subspace_case())
+@settings(max_examples=60, deadline=None)
+def test_subspace_dual_distance_matches_primal_search(case):
+    L, nx, q, gamma = case
+    R = _orthonormal_split(L)[0]
+
+    def f(c):  # |q - w|_x + |q - w|_y / gamma at w = R^T c in the cone
+        r = q - c @ R
+        return np.linalg.norm(r[:nx]) + np.linalg.norm(r[nx:]) / gamma
+
+    c0 = R @ q
+    ref = _nelder_mead_min(f, _grid_starts(f, c0, 1.0 + np.linalg.norm(q),
+                                           R.shape[0]))
+    val = gamma_dual_distance(q, ConeRep.make(lineality=L), GammaMetric(gamma),
+                              nx)
+    assert ref - 1e-6 <= val <= ref + 1e-9
+
+
+@given(n=st.sampled_from([3, 4]), data=st.data(),
+       eta=st.sampled_from([0.25, 0.5, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_subspace_min_norm_matches_primal_search(n, data, eta):
+    # the graph {(b v, v)} of an integer b reaches every y-target: the
+    # minimum of |b v| over |v - y| <= eta, searched over
+    # v = y + eta sin(|z|) z / |z|, which covers the ball smoothly
+    nx = data.draw(st.integers(1, n - 1))
+    ny = n - nx
+    b = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=nx * ny,
+                                    max_size=nx * ny)), float).reshape(nx, ny)
+    y = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=ny,
+                                    max_size=ny)))
+    cone = ConeRep.make(lineality=np.hstack([b.T, np.eye(ny)]))
+
+    def f(z):  # squared, so that it is smooth where it is 0
+        bv = b @ (y + eta * np.sinc(np.linalg.norm(z) / np.pi) * z)
+        return bv @ bv
+
+    ref = math.sqrt(_nelder_mead_min(f, _grid_starts(f, np.zeros(ny),
+                                                     np.pi / 2, ny)))
+    val = cone_min_norm(cone, nx, y, eta)
+    assert ref - 1e-6 <= val <= ref + 1e-9
+
+
+@given(line=st.tuples(*[st.floats(-3, 3, allow_subnormal=False)] * 2)
+       .filter(lambda r: math.hypot(*r) > 1e-3),
+       q=st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+       gamma=st.sampled_from([0.1, 0.5, 1.0, 2.0, 10.0]), y=_halves,
+       eta=st.sampled_from([0.25, 0.5, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_subspace_forms_match_2d_vertex_forms_on_lines(line, q, gamma, y,
+                                                       eta):
+    cone, q, c = ConeRep.make(lineality=[line]), np.array(q), 1.0 / gamma
+    val, u = _support_subspace(q, _nullspace(cone.lineality), 1, c)
+    ref = _support_2d(q, cone.polar_halfspaces(), c)[0]
+    assert abs(val - ref) <= 1e-9 * max(1.0, ref)
+    assert abs(cone.lineality @ u)[0] <= 1e-12
+    assert abs(u[0]) <= 1 + 1e-12 and abs(u[1]) <= c * (1 + 1e-12)
+    assert abs(q @ u - val) <= 1e-12 * max(1.0, val)
+    if abs(line[1]) >= 1e-3:  # the line's y-parts reach every target
+        mn = _min_norm_subspace(_orthonormal_split(cone.lineality)[0], 1,
+                                np.array([y]), eta)
+        ref = _min_norm_2d(cone.polar_halfspaces(), y, eta)
+        assert abs(mn - ref) <= 1e-9 * max(1.0, ref)
+
+
+def test_failed_slsqp_raises(monkeypatch):
+    def failed(fun, x0, **kwargs):
+        return OptimizeResult(x=np.asarray(x0, float), fun=fun(x0),
+                              success=False, status=9)
+
+    monkeypatch.setattr(regulab.sets, "minimize", failed)
+    cone = ConeRep.make(generators=[[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(NumericError):
+        gamma_dual_distance([1.0, -1.0, -0.5], cone, GammaMetric(1.0), 2)
+    with pytest.raises(NumericError):
+        cone_min_norm(cone, 2, np.array([1.0]), 0.5)
 
 
 # ---------------------------------------------------------------------------
