@@ -254,8 +254,9 @@ def _affine_map(X, Y, P, a, b, c):
               "x_dim a, a y_dim x p_dim b and c of length y_dim; got (x_dim, "
               f"y_dim, p_dim) = ({X.dim}, {Y.dim}, {P.dim}), a = {a.tolist()}")
 
-    def value(p, x):
-        return (a @ x + b @ np.atleast_1d(p) + c)[None, :]
+    def value_rule(p, xs):
+        # (a x + b p) + c, one row per point
+        return xs @ a.T + (b @ np.atleast_1d(p))[None, :] + c
 
     def solution(p):
         # a x = -(b p + c), target 0
@@ -264,16 +265,17 @@ def _affine_map(X, Y, P, a, b, c):
     def solution_any(p, ybar):
         return np.linalg.solve(a, ybar - (b @ np.atleast_1d(p) + c))[None, :]
 
-    def cone(p, x, y):
-        # the graph's normal space {(-a^T w, w)} has basis rows [-a | I]
-        return ConeRep.make(lineality=np.hstack([-a, np.eye(a.shape[0])]))
+    # the graph's normal space {(-a^T w, w)} has basis rows [-a | I], the
+    # same cone at every graph point
+    cone = ConeRep.make(lineality=np.hstack([-a, np.eye(a.shape[0])]))
 
     def residual_rule(p, xs, ybar):
         vals = xs @ a.T + (b @ np.atleast_1d(p) + c)[None, :]
         return np.linalg.norm(vals - ybar[None, :], axis=1)
 
-    return ClosedFormMap(X, Y, value, param_space=P, solution_fn=solution,
-                         solution_any_fn=solution_any, cone_fn=cone,
+    return ClosedFormMap(X, Y, value_rule=value_rule, param_space=P,
+                         solution_fn=solution, solution_any_fn=solution_any,
+                         cone_fn=lambda p, x, y: cone,
                          residual_rule=residual_rule,
                          target=np.zeros(a.shape[0]), convex=True)
 
@@ -287,9 +289,10 @@ def _rule_quadratic_difference(X, Y, P, coeffs):
     if X.dim != 1 or Y.dim != 1:
         _fail("quadratic_difference rule is one-dimensional")
 
-    def value(p, x):
-        pv = float(np.atleast_1d(p)[0])
-        return np.array([[(pv - x[0]) ** 2]])
+    def value_rule(p, xs):
+        # float_power rounds as a scalar ``** 2`` (libm pow) does; an
+        # array's ``** 2`` multiplies, which rounds some squares differently
+        return np.float_power(np.atleast_1d(p)[0] - xs[:, :1], 2)
 
     def solution(p):
         return np.array([[float(np.atleast_1d(p)[0])]])
@@ -304,8 +307,9 @@ def _rule_quadratic_difference(X, Y, P, coeffs):
     def sol_dist(p, xs):
         return np.abs(xs[:, 0] - np.atleast_1d(p)[0])
 
-    return ClosedFormMap(X, Y, value, param_space=P, solution_fn=solution,
-                         cone_fn=cone, residual_rule=residual_rule,
+    return ClosedFormMap(X, Y, value_rule=value_rule, param_space=P,
+                         solution_fn=solution, cone_fn=cone,
+                         residual_rule=residual_rule,
                          solution_dist_rule=sol_dist, target=[0.0],
                          convex=False)
 

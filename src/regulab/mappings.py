@@ -201,20 +201,28 @@ class SetValuedMap:
 
 
 class ClosedFormMap(SetValuedMap):
-    """Mapping given by a rule ``value_fn(p, x) -> points in Y``.
+    """Mapping given by a rule ``value_fn(p, x) -> points in Y``, or by a
+    batched single-valued rule ``value_rule(p, xs) -> (n, ny)`` with the one
+    value of each row of ``xs``.
 
+    With ``value_rule``, ``values`` reads it with one row, and a set of
+    points (a graph sample, the steps of a slope scan) costs one call.
     Optional exact attachments: ``solution_fn(p) -> points in X`` for the
     solution set at the target, ``cone_fn(p, x, y) -> ConeRep`` for graph
     normal cones, and vectorized residual/solution-distance rules for fast
     scans.  ``convex`` declares that every gph F_p is convex.
     """
 
-    def __init__(self, domain_space, range_space, value_fn, *,
-                 param_space=None, param_labels=None, solution_fn=None,
-                 solution_any_fn=None, cone_fn=None, residual_rule=None,
-                 solution_dist_rule=None, target=None, convex=False):
+    def __init__(self, domain_space, range_space, value_fn=None, *,
+                 value_rule=None, param_space=None, param_labels=None,
+                 solution_fn=None, solution_any_fn=None, cone_fn=None,
+                 residual_rule=None, solution_dist_rule=None, target=None,
+                 convex=False):
         super().__init__(domain_space, range_space, param_space, param_labels)
+        if (value_fn is None) == (value_rule is None):
+            raise InputError("provide exactly one of value_fn or value_rule")
         self.value_fn = value_fn
+        self.value_rule = value_rule
         self.solution_fn = solution_fn
         self.solution_any_fn = solution_any_fn
         self.cone_fn = cone_fn
@@ -224,12 +232,26 @@ class ClosedFormMap(SetValuedMap):
         self.convex_graph = convex
 
     def values(self, p, x) -> np.ndarray:
+        if self.value_fn is None:
+            return self.graph_over(p, as_point(x)[None, :])[1]
         vals = np.asarray(self.value_fn(p, as_point(x)), dtype=float)
         if vals.size == 0:
             return np.zeros((0, self.ny))
         if vals.ndim == 1:
             vals = vals[None, :] if vals.shape[0] == self.ny else vals[:, None]
         return vals
+
+    def graph_over(self, p, xs) -> tuple[np.ndarray, np.ndarray]:
+        """The graph points over the rows of ``xs``, as stacked ``(us, vs)``
+        with ``vs[i]`` in F(p, us[i]), in row order: one call of the
+        batched rule, else one call of ``value_fn`` per row."""
+        if self.value_fn is None:
+            vs = np.asarray(self.value_rule(p, xs), dtype=float)
+            return xs, vs.reshape(xs.shape[0], self.ny)
+        vals = [self.values(p, x) for x in xs]
+        if not vals:
+            return np.zeros((0, self.nx)), np.zeros((0, self.ny))
+        return np.repeat(xs, [len(v) for v in vals], axis=0), np.vstack(vals)
 
     def residual_vec(self, p, xs, ybar):
         if self.residual_rule is not None:
@@ -263,11 +285,8 @@ class ClosedFormMap(SetValuedMap):
         return super().solution_distance_vec(p, xs, ybar, grids)
 
     def graph_points(self, p, grids: ScanGrids) -> np.ndarray:
-        def sample():
-            rows = [np.concatenate([x, y]) for x in make_grid(grids.x)
-                    for y in self.values(p, x)]
-            return np.array(rows) if rows else np.zeros((0, self.nx + self.ny))
-        return self._memo(grids, p, sample)
+        return self._memo(grids, p, lambda: np.hstack(
+            self.graph_over(p, make_grid(grids.x))))
 
     def normal_cone(self, p, x, y) -> ConeRep:
         if self.cone_fn is None:

@@ -160,6 +160,12 @@ def check_geometric(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
     radius rho around x.  The rho samples are a uniform ladder augmented, per
     scan point, with the critical radius residual/alpha so the scan cannot
     miss a violation that falls between ladder rungs.
+
+    A point's margin is its smallest tested radius less its solution
+    distance, and that radius is one of two: the first rung above
+    ``crit / (1 - 1e-12)`` (``crit`` = residual/alpha) and ``crit (1 +
+    1e-9)`` when that is below mu.  Both are found for all points at once;
+    a tie in the margin goes to the rung.
     """
     ybar = q.ybar_arr
     mu = q.mu if math.isfinite(q.mu) else _grid_diameter(grids)
@@ -167,23 +173,28 @@ def check_geometric(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
     scan = MarginScan()
     for p, xs, res, dist in _residual_scan(F, q, grids,
                                            strict_cap(q.alpha * mu)):
-        tested = []  # (x, rhos, rhos - dist) of each point with a radius
-        for x, r, d in zip(xs, res, dist):
-            crit = r / q.alpha
-            rhos = np.concatenate([ladder[ladder > crit / (1 - 1e-12)],
-                                   [crit * (1 + 1e-9)] if crit * (1 + 1e-9) < mu else []])
-            if rhos.size:
-                tested.append((x, rhos, rhos - d))
-        if not tested:
+        crit = res / q.alpha
+        k = np.searchsorted(ladder, crit / (1 - 1e-12), side="right")
+        has_rung = k < n_rho
+        rung = ladder[np.minimum(k, n_rho - 1)]
+        at_crit = crit * (1 + 1e-9)
+        has_crit = at_crit < mu
+        tested = has_rung | has_crit
+        if not tested.any():
             continue
+        rung_gap = np.where(has_rung, rung - dist, math.inf)
+        crit_gap = np.where(has_crit, at_crit - dist, math.inf)
+        to_crit = crit_gap < rung_gap
+        xs, dist = xs[tested], dist[tested]
+        value = np.where(to_crit, at_crit, rung)[tested]
 
         def witness(i):
-            x, rhos, gaps = tested[i]
-            return {"p": p, "x": x.copy(), "y": _nearest_value(F, p, x, ybar),
-                    "value": float(rhos[int(np.argmin(gaps))]),
+            return {"p": p, "x": xs[i].copy(),
+                    "y": _nearest_value(F, p, xs[i], ybar),
+                    "value": float(value[i]),
                     "inequality": "G(p) meets closed ball of radius rho around x"}
 
-        scan.add(np.array([gaps.min() for _, _, gaps in tested]), witness)
+        scan.add(np.minimum(rung_gap, crit_gap)[tested], witness)
     return scan.certificate(dict(_base_meta(q, grids), n_rho=n_rho))
 
 

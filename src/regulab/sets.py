@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 # linprog and lsq_linear are not called here; the benchmark warms and traces
@@ -175,9 +176,10 @@ def _least_distance(A, h) -> np.ndarray | None:
     nonnegative least-squares ``c``, ``z / s = -r[:n] / r[n]``.  The sign of
     ``r[n]`` can be rounding and decides nothing: ``z`` is returned only if
     ``z / s`` passes ``Polyhedron.contains`` on the scaled rows, ``None`` only
-    if ``y = c / sum(c)`` is a Farkas vector, ``h.y < 0`` with
-    ``|A^T y| <= 1e-9 (-h.y)`` (no feasible ``|z / s| <= 1e9``); else
-    ``NumericError``.
+    if ``y = c / sum(c)``, or else the exact combination of the rows in the
+    support of ``c`` that cancels (``_exact_null_vector``), is a Farkas
+    vector, ``h.y < 0`` with ``|A^T y| <= 1e-9 (-h.y)`` (no feasible
+    ``|z / s| <= 1e9``); else ``NumericError``.
     """
     m, n = A.shape
     if m == 0:
@@ -190,11 +192,53 @@ def _least_distance(A, h) -> np.ndarray | None:
     r = E @ c - f
     if r[n] < 0 and Polyhedron(A, h).contains(-r[:n] / r[n]):
         return -r[:n] / r[n] * s
-    hc = float(h @ c)  # the Farkas test is the same for c as for c / sum(c)
-    if hc < 0 and np.linalg.norm(A.T @ c) <= 1e-9 * -hc:
+    if _is_farkas(A, h, c):
+        return None
+    # far from the origin the gap can be near rounding of c; the exact
+    # combination of the rows c uses can still check
+    S = np.flatnonzero(c > 0)
+    y = _exact_null_vector(A[S].T)
+    if y is not None and _is_farkas(A[S], h[S], y):
         return None
     raise NumericError("least-distance problem has neither a feasible point "
                        "nor a Farkas certificate")
+
+
+def _is_farkas(A, h, y) -> bool:
+    """Whether ``y >= 0`` proves ``{z : A z <= h}`` empty: ``h.y < 0`` and
+    ``|A^T y| <= 1e-9 (-h.y)`` (the same for ``y`` as for ``y / sum(y)``)."""
+    hy = float(h @ y)
+    return bool(np.all(y >= 0)) and hy < 0 and \
+        np.linalg.norm(A.T @ y) <= 1e-9 * -hy
+
+
+def _exact_null_vector(B) -> np.ndarray | None:
+    """The nonzero ``y`` with ``B y = 0``, by Gauss-Jordan elimination in
+    exact rational arithmetic, as coprime integers (converted to floats)
+    with a positive sum; ``None`` unless the nullspace is one-dimensional.
+    Integer data give a ``y`` whose products with ``B`` round nowhere."""
+    rows = [[Fraction(v) for v in row] for row in B.tolist()]
+    k, pivots = B.shape[1], []
+    for j in range(k):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        top = [v / rows[r][j] for v in rows[r]]
+        rows = [top if i == r else [a - row[j] * b for a, b in zip(row, top)]
+                for i, row in enumerate(rows)]
+        pivots.append(j)
+    if k - len(pivots) != 1:
+        return None
+    free = next(j for j in range(k) if j not in pivots)
+    y = [Fraction(1 if j == free else 0) for j in range(k)]
+    for row, j in zip(rows, pivots):
+        y[j] = -row[free]
+    scale = math.lcm(*(v.denominator for v in y))
+    ints = [int(v * scale) for v in y]
+    g = math.gcd(*ints) * (1 if sum(ints) > 0 else -1)
+    return np.array([float(v // g) for v in ints])
 
 
 def project_polyhedron(x, Q: Polyhedron) -> np.ndarray:
@@ -322,6 +366,8 @@ class ConeRep:
     generators: np.ndarray
     lineality: np.ndarray
     empty: bool = False
+    _bases: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @classmethod
     def make(cls, generators=None, lineality=None, dim=None,
@@ -367,6 +413,17 @@ class ConeRep:
 
     def contains(self, v, tol: float = 1e-9) -> bool:
         return not self.empty and self.euclidean_distance(v) <= tol
+
+    def subspace_basis(self, nx: int, polar: bool):
+        """``_block_basis`` of the orthogonal complement of the lineality
+        space (``polar``, the polar of a cone with no generators) or of the
+        lineality space itself, built once per cone and ``nx``: a rule's
+        cone is often one object at every graph point."""
+        key = (nx, polar)
+        if key not in self._bases:
+            rows, null = _orthonormal_split(self.lineality)
+            self._bases[key] = _block_basis(null if polar else rows, nx)
+        return self._bases[key]
 
     def polar_halfspaces(self) -> np.ndarray:
         """Rows ``r`` of the polar's halfspace form ``{u : r.u <= 0}``... i.e.
@@ -541,7 +598,7 @@ def gamma_dual_distance(q, cone: ConeRep, g: GammaMetric, nx: int,
         # 0 when q is in the cone: the origin is the first vertex
         val, u = _support_2d(q, M, 1.0 / g.gamma)
     elif cone.generators.shape[0] == 0:
-        val, u = _support_subspace(q, _nullspace(cone.lineality), nx,
+        val, u = _support_subspace(q, cone.subspace_basis(nx, polar=True),
                                    1.0 / g.gamma)
     elif cone.euclidean_distance(q) <= 1e-13:
         val, u = 0.0, np.zeros(n)
@@ -559,23 +616,35 @@ def _polar_vertices(M, c: float = math.inf) -> np.ndarray:
     meet.  The candidates are, in this order: the origin, the box corners,
     each line ``M_i u = 0`` cut by the box edges, and ``(+-1, 0)``; those
     outside ``P`` are dropped.  With ``c`` infinite there are no corners and
-    no edges ``u_y = +-c``.
+    no edges ``u_y = +-c``.  The rows are first scaled by powers of two to
+    largest entries in [1/2, 1), which changes no vertex where no entry
+    underflows, and a point counts as on a line within rounding of 1e-12
+    of ``|M_i| |u|`` plus 2^-1022, the smallest normal number, a tolerance
+    that cannot underflow to 0: so a row with a subnormal entry keeps its
+    vertices too.
     """
     bounded = math.isfinite(c)
     pts = [(0.0, 0.0)]
     if bounded:
         pts += [(-1.0, -c), (-1.0, c), (1.0, -c), (1.0, c)]
-    for mx, my in M:
+    rows = []
+    for mx, my in M.tolist():  # floats: a slope that overflows is inf, quietly
+        e = math.frexp(max(abs(mx), abs(my)))[1]
+        mx, my = math.ldexp(mx, -e), math.ldexp(my, -e)
+        rows.append((mx, my))
         if my != 0:
             pts += [(1.0, -mx / my), (-1.0, mx / my)]
         if mx != 0 and bounded:
             pts += [(-my * c / mx, c), (my * c / mx, -c)]
     pts += [(-1.0, 0.0), (1.0, 0.0)]
-    P = np.array(pts)
-    ok = (np.abs(P[:, 0]) <= 1.0) & (np.abs(P[:, 1]) <= c)
-    # a point on the line M_i u = 0 meets it only up to rounding
-    ok &= np.all(M @ P.T <= 1e-12 * (np.abs(M) @ np.abs(P).T), axis=0)
-    return P[ok]
+    M, P = np.array(rows).reshape(-1, 2), np.array(pts)
+    P = P[(np.abs(P[:, 0]) <= 1.0) & (np.abs(P[:, 1]) <= c)]
+    # a point on the line M_i u = 0 meets it only up to rounding; with c
+    # infinite a slope that overflowed is left, and 0 * inf fails the test
+    with np.errstate(invalid="ignore"):
+        on = np.all(M @ P.T <= 1e-12 * (np.abs(M) @ np.abs(P).T)
+                    + 2.0 ** -1022, axis=0)
+    return P[on]
 
 
 def _support_2d(q, M, c: float):
@@ -661,12 +730,13 @@ def _closed_bracket(at, ends=()):
     return lower, upper, u
 
 
-def _support_subspace(q, N, nx: int, c: float):
-    """max q.u over ``u`` in the row space of the orthonormal rows ``N``
-    with ``|u_x| <= 1`` and ``|u_y| <= c``, and a maximizer; 0 when ``q``
-    is within 1e-13 of the orthogonal complement (the cone).
+def _support_subspace(q, basis, c: float):
+    """max q.u over ``u`` in a subspace with ``|u_x| <= 1`` and ``|u_y| <=
+    c``, and a maximizer; 0 when ``q`` is within 1e-13 of the orthogonal
+    complement (the cone).
 
-    In the basis of ``_block_basis``, with ``h = G q``: for every ``lam >
+    In the subspace's basis ``basis = (G, sx, sy)`` from ``_block_basis``,
+    with ``h = G q``: for every ``lam >
     0``, the Lagrangian dual value at the multipliers ``rho (1, lam)`` of the
     two balls, minimized over ``rho``, bounds the maximum above by
     ``sqrt((1 + lam c^2) sum h_i^2 / E_i)``, ``E = sx + lam sy``; ``w = h /
@@ -676,7 +746,7 @@ def _support_subspace(q, N, nx: int, c: float):
     ``lam -> inf``, for which the ends of the search range stand.  Returns
     the lower bound, the value of the returned ``u``.
     """
-    G, sx, sy = _block_basis(N, nx)
+    G, sx, sy = basis
     h = G @ q
     if np.linalg.norm(h) <= 1e-13:
         return 0.0, np.zeros(q.shape[0])
@@ -776,7 +846,7 @@ def cone_min_norm(
     if np.linalg.norm(Bp @ c - y_target) > eta + 1e-10:
         return np.inf
     if k == 0:
-        return _min_norm_subspace(_orthonormal_split(cone.lineality)[0], nx,
+        return _min_norm_subspace(cone.subspace_basis(nx, polar=False), nx,
                                   y_target, eta)
     c0 = np.concatenate([c[:k], c[k:k + m] - c[k + m:]])
     return _min_norm_slsqp(Bx, By, y_target, eta, k, m, c0)
@@ -803,13 +873,13 @@ def _min_norm_2d(M, y: float, eta: float) -> float:
     return float(max(0.0, np.max(np.where(vy >= 0, lo * vy, hi * vy))))
 
 
-def _min_norm_subspace(R, nx: int, y, eta: float) -> float:
-    """min |w_x| over ``w`` in the row space of the orthonormal rows ``R``
-    with ``|w_y - y| <= eta``, for a ball that the y-parts of that space
-    meet.
+def _min_norm_subspace(basis, nx: int, y, eta: float) -> float:
+    """min |w_x| over ``w`` in a subspace with ``|w_y - y| <= eta``, for a
+    ball that the y-parts of that space meet.
 
     A trust-region problem (Moré and Sorensen, *Computing a trust region
-    step*, 1983), in the basis of ``_block_basis`` with ``b = G_y y``: at the
+    step*, 1983), in the subspace's basis ``basis = (G, sx, sy)`` from
+    ``_block_basis``, with ``b = G_y y``: at the
     ball's multiplier ``lam``, ``w = G^T z`` with ``z = lam b / E``, ``E = sx
     + lam sy``, minimizes ``|w_x|^2 + lam |w_y - y|^2``, so ``|w_x|^2 + lam
     (|w_y - y|^2 - eta^2)`` bounds the square of the minimum below, and
@@ -822,7 +892,7 @@ def _min_norm_subspace(R, nx: int, y, eta: float) -> float:
     yy, e2 = float(y @ y), eta * eta
     if yy <= e2:
         return 0.0  # w = 0
-    G, sx, sy = _block_basis(R, nx)
+    G, sx, sy = basis
     b = G[:, nx:] @ y
 
     def at(lam):

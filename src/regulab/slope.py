@@ -159,19 +159,26 @@ def _short_step_candidates(F, q, p, x, y, ts):
     A closed-form map's honest step is (x + s, F(p, x + s)), so it depends
     only on the x-step s: each first-order direction's x-part times each
     radius, and each +-e_i times each radius and radius/(1 + gamma).  The
-    rule is evaluated once per distinct step.  A polyhedral map steps along
-    each direction and projects back onto the graph.
+    rule is evaluated once per distinct step, in one call of a batched rule.
+    A polyhedral map steps along each direction and projects back onto the
+    graph.  The directions are built once per ``(p, x, y, ybar, gamma)`` in
+    the map's per-parameter memo, so both slope checks share them.
     """
     x, y = as_point(x), as_point(y)
-    dirs = _direction_candidates(F, q, p, x, y, q.gamma)
+    key = ("directions", x.tobytes(), y.tobytes(), q.ybar_arr.tobytes(),
+           q.gamma)
+    dirs = F._memo(key, p, lambda: tuple(
+        _direction_candidates(F, q, p, x, y, q.gamma)))
     if isinstance(F, ClosedFormMap):
         radii = np.concatenate([ts, ts / (1 + q.gamma)])
         radii = np.concatenate([radii, -radii])
         steps = [np.outer(ts, d[:F.nx]) for d in dirs]
         steps += [np.outer(radii, e) for e in np.eye(F.nx)]
-        us = np.unique(x + np.vstack(steps), axis=0)
-        vals = [F.values(p, u) for u in us]
-        return np.repeat(us, [len(v) for v in vals], axis=0), np.vstack(vals)
+        # the distinct steps in lexicographic order, as np.unique(us, axis=0)
+        # gives them at several times the cost on arrays this small
+        us = x + np.vstack(steps)
+        us = us[np.lexsort(us.T[::-1])]
+        return F.graph_over(p, us[np.r_[True, (us[1:] != us[:-1]).any(1)]])
     cands: list[tuple[np.ndarray, np.ndarray]] = []
     if isinstance(F, PolyhedralGraphMap):
         for d in dirs:

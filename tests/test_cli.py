@@ -2,11 +2,13 @@
 
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import regulab.cli
 import regulab.sets
+import regulab.slope
 from regulab import (
     EmptySetError,
     InputError,
@@ -23,6 +25,8 @@ from regulab.cli import (
     main,
     run_scenario,
 )
+from regulab.mappings import ScanGrids
+from regulab.spaces import GridSpec, NormedSpace, make_grid
 
 FAST_SCENARIO = """\
 spaces: {x_dim: 1, y_dim: 1, p_dim: 1}
@@ -372,3 +376,92 @@ def test_shipped_examples_match_expectations(tmp_path):
         csv_bytes = (tmp_path / "out" / (stem + ".csv")).read_bytes()
         assert csv_bytes == "".join(
             line + "\r\n" for line in FROZEN_CSV[stem]).encode()
+
+
+_A2, _B2, _C2 = (np.array([[2.0, 1.0], [0.0, -2.0]]),
+                 np.array([[1.0, 0.5], [-0.25, 1.0]]), np.array([0.1, -0.3]))
+# rule, coefficients, dimension, and the rule's formula at one point
+_RULE_FORMULAS = [
+    ("difference", {}, 1, lambda p, x: -np.eye(1) @ x + np.eye(1) @ p
+     + np.zeros(1)),
+    ("identity", {}, 1, lambda p, x: np.eye(1) @ x + np.zeros((1, 1)) @ p
+     + np.zeros(1)),
+    ("scale", {"k": -2.5}, 1, lambda p, x: -2.5 * np.eye(1) @ x
+     + np.zeros((1, 1)) @ p + np.zeros(1)),
+    ("affine", {"a": 1.7, "b": -0.3, "c": [0.1]}, 1,
+     lambda p, x: 1.7 * np.eye(1) @ x + -0.3 * np.eye(1) @ p + [0.1]),
+    ("quadratic_difference", {}, 1,
+     lambda p, x: np.array([(float(p[0]) - x[0]) ** 2])),
+    ("affine", {"a": _A2.tolist(), "b": _B2.tolist(), "c": _C2.tolist()}, 2,
+     lambda p, x: _A2 @ x + _B2 @ p + _C2),
+]
+
+
+@pytest.mark.parametrize("rule, coeffs, dim, formula", _RULE_FORMULAS,
+                         ids=[f"{r[0]}-{r[2]}d" for r in _RULE_FORMULAS])
+def test_rule_library_batched_values_match_pointwise(rule, coeffs, dim,
+                                                     formula):
+    F = regulab.cli._RULES[rule](NormedSpace("X", dim), NormedSpace("Y", dim),
+                                 NormedSpace("P", dim), coeffs)
+    grids = ScanGrids(x=GridSpec((-1.0,) * dim, (1.0,) * dim,
+                                 41 if dim == 1 else 9))
+    # the grid and random points: a square rounded another way than libm's
+    # pow shows at about 1 point in 1000
+    xs = np.vstack([make_grid(grids.x),
+                    np.random.default_rng(5).uniform(-1, 1, (3000, dim))])
+    for p in (np.full(dim, 0.3), np.linspace(-0.45, 0.2, dim)):
+        ref = np.array([formula(p, x) for x in xs])
+        us, vs = F.graph_over(p, xs)
+        assert np.array_equal(us, xs) and vs.shape == ref.shape
+        if dim == 1:  # the same float operations in the same order
+            assert vs.tobytes() == ref.tobytes()
+        else:  # a matrix product may sum in another order
+            size = np.abs(xs) @ np.abs(_A2.T) + np.abs(_B2) @ np.abs(p) \
+                + np.abs(_C2)
+            assert np.all(np.abs(vs - ref) <= 1e-15 * size)
+        for x, v in zip(xs, vs):
+            assert F.values(p, x).tobytes() == v[None, :].tobytes()
+        # the graph sample: each grid point beside its batched value
+        pts = F.graph_points(p, grids)
+        n = pts.shape[0]
+        assert pts.tobytes() == np.hstack([xs[:n], vs[:n]]).tobytes()
+
+
+def test_difference_example_evaluates_its_rule_in_arrays(tmp_path,
+                                                         monkeypatch):
+    path = tmp_path / "example_difference.yaml"
+    path.write_text(EXAMPLE_DIFFERENCE)
+    sc = load_scenario(str(path))
+    rows = []  # the number of points of each rule call
+    build = regulab.cli.build_mapping
+
+    def spied_build(sc):
+        F = build(sc)
+        rule = F.value_rule
+
+        def counted(p, xs):
+            rows.append(len(xs))
+            return rule(p, xs)
+
+        F.value_rule = counted
+        return F
+
+    scanned, built = [], []
+    slope_at, directions = regulab.slope.nonlocal_slope, \
+        regulab.slope._direction_candidates
+    monkeypatch.setattr(regulab.cli, "build_mapping", spied_build)
+    monkeypatch.setattr(regulab.slope, "nonlocal_slope",
+                        lambda *a, **k: scanned.append(1) or slope_at(*a, **k))
+    monkeypatch.setattr(regulab.slope, "_direction_candidates",
+                        lambda *a: built.append(1) or directions(*a))
+    assert run_scenario(sc)[0] == 0
+    n = len(scanned)  # slope-local scans the same points
+    assert n == 418
+    # slope-local reuses the directions slope-nonlocal built
+    assert len(built) == n
+    # one array call per scan point per slope check and one per graph
+    # sample (11 parameters); the other calls are one-point graph checks
+    # (in_graph), at each scan point of four checks
+    batched = [r for r in rows if r > 1]
+    assert len(batched) == 2 * n + 11
+    assert rows.count(1) == 4 * n and len(rows) == len(batched) + 4 * n

@@ -1,5 +1,6 @@
 """Brute-force subregularity scans and modulus estimation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,11 @@ from regulab import (
     check_subreg_uniform,
     estimate_modulus,
 )
-from regulab.cli import _rule_quadratic_difference
+from regulab.cli import (EXAMPLE_QUADRATIC, _rule_quadratic_difference,
+                         build_grids, build_mapping, build_query,
+                         load_scenario)
+from regulab.mappings import strict_cap
+from regulab.oracle import _residual_scan
 from regulab.spaces import NormedSpace
 from conftest import affine_map_1d, grids_1d, query_1d, random_convex_instances
 
@@ -180,3 +185,80 @@ def test_modulus_without_points_off_the_solution_set_is_inf():
     m = estimate_modulus(F, (0.0,), (0.0,), 0.6, 0.6, grids_1d(11, 3),
                          pbar=(0.0,), eta=0.4)
     assert m == math.inf
+
+
+def _ball_test_pointwise(F, q, grids, n_rho=64):
+    """The ball test of ``check_geometric`` one scan point at a time, every
+    tested radius listed: ``(margin, witness x, witness radius, points)``,
+    the witness the first point attaining the margin and its radius the
+    first one attaining the point's smallest gap."""
+    mu = q.mu if math.isfinite(q.mu) else float(
+        np.linalg.norm(grids.x.upper_arr - grids.x.lower_arr))
+    ladder = np.linspace(mu / (n_rho + 1), mu, n_rho, endpoint=False)
+    best, x_best, rho_best, n = math.inf, None, None, 0
+    for _, xs, res, dist in _residual_scan(F, q, grids,
+                                           strict_cap(q.alpha * mu)):
+        for x, r, d in zip(xs, res, dist):
+            crit = r / q.alpha
+            rhos = np.concatenate([ladder[ladder > crit / (1 - 1e-12)],
+                                   [crit * (1 + 1e-9)]
+                                   if crit * (1 + 1e-9) < mu else []])
+            if not rhos.size:
+                continue
+            n += 1
+            gaps = rhos - d
+            if gaps.min() < best:
+                best, x_best = gaps.min(), x
+                rho_best = rhos[int(np.argmin(gaps))]
+    return best, x_best, rho_best, n
+
+
+def _assert_geometric_matches_pointwise(F, q, grids):
+    cert = check_geometric(F, q, grids)
+    margin, x, rho, n = _ball_test_pointwise(F, q, grids)
+    assert cert.scan_meta["points_scanned"] == n > 0
+    assert repr(cert.margin) == repr(float(margin))
+    if margin < 0:
+        assert cert.witness["x"].tolist() == x.tolist()
+        assert repr(cert.witness["value"]) == repr(float(rho))
+    else:
+        assert cert.witness is None
+    return cert
+
+
+def test_geometric_matches_pointwise_ball_test(tmp_path):
+    # the quadratic example: a violation at the critical radius
+    path = tmp_path / "example_quadratic.yaml"
+    path.write_text(EXAMPLE_QUADRATIC)
+    sc = load_scenario(str(path))
+    cert = _assert_geometric_matches_pointwise(
+        build_mapping(sc), build_query(sc), build_grids(sc))
+    assert cert.verdict is Verdict.VIOLATED
+    # unbounded mu: the ladder spans the X grid's diameter
+    q = dataclasses.replace(query_1d(0.5), mu=math.inf)
+    _assert_geometric_matches_pointwise(quadratic_map(), q, grids_1d(41, 5))
+    _assert_geometric_matches_pointwise(affine_map_1d(0.5, 0.2), q,
+                                        grids_1d(41, 5))
+
+
+def test_geometric_tie_goes_to_the_rung():
+    # a solution distance of 1e20 rounds every gap rho - d to -1e20, so the
+    # rung and the critical radius tie at every point: the rung, listed
+    # first, is the witness radius
+    F = ClosedFormMap(
+        NormedSpace("X", 1), NormedSpace("Y", 1),
+        value_rule=lambda p, xs: xs - np.atleast_1d(p)[0],
+        param_space=NormedSpace("P", 1),
+        residual_rule=lambda p, xs, ybar: np.abs(xs[:, 0] - np.atleast_1d(p)[0]
+                                                 - ybar[0]),
+        solution_dist_rule=lambda p, xs: np.full(xs.shape[0], 1e20),
+        target=[0.0])
+    q = query_1d(1.0)
+    grids = grids_1d(21, 3)
+    cert = _assert_geometric_matches_pointwise(F, q, grids)
+    assert cert.margin == -1e20
+    rho = cert.witness["value"]
+    crit = abs(cert.witness["x"][0] - cert.witness["p"][0]) / q.alpha
+    ladder = np.linspace(q.mu / 65, q.mu, 64, endpoint=False)
+    assert rho in ladder and crit * (1 + 1e-9) < q.mu
+    assert rho != crit * (1 + 1e-9) and rho - 1e20 == crit * (1 + 1e-9) - 1e20

@@ -33,7 +33,6 @@ from regulab.sets import (
     _least_distance,
     _min_norm_2d,
     _min_norm_subspace,
-    _nullspace,
     _orthonormal_split,
     _support_2d,
     _support_subspace,
@@ -567,14 +566,14 @@ def test_subspace_min_norm_matches_primal_search(n, data, eta):
 def test_subspace_forms_match_2d_vertex_forms_on_lines(line, q, gamma, y,
                                                        eta):
     cone, q, c = ConeRep.make(lineality=[line]), np.array(q), 1.0 / gamma
-    val, u = _support_subspace(q, _nullspace(cone.lineality), 1, c)
+    val, u = _support_subspace(q, cone.subspace_basis(1, polar=True), c)
     ref = _support_2d(q, cone.polar_halfspaces(), c)[0]
     assert abs(val - ref) <= 1e-9 * max(1.0, ref)
     assert abs(cone.lineality @ u)[0] <= 1e-12
     assert abs(u[0]) <= 1 + 1e-12 and abs(u[1]) <= c * (1 + 1e-12)
     assert abs(q @ u - val) <= 1e-12 * max(1.0, val)
     if abs(line[1]) >= 1e-3:  # the line's y-parts reach every target
-        mn = _min_norm_subspace(_orthonormal_split(cone.lineality)[0], 1,
+        mn = _min_norm_subspace(cone.subspace_basis(1, polar=False), 1,
                                 np.array([y]), eta)
         ref = _min_norm_2d(cone.polar_halfspaces(), y, eta)
         assert abs(mn - ref) <= 1e-9 * max(1.0, ref)
@@ -657,3 +656,54 @@ def test_1d_closed_forms_match_lp(gens, lin, empty, q, gamma, y, eta):
     assert math.isinf(mn) == math.isinf(ref)
     if not math.isinf(ref):
         assert abs(mn - ref) <= 1e-9
+
+
+def test_polar_vertices_keep_a_subnormal_row():
+    # the line through (2, 2.2e-313) meets u_y = c at a point whose x-part
+    # is subnormal: an on-the-line tolerance that underflows to 0 drops it
+    # and gives 0.0; the line's slope overflows, and warns of nothing
+    q, g = np.array([0.0, 1.0]), GammaMetric(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cone = ConeRep.make(lineality=[[2.0, 2.2250738585e-313]])
+        assert gamma_dual_distance(q, cone, g, 1) == 0.5
+        assert gamma_dual_distance(q, ConeRep.make(lineality=[[2.0, 1e-300]]),
+                                   g, 1) == 0.5
+
+
+@given(rows=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+                     .filter(any), min_size=1, max_size=3),
+       q=st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+       gamma=st.sampled_from([0.5, 1.0, 2.0]), k=st.integers(-1072, 1000))
+@example(rows=[(1, 3)], q=(1.0, 1.0), gamma=1.0, k=-1072)
+@settings(max_examples=100, deadline=None)
+def test_1d_dual_distance_is_exact_under_power_of_two_row_scaling(rows, q,
+                                                                  gamma, k):
+    # scaling a generator by 2^k, exact down to subnormal entries, changes
+    # neither the cone nor a single bit of the answer
+    gens = np.array(rows, float)
+    g = GammaMetric(gamma)
+    ref = gamma_dual_distance(q, ConeRep.make(generators=gens), g, 1)
+    val = gamma_dual_distance(q, ConeRep.make(generators=np.ldexp(gens, k)),
+                              g, 1)
+    assert val == ref
+
+
+def test_far_empty_polyhedron_has_a_farkas_certificate():
+    # empty by 1.5 against right-hand sides near 3e6: nnls's Farkas vector
+    # fails its test on rounding alone, while the exact combination
+    # (5, 6, 1) of the rows cancels and checks
+    A = np.array([[-1.0, -3.0], [1.0, 2.0], [-1.0, 3.0]])
+    b = np.array([2945934, -2188393, -1599313.5])
+    assert np.array_equal(np.array([5, 6, 1]) @ A, [0.0, 0.0])
+    assert np.array([5, 6, 1]) @ b == -1.5
+    assert Polyhedron(A, b).is_empty()
+    assert _least_distance(A, b) is None
+    # raising the last bound by 2 leaves a small nonempty triangle
+    b2 = b + [0.0, 0.0, 2.0]
+    z = _least_distance(A, b2)
+    assert not Polyhedron(A, b2).is_empty()
+    assert np.all(A @ z - b2 <= 1e-12 * np.abs(b2).max())
+    res = linprog(np.zeros(2), A_ub=A, b_ub=b2, bounds=[(None, None)] * 2,
+                  method="highs")
+    assert res.status == 0
