@@ -22,7 +22,8 @@ import numpy as np
 import yaml
 
 from .dual import check_coderivative_condition, check_normal_cone_condition, \
-    check_subdifferential_condition
+    check_subdifferential_condition, coderivative_threshold, \
+    normal_cone_preconditions, subdifferential_preconditions
 from .ekeland import evp_search
 from .errors import InputError, NumericError, RegulabError, ResourceCapError
 from .implicit import AubinQuery, check_aubin, check_recede, compose_aubin_rate, \
@@ -31,7 +32,8 @@ from .mappings import ClosedFormMap, PolyhedralGraphMap, RegularityQuery, \
     ScanGrids, SetValuedMap
 from .oracle import Certificate, Verdict, check_geometric, check_subreg_uniform
 from .sets import ConeRep
-from .slope import check_local_slope_condition, check_nonlocal_slope_condition
+from .slope import check_local_slope_condition, \
+    check_nonlocal_slope_condition, slope_preconditions
 from .spaces import GridSpec, NormedSpace
 
 KNOWN_CHECKS = (
@@ -204,7 +206,6 @@ def _validate(sc: Scenario):
         _fail("mapping.kind must be 'rule' or 'polyhedral'")
     if kind == "rule":
         _validate_coeffs(sc.mapping)
-        build_mapping(sc)  # the rule checks its dimensions and coefficients
     if kind == "polyhedral":
         pieces = sc.mapping.get("pieces")
         if not pieces:
@@ -236,8 +237,11 @@ def _validate(sc: Scenario):
         if name not in [_check_name(e) for e in sc.checks]:
             _fail(f"expect block references unknown check {name!r}")
     _validate_grids(sc.grids, sc.spaces)
-    build_query(sc)  # the query and the grids check their own ranges
+    q = build_query(sc)  # the query and the grids check their own ranges
     build_grids(sc)
+    F = build_mapping(sc)
+    for entry in sc.checks:
+        _preflight(_check_name(entry), _options(entry), F, q)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +414,29 @@ def build_grids(sc: Scenario) -> ScanGrids:
 _DEP_ORDER = {name: i for i, name in enumerate(KNOWN_CHECKS)}
 
 
+def _options(entry) -> dict:
+    """A check's options, with the condition checks' defaults."""
+    opts = {"mode": "sufficient", "variant": "convex-normal"}
+    return opts | entry if isinstance(entry, dict) else opts
+
+
+def _preflight(name: str, opts: dict, F, q):
+    """``InputError`` for the options of a condition check that its
+    checker would reject, so that a scenario is refused before any check
+    runs; ``validate`` and ``run`` both call it through ``load_scenario``."""
+    mode, variant = opts["mode"], opts["variant"]
+    if name in ("slope-nonlocal", "slope-local"):
+        slope_preconditions(F, mode, local=name == "slope-local")
+    elif name == "subdifferential":
+        subdifferential_preconditions(F, mode)
+    elif name == "normal-cone":
+        normal_cone_preconditions(F, variant, mode)
+    elif name in ("coderivative-ball", "coderivative-normalized"):
+        coderivative_threshold(F, q, name.split("-")[1], variant, mode)
+
+
 def _run_one(name: str, opts: dict, F, q, grids, sc: Scenario) -> Certificate:
-    mode = opts.get("mode", "sufficient")
+    mode = opts["mode"]
     if name == "oracle":
         return check_subreg_uniform(F, q, grids)
     if name == "geometric":
@@ -424,15 +449,15 @@ def _run_one(name: str, opts: dict, F, q, grids, sc: Scenario) -> Certificate:
         return check_subdifferential_condition(F, q, grids, mode=mode)
     if name == "normal-cone":
         return check_normal_cone_condition(
-            F, q, grids, variant=opts.get("variant", "convex-normal"), mode=mode)
+            F, q, grids, variant=opts["variant"], mode=mode)
     if name == "coderivative-ball":
         return check_coderivative_condition(
             F, q, grids, form="ball",
-            variant=opts.get("variant", "convex-normal"), mode=mode)
+            variant=opts["variant"], mode=mode)
     if name == "coderivative-normalized":
         return check_coderivative_condition(
             F, q, grids, form="normalized",
-            variant=opts.get("variant", "convex-normal"), mode=mode)
+            variant=opts["variant"], mode=mode)
     if name == "recede":
         return check_recede(F, q, float(sc.query["l"]), grids)
     if name == "aubin":
@@ -521,7 +546,7 @@ def run_scenario(sc: Scenario, out_dir: str | None = None,
     mismatches = []
     for entry in entries:
         name = _check_name(entry)
-        opts = entry if isinstance(entry, dict) else {}
+        opts = _options(entry)
         t0 = time.perf_counter()
         try:
             cert = _run_one(name, opts, F, q, grids, sc)

@@ -20,7 +20,8 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .mappings import RegularityQuery, ScanGrids, SetValuedMap, condition_scan
+from .mappings import RegularityQuery, ScanGrids, SetValuedMap, check_mode, \
+    condition_scan
 from .oracle import Certificate, MarginScan, _base_meta
 from .sets import ConeRep, cone_min_norm, gamma_dual_distance, _unit_directions
 from .spaces import GammaMetric, as_point
@@ -93,6 +94,19 @@ def coderivative_distance(F: SetValuedMap, p, x, y, ystar, eta: float) -> float:
     return cone_min_norm(cone, F.nx, -ystar, eta)
 
 
+def check_variant(variant: str):
+    """``InputError`` unless ``variant`` names a dual-vector variant."""
+    if variant not in ("convex-normal", "frechet-cap"):
+        raise InputError(f"unknown variant {variant!r}")
+
+
+def subdifferential_preconditions(F: SetValuedMap, mode: str):
+    """``InputError`` unless the subdifferential condition applies."""
+    check_mode(mode)
+    if not F.convex_graph:
+        raise InputError("subdifferential condition requires a convex graph")
+
+
 def check_subdifferential_condition(F: SetValuedMap, q: RegularityQuery,
                                     grids: ScanGrids, mode: str = "sufficient",
                                     tol: float = 1e-9,
@@ -104,8 +118,7 @@ def check_subdifferential_condition(F: SetValuedMap, q: RegularityQuery,
     of norm below alpha are counted in ``scan_meta["small_ystar_flags"]`` (the
     x-part should be >= alpha whenever the y-part vanishes).
     """
-    if not F.convex_graph:
-        raise InputError("subdifferential condition requires a convex graph")
+    subdifferential_preconditions(F, mode)
     q, x_radius, points = condition_scan(F, q, grids, mode)
     scan = MarginScan(tol)
     g = GammaMetric(q.gamma)
@@ -125,6 +138,16 @@ def check_subdifferential_condition(F: SetValuedMap, q: RegularityQuery,
     return scan.certificate(meta)
 
 
+def normal_cone_preconditions(F: SetValuedMap, variant: str, mode: str):
+    """``InputError`` unless the normal-cone condition applies."""
+    check_mode(mode)
+    check_variant(variant)
+    if variant == "convex-normal" and not F.convex_graph:
+        raise InputError("convex-normal variant requires a convex graph")
+    if mode == "necessary" and not F.convex_graph:
+        raise InputError("necessity of the normal-cone condition needs convexity")
+
+
 def check_normal_cone_condition(F: SetValuedMap, q: RegularityQuery,
                                 grids: ScanGrids,
                                 variant: str = "convex-normal",
@@ -136,12 +159,7 @@ def check_normal_cone_condition(F: SetValuedMap, q: RegularityQuery,
     graphs; ``frechet-cap`` samples the tau-cap of dual vectors and applies to
     polyhedral unions.  Necessary mode (convex) runs at gamma = 1/alpha.
     """
-    if variant not in ("convex-normal", "frechet-cap"):
-        raise InputError(f"unknown variant {variant!r}")
-    if variant == "convex-normal" and not F.convex_graph:
-        raise InputError("convex-normal variant requires a convex graph")
-    if mode == "necessary" and not F.convex_graph:
-        raise InputError("necessity of the normal-cone condition needs convexity")
+    normal_cone_preconditions(F, variant, mode)
     kind = "exact" if variant == "convex-normal" else "cap"
     q, x_radius, points = condition_scan(F, q, grids, mode)
     g = GammaMetric(q.gamma)
@@ -159,6 +177,27 @@ def check_normal_cone_condition(F: SetValuedMap, q: RegularityQuery,
     return scan.certificate(meta)
 
 
+def coderivative_threshold(F: SetValuedMap, q: RegularityQuery, form: str,
+                           variant: str, mode: str) -> float:
+    """The bound on min |x*| that the coderivative condition scans for;
+    ``InputError`` unless the condition applies."""
+    check_mode(mode)
+    if form not in ("ball", "normalized"):
+        raise InputError(f"unknown form {form!r}")
+    if not math.isfinite(q.eta) or not q.eta > 0:
+        raise InputError("coderivative condition needs a finite positive eta")
+    if form == "normalized" and not q.eta < 1:
+        raise InputError("normalized form needs eta in ]0,1[")
+    check_variant(variant)
+    if mode == "necessary":
+        if not F.convex_graph:
+            raise InputError("necessity of the coderivative bound needs convexity")
+        if not q.eta < 1:
+            raise InputError("necessary form needs eta in ]0,1[")
+        return q.alpha * (1.0 - q.eta)
+    return q.alpha if form == "ball" else q.alpha / (1.0 - q.eta)
+
+
 def check_coderivative_condition(F: SetValuedMap, q: RegularityQuery,
                                  grids: ScanGrids, form: str = "ball",
                                  variant: str = "convex-normal",
@@ -171,24 +210,7 @@ def check_coderivative_condition(F: SetValuedMap, q: RegularityQuery,
     mode (convex graphs) requires >= alpha(1-eta).  Vacuous points (empty
     coderivative over the ball) count toward ``scan_meta["vacuous"]``.
     """
-    if form not in ("ball", "normalized"):
-        raise InputError(f"unknown form {form!r}")
-    if not math.isfinite(q.eta) or not q.eta > 0:
-        raise InputError("coderivative condition needs a finite positive eta")
-    if form == "normalized" and not q.eta < 1:
-        raise InputError("normalized form needs eta in ]0,1[")
-    if mode == "necessary":
-        if not F.convex_graph:
-            raise InputError("necessity of the coderivative bound needs convexity")
-        if not q.eta < 1:
-            raise InputError("necessary form needs eta in ]0,1[")
-        threshold = q.alpha * (1.0 - q.eta)
-    elif form == "ball":
-        threshold = q.alpha
-    else:
-        threshold = q.alpha / (1.0 - q.eta)
-    if variant not in ("convex-normal", "frechet-cap"):
-        raise InputError(f"unknown variant {variant!r}")
+    threshold = coderivative_threshold(F, q, form, variant, mode)
     kind = "exact" if variant == "convex-normal" else "cap"
     q, x_radius, points = condition_scan(F, q, grids, mode)
     scan = MarginScan(tol)

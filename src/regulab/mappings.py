@@ -466,6 +466,12 @@ def condition_scan_points(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
                             sol_dist=float(sd))
 
 
+def check_mode(mode: str):
+    """``InputError`` unless ``mode`` is a condition check's mode."""
+    if mode not in ("sufficient", "necessary"):
+        raise InputError(f"unknown mode {mode!r}")
+
+
 def condition_scan(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
                    mode: str):
     """Query, x-radius and admissible points of a condition check in ``mode``.
@@ -475,8 +481,7 @@ def condition_scan(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
     ``(query, x_radius, points)`` with ``points`` a lazy
     ``condition_scan_points`` stream.
     """
-    if mode not in ("sufficient", "necessary"):
-        raise InputError(f"unknown mode {mode!r}")
+    check_mode(mode)
     if mode == "necessary":
         q = dataclasses.replace(q, gamma=1.0 / q.alpha)
         x_radius = q.delta

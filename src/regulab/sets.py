@@ -18,12 +18,10 @@ Distances from a dual vector to a cone in the weighted dual norm
 
     d(q, C) = max { <q, u> : |u_x| <= 1, |u_y| <= 1/gamma, u in polar(C) },
 
-which has a closed form when both factors are one-dimensional (the maximum
-sits at a vertex of a polygon) and when the cone is a subspace (the polar
-is then a subspace, and one scalar search closes a primal-dual bracket that
-is checked on every call); only a cone with generators in more dimensions
-leaves it to a small smooth convex program (SLSQP), and a run of that
-program that finds nothing raises ``NumericError``.
+in closed form: at a vertex of a polygon when both factors are
+one-dimensional, else face by face of the polar, each face a subspace on
+which one scalar search solves the problem.  Every answer comes with a
+primal-dual bracket that must close, else ``NumericError``.
 """
 
 from __future__ import annotations
@@ -34,8 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-# linprog and lsq_linear are not called here; the benchmark warms and traces
-# them by these names
+# linprog, lsq_linear and minimize are not called here; bench/worker.py warms
+# them and bench/tracing.py traces them by these names
 from scipy.optimize import linprog, lsq_linear, minimize, nnls  # noqa: F401
 
 from .errors import (
@@ -50,6 +48,7 @@ _FEAS_TOL = 1e-9
 # the multipliers that the closed forms on subspace cones search lie in
 # [1 / _LAM_MAX, _LAM_MAX]; the two ends stand for the limits 0 and infinity
 _LAM_MAX = 2.0 ** 128
+_MAX_FACES = 2 ** 12  # the most faces that _face_search enumerates
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +80,7 @@ class Polyhedron:
         x = as_point(x)
         if x.shape[0] != self.dim:
             raise DimensionMismatchError("point dim does not match polyhedron")
-        scale = 1.0 + np.linalg.norm(self.A, axis=1)
+        scale = np.maximum(1.0, abs(self.b)) + np.linalg.norm(self.A, axis=1)
         return bool(np.all(self.A @ x - self.b <= tol * scale))
 
     def is_empty(self) -> bool:
@@ -396,10 +395,6 @@ class ConeRep:
     def is_trivial(self) -> bool:
         return not self.empty and self.generators.shape[0] == 0 and self.lineality.shape[0] == 0
 
-    def basis_matrix(self) -> np.ndarray:
-        """Columns: generators (coefficients >= 0) then lineality (free)."""
-        return np.vstack([self.generators, self.lineality]).T
-
     def euclidean_distance(self, v) -> float:
         """Euclidean distance from ``v`` to the cone (inf if empty)."""
         v = as_point(v)
@@ -414,21 +409,32 @@ class ConeRep:
     def contains(self, v, tol: float = 1e-9) -> bool:
         return not self.empty and self.euclidean_distance(v) <= tol
 
-    def subspace_basis(self, nx: int, polar: bool):
-        """``_block_basis`` of the orthogonal complement of the lineality
-        space (``polar``, the polar of a cone with no generators) or of the
-        lineality space itself, built once per cone and ``nx``: a rule's
-        cone is often one object at every graph point."""
-        key = (nx, polar)
-        if key not in self._bases:
+    def face(self, S: tuple, nx: int):
+        """``(polar, primal, D)``: the ``_block_basis`` of ``{u : G_S u = 0,
+        L u = 0}`` and of ``span(G_S, L)``, from one SVD, and the ``D`` whose
+        ``D w`` are the coefficients on ``G_S`` of a ``w`` in that span; or
+        ``None`` unless ``G_S`` is independent modulo L.  Built once per cone,
+        ``S`` and ``nx``: a rule's cone is often one object at every point."""
+        key = (S, nx)
+        if key in self._bases:
+            return self._bases[key]
+        if not S:
             rows, null = _orthonormal_split(self.lineality)
-            self._bases[key] = _block_basis(null if polar else rows, nx)
+            D = np.zeros((0, self.dim))
+        else:
+            # L's orthonormal basis: its rows may depend on each other
+            M = np.vstack([self.generators[list(S)], self.face((), nx)[1][0]])
+            U, s, vt = np.linalg.svd(M)
+            if s[-1] <= 1e-10 * self.dim * s[0]:
+                self._bases[key] = None
+                return None
+            rows, null = vt[:M.shape[0]], vt[M.shape[0]:]
+            D = (U[:len(S)] / s) @ rows  # M^T a = w has a = U diag(1/s) rows w
+        self._bases[key] = _block_basis(null, nx), _block_basis(rows, nx), D
         return self._bases[key]
 
     def polar_halfspaces(self) -> np.ndarray:
-        """Rows ``r`` of the polar's halfspace form ``{u : r.u <= 0}``... i.e.
-        the polar of this cone is ``{u : G u <= 0, L u = 0}`` returned as the
-        stacked matrix ``[G; L; -L]``."""
+        """``[G; L; -L]``: the polar is ``{u : G u <= 0, L u = 0}``."""
         return np.vstack([self.generators, self.lineality, -self.lineality])
 
 
@@ -442,11 +448,6 @@ def _orthonormal_split(M: np.ndarray, tol: float = 1e-10):
     return vt[:rank], vt[rank:]
 
 
-def _nullspace(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the nullspace, as rows."""
-    return _orthonormal_split(M, tol)[1]
-
-
 def cone_rays_from_halfspaces(M: np.ndarray, n: int, tol: float = 1e-9) -> ConeRep:
     """V-form of ``{v in R^n : M v <= 0}`` for small dimensions (n <= 3).
 
@@ -456,8 +457,8 @@ def cone_rays_from_halfspaces(M: np.ndarray, n: int, tol: float = 1e-9) -> ConeR
     M = np.atleast_2d(np.asarray(M, dtype=float)) if M is not None and len(M) else np.zeros((0, n))
     if n > 3 and M.shape[0] > 0:
         raise InputError("cone ray enumeration supports dimension <= 3")
-    lin = _nullspace(M)
-    W = _nullspace(lin) if lin.shape[0] else np.eye(n)
+    lin = _orthonormal_split(M)[1]
+    W = _orthonormal_split(lin)[1] if lin.shape[0] else np.eye(n)
     k = W.shape[0]
     rays: list[np.ndarray] = []
     if k > 0:
@@ -468,7 +469,7 @@ def cone_rays_from_halfspaces(M: np.ndarray, n: int, tol: float = 1e-9) -> ConeR
         else:
             rows = range(Mw.shape[0])
             for idx in itertools.combinations(rows, k - 1):
-                ns = _nullspace(Mw[list(idx)])
+                ns = _orthonormal_split(Mw[list(idx)])[1]
                 if ns.shape[0] != 1:
                     continue
                 cands.extend([ns[0], -ns[0]])
@@ -577,33 +578,24 @@ def gamma_dual_distance(q, cone: ConeRep, g: GammaMetric, nx: int,
                         with_direction: bool = False):
     """Distance from ``q=(q_x, q_y)`` to the cone in the norm |.|+|.|/gamma.
 
-    ``nx`` is the length of the first block.  Computed in support form: in
-    closed form when both blocks are one-dimensional or the cone is a
-    subspace (``_support_subspace``), by SLSQP for a cone with generators
-    in more dimensions.  With ``with_direction`` the maximizing primal
-    direction (an element of the polar of the cone with ``|u_x| <= 1``,
-    ``|u_y| <= 1/gamma``) is returned alongside the value.  ``NumericError``
-    when the subspace form's bracket does not close or SLSQP finds no
-    maximizer.
+    ``nx`` is the length of the first block.  Computed in support form: at
+    the vertices of a polygon when both blocks are one-dimensional, else
+    face by face (``_support_faces``).  With ``with_direction`` the
+    maximizing primal direction (an element of the polar of the cone with
+    ``|u_x| <= 1``, ``|u_y| <= 1/gamma``) is returned alongside the value.
+    ``NumericError`` when the face search's bracket does not close.
     """
     q = as_point(q)
     n = q.shape[0]
     if cone.empty:
         return (np.inf, None) if with_direction else np.inf
-    ny = n - nx
     if cone.dim != n:
         raise DimensionMismatchError("cone and point dimensions differ")
-    M = cone.polar_halfspaces()  # u in polar(C): M u <= 0
-    if nx == 1 and ny == 1:
+    if nx == 1 and n == 2:
         # 0 when q is in the cone: the origin is the first vertex
-        val, u = _support_2d(q, M, 1.0 / g.gamma)
-    elif cone.generators.shape[0] == 0:
-        val, u = _support_subspace(q, cone.subspace_basis(nx, polar=True),
-                                   1.0 / g.gamma)
-    elif cone.euclidean_distance(q) <= 1e-13:
-        val, u = 0.0, np.zeros(n)
+        val, u = _support_2d(q, cone.polar_halfspaces(), 1.0 / g.gamma)
     else:
-        val, u = _support_slsqp(q, M, g, nx)
+        val, u = _support_faces(q, cone, nx, 1.0 / g.gamma)
     return (val, u) if with_direction else val
 
 
@@ -659,6 +651,36 @@ def _support_2d(q, M, c: float):
     return float(max(0.0, vals[i])), P[i]
 
 
+def _support_faces(q, cone: ConeRep, nx: int, c: float):
+    """max q.u over the polar ``{G u <= 0, L u = 0}`` with ``|u_x| <= 1``
+    and ``|u_y| <= c``, and a maximizer, by ``_face_search``: a face's
+    maximizer ``u`` (``_support_subspace``) bounds it below if ``G_i u <=
+    1e-12 |G_i| |u|`` for every row.  It is ``min |q_x - w_x| + c |q_y -
+    w_y|`` over ``w`` in the cone, and the ``w = G_S^T a + L^T t`` fitting
+    ``q`` by nonnegative least squares on ``[G_S, L, -L]`` and the normals
+    of the balls active at ``u`` (within 1e-9) bounds it above, as does the
+    face S = () itself: it contains the polar."""
+    G, L = cone.generators, cone.lineality
+    G_tol = 1e-12 * np.linalg.norm(G, axis=1) if len(G) else None
+
+    def bounds(S, face):
+        low, up, u = _support_subspace(q, face[0], c)
+        if len(G) and not np.all(G @ u <= G_tol * np.linalg.norm(u)):
+            low = -math.inf
+        if S:
+            B = np.vstack([G[list(S)], L, -L]).T
+            ux = u * (np.arange(len(u)) < nx)  # the ball normals (u_x, 0)
+            balls = [b for b, r2 in ((ux, 1.0), (u - ux, c * c))  # (0, u_y)
+                     if b @ b >= r2 * (1 - 1e-9)]
+            r = q - B @ _nonneg_lsq(np.column_stack([B, *balls]),
+                                    q)[:B.shape[1]]
+            up = np.linalg.norm(r[:nx]) + c * np.linalg.norm(r[nx:])
+        yield low, up, u
+
+    lower, _, u = _face_search(cone, nx, bounds)
+    return lower, u
+
+
 def _block_basis(R, nx: int):
     """An orthonormal basis ``G`` (rows) of the row space of the orthonormal
     rows ``R`` whose x-parts are mutually orthogonal, and so are its y-parts,
@@ -671,11 +693,43 @@ def _block_basis(R, nx: int):
     return G, (G[:, :nx] ** 2).sum(axis=1), (G[:, nx:] ** 2).sum(axis=1)
 
 
-def _closed_bracket(at, ends=()):
+def _is_closed(lower: float, upper: float, tol: float) -> bool:
+    return upper < math.inf and upper - lower <= tol * max(1.0, upper)
+
+
+def _face_search(cone: ConeRep, nx: int, bounds):
+    """The closest ``(lower, upper, u)`` of the bounds, and the point of the
+    lower one, that ``bounds(S, cone.face(S, nx))`` yields over the sets S
+    of generator rows independent modulo L, smallest first.  An optimum lies
+    on a face ``cone(G_S) + L`` or ``{G_S u = 0, L u = 0}`` for such an S
+    (Caratheodory's theorem), where the bounds meet.  Stops once they are
+    within 1e-13; ``NumericError`` unless they end within 1e-10 (relative
+    above 1), or above ``_MAX_FACES`` sets to try."""
+    k = cone.generators.shape[0]
+    sizes = range(min(k, cone.dim - cone.face((), nx)[1][0].shape[0]) + 1)
+    if sum(math.comb(k, j) for j in sizes) > _MAX_FACES:
+        raise NumericError(f"a cone with {k} generators has more than "
+                           f"{_MAX_FACES} faces to enumerate")
+    lower, upper, best = -math.inf, math.inf, None
+    for S in itertools.chain.from_iterable(
+            itertools.combinations(range(k), j) for j in sizes):
+        if (face := cone.face(S, nx)) is None:
+            continue
+        for low, up, u in bounds(S, face):
+            if low > lower:
+                lower, best = low, u
+            upper = min(upper, up)
+        if _is_closed(lower, upper, 1e-13):
+            break
+    if not _is_closed(lower, upper, 1e-10):
+        raise NumericError(f"closed-form bracket [{lower!r}, {upper!r}] did "
+                           "not close")
+    return lower, upper, best
+
+
+def _bracket_search(at, ends=()):
     """``(lower, upper, u)``: the closest bounds on the optimum of a
-    subspace problem that ``at`` gives over multipliers ``lam > 0``, checked
-    to be within 1e-10 of each other (relative above 1), else
-    ``NumericError``.
+    subspace problem that ``at`` gives over multipliers ``lam > 0``.
 
     ``at(lam)`` returns ``(f, df/dlam, lower, upper, u)``: bounds valid at
     every ``lam`` (nan or inf where undefined), the point ``u`` whose value
@@ -701,15 +755,12 @@ def _closed_bracket(at, ends=()):
         upper = min(upper, up)
         return f, df
 
-    def closed(tol):
-        return upper < math.inf and upper - lower <= tol * max(1.0, upper)
-
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for lam in ends:
             take(lam)
         lo, hi, lam, moved = 1 / _LAM_MAX, _LAM_MAX, 1.0, math.inf
         for _ in range(100):
-            if closed(1e-13) or hi - lo <= 2.0 ** -50 * hi:
+            if _is_closed(lower, upper, 1e-13) or hi - lo <= 2.0 ** -50 * hi:
                 break
             f, df = take(lam)
             if f < 0:
@@ -724,32 +775,28 @@ def _closed_bracket(at, ends=()):
             else:
                 new = math.sqrt(lo * hi)
             lam, moved = new, abs(new - lam)
-    if not closed(1e-10):
-        raise NumericError(f"closed-form bracket [{lower!r}, {upper!r}] did "
-                           "not close")
     return lower, upper, u
 
 
 def _support_subspace(q, basis, c: float):
-    """max q.u over ``u`` in a subspace with ``|u_x| <= 1`` and ``|u_y| <=
-    c``, and a maximizer; 0 when ``q`` is within 1e-13 of the orthogonal
-    complement (the cone).
+    """``(lower, upper, u)``: bounds on max q.u over ``u`` in a subspace
+    with ``|u_x| <= 1`` and ``|u_y| <= c``, and a maximizer ``u`` of value
+    ``lower``; 0 when ``q`` is within 1e-13 of the orthogonal complement.
 
     In the subspace's basis ``basis = (G, sx, sy)`` from ``_block_basis``,
-    with ``h = G q``: for every ``lam >
-    0``, the Lagrangian dual value at the multipliers ``rho (1, lam)`` of the
-    two balls, minimized over ``rho``, bounds the maximum above by
-    ``sqrt((1 + lam c^2) sum h_i^2 / E_i)``, ``E = sx + lam sy``; ``w = h /
-    E`` scaled onto the nearer ball edge is a feasible ``u`` that bounds it
-    below.  The bounds meet where ``c^2 |w_x|^2 - |w_y|^2``, the sign of the
-    upper one's derivative, changes sign, or in the limit ``lam -> 0`` or
-    ``lam -> inf``, for which the ends of the search range stand.  Returns
-    the lower bound, the value of the returned ``u``.
+    with ``h = G q``: for every ``lam > 0``, the Lagrangian dual value at
+    the multipliers ``rho (1, lam)`` of the two balls, minimized over
+    ``rho``, bounds the maximum above by ``sqrt((1 + lam c^2) sum h_i^2 /
+    E_i)``, ``E = sx + lam sy``; ``w = h / E`` scaled onto the nearer ball
+    edge is a feasible ``u`` that bounds it below.  The bounds meet where
+    ``c^2 |w_x|^2 - |w_y|^2``, the sign of the upper one's derivative,
+    changes sign, or in the limit ``lam -> 0`` or ``lam -> inf``, for which
+    the ends of the search range stand.
     """
     G, sx, sy = basis
     h = G @ q
     if np.linalg.norm(h) <= 1e-13:
-        return 0.0, np.zeros(q.shape[0])
+        return 0.0, 0.0, np.zeros(q.shape[0])
     c2 = c * c
 
     def at(lam):
@@ -760,75 +807,23 @@ def _support_subspace(q, basis, c: float):
         return (c2 * P - Q, -2 * ((c2 * sx - sy) * sy / E) @ (w * w),
                 float(q @ u), math.sqrt((1 + lam * c2) * (h @ w)), u)
 
-    lower, _, u = _closed_bracket(at, ends=(1 / _LAM_MAX, _LAM_MAX))
-    return lower, u
+    return _bracket_search(at, ends=(1 / _LAM_MAX, _LAM_MAX))
 
 
-def _support_slsqp(q, M, g: GammaMetric, nx: int):
-    n = q.shape[0]
-    gamma = g.gamma
-
-    def neg_obj(u):
-        return -float(q @ u)
-
-    cons = [
-        {"type": "ineq", "fun": lambda u: 1.0 - u[:nx] @ u[:nx],
-         "jac": lambda u: np.concatenate([-2 * u[:nx], np.zeros(n - nx)])},
-        {"type": "ineq", "fun": lambda u: 1.0 / gamma**2 - u[nx:] @ u[nx:],
-         "jac": lambda u: np.concatenate([np.zeros(nx), -2 * u[nx:]])},
-    ]
-    if M.shape[0]:
-        cons.append({"type": "ineq", "fun": lambda u: -(M @ u), "jac": lambda u: -M})
-
-    found, best, best_u = False, 0.0, np.zeros(n)
-    starts = [np.zeros(n)]
-    scaled = q.copy()
-    if np.linalg.norm(scaled):
-        s = scaled / np.linalg.norm(scaled)
-        starts.append(s * 0.5)
-        starts.append(-s * 0.5)
-    for u0 in starts:
-        res = minimize(
-            neg_obj, u0, jac=lambda u: -q, constraints=cons, method="SLSQP",
-            options={"maxiter": 400, "ftol": 1e-14},
-        )
-        if res.success:
-            u = res.x
-            feas = (
-                u[:nx] @ u[:nx] <= 1 + 1e-9
-                and u[nx:] @ u[nx:] <= 1 / gamma**2 + 1e-9
-                and (M.shape[0] == 0 or np.all(M @ u <= 1e-8))
-            )
-            found = found or feas
-            if feas and float(q @ u) > best:
-                best = float(q @ u)
-                best_u = u
-    if not found:
-        raise NumericError("SLSQP found no feasible point of the support "
-                           "problem")
-    return best, best_u
-
-
-def cone_min_norm(
-    cone: ConeRep,
-    nx: int,
-    y_target: np.ndarray,
-    eta: float,
-) -> float:
+def cone_min_norm(cone: ConeRep, nx: int, y_target: np.ndarray,
+                  eta: float) -> float:
     """min |w_x| over cone elements ``w=(w_x, w_y)`` with ``|w_y - y_target| <= eta``.
 
     Returns +inf when no cone element meets the ball constraint (the check is
-    then vacuous).  In closed form when both blocks are one-dimensional or
-    the cone is a subspace (``_min_norm_subspace``), by SLSQP for a cone
-    with generators in more dimensions; ``NumericError`` when the subspace
-    form's bracket does not close or SLSQP finds no feasible point.  Used
-    for coderivative distances: the coderivative of F at (x, y) applied to
-    v* collects the x-parts of cone elements with y-part ``-v*``.
+    then vacuous).  At the vertices of a polygon when both blocks are
+    one-dimensional, else face by face (``_min_norm_faces``); ``NumericError``
+    when the face search's bracket does not close.  Used for coderivative
+    distances: the coderivative of F at (x, y) applied to v* collects the
+    x-parts of cone elements with y-part ``-v*``.
     """
     if cone.empty:
         return np.inf
-    n = cone.dim
-    ny = n - nx
+    ny = cone.dim - nx
     y_target = as_point(y_target)
     if y_target.shape[0] != ny:
         raise DimensionMismatchError("target dim mismatch in cone_min_norm")
@@ -838,18 +833,14 @@ def cone_min_norm(
         return 0.0 if np.linalg.norm(y_target) <= eta + 1e-12 else np.inf
     if nx == 1 and ny == 1:
         return _min_norm_2d(cone.polar_halfspaces(), float(y_target[0]), eta)
-    B = cone.basis_matrix()  # n x (k+m)
-    By, Bx = B[nx:], B[:nx]
     # nearest cone y-part to the target: the y-rows of the columns [G; L; -L]
     Bp = cone.polar_halfspaces().T[nx:]
     c = _nonneg_lsq(Bp, y_target)
     if np.linalg.norm(Bp @ c - y_target) > eta + 1e-10:
         return np.inf
-    if k == 0:
-        return _min_norm_subspace(cone.subspace_basis(nx, polar=False), nx,
-                                  y_target, eta)
-    c0 = np.concatenate([c[:k], c[k:k + m] - c[k + m:]])
-    return _min_norm_slsqp(Bx, By, y_target, eta, k, m, c0)
+    if y_target @ y_target <= eta * eta:
+        return 0.0  # w = 0
+    return _min_norm_faces(cone, nx, y_target, eta)
 
 
 def _min_norm_2d(M, y: float, eta: float) -> float:
@@ -873,68 +864,75 @@ def _min_norm_2d(M, y: float, eta: float) -> float:
     return float(max(0.0, np.max(np.where(vy >= 0, lo * vy, hi * vy))))
 
 
-def _min_norm_subspace(basis, nx: int, y, eta: float) -> float:
-    """min |w_x| over ``w`` in a subspace with ``|w_y - y| <= eta``, for a
-    ball that the y-parts of that space meet.
+def _min_norm_faces(cone: ConeRep, nx: int, y, eta: float) -> float:
+    """min |w_x| over ``w`` in the cone with ``|w_y - y| <= eta``, a ball
+    that the cone's y-parts meet and that does not hold the origin, by
+    ``_face_search``: at each ``lam`` of the search on a face
+    (``_min_norm_subspace``), ``w`` bounds it above by ``|w_x|`` if in the
+    ball and the cone (``D w >= -1e-12 |D_i| |w|``), and ``v = -(w_x, lam
+    (w_y - y))``, orthogonal to the face, below by ``(<v_y, y> - eta |v_y|)
+    / |v_x|`` (weak duality) if ``G_i v <= 1e-12 |G_i| |v|`` for every row;
+    so does 0.  ``span(L)``, in the cone, and ``span(G, L)``, holding it,
+    add their own upper and lower bounds."""
+    G, e2 = cone.generators, eta * eta
+
+    def bounds(S, face):
+        (N, _, _), basis, D = face
+        low, up, trace = _min_norm_subspace(basis, nx, y, eta)
+        yield (low if len(S) == len(G) else 0.0), (math.inf if S else up), None
+        if not len(G):
+            return  # the one face is the cone
+        D_norms, G_norms = np.linalg.norm(D, axis=1), np.linalg.norm(G, axis=1)
+        for lam, z, cost, r in trace:
+            w = basis[0].T @ z
+            in_cone = np.all(D @ w >= -1e-12 * D_norms * np.linalg.norm(w))
+            # at a large lam, w_y - y is mostly rounding: put v back onto
+            # the face's orthogonal complement, where it lies
+            v = -N.T @ (N @ np.concatenate([w[:nx], lam * (w[nx:] - y)]))
+            vx = np.linalg.norm(v[:nx])
+            in_polar = vx > 0 and np.all(G @ v <= 1e-12 * G_norms *
+                                         np.linalg.norm(v))
+            low = (v[nx:] @ y - eta * np.linalg.norm(v[nx:])) / vx \
+                if in_polar else -math.inf
+            up = math.sqrt(cost) if r <= e2 and in_cone else math.inf
+            yield low, up, None
+
+    return _face_search(cone, nx, bounds)[1]
+
+
+def _min_norm_subspace(basis, nx: int, y, eta: float):
+    """``(lower, upper, trace)``: bounds on min |w_x| over ``w`` in a
+    subspace with ``|w_y - y| <= eta``, a ball that the y-parts of that space
+    meet and that does not hold the origin, and the search's points.
 
     A trust-region problem (Moré and Sorensen, *Computing a trust region
     step*, 1983), in the subspace's basis ``basis = (G, sx, sy)`` from
-    ``_block_basis``, with ``b = G_y y``: at the
-    ball's multiplier ``lam``, ``w = G^T z`` with ``z = lam b / E``, ``E = sx
-    + lam sy``, minimizes ``|w_x|^2 + lam |w_y - y|^2``, so ``|w_x|^2 + lam
-    (|w_y - y|^2 - eta^2)`` bounds the square of the minimum below, and
-    ``|w_x|`` bounds it above where ``w`` is in the ball.  ``|w_y - y|``
-    falls as ``lam`` grows, and the bounds meet where it equals ``eta``, or
-    in the limit ``lam -> 0``, where only the directions with no x-part move
-    ``w`` (the answer is then 0), for which the lower end of the search range
-    stands.  Returns the upper bound.
+    ``_block_basis``, with ``b = G_y y``: at the ball's multiplier ``lam``,
+    ``w = G^T z`` with ``z = lam b / E``, ``E = sx + lam sy``, minimizes
+    ``|w_x|^2 + lam |w_y - y|^2``, so ``|w_x|^2 + lam (|w_y - y|^2 -
+    eta^2)`` bounds the square of the minimum below, and ``|w_x|`` bounds it
+    above where ``w`` is in the ball.  ``|w_y - y|`` falls as ``lam`` grows,
+    and the bounds meet where it equals ``eta``, or in the limit ``lam ->
+    0``, where only the directions with no x-part move ``w`` (the answer is
+    then 0), for which the lower end of the search range stands.  ``trace``
+    lists ``(lam, z, |w_x|^2, |w_y - y|^2)`` at each ``lam`` evaluated.
     """
     yy, e2 = float(y @ y), eta * eta
-    if yy <= e2:
-        return 0.0  # w = 0
     G, sx, sy = basis
+    if not len(G):
+        return math.inf, math.inf, []  # {0} misses the ball
     b = G[:, nx:] @ y
+    trace = []
 
     def at(lam):
         E = sx + lam * sy
         z = lam * b / E
         cost = sx @ (z * z)
         r = yy - 2 * (b @ z) + sy @ (z * z)  # |w_y - y|^2
+        trace.append((lam, z, cost, r))
         return (e2 - r, 2 * ((b * sx) ** 2 / E ** 3).sum(),
                 math.sqrt(max(cost + lam * (r - e2), 0.0)),
                 math.sqrt(cost) if r <= e2 else math.inf, None)
 
-    return _closed_bracket(at, ends=(1 / _LAM_MAX,))[1]
-
-
-def _min_norm_slsqp(Bx, By, y_target, eta, k, m, c0) -> float:
-    nv = k + m
-
-    def obj(c):
-        w = Bx @ c
-        return float(w @ w)
-
-    def obj_jac(c):
-        return 2 * Bx.T @ (Bx @ c)
-
-    def ball(c):
-        r = By @ c - y_target
-        return float(eta**2 - r @ r)
-
-    def ball_jac(c):
-        r = By @ c - y_target
-        return -2 * By.T @ r
-
-    cons = [{"type": "ineq", "fun": ball, "jac": ball_jac}]
-    bounds = [(0.0, None)] * k + [(None, None)] * m
-    best = np.inf
-    for start in (c0, np.zeros(nv)):
-        res = minimize(obj, start, jac=obj_jac, constraints=cons, bounds=bounds,
-                       method="SLSQP", options={"maxiter": 400, "ftol": 1e-16})
-        c = res.x
-        if res.success and ball(c) >= -1e-9 and np.all(c[:k] >= -1e-10):
-            best = min(best, float(np.linalg.norm(Bx @ c)))
-    if math.isinf(best):
-        raise NumericError("SLSQP found no feasible point of the min-norm "
-                           "problem")
-    return best
+    lower, upper, _ = _bracket_search(at, ends=(1 / _LAM_MAX,))
+    return lower, upper, trace

@@ -23,6 +23,7 @@ from .mappings import (
     RegularityQuery,
     ScanGrids,
     SetValuedMap,
+    check_mode,
     condition_scan,
     strict_cap,
 )
@@ -256,12 +257,18 @@ def local_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
     return float(max(0.0, np.max(r[ok]))) if ok.any() else 0.0
 
 
-def _condition_check(F, q, grids, mode, slope_fn, tol, local) -> Certificate:
-    q, x_radius, points = condition_scan(F, q, grids, mode)
+def slope_preconditions(F: SetValuedMap, mode: str, local: bool):
+    """``InputError`` for a slope check that ``F`` and ``mode`` rule out."""
+    check_mode(mode)
     if mode == "necessary" and local and not F.convex_graph:
         raise InputError(
             "the local-slope bound is necessary only for convex graphs"
         )
+
+
+def _condition_check(F, q, grids, mode, slope_fn, tol, local) -> Certificate:
+    slope_preconditions(F, mode, local)
+    q, x_radius, points = condition_scan(F, q, grids, mode)
     scan = MarginScan(tol)
     for sp in points:
         val = slope_fn(F, q, sp.p, sp.x, sp.y, grids)

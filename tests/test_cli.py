@@ -1,5 +1,6 @@
 """Scenario loading, command-line interface, exit codes, and determinism."""
 
+import csv
 import os
 
 import numpy as np
@@ -185,6 +186,55 @@ def test_no_slsqp_for_affine_rules(tmp_path, monkeypatch):
     assert code == 0, report
 
 
+POLY_2D_SCENARIO = """\
+spaces: {x_dim: 2, y_dim: 1, p_dim: 1}
+mapping:
+  kind: polyhedral
+  convex: true
+  pieces:
+    - A: [[1, 0.5, -1], [-1, 1, -1], [0, 0, 1]]
+      b: [0, 0, 2]
+      b_p: [[-0.3], [0], [0]]
+query: {xbar: [0.0, 0.0], ybar: [0.0], pbar: [0.0], alpha: 0.3, delta: 0.5,
+        mu: 0.5, eta: 0.5}
+grids:
+  x: {lower: [-1.0, -1.0], upper: [1.0, 1.0], resolution: 9}
+  y: {lower: [-1.0], upper: [1.0], resolution: 9}
+  p: {lower: [-0.3], upper: [0.3], resolution: 3}
+checks: [oracle, geometric, slope-nonlocal, slope-local, subdifferential,
+         normal-cone, coderivative-ball, coderivative-normalized]
+expect: {oracle: HOLDS, geometric: HOLDS, slope-nonlocal: HOLDS,
+         slope-local: HOLDS, subdifferential: HOLDS, normal-cone: HOLDS,
+         coderivative-ball: HOLDS, coderivative-normalized: VIOLATED}
+"""
+
+
+def test_no_slsqp_for_2d_polyhedral_maps(tmp_path, monkeypatch):
+    # the graph normal cones of a 2-D polyhedral map have generators; every
+    # dual distance on them is exact face by face.  Multi-start SLSQP found
+    # no feasible point of a min-norm problem here, and the subdifferential
+    # row was INCONCLUSIVE
+    def no_minimize(*args, **kwargs):
+        raise AssertionError("SLSQP called at run time")
+
+    monkeypatch.setattr(regulab.sets, "minimize", no_minimize)
+    out = tmp_path / "out"
+    code, report = run_scenario(load_scenario(write(tmp_path,
+                                                    POLY_2D_SCENARIO)),
+                                out_dir=str(out))
+    assert code == 0, report
+    with open(out / "sc.csv") as fh:
+        margins = {row["check"]: float(row["margin"])
+                   for row in csv.DictReader(fh)}
+    # the merit subdifferential at y != ybar is (0, y*) + N: its distance is
+    # the normal-cone condition's
+    assert margins["subdifferential"] == margins["normal-cone"]
+    for check, margin in (("normal-cone", 0.427606875109),
+                          ("coderivative-ball", 0.0638034375545),
+                          ("coderivative-normalized", -0.236196562445)):
+        assert abs(margins[check] - margin) <= 1e-9, (check, margins)
+
+
 def test_cli_exit_code_four_on_other_errors(tmp_path, monkeypatch):
     def empty(*args, **kwargs):
         raise EmptySetError("cannot project onto an empty polyhedron")
@@ -280,6 +330,37 @@ def test_cli_exit_code_two_on_input_error(tmp_path):
     path = write(tmp_path, replaced(FAST_SCENARIO,
                                     (*AFFINE_2D, ("A", "[[1, 2], [0, 4]]"))))
     assert CliRunner().invoke(main, ["validate", path]).exit_code == 0
+
+
+def test_cli_check_options_are_checked_before_any_check_runs(tmp_path,
+                                                             monkeypatch):
+    # validate accepted these, and run refused them only after the checks
+    # before them had run
+    ran = []
+    monkeypatch.setattr(regulab.cli, "check_subreg_uniform",
+                        lambda *args: ran.append("oracle"))
+    for pairs, message in (
+            ((("checks: [oracle, normal-cone]",
+               "checks: [oracle, coderivative-normalized]"),
+              ("expect: {oracle: HOLDS, normal-cone: HOLDS}", "")),
+             "normalized form needs eta in ]0,1["),
+            ((("convex: true", "convex: false"),),
+             "convex-normal variant requires a convex graph"),
+            ((("normal-cone]", "{name: normal-cone, variant: cap}]"),),
+             "unknown variant 'cap'"),
+            ((("normal-cone]", "{name: slope-local, mode: necessary}]"),
+              ("convex: true", "convex: false"),
+              ("normal-cone: HOLDS", "slope-local: HOLDS")),
+             "the local-slope bound is necessary only for convex graphs"),
+            ((("normal-cone]", "{name: subdifferential, mode: both}]"),
+              ("normal-cone: HOLDS", "subdifferential: HOLDS")),
+             "unknown mode 'both'")):
+        path = write(tmp_path, replaced(POLY_SCENARIO, pairs))
+        for cmd in ("validate", "run"):
+            res = CliRunner().invoke(main, [cmd, path])
+            assert res.exit_code == 2, (cmd, message, res.output)
+            assert f"input error: {message}" in res.output
+    assert ran == []
 
 
 def test_cli_failed_solver_gives_inconclusive_row(tmp_path, monkeypatch):
