@@ -27,7 +27,8 @@ from .dual import check_coderivative_condition, check_normal_cone_condition, \
 from .ekeland import evp_search
 from .errors import InputError, NumericError, RegulabError, ResourceCapError
 from .implicit import AubinQuery, check_aubin, check_recede, compose_aubin_rate, \
-    certify_aubin
+    certify_aubin, param_pair_preconditions, pipeline_preconditions, \
+    positive_rate
 from .mappings import ClosedFormMap, PolyhedralGraphMap, RegularityQuery, \
     ScanGrids, SetValuedMap
 from .oracle import Certificate, Verdict, check_geometric, check_subreg_uniform
@@ -238,10 +239,10 @@ def _validate(sc: Scenario):
             _fail(f"expect block references unknown check {name!r}")
     _validate_grids(sc.grids, sc.spaces)
     q = build_query(sc)  # the query and the grids check their own ranges
-    build_grids(sc)
+    grids = build_grids(sc)
     F = build_mapping(sc)
     for entry in sc.checks:
-        _preflight(_check_name(entry), _options(entry), F, q)
+        _preflight(_check_name(entry), _options(entry), F, q, grids, sc.query)
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +421,18 @@ def _options(entry) -> dict:
     return opts | entry if isinstance(entry, dict) else opts
 
 
-def _preflight(name: str, opts: dict, F, q):
-    """``InputError`` for the options of a condition check that its
-    checker would reject, so that a scenario is refused before any check
-    runs; ``validate`` and ``run`` both call it through ``load_scenario``."""
+def _preflight(name: str, opts: dict, F, q, grids, query: dict):
+    """``InputError`` for the options of a check that its checker would
+    reject, so that a scenario is refused before any check runs;
+    ``validate`` and ``run`` both call it through ``load_scenario``."""
     mode, variant = opts["mode"], opts["variant"]
+    if name in ("recede", "aubin", "compose-rate", "aubin-pipeline"):
+        param_pair_preconditions(F, grids)
+        positive_rate("l", float(query["l"]))
+    if name == "aubin-pipeline":
+        pipeline_preconditions(F, q, opts.get("condition",
+                                              "normal-cone-convex"),
+                               float(query["l_prime"]), float(query["l"]))
     if name in ("slope-nonlocal", "slope-local"):
         slope_preconditions(F, mode, local=name == "slope-local")
     elif name == "subdifferential":

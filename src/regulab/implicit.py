@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dual import coderivative_threshold, normal_cone_preconditions
 from .errors import InputError
 from .mappings import RegularityQuery, ScanGrids, SetValuedMap
 from .oracle import Certificate, MarginScan, Verdict
@@ -37,19 +38,30 @@ class AubinQuery:
     mu: float
 
     def __post_init__(self):
-        if not self.l > 0:
-            raise InputError(f"rate l must be positive, got {self.l}")
+        positive_rate("l", self.l)
         for name in ("eta", "delta", "mu"):
             if not getattr(self, name) > 0:
                 raise InputError(f"{name} must be positive or unbounded")
 
 
-def _param_pairs(F: SetValuedMap, pbar, eta, mu, grids: ScanGrids):
-    """Ordered pairs (p, p') of grid parameters in B_eta(pbar), 0 < d < mu."""
+def positive_rate(name: str, value: float):
+    """``InputError`` unless the rate ``value`` is positive."""
+    if not value > 0:
+        raise InputError(f"rate {name} must be positive, got {value}")
+
+
+def param_pair_preconditions(F: SetValuedMap, grids: ScanGrids):
+    """``InputError`` unless a recede or Aubin scan can draw its parameter
+    pairs: a metric parameter space and a parameter grid."""
     if F.param_labels is not None:
         raise InputError("recede/Aubin scans need a metric parameter space")
     if grids.p is None:
         raise InputError("scan requires a parameter grid")
+
+
+def _param_pairs(F: SetValuedMap, pbar, eta, mu, grids: ScanGrids):
+    """Ordered pairs (p, p') of grid parameters in B_eta(pbar), 0 < d < mu."""
+    param_pair_preconditions(F, grids)
     pts = make_grid(grids.p)
     pts = pts[ball_mask(pts, as_point(pbar), eta)]
     for p in pts:
@@ -74,8 +86,7 @@ def check_recede(F: SetValuedMap, q: RegularityQuery, l: float,
     Pairs p, p' range over grid points of B_eta(pbar) with 0 < d(p,p') < mu;
     x ranges over G(p') within the delta-ball around xbar.
     """
-    if not l > 0:
-        raise InputError(f"rate l must be positive, got {l}")
+    positive_rate("l", l)
     ybar = q.ybar_arr
     scan = MarginScan(tol)
     for p, pp, dpp in _param_pairs(F, q.pbar_arr, q.eta, q.mu, grids):
@@ -144,6 +155,23 @@ _CONDITIONS = ("slope", "normal-cone-convex", "normal-cone-frechet",
                "coderiv-clarke", "coderiv-frechet")
 
 
+def pipeline_preconditions(F: SetValuedMap, q: RegularityQuery,
+                           condition: str, l_prime: float, l: float):
+    """``InputError`` for an Aubin pipeline that ``certify_aubin`` would
+    refuse: an unknown condition, a rate that is not positive, or a
+    condition check that does not apply to ``F``."""
+    if condition not in _CONDITIONS:
+        raise InputError(
+            f"unknown condition {condition!r}; expected one of {_CONDITIONS}"
+        )
+    positive_rate("l_prime", l_prime)
+    positive_rate("l", l)
+    if condition == "normal-cone-convex":
+        normal_cone_preconditions(F, "convex-normal", "sufficient")
+    elif condition.startswith("coderiv"):
+        coderivative_threshold(F, q, "ball", "convex-normal", "sufficient")
+
+
 def certify_aubin(F: SetValuedMap, q: RegularityQuery, l_prime: float,
                   l: float, condition: str, grids: ScanGrids) -> Certificate:
     """Two-stage Aubin certification: recede scan plus a sufficient condition.
@@ -157,12 +185,7 @@ def certify_aubin(F: SetValuedMap, q: RegularityQuery, l_prime: float,
     from .dual import check_coderivative_condition, check_normal_cone_condition
     from .slope import check_nonlocal_slope_condition
 
-    if condition not in _CONDITIONS:
-        raise InputError(
-            f"unknown condition {condition!r}; expected one of {_CONDITIONS}"
-        )
-    if not l_prime > 0 or not l > 0:
-        raise InputError("rates l_prime and l must be positive")
+    pipeline_preconditions(F, q, condition, l_prime, l)
     recede = check_recede(F, q, l_prime, grids)
     alpha = l_prime / l
     qa = dataclasses.replace(q, alpha=alpha)

@@ -23,7 +23,7 @@ from .sets import (
     PolyUnion,
     Polyhedron,
     dist_to_region,
-    normal_cone_at,
+    normal_cone_from,
     region_sample_points,
 )
 from .spaces import GridSpec, NormedSpace, as_point, ball_mask, make_grid
@@ -138,9 +138,10 @@ class SetValuedMap:
             return p
 
     def _memo(self, key, p, build):
-        """The map's per-parameter memo: ``build()`` once per ``(key, p)``.
-        Arrays are shared by every caller, so they come back read-only."""
-        k = (key, self._pkey(p))
+        """The map's per-parameter memo: ``build()`` once per ``(key, p)``,
+        or once per ``key`` for every parameter when ``p`` is None.  Arrays
+        are shared by every caller, so they come back read-only."""
+        k = (key, None if p is None else self._pkey(p))
         if k not in self._cache:
             v = self._cache[k] = build()
             if isinstance(v, np.ndarray):
@@ -173,8 +174,22 @@ class SetValuedMap:
             return math.inf
         return float(np.min(np.linalg.norm(vals - as_point(ybar), axis=1)))
 
+    def _per_point(self, key, p, xs, solve) -> np.ndarray:
+        """``solve(x)`` for every row of ``xs``, each distinct row solved
+        once per ``(key, p)``: the values are kept in the map's memo."""
+        seen = self._memo(key, p, dict)
+        out = np.empty(len(xs))
+        for i, x in enumerate(np.asarray(xs, dtype=float)):
+            k = x.tobytes()
+            if k not in seen:
+                seen[k] = solve(x)
+            out[i] = seen[k]
+        return out
+
     def residual_vec(self, p, xs: np.ndarray, ybar) -> np.ndarray:
-        return np.array([self.residual(p, x, ybar) for x in xs])
+        ybar = as_point(ybar)
+        return self._per_point(("residual", ybar.tobytes()), p, xs,
+                               lambda x: self.residual(p, x, ybar))
 
     def solution_distance(self, p, x, ybar, grids: ScanGrids | None = None) -> float:
         d, _ = dist_to_region(as_point(x), self.solution_set(p, ybar, grids))
@@ -182,8 +197,10 @@ class SetValuedMap:
 
     def solution_distance_vec(self, p, xs: np.ndarray, ybar,
                               grids: ScanGrids | None = None) -> np.ndarray:
+        ybar = as_point(ybar)
         region = self.solution_set(p, ybar, grids)
-        return np.array([dist_to_region(x, region)[0] for x in xs])
+        return self._per_point(("solution_distance", ybar.tobytes(), grids),
+                               p, xs, lambda x: dist_to_region(x, region)[0])
 
     def in_graph(self, p, x, y, tol: float = _GRAPH_TOL) -> bool:
         return self.residual(p, x, y) <= tol
@@ -335,14 +352,22 @@ class PolyhedralGraphMap(SetValuedMap):
         # kept for interface completeness; residual() below is the exact path
         raise InputError("polyhedral values are regions; use value_region()")
 
+    def _slice(self, p, at, point) -> PolyUnion:
+        """The graph's slice at a fixed x (``at`` = "x": the values) or a
+        fixed y (``at`` = "y": the solutions), one shared object per ``(p,
+        point)`` so that its pieces' emptiness is decided once."""
+        def build():
+            nx = self.nx
+            pieces = []
+            for pc in self.graph_region(p).pieces:
+                Ax, Ay = pc.A[:, :nx], pc.A[:, nx:]
+                free, fixed = (Ay, Ax) if at == "x" else (Ax, Ay)
+                pieces.append(Polyhedron(free, pc.b - fixed @ point))
+            return PolyUnion(pieces)
+        return self._memo(("slice", at, point.tobytes()), p, build)
+
     def value_region(self, p, x) -> PolyUnion:
-        x = as_point(x)
-        nx = self.nx
-        pieces = []
-        for pc in self.graph_region(p).pieces:
-            Ax, Ay = pc.A[:, :nx], pc.A[:, nx:]
-            pieces.append(Polyhedron(Ay, pc.b - Ax @ x))
-        return PolyUnion(pieces)
+        return self._slice(p, "x", as_point(x))
 
     def residual(self, p, x, ybar) -> float:
         d, _ = dist_to_region(as_point(ybar), self.value_region(p, x))
@@ -353,21 +378,31 @@ class PolyhedralGraphMap(SetValuedMap):
         return self.graph_region(p).contains(xy, tol)
 
     def solution_set(self, p, ybar, grids=None) -> PolyUnion:
-        ybar = as_point(ybar)
-        nx = self.nx
-        pieces = []
-        for pc in self.graph_region(p).pieces:
-            Ax, Ay = pc.A[:, :nx], pc.A[:, nx:]
-            pieces.append(Polyhedron(Ax, pc.b - Ay @ ybar))
-        return PolyUnion(pieces)
+        return self._slice(p, "y", as_point(ybar))
 
     def graph_points(self, p, grids: ScanGrids) -> np.ndarray:
         return self._memo(grids, p, lambda: region_sample_points(
             self.graph_region(p), grids.product_xy()))
 
-    def normal_cone(self, p, x, y) -> ConeRep:
+    def piece_cones(self, p, x, y) -> list[ConeRep]:
+        """The normal cones at (x, y) of the graph pieces holding it, each
+        generated by the piece's active rows: one shared object per
+        generator set, so the face bases a cone caches serve every point
+        and parameter with those rows."""
         xy = np.concatenate([as_point(x), as_point(y)])
-        return normal_cone_at(self.graph_region(p), xy)
+        cones = []
+        for piece, act in self.graph_region(p).active_pieces(xy):
+            G = piece.A[act]
+            cones.append(self._memo(("cone", G.shape, G.tobytes()), None,
+                                    lambda: ConeRep.make(generators=G,
+                                                         dim=G.shape[1])))
+        return cones
+
+    def normal_cone(self, p, x, y) -> ConeRep:
+        cones = self.piece_cones(p, x, y)
+        # the piece cones live as long as the map, so their ids name them
+        return self._memo(("normal_cone", *map(id, cones)), None,
+                          lambda: normal_cone_from(cones, self.nx + self.ny))
 
 
 class ShiftedTargetMap(SetValuedMap):

@@ -6,6 +6,12 @@ lineality basis); for a convex polyhedron the cone at a boundary point is
 spanned by the active rows, and for a union it is the intersection of the
 per-piece cones at the point.
 
+A polyhedron is immutable: its arrays are read-only, and it keeps its row
+norms and, once decided, its emptiness, so a slice that a mapping shares
+among its queries is decided once.  Membership is tested one point at a
+time (``contains``) or for every row of an array at once
+(``contains_rows``), each row rounding as the one-point test does.
+
 Euclidean projections onto polyhedra and distances to cones are exact: each
 is one finite nonnegative least-squares solve (``_nonneg_lsq``), checked
 against its optimality conditions.  Projection and emptiness are one
@@ -56,17 +62,26 @@ _MAX_FACES = 2 ** 12  # the most faces that _face_search enumerates
 
 
 class Polyhedron:
-    """Convex polyhedron ``{x : A x <= b}``."""
+    """Convex polyhedron ``{x : A x <= b}``.
+
+    ``A`` and ``b`` are read-only copies, so the row norms and the
+    emptiness cached on the object stay true while slices of a map's graph
+    are shared."""
 
     def __init__(self, A, b):
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
+        A = np.atleast_2d(np.array(A, dtype=float))
+        b = np.atleast_1d(np.array(b, dtype=float))
         if A.shape[0] != b.shape[0]:
             raise DimensionMismatchError(
                 f"A has {A.shape[0]} rows but b has {b.shape[0]} entries"
             )
+        A.setflags(write=False)
+        b.setflags(write=False)
         self.A = A
         self.b = b
+        self._norms = np.linalg.norm(A, axis=1)
+        # membership tolerance per row, relative to |b_i| and |A_i|
+        self._scale = np.maximum(1.0, abs(b)) + self._norms
         self._empty = None
 
     @property
@@ -77,11 +92,21 @@ class Polyhedron:
         return f"Polyhedron(m={self.A.shape[0]}, n={self.dim})"
 
     def contains(self, x, tol: float = _FEAS_TOL) -> bool:
+        """``A x - b <= tol (max(1, |b|) + |A_i|)`` row by row."""
         x = as_point(x)
         if x.shape[0] != self.dim:
             raise DimensionMismatchError("point dim does not match polyhedron")
-        scale = np.maximum(1.0, abs(self.b)) + np.linalg.norm(self.A, axis=1)
-        return bool(np.all(self.A @ x - self.b <= tol * scale))
+        return bool(np.all(self.A @ x - self.b <= tol * self._scale))
+
+    def contains_rows(self, X, tol: float = _FEAS_TOL) -> np.ndarray:
+        """``contains`` for every row of ``X``, in one stacked matrix product:
+        numpy takes each row through the matrix-vector product of ``A @
+        x``, so each rounds as the one-point test does."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise DimensionMismatchError("point dim does not match polyhedron")
+        r = (self.A[None] @ X[:, :, None])[:, :, 0] - self.b
+        return np.all(r <= tol * self._scale, axis=1)
 
     def is_empty(self) -> bool:
         """Whether no ``x`` has ``A x <= b``, decided (and cached) by the
@@ -93,8 +118,8 @@ class Polyhedron:
     def active_rows(self, x, act_tol: float = 1e-8) -> np.ndarray:
         """Indices of rows active at ``x`` (tolerance relative to row norms)."""
         x = as_point(x)
-        scale = 1.0 + np.linalg.norm(self.A, axis=1)
-        return np.nonzero(np.abs(self.A @ x - self.b) <= act_tol * scale)[0]
+        return np.nonzero(np.abs(self.A @ x - self.b) <=
+                          act_tol * (1.0 + self._norms))[0]
 
     def vertices(self, tol: float = 1e-8) -> np.ndarray:
         """Vertices by active-set enumeration (intended for small instances)."""
@@ -277,9 +302,24 @@ class PolyUnion:
     def contains(self, x, tol: float = _FEAS_TOL) -> bool:
         return any(p.contains(x, tol) for p in self.pieces)
 
+    def contains_rows(self, X, tol: float = _FEAS_TOL) -> np.ndarray:
+        """``contains`` for every row of ``X``: any piece's test, per row."""
+        hit = np.zeros(len(X), dtype=bool)
+        for p in self.pieces:
+            hit |= p.contains_rows(X, tol)
+        return hit
+
+    def active_pieces(self, x, act_tol: float = 1e-8):
+        """``(piece, active rows)`` of each nonempty piece holding ``x``
+        within ``act_tol``."""
+        x = as_point(x)
+        return [(p, p.active_rows(x, act_tol)) for p in self.nonempty_pieces()
+                if p.contains(x, act_tol)]
+
 
 class PointCloud:
-    """Finite point set, duplicate-free under tolerance."""
+    """Finite point set, duplicate-free under tolerance: a point within
+    ``dedupe_tol`` of a point kept before it is dropped."""
 
     def __init__(self, points, dedupe_tol: float = 1e-12):
         pts = np.asarray(points, dtype=float)
@@ -288,11 +328,7 @@ class PointCloud:
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.shape[0] > 1 and dedupe_tol > 0:
-            keep = [0]
-            for i in range(1, pts.shape[0]):
-                if np.min(np.linalg.norm(pts[keep] - pts[i], axis=1)) > dedupe_tol:
-                    keep.append(i)
-            pts = pts[keep]
+            pts = pts[_first_of_duplicates(pts, dedupe_tol)]
         self.points = pts
 
     @property
@@ -304,6 +340,25 @@ class PointCloud:
         if self.points.shape[0] == 0:
             return False
         return bool(np.min(np.linalg.norm(self.points - x, axis=1)) <= tol)
+
+
+def _first_of_duplicates(pts, tol: float) -> np.ndarray:
+    """Mask of the points that a greedy pass in order keeps: a point is
+    dropped when within ``tol`` of a kept point before it.
+
+    The pairwise distances are taken as rows of ``|pts_j - pts_i|`` (built
+    in blocks of rows, to bound the memory of the differences), so they
+    round as the one-point form does; the pass then visits only the points
+    that have a close point before them."""
+    n, keep = pts.shape[0], np.ones(pts.shape[0], dtype=bool)
+    step = max(1, 2 ** 18 // (n * pts.shape[1]))
+    for a in range(0, n, step):
+        b = min(n, a + step)
+        close = np.linalg.norm(pts[None, :b] - pts[a:b, None], axis=2) <= tol
+        # row r is point a + r; its earlier points are the columns < a + r
+        for i in np.flatnonzero(np.tril(close, a - 1).any(axis=1)) + a:
+            keep[i] = not (close[i - a, :i] & keep[:i]).any()
+    return keep
 
 
 def dist_to_region(x, region) -> tuple[float, np.ndarray | None]:
@@ -338,14 +393,12 @@ def region_sample_points(region, grid: GridSpec | None = None) -> np.ndarray:
         return region.points
     if isinstance(region, PolyUnion):
         pts: list[np.ndarray] = []
+        G = None if grid is None else make_grid(grid)
         for piece in region.nonempty_pieces():
             pts.extend(piece.vertices())
-            if grid is not None:
-                for g in make_grid(grid):
-                    if piece.contains(g):
-                        pts.append(np.asarray(g, dtype=float))
-                    else:
-                        pts.append(project_polyhedron(g, piece))
+            if G is not None:
+                pts.extend(g if inside else project_polyhedron(g, piece)
+                           for g, inside in zip(G, piece.contains_rows(G)))
         if not pts:
             return np.zeros((0, region.dim))
         return PointCloud(np.array(pts), dedupe_tol=1e-10).points
@@ -509,20 +562,20 @@ def normal_cone_at(region, x, act_tol: float = 1e-8) -> ConeRep:
     the per-piece cones over pieces containing the point.  A point outside
     the region yields the empty cone (flagged, not an error).
     """
-    x = as_point(x)
     if isinstance(region, Polyhedron):
         region = PolyUnion([region])
     if not isinstance(region, PolyUnion):
         raise InputError(f"unsupported region type {type(region).__name__}")
-    cones = []
-    for piece in region.nonempty_pieces():
-        if not piece.contains(x, act_tol):
-            continue
-        act = piece.active_rows(x, act_tol)
-        cones.append(ConeRep.make(generators=piece.A[act] if act.size else None,
-                                  dim=piece.dim))
+    return normal_cone_from(
+        [ConeRep.make(generators=piece.A[act], dim=piece.dim)
+         for piece, act in region.active_pieces(x, act_tol)], region.dim)
+
+
+def normal_cone_from(cones, dim: int) -> ConeRep:
+    """The normal cone to a union at a point from the cones of the pieces
+    holding it: their intersection, or the empty cone when there are none."""
     if not cones:
-        return ConeRep.empty_cone(region.dim)
+        return ConeRep.empty_cone(dim)
     cone = cones[0]
     for other in cones[1:]:
         cone = intersect_cones(cone, other)

@@ -93,12 +93,7 @@ def _direction_candidates(F: SetValuedMap, q: RegularityQuery, p, x, y,
 
     cones: list[ConeRep] = []
     if isinstance(F, PolyhedralGraphMap):
-        xy = np.concatenate([x, y])
-        for piece in F.graph_region(p).nonempty_pieces():
-            if piece.contains(xy, 1e-8):
-                act = piece.active_rows(xy)
-                cones.append(ConeRep.make(
-                    generators=piece.A[act] if act.size else None, dim=piece.dim))
+        cones = F.piece_cones(p, x, y)
     elif isinstance(F, ClosedFormMap):
         # (x, y) has passed the graph check, so the rule's cone applies as is
         if F.cone_fn is not None:
@@ -129,20 +124,21 @@ def _direction_candidates(F: SetValuedMap, q: RegularityQuery, p, x, y,
     return dirs
 
 
-def _points_on_graph_along(F, p, x, y, d, ts) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Polyhedral graph points near (x, y) stepping along direction ``d``."""
-    nx, region = F.nx, F.graph_region(p)
+def _points_on_graph_along(F, p, x, y, d, ts) -> list[np.ndarray]:
+    """Polyhedral graph points near (x, y) stepping along direction ``d``,
+    as rows (u, v): each step on the graph as it is, and each step off it
+    projected back when the projection lies within the step's length.  One
+    membership test covers all the steps."""
+    region = F.graph_region(p)
+    zs = np.concatenate([x, y]) + np.outer(ts, d)
     out = []
-    for t in ts:
-        u = x + t * d[:nx]
-        v = y + t * d[nx:]
-        z = np.concatenate([u, v])
-        if region.contains(z, 1e-10):
-            out.append((u, v))
-        else:
-            dz, zp = dist_to_region(z, region)
-            if zp is not None and dz <= abs(t):
-                out.append((zp[:nx], zp[nx:]))
+    for z, t, on in zip(zs, ts, region.contains_rows(zs, 1e-10)):
+        if on:
+            out.append(z)
+            continue
+        dz, zp = dist_to_region(z, region)
+        if zp is not None and dz <= abs(t):
+            out.append(zp)
     return out
 
 
@@ -180,14 +176,14 @@ def _short_step_candidates(F, q, p, x, y, ts):
         us = x + np.vstack(steps)
         us = us[np.lexsort(us.T[::-1])]
         return F.graph_over(p, us[np.r_[True, (us[1:] != us[:-1]).any(1)]])
-    cands: list[tuple[np.ndarray, np.ndarray]] = []
+    zs: list[np.ndarray] = []
     if isinstance(F, PolyhedralGraphMap):
         for d in dirs:
-            cands.extend(_points_on_graph_along(F, p, x, y, d, ts))
-    if not cands:
+            zs.extend(_points_on_graph_along(F, p, x, y, d, ts))
+    if not zs:
         return np.zeros((0, F.nx)), np.zeros((0, F.ny))
-    us, vs = zip(*cands)
-    return np.array(us), np.array(vs)
+    zs = np.array(zs)
+    return zs[:, :F.nx], zs[:, F.nx:]
 
 
 def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,

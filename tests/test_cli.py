@@ -235,6 +235,69 @@ def test_no_slsqp_for_2d_polyhedral_maps(tmp_path, monkeypatch):
         assert abs(margins[check] - margin) <= 1e-9, (check, margins)
 
 
+def test_polyhedral_normal_cones_build_each_face_once(tmp_path,
+                                                     monkeypatch):
+    # a piece's cone is shared per parameter and active rows, so the face
+    # bases it caches serve every scan point with those rows: each face
+    # (two _block_basis calls) is built once per distinct generator set
+    faces, builds = set(), []
+    face, block_basis = regulab.sets.ConeRep.face, regulab.sets._block_basis
+
+    def recorded_face(cone, S, nx):
+        out = face(cone, S, nx)
+        if out is not None:
+            faces.add((cone.generators.tobytes(), cone.lineality.tobytes(),
+                       S, nx))
+        return out
+
+    def counted_block_basis(R, nx):
+        builds.append(1)
+        return block_basis(R, nx)
+
+    monkeypatch.setattr(regulab.sets.ConeRep, "face", recorded_face)
+    monkeypatch.setattr(regulab.sets, "_block_basis", counted_block_basis)
+    code, report = run_scenario(load_scenario(write(tmp_path,
+                                                    POLY_2D_SCENARIO)))
+    assert code == 0, report
+    assert faces and len(builds) == 2 * len(faces)
+
+
+def test_cli_stability_options_are_checked_before_any_check_runs(
+        tmp_path, monkeypatch):
+    # validate accepted these, and run refused them only after the six
+    # checks before recede had run
+    ran = []
+    monkeypatch.setattr(regulab.cli, "check_subreg_uniform",
+                        lambda *args: ran.append("oracle"))
+
+    def pipeline(condition, l_prime):
+        return replaced(EXAMPLE_DIFFERENCE, (
+            ("  - aubin\n", f"  - {{name: aubin-pipeline, "
+                            f"condition: {condition}}}\n"),
+            ("  aubin: HOLDS", "  aubin-pipeline: HOLDS"),
+            ("  l: 1.0", f"  l: 1.0\n  l_prime: {l_prime}")))
+
+    labelled = replaced(POLY_SCENARIO, (
+        ("p_dim: 1}", "p_labels: [a, b]}"), ("      b_p: [[-0.3]]\n", ""),
+        ("normal-cone]", "recede]"), ("normal-cone: HOLDS", "recede: HOLDS"),
+        ("  eta: 1.0", "  eta: 1.0\n  l: 1.0")))
+    for text, message in (
+            (replaced(EXAMPLE_DIFFERENCE, (("l: 1.0", "l: -1.0"),)),
+             "rate l must be positive, got -1.0"),
+            (pipeline("slope", -0.5), "rate l_prime must be positive, got -0.5"),
+            (pipeline("nope", 0.5), "unknown condition 'nope'"),
+            (replaced(EXAMPLE_DIFFERENCE, ((
+                "  p: {lower: [-0.5], upper: [0.5], resolution: 11}\n", ""),)),
+             "scan requires a parameter grid"),
+            (labelled, "recede/Aubin scans need a metric parameter space")):
+        path = write(tmp_path, text)
+        for cmd in ("validate", "run"):
+            res = CliRunner().invoke(main, [cmd, path])
+            assert res.exit_code == 2, (cmd, message, res.output)
+            assert f"input error: {message}" in res.output
+    assert ran == []
+
+
 def test_cli_exit_code_four_on_other_errors(tmp_path, monkeypatch):
     def empty(*args, **kwargs):
         raise EmptySetError("cannot project onto an empty polyhedron")

@@ -1,6 +1,7 @@
 """Mapping models: values, residuals, solution sets, and the shifted-target
 reduction."""
 
+import collections
 import math
 
 import numpy as np
@@ -14,7 +15,14 @@ from regulab import (
     ScanGrids,
     hat_reduction,
 )
-from regulab.mappings import condition_scan_points
+import regulab.sets
+from regulab.mappings import PolyhedralGraphMap, condition_scan_points
+from regulab.oracle import check_geometric, check_subreg_uniform
+from regulab.sets import Polyhedron
+from regulab.slope import (
+    check_local_slope_condition,
+    check_nonlocal_slope_condition,
+)
 from conftest import (
     affine_map_1d,
     counting_rule,
@@ -156,3 +164,59 @@ def test_condition_scan_points_filters():
         assert 0 < sp.dist_to_target < q.alpha * q.mu
         assert sp.sol_dist > 0
         assert F.in_graph(sp.p, sp.x, sp.y)
+
+
+def kinked_map_1d(a1=1.6, a2=0.9, b=0.3):
+    """A nonconvex two-piece union, F(p, x) = [a1 x - b p, inf) for x <= 0
+    and [a2 x - b p, inf) for x >= 0: a graph with a kink at x = 0."""
+    def pieces(p):
+        s = b * float(np.atleast_1d(p)[0])
+        return [(np.array([[a1, -1.0], [1.0, 0.0]]), np.array([s, 0.0])),
+                (np.array([[a2, -1.0], [-1.0, 0.0]]), np.array([s, 0.0]))]
+
+    return PolyhedralGraphMap(NormedSpace("X", 1), NormedSpace("Y", 1),
+                              pieces, param_space=NormedSpace("P", 1),
+                              convex=False)
+
+
+def test_polyhedral_scans_solve_each_slice_and_point_once(monkeypatch):
+    # the slices F(p, x) and G(p) are shared per map, so each one's
+    # emptiness program runs once; residuals and solution distances are
+    # kept per point, so a second scan of the same points solves nothing
+    emptiness, solves = [], []
+    least_distance, is_empty = regulab.sets._least_distance, Polyhedron.is_empty
+
+    def counted_is_empty(poly):
+        if poly._empty is None:
+            emptiness.append((poly.A.tobytes(), poly.b.tobytes()))
+        return is_empty(poly)
+
+    def counted_least_distance(A, h):
+        solves.append(1)
+        return least_distance(A, h)
+
+    monkeypatch.setattr(Polyhedron, "is_empty", counted_is_empty)
+    monkeypatch.setattr(regulab.sets, "_least_distance",
+                        counted_least_distance)
+    F, grids = kinked_map_1d(), grids_1d(9, 3)
+    for alpha in (0.5, 1.2):
+        q = query_1d(alpha)
+        for check in (check_subreg_uniform, check_geometric,
+                      check_nonlocal_slope_condition,
+                      check_local_slope_condition):
+            assert check(F, q, grids).scan_meta["points_scanned"] > 0
+    # once per slice piece: the two pieces of the slice at the kink x = 0
+    # are one polyhedron, and nothing else repeats
+    counts = collections.Counter(emptiness)
+    repeated = [n for n in counts.values() if n > 1]
+    assert repeated == [2] * len(repeated) and len(repeated) <= 3  # per p
+    assert len(counts) >= 12  # slices at several x, ybar and p
+    solves.clear()
+    q = query_1d(0.5)
+    check_subreg_uniform(F, q, grids)
+    check_geometric(F, q, grids)
+    assert solves == []
+    # at the kink both pieces hold the point: their cones' intersection is
+    # shared too
+    cone = F.normal_cone([0.0], [0.0], [0.0])
+    assert not cone.empty and F.normal_cone([0.0], [0.0], [0.0]) is cone

@@ -872,3 +872,110 @@ def test_far_empty_polyhedron_has_a_farkas_certificate():
     res = linprog(np.zeros(2), A_ub=A, b_ub=b2, bounds=[(None, None)] * 2,
                   method="highs")
     assert res.status == 0
+
+
+# ---------------------------------------------------------------------------
+# membership in arrays, read-only polyhedra, de-duplication
+
+
+@st.composite
+def _polyhedra_and_near_points(draw):
+    """A polyhedron with small integer rows and points on and near its
+    facets, offset by multiples of 1e-10 of the membership scale."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5))
+    ints = st.integers(-3, 3)
+    A = np.array(draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                               min_size=m, max_size=m)), dtype=float)
+    assume(np.all(np.abs(A).sum(axis=1) > 0))
+    b = np.array(draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m)),
+                 dtype=float) / 2 * 10.0 ** draw(st.integers(0, 6))
+    Q = Polyhedron(A, b)
+    scale = np.maximum(1.0, abs(b)) + np.linalg.norm(A, axis=1)
+    pts = []
+    for _ in range(draw(st.integers(1, 12))):
+        z = np.array(draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n)))
+        i = draw(st.integers(0, m - 1))
+        # onto facet i, then out by k 1e-10 of its scale
+        z = z - (A[i] @ z - b[i]) / (A[i] @ A[i]) * A[i]
+        k = draw(st.sampled_from([-20.0, -1.0, 0.0, 0.5, 0.999, 1.0, 1.001,
+                                  5.0, 9.999, 10.0, 10.001, 20.0]))
+        pts.append(z + k * 1e-10 * scale[i] * A[i] / (A[i] @ A[i]))
+    return Q, np.array(pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polyhedra_and_near_points(), _polyhedra_and_near_points())
+def test_contains_rows_matches_pointwise_contains(case, other):
+    Q, X = case
+    for tol in (1e-10, 1e-9):
+        assert Q.contains_rows(X, tol).tolist() == \
+            [Q.contains(x, tol) for x in X]
+    P, Y = other
+    if P.dim == Q.dim:
+        U, Z = PolyUnion([Q, P]), np.vstack([X, Y])
+        for tol in (1e-10, 1e-9):
+            assert U.contains_rows(Z, tol).tolist() == \
+                [U.contains(z, tol) for z in Z]
+
+
+def test_polyhedron_arrays_are_read_only():
+    A, b = np.eye(2), np.ones(2)
+    Q = Polyhedron(A, b)
+    for arr in (Q.A, Q.b):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+    A[0, 0] = 2.0  # the caller's arrays are copied, not frozen
+    assert Q.A[0, 0] == 1.0
+
+
+def _greedy_dedupe(pts, tol):
+    # the one-point loop PointCloud used before the distance matrix
+    keep = [0]
+    for i in range(1, pts.shape[0]):
+        if np.min(np.linalg.norm(pts[keep] - pts[i], axis=1)) > tol:
+            keep.append(i)
+    return pts[keep]
+
+
+@st.composite
+def _clouds_with_near_duplicate_chains(draw):
+    n = draw(st.integers(1, 3))
+    tol = draw(st.sampled_from([1e-12, 1e-10, 1e-3]))
+    coord = st.floats(-2, 2, allow_subnormal=False)
+    pts = []
+    for _ in range(draw(st.integers(1, 8))):
+        start = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+        step = np.array(draw(st.lists(st.floats(-1, 1), min_size=n,
+                                      max_size=n)))
+        if np.linalg.norm(step) < 1e-3:
+            step = np.eye(n)[0]
+        # a chain spaced just under the tolerance: every neighbour a
+        # duplicate, every second point not
+        gap = tol * draw(st.sampled_from([1 - 1e-6, 1 - 1e-3, 0.9, 0.6]))
+        step = step / np.linalg.norm(step) * gap
+        pts += [start + k * step
+                for k in range(draw(st.integers(1, 6)))]
+        pts += [start] * draw(st.integers(0, 2))
+    order = draw(st.permutations(range(len(pts))))
+    return np.array(pts)[order], tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clouds_with_near_duplicate_chains())
+def test_point_cloud_dedupe_matches_greedy_loop(case):
+    pts, tol = case
+    kept = PointCloud(pts, dedupe_tol=tol).points
+    assert np.array_equal(kept, _greedy_dedupe(pts, tol))
+
+
+def test_point_cloud_dedupe_across_row_blocks():
+    # 1,800 points in 2-D: the distances are built in several blocks of rows
+    g = make_grid(GridSpec((0.0, 0.0), (1.0, 1.0), 30))
+    rng = np.random.default_rng(3)
+    shift = rng.normal(size=g.shape)
+    shift *= 1e-3 * (1 - 1e-6) / np.linalg.norm(shift, axis=1, keepdims=True)
+    pts = np.vstack([g, g + shift])[rng.permutation(2 * len(g))]
+    kept = PointCloud(pts, dedupe_tol=1e-3).points
+    assert np.array_equal(kept, _greedy_dedupe(pts, 1e-3))
+    assert len(kept) == len(g)
