@@ -399,10 +399,7 @@ class PolyhedralGraphMap(SetValuedMap):
         return cones
 
     def normal_cone(self, p, x, y) -> ConeRep:
-        cones = self.piece_cones(p, x, y)
-        # the piece cones live as long as the map, so their ids name them
-        return self._memo(("normal_cone", *map(id, cones)), None,
-                          lambda: normal_cone_from(cones, self.nx + self.ny))
+        return normal_cone_from(self.piece_cones(p, x, y), self.nx + self.ny)
 
 
 class ShiftedTargetMap(SetValuedMap):

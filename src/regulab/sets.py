@@ -328,7 +328,11 @@ class PointCloud:
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.shape[0] > 1 and dedupe_tol > 0:
-            pts = pts[_first_of_duplicates(pts, dedupe_tol)]
+            keep = [0]
+            for i in range(1, pts.shape[0]):
+                if np.min(np.linalg.norm(pts[keep] - pts[i], axis=1)) > dedupe_tol:
+                    keep.append(i)
+            pts = pts[keep]
         self.points = pts
 
     @property
@@ -340,25 +344,6 @@ class PointCloud:
         if self.points.shape[0] == 0:
             return False
         return bool(np.min(np.linalg.norm(self.points - x, axis=1)) <= tol)
-
-
-def _first_of_duplicates(pts, tol: float) -> np.ndarray:
-    """Mask of the points that a greedy pass in order keeps: a point is
-    dropped when within ``tol`` of a kept point before it.
-
-    The pairwise distances are taken as rows of ``|pts_j - pts_i|`` (built
-    in blocks of rows, to bound the memory of the differences), so they
-    round as the one-point form does; the pass then visits only the points
-    that have a close point before them."""
-    n, keep = pts.shape[0], np.ones(pts.shape[0], dtype=bool)
-    step = max(1, 2 ** 18 // (n * pts.shape[1]))
-    for a in range(0, n, step):
-        b = min(n, a + step)
-        close = np.linalg.norm(pts[None, :b] - pts[a:b, None], axis=2) <= tol
-        # row r is point a + r; its earlier points are the columns < a + r
-        for i in np.flatnonzero(np.tril(close, a - 1).any(axis=1)) + a:
-            keep[i] = not (close[i - a, :i] & keep[:i]).any()
-    return keep
 
 
 def dist_to_region(x, region) -> tuple[float, np.ndarray | None]:

@@ -237,9 +237,9 @@ def test_no_slsqp_for_2d_polyhedral_maps(tmp_path, monkeypatch):
 
 def test_polyhedral_normal_cones_build_each_face_once(tmp_path,
                                                      monkeypatch):
-    # a piece's cone is shared per parameter and active rows, so the face
-    # bases it caches serve every scan point with those rows: each face
-    # (two _block_basis calls) is built once per distinct generator set
+    # one cone per distinct generator set, shared across parameters and scan
+    # points, so the face bases it caches are built once: each face (two
+    # _block_basis calls) once per distinct generator set
     faces, builds = set(), []
     face, block_basis = regulab.sets.ConeRep.face, regulab.sets._block_basis
 

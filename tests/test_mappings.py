@@ -216,7 +216,3 @@ def test_polyhedral_scans_solve_each_slice_and_point_once(monkeypatch):
     check_subreg_uniform(F, q, grids)
     check_geometric(F, q, grids)
     assert solves == []
-    # at the kink both pieces hold the point: their cones' intersection is
-    # shared too
-    cone = F.normal_cone([0.0], [0.0], [0.0])
-    assert not cone.empty and F.normal_cone([0.0], [0.0], [0.0]) is cone
