@@ -11,6 +11,12 @@ built from the normal cone N to the graph at (x, y):
 * coderivative condition: the x-parts of cone elements whose y-part lies in a
   ball around -y* must have norm >= alpha (ball form), alpha/(1-eta)
   (normalized sufficient form) or alpha(1-eta) (necessary form).
+
+The checkers take the scan one parameter at a time (a ``ScanBatch``): they
+build the normal cones of its points without testing their graph membership
+again, solve each distinct (cone, dual vector) problem once per check
+(``memo_per_cone``), and reduce the batch's margins in one
+``MarginScan.add``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from .errors import InputError
 from .mappings import RegularityQuery, ScanGrids, SetValuedMap, check_mode, \
     condition_scan
 from .oracle import Certificate, MarginScan, _base_meta
-from .sets import ConeRep, cone_min_norm, gamma_dual_distance, _unit_directions
+from .sets import (cone_min_norm, gamma_dual_distance, memo_per_cone,
+                   _unit_directions)
 from .spaces import GammaMetric, as_point
 
 
@@ -94,6 +101,19 @@ def coderivative_distance(F: SetValuedMap, p, x, y, ystar, eta: float) -> float:
     return cone_min_norm(cone, F.nx, -ystar, eta)
 
 
+def _dual_pairs(F: SetValuedMap, b, q: RegularityQuery, kind: str):
+    """The (point, dual vector) pairs of a ``ScanBatch``, point by point in
+    ``dual_candidates`` order, as ``(at, cones, ystars)``: pair k is the
+    point ``at[k]`` with its normal cone ``cones[k]`` and ``ystars[k]``."""
+    at, cones, ystars = [], [], []
+    for i, (y, cone) in enumerate(zip(b.ys, F.scan_cones(b.p, b.xs, b.ys))):
+        for ystar in dual_candidates(y, q.ybar_arr, kind, q.tau):
+            at.append(i)
+            cones.append(cone)
+            ystars.append(ystar)
+    return at, cones, ystars
+
+
 def check_variant(variant: str):
     """``InputError`` unless ``variant`` names a dual-vector variant."""
     if variant not in ("convex-normal", "frechet-cap"):
@@ -119,20 +139,25 @@ def check_subdifferential_condition(F: SetValuedMap, q: RegularityQuery,
     x-part should be >= alpha whenever the y-part vanishes).
     """
     subdifferential_preconditions(F, mode)
-    q, x_radius, points = condition_scan(F, q, grids, mode)
+    q, x_radius, batches = condition_scan(F, q, grids, mode)
     scan = MarginScan(tol)
     g = GammaMetric(q.gamma)
     flags = 0
-    for sp in points:
-        # scan points have y != ybar, so the point part is (0, y*)
-        pp, cone = merit_subdifferential(F, q, sp.p, sp.x, sp.y)
-        val = gamma_dual_distance(-pp, cone, g, F.nx)
-        scan.add(val - q.alpha, lambda _: {
-            "p": sp.p, "x": sp.x, "y": sp.y, "value": val,
+    distance = memo_per_cone(lambda cone, ystar: gamma_dual_distance(
+        -np.concatenate([np.zeros(F.nx), ystar]), cone, g, F.nx))
+    small_ystar_xnorm = memo_per_cone(lambda cone, ystar: cone_min_norm(
+        cone, F.nx, -ystar, small_ystar_eps))
+    for b in batches:
+        # scan points have y != ybar, so the point part is (0, y*) with y*
+        # the one exact dual vector: the subdifferential at point i is
+        # (0, ystars[i]) + cones[i]
+        _, cones, ystars = _dual_pairs(F, b, q, "exact")
+        vals = list(map(distance, cones, ystars))
+        scan.add(np.array(vals, dtype=float) - q.alpha, lambda i: {
+            "p": b.p, "x": b.xs[i], "y": b.ys[i], "value": vals[i],
             "inequality": "d_gamma(0, subdifferential) >= alpha"})
-        xnorm = cone_min_norm(cone, F.nx, -as_point(pp[F.nx:]), small_ystar_eps)
-        if math.isfinite(xnorm) and xnorm < q.alpha - tol:
-            flags += 1
+        flags += sum(math.isfinite(v) and v < q.alpha - tol
+                     for v in map(small_ystar_xnorm, cones, ystars))
     meta = dict(_base_meta(q, grids), mode=mode, x_radius=x_radius,
                 small_ystar_flags=flags)
     return scan.certificate(meta)
@@ -161,17 +186,17 @@ def check_normal_cone_condition(F: SetValuedMap, q: RegularityQuery,
     """
     normal_cone_preconditions(F, variant, mode)
     kind = "exact" if variant == "convex-normal" else "cap"
-    q, x_radius, points = condition_scan(F, q, grids, mode)
+    q, x_radius, batches = condition_scan(F, q, grids, mode)
     g = GammaMetric(q.gamma)
     scan = MarginScan(tol)
-    for sp in points:
-        cone = F.normal_cone(sp.p, sp.x, sp.y)
-        for ystar in dual_candidates(sp.y, q.ybar_arr, kind, q.tau):
-            qvec = np.concatenate([np.zeros(F.nx), -ystar])
-            val = gamma_dual_distance(qvec, cone, g, F.nx)
-            scan.add(val - q.alpha, lambda _: {
-                "p": sp.p, "x": sp.x, "y": sp.y, "value": val, "ystar": ystar,
-                "inequality": "d_gamma((0,-y*), N) >= alpha"})
+    distance = memo_per_cone(lambda cone, ystar: gamma_dual_distance(
+        np.concatenate([np.zeros(F.nx), -ystar]), cone, g, F.nx))
+    for b in batches:
+        at, cones, ystars = _dual_pairs(F, b, q, kind)
+        vals = list(map(distance, cones, ystars))
+        scan.add(np.array(vals, dtype=float) - q.alpha, lambda i: {
+            "p": b.p, "x": b.xs[at[i]], "y": b.ys[at[i]], "value": vals[i],
+            "ystar": ystars[i], "inequality": "d_gamma((0,-y*), N) >= alpha"})
     meta = dict(_base_meta(q, grids), mode=mode, variant=variant,
                 x_radius=x_radius)
     return scan.certificate(meta)
@@ -212,18 +237,19 @@ def check_coderivative_condition(F: SetValuedMap, q: RegularityQuery,
     """
     threshold = coderivative_threshold(F, q, form, variant, mode)
     kind = "exact" if variant == "convex-normal" else "cap"
-    q, x_radius, points = condition_scan(F, q, grids, mode)
+    q, x_radius, batches = condition_scan(F, q, grids, mode)
     scan = MarginScan(tol)
     vacuous = 0
-    for sp in points:
-        cone = F.normal_cone(sp.p, sp.x, sp.y)
-        for ystar in dual_candidates(sp.y, q.ybar_arr, kind, q.tau):
-            val = cone_min_norm(cone, F.nx, -ystar, q.eta)
-            if math.isinf(val):
-                vacuous += 1  # margin +inf: never the scan minimum
-            scan.add(val - threshold, lambda _: {
-                "p": sp.p, "x": sp.x, "y": sp.y, "value": val, "ystar": ystar,
-                "inequality": f"min |x*| >= {threshold:.6g}"})
+    min_norm = memo_per_cone(lambda cone, ystar: cone_min_norm(
+        cone, F.nx, -ystar, q.eta))
+    for b in batches:
+        at, cones, ystars = _dual_pairs(F, b, q, kind)
+        vals = list(map(min_norm, cones, ystars))
+        # a vacuous pair has margin +inf: never the scan minimum
+        vacuous += sum(math.isinf(v) for v in vals)
+        scan.add(np.array(vals, dtype=float) - threshold, lambda i: {
+            "p": b.p, "x": b.xs[at[i]], "y": b.ys[at[i]], "value": vals[i],
+            "ystar": ystars[i], "inequality": f"min |x*| >= {threshold:.6g}"})
     meta = dict(_base_meta(q, grids), mode=mode, form=form, variant=variant,
                 x_radius=x_radius, threshold=threshold, vacuous=vacuous)
     return scan.certificate(meta)

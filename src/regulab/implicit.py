@@ -72,8 +72,13 @@ def _param_pairs(F: SetValuedMap, pbar, eta, mu, grids: ScanGrids):
 
 
 def _solution_points(F, p, ybar, xbar, delta, grids):
-    region = F.solution_set(p, ybar, grids)
-    pts = region_sample_points(region, grids.x)
+    """The sample of G(p) in the delta-ball around xbar; the sample is
+    built once per parameter (every pair (p', p) and both stability checks
+    share it) in the map's memo."""
+    ybar = as_point(ybar)
+    pts = F._memo(("solution sample", ybar.tobytes(), grids), p,
+                  lambda: region_sample_points(F.solution_set(p, ybar, grids),
+                                               grids.x))
     if pts.shape[0] == 0:
         return pts
     return pts[ball_mask(pts, as_point(xbar), delta)]

@@ -166,6 +166,11 @@ class SetValuedMap:
         """Normal cone to gph F_p at the graph point (x, y)."""
         raise NotImplementedError
 
+    def scan_cones(self, p, xs, ys) -> list[ConeRep]:
+        """The normal cones at stacked points ``(xs[i], ys[i])`` that are
+        known to lie on gph F_p, such as the rows of a ``ScanBatch``."""
+        return [self.normal_cone(p, x, y) for x, y in zip(xs, ys)]
+
     # --- derived queries -------------------------------------------------
     def residual(self, p, x, ybar) -> float:
         """d(ybar, F(p, x)); +inf when the value set is empty."""
@@ -174,33 +179,45 @@ class SetValuedMap:
             return math.inf
         return float(np.min(np.linalg.norm(vals - as_point(ybar), axis=1)))
 
-    def _per_point(self, key, p, xs, solve) -> np.ndarray:
+    def _per_point(self, key, p, xs, solve) -> list:
         """``solve(x)`` for every row of ``xs``, each distinct row solved
         once per ``(key, p)``: the values are kept in the map's memo."""
         seen = self._memo(key, p, dict)
-        out = np.empty(len(xs))
-        for i, x in enumerate(np.asarray(xs, dtype=float)):
+        out = []
+        for x in np.asarray(xs, dtype=float):
             k = x.tobytes()
             if k not in seen:
                 seen[k] = solve(x)
-            out[i] = seen[k]
+            out.append(seen[k])
         return out
 
     def residual_vec(self, p, xs: np.ndarray, ybar) -> np.ndarray:
         ybar = as_point(ybar)
-        return self._per_point(("residual", ybar.tobytes()), p, xs,
-                               lambda x: self.residual(p, x, ybar))
+        return np.array(self._per_point(("residual", ybar.tobytes()), p, xs,
+                                        lambda x: self.residual(p, x, ybar)),
+                        dtype=float)
 
     def solution_distance(self, p, x, ybar, grids: ScanGrids | None = None) -> float:
         d, _ = dist_to_region(as_point(x), self.solution_set(p, ybar, grids))
         return d
 
-    def solution_distance_vec(self, p, xs: np.ndarray, ybar,
-                              grids: ScanGrids | None = None) -> np.ndarray:
+    def nearest_solutions(self, p, xs: np.ndarray, ybar,
+                          grids: ScanGrids | None = None) -> list:
+        """``(d(x, G(p)), a nearest point of G(p))`` for every row ``x`` of
+        ``xs``, ``(inf, None)`` where G(p) is empty; each distinct row is
+        solved once per ``(p, ybar, grids)``, in the map's memo, so the scan
+        that measured a point's distance also hands its nearest point to the
+        slope checks."""
         ybar = as_point(ybar)
         region = self.solution_set(p, ybar, grids)
-        return self._per_point(("solution_distance", ybar.tobytes(), grids),
-                               p, xs, lambda x: dist_to_region(x, region)[0])
+        return self._per_point(("nearest solution", ybar.tobytes(), grids),
+                               p, xs, lambda x: dist_to_region(x, region))
+
+    def solution_distance_vec(self, p, xs: np.ndarray, ybar,
+                              grids: ScanGrids | None = None) -> np.ndarray:
+        return np.array([d for d, _ in self.nearest_solutions(p, xs, ybar,
+                                                              grids)],
+                        dtype=float)
 
     def in_graph(self, p, x, y, tol: float = _GRAPH_TOL) -> bool:
         return self.residual(p, x, y) <= tol
@@ -258,17 +275,24 @@ class ClosedFormMap(SetValuedMap):
             vals = vals[None, :] if vals.shape[0] == self.ny else vals[:, None]
         return vals
 
-    def graph_over(self, p, xs) -> tuple[np.ndarray, np.ndarray]:
-        """The graph points over the rows of ``xs``, as stacked ``(us, vs)``
-        with ``vs[i]`` in F(p, us[i]), in row order: one call of the
+    def graph_rows(self, p, xs) -> tuple[np.ndarray, np.ndarray]:
+        """The graph points over the rows of ``xs``, as ``(rows, vs)`` with
+        ``vs[k]`` in F(p, xs[rows[k]]), in row order: one call of the
         batched rule, else one call of ``value_fn`` per row."""
         if self.value_fn is None:
             vs = np.asarray(self.value_rule(p, xs), dtype=float)
-            return xs, vs.reshape(xs.shape[0], self.ny)
+            return np.arange(len(xs)), vs.reshape(xs.shape[0], self.ny)
         vals = [self.values(p, x) for x in xs]
         if not vals:
-            return np.zeros((0, self.nx)), np.zeros((0, self.ny))
-        return np.repeat(xs, [len(v) for v in vals], axis=0), np.vstack(vals)
+            return np.zeros(0, dtype=int), np.zeros((0, self.ny))
+        return np.repeat(np.arange(len(xs)), [len(v) for v in vals]), \
+            np.vstack(vals)
+
+    def graph_over(self, p, xs) -> tuple[np.ndarray, np.ndarray]:
+        """The graph points over the rows of ``xs``, as stacked ``(us, vs)``
+        with ``vs[i]`` in F(p, us[i]) (see ``graph_rows``)."""
+        rows, vs = self.graph_rows(p, xs)
+        return xs[rows], vs
 
     def residual_vec(self, p, xs, ybar):
         if self.residual_rule is not None:
@@ -306,11 +330,20 @@ class ClosedFormMap(SetValuedMap):
             self.graph_over(p, make_grid(grids.x))))
 
     def normal_cone(self, p, x, y) -> ConeRep:
-        if self.cone_fn is None:
-            raise InputError("no normal-cone rule attached to this mapping")
+        rule = self._cone_rule()
         if not self.in_graph(p, x, y, 1e-8):
             return ConeRep.empty_cone(self.nx + self.ny)
-        return self.cone_fn(p, as_point(x), as_point(y))
+        return rule(p, as_point(x), as_point(y))
+
+    def scan_cones(self, p, xs, ys) -> list[ConeRep]:
+        # the points are on the graph, so the rule's cone applies as is
+        rule = self._cone_rule()
+        return [rule(p, x, y) for x, y in zip(xs, ys)]
+
+    def _cone_rule(self):
+        if self.cone_fn is None:
+            raise InputError("no normal-cone rule attached to this mapping")
+        return self.cone_fn
 
 
 class PolyhedralGraphMap(SetValuedMap):
@@ -451,6 +484,10 @@ class ShiftedTargetMap(SetValuedMap):
         base_p, shift = self._split(p)
         return self.base.normal_cone(base_p, x, as_point(y) + shift)
 
+    def scan_cones(self, p, xs, ys) -> list[ConeRep]:
+        base_p, shift = self._split(p)
+        return self.base.scan_cones(base_p, xs, ys + shift[None, :])
+
 
 def hat_reduction(F: SetValuedMap, y_shifts) -> ShiftedTargetMap:
     """Wrap ``F`` as the shifted-target mapping over parameters (p, y)."""
@@ -458,24 +495,29 @@ def hat_reduction(F: SetValuedMap, y_shifts) -> ShiftedTargetMap:
 
 
 @dataclass
-class ScanPoint:
-    """One admissible point of a condition scan: a graph point (x, y) of F_p
-    off the solution set, with residual-scale data attached."""
+class ScanBatch:
+    """The admissible points of a condition scan at one parameter ``p``:
+    graph points ``(xs[i], ys[i])`` of F_p off the solution set, stacked in
+    the order of the graph sample, with ``|ys[i] - ybar|`` and
+    ``d(xs[i], G(p))`` attached."""
 
     p: object
-    x: np.ndarray
-    y: np.ndarray
-    dist_to_target: float
-    sol_dist: float
+    xs: np.ndarray
+    ys: np.ndarray
+    dist_to_target: np.ndarray
+    sol_dist: np.ndarray
 
 
 def condition_scan_points(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
                           x_radius: float, sol_tol: float = SOL_TOL):
-    """Admissible (p, x, y) triples shared by every condition checker.
+    """Admissible (p, x, y) triples shared by every condition checker, as one
+    ``ScanBatch`` per parameter that has any.
 
-    Yields graph points with x in the open ball of radius ``x_radius`` around
-    xbar, x off the solution set, and 0 < |y - ybar| < alpha*mu (strictly,
-    with a relative guard on the upper bound).
+    The points are graph points with x in the open ball of radius
+    ``x_radius`` around xbar, x off the solution set, and
+    0 < |y - ybar| < alpha*mu (strictly, with a relative guard on the upper
+    bound).  They come from the graph sample, so checkers need not test
+    their membership again.
     """
     ybar = q.ybar_arr
     xbar = q.xbar_arr
@@ -491,11 +533,10 @@ def condition_scan_points(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
         if not mask.any():
             continue
         sol_d = F.solution_distance_vec(p, xs[mask], ybar, grids)
-        for x, y, dty, sd in zip(xs[mask], ys[mask], dy[mask], sol_d):
-            if sd <= sol_tol:
-                continue
-            yield ScanPoint(p=p, x=x, y=y, dist_to_target=float(dty),
-                            sol_dist=float(sd))
+        off = ~(sol_d <= sol_tol)
+        if off.any():
+            yield ScanBatch(p=p, xs=xs[mask][off], ys=ys[mask][off],
+                            dist_to_target=dy[mask][off], sol_dist=sol_d[off])
 
 
 def check_mode(mode: str):
@@ -510,8 +551,8 @@ def condition_scan(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
 
     Sufficient mode scans the (delta + mu)-ball at the caller's gamma;
     necessary mode scans the delta-ball at gamma = 1/alpha.  Returns
-    ``(query, x_radius, points)`` with ``points`` a lazy
-    ``condition_scan_points`` stream.
+    ``(query, x_radius, batches)`` with ``batches`` a lazy
+    ``condition_scan_points`` stream of one ``ScanBatch`` per parameter.
     """
     check_mode(mode)
     if mode == "necessary":

@@ -66,6 +66,8 @@ class MarginScan:
     array) and ``witness(i)``, which builds the witness of the batch's i-th
     point; it is called only when that point lowers the running minimum below
     ``-tol``, so the witness is the first point attaining the scan minimum.
+    A NaN margin is no number to compare: it is counted, never taken as the
+    minimum, and it keeps the scan from certifying HOLDS.
     """
 
     def __init__(self, tol: float = 0.0):
@@ -73,10 +75,15 @@ class MarginScan:
         self.margin = math.inf
         self.witness = None
         self.points_scanned = 0
+        self.nan_margins = 0
 
     def add(self, margins, witness) -> None:
         margins = np.atleast_1d(margins)
         self.points_scanned += margins.size
+        nan = np.isnan(margins)
+        if nan.any():
+            self.nan_margins += int(nan.sum())
+            margins = np.where(nan, math.inf, margins)
         i = int(np.argmin(margins))
         if margins[i] < self.margin:
             self.margin = float(margins[i])
@@ -84,16 +91,22 @@ class MarginScan:
                 self.witness = witness(i)
 
     def certificate(self, meta: dict) -> Certificate:
-        """VIOLATED with the witness, else HOLDS (INCONCLUSIVE on an empty
-        scan)."""
+        """VIOLATED with the witness, else HOLDS; INCONCLUSIVE on an empty
+        scan, or without a witness when some margin was NaN (counted in
+        ``scan_meta["nan_margins"]``)."""
         n = self.points_scanned
         meta = dict(meta, points_scanned=n)
+        if self.nan_margins:
+            meta["nan_margins"] = self.nan_margins
         if n == 0:
             return Certificate(Verdict.INCONCLUSIVE, math.nan, None, meta,
                                "no admissible scan points")
         if self.witness is not None:
             return Certificate(Verdict.VIOLATED, self.margin, self.witness,
                                meta)
+        if self.nan_margins:
+            return Certificate(Verdict.INCONCLUSIVE, math.nan, None, meta,
+                               f"{self.nan_margins} of {n} margins are NaN")
         return Certificate(Verdict.HOLDS, self.margin, None, meta)
 
 

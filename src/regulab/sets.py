@@ -405,6 +405,8 @@ class ConeRep:
     empty: bool = False
     _bases: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    _vertices: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @classmethod
     def make(cls, generators=None, lineality=None, dim=None,
@@ -474,6 +476,16 @@ class ConeRep:
     def polar_halfspaces(self) -> np.ndarray:
         """``[G; L; -L]``: the polar is ``{u : G u <= 0, L u = 0}``."""
         return np.vstack([self.generators, self.lineality, -self.lineality])
+
+    def polar_vertices(self, c: float = math.inf) -> np.ndarray:
+        """``_polar_vertices`` of the polar halfspaces (both blocks
+        one-dimensional), built once per cone and ``c``, as ``face`` keeps
+        its bases."""
+        if c not in self._vertices:
+            P = _polar_vertices(self.polar_halfspaces(), c)
+            P.setflags(write=False)
+            self._vertices[c] = P
+        return self._vertices[c]
 
 
 def _orthonormal_split(M: np.ndarray, tol: float = 1e-10):
@@ -631,10 +643,25 @@ def gamma_dual_distance(q, cone: ConeRep, g: GammaMetric, nx: int,
         raise DimensionMismatchError("cone and point dimensions differ")
     if nx == 1 and n == 2:
         # 0 when q is in the cone: the origin is the first vertex
-        val, u = _support_2d(q, cone.polar_halfspaces(), 1.0 / g.gamma)
+        val, u = _support_2d(q, cone, 1.0 / g.gamma)
     else:
         val, u = _support_faces(q, cone, nx, 1.0 / g.gamma)
     return (val, u) if with_direction else val
+
+
+def memo_per_cone(solve):
+    """``solve(cone, v)`` solved once per cone object and vector ``v``: a
+    rule's cone is often one object at every scan point.  The memo keeps
+    every cone it has seen, so no other cone can take its ``id``."""
+    seen = {}
+
+    def solve_once(cone: ConeRep, v: np.ndarray):
+        key = (id(cone), v.tobytes())
+        if key not in seen:
+            seen[key] = cone, solve(cone, v)
+        return seen[key][1]
+
+    return solve_once
 
 
 def _polar_vertices(M, c: float = math.inf) -> np.ndarray:
@@ -677,13 +704,14 @@ def _polar_vertices(M, c: float = math.inf) -> np.ndarray:
     return P[on]
 
 
-def _support_2d(q, M, c: float):
-    """max q.u over ``{M u <= 0, |u_x| <= 1, |u_y| <= c}`` and a maximizer.
+def _support_2d(q, cone: ConeRep, c: float):
+    """max q.u over ``{M u <= 0, |u_x| <= 1, |u_y| <= c}`` and a maximizer,
+    ``M`` the cone's polar halfspaces.
 
     A linear function attains its maximum over the (bounded) polygon at a
     vertex; ties go to the first vertex in ``_polar_vertices``' order.
     """
-    P = _polar_vertices(M, c)
+    P = cone.polar_vertices(c)
     vals = P @ q
     i = int(np.argmax(vals))
     return float(max(0.0, vals[i])), P[i]
@@ -870,7 +898,7 @@ def cone_min_norm(cone: ConeRep, nx: int, y_target: np.ndarray,
         # cone = {0}: w_y = 0
         return 0.0 if np.linalg.norm(y_target) <= eta + 1e-12 else np.inf
     if nx == 1 and ny == 1:
-        return _min_norm_2d(cone.polar_halfspaces(), float(y_target[0]), eta)
+        return _min_norm_2d(cone, float(y_target[0]), eta)
     # nearest cone y-part to the target: the y-rows of the columns [G; L; -L]
     Bp = cone.polar_halfspaces().T[nx:]
     c = _nonneg_lsq(Bp, y_target)
@@ -881,10 +909,10 @@ def cone_min_norm(cone: ConeRep, nx: int, y_target: np.ndarray,
     return _min_norm_faces(cone, nx, y_target, eta)
 
 
-def _min_norm_2d(M, y: float, eta: float) -> float:
+def _min_norm_2d(cone: ConeRep, y: float, eta: float) -> float:
     """min |w_x| over ``w`` with ``|w_y - y| <= eta`` in the cone generated
-    by the rows of ``M`` (whose polar is ``{v : M v <= 0}``), both blocks
-    one-dimensional.
+    by the rows of ``M``, the cone's polar halfspaces (the polar is
+    ``{v : M v <= 0}``), both blocks one-dimensional.
 
     Solved through its LP dual
 
@@ -896,9 +924,10 @@ def _min_norm_2d(M, y: float, eta: float) -> float:
     ``v_y >= 0`` and ``v_y <= 0``, where the objective is linear.
     """
     lo, hi = y - eta, y + eta
+    M = cone.polar_halfspaces()
     if (lo > 0 and np.all(M[:, 1] <= 0)) or (hi < 0 and np.all(M[:, 1] >= 0)):
         return np.inf
-    vy = _polar_vertices(M)[:, 1]
+    vy = cone.polar_vertices()[:, 1]
     return float(max(0.0, np.max(np.where(vy >= 0, lo * vy, hi * vy))))
 
 

@@ -8,6 +8,16 @@ neighborhoods.  Subregularity at rate alpha is equivalent to the nonlocal
 slope being at least alpha on the admissible scan set, and is implied by the
 corresponding local-slope bound; both checkers below scan that set and report
 certificates.
+
+Both slopes take one graph point or one parameter's stacked scan points (the
+rows of a ``ScanBatch``), and the checkers make one call per parameter.  The
+candidates of all points are built as arrays: the (scan points x graph
+sample) quotient block, in blocks of rows; each point's nearest solution
+point, from the map's memo; and the short honest steps, whose closed-form
+x-steps are de-duplicated per point and evaluated in one call of the rule.
+The quotients are scored row by row, rounding as for a single point, and a
+point's slope is the maximum of its rows, so the stacked values are the
+one-point values bit for bit.
 """
 
 from __future__ import annotations
@@ -28,11 +38,13 @@ from .mappings import (
     strict_cap,
 )
 from .oracle import Certificate, MarginScan, _base_meta
-from .sets import ConeRep, dist_to_region, gamma_dual_distance
+from .sets import dist_to_region, gamma_dual_distance, memo_per_cone
 from .spaces import GammaMetric, as_point
 
 _LEVELS = 13
 _LAST = 3
+# rows of the (scan points x graph sample) quotient block scored at once
+_BLOCK = 1 << 14
 
 
 def merit_value(F: SetValuedMap, q: RegularityQuery, p, u, v,
@@ -49,145 +61,212 @@ def _require_graph_point(F, p, x, y):
         raise InputError("slope is only defined at points of the graph")
 
 
+def _stack(F, p, x, y):
+    """``(xs, ys, one)``: stacked rows as they are, or a single point as one
+    row once it has passed the graph check."""
+    if np.ndim(x) == 2:
+        return np.asarray(x, dtype=float), np.asarray(y, dtype=float), False
+    _require_graph_point(F, p, x, y)
+    return as_point(x)[None, :], as_point(y)[None, :], True
+
+
+def _targets(q: RegularityQuery, ys: np.ndarray):
+    """``(ys - ybar, |ys - ybar|)`` per row; ``InputError`` at y = ybar."""
+    W = ys - q.ybar_arr
+    nw = np.sqrt(_row_dots(W))  # np.linalg.norm(w) of each row
+    if np.any(nw == 0):
+        raise InputError("slope scan requires y != ybar")
+    return W, nw
+
+
 def _row_dots(a: np.ndarray) -> np.ndarray:
-    """``a_i . a_i`` for every row, rounded as the 1-D ``a_i @ a_i`` is
-    (``np.sum(a * a, 1)`` and ``np.linalg.norm(a, axis=1)`` round some 2-D
-    rows differently)."""
-    return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
+    """``a_i . a_i`` for every row (the last axis), rounded as the 1-D
+    ``a_i @ a_i`` is (``np.sum(a * a, -1)`` and ``np.linalg.norm(a,
+    axis=-1)`` round some 2-D rows differently)."""
+    return (a[..., None, :] @ a[..., :, None])[..., 0, 0]
 
 
 def _quotients(w, us, vs, x, y, gamma: float):
     """Distances and merit difference quotients of stacked candidates.
 
-    Row i of ``us`` and ``vs`` is a competitor (u, v); returns
-    ``d = max(|u-x|, gamma*|v-y|)`` and ``(|y-ybar| - |v-ybar|) / d`` for
-    every row, with ``w = y - ybar``.  The numerator is evaluated through
-    the difference-of-squares identity to avoid cancellation when v is close
-    to y.  Rows with ``d = 0`` give no quotient; callers drop them.
+    Row i of ``us`` and ``vs`` is a competitor (u, v) of the graph point
+    (x, y), with ``w = y - ybar``; ``w``, ``x`` and ``y`` are one point or
+    one row per candidate (any shapes that broadcast against ``us``).
+    Returns ``d = max(|u-x|, gamma*|v-y|)`` and ``(|y-ybar| - |v-ybar|) /
+    d`` for every row.  The numerator is evaluated through the
+    difference-of-squares identity to avoid cancellation when v is close to
+    y.  Rows with ``d = 0`` give no quotient; callers drop them.
     """
+    ww = _row_dots(w)
     d = np.maximum(np.sqrt(_row_dots(us - x)),
                    gamma * np.sqrt(_row_dots(vs - y)))
     wv = vs - (y - w)  # v - ybar
     wv2 = _row_dots(wv)
-    num = (w @ w - wv2) / (np.linalg.norm(w) + np.sqrt(wv2))
+    num = (ww - wv2) / (np.sqrt(ww) + np.sqrt(wv2))
     with np.errstate(divide="ignore", invalid="ignore"):
         return d, num / d
 
 
-def _direction_candidates(F: SetValuedMap, q: RegularityQuery, p, x, y,
-                          gamma: float) -> list[np.ndarray]:
-    """Unit-scale descent directions in the product space at the graph
-    point (x, y), given as arrays.
+def _nearest_solutions(F, q, p, xs, grids) -> list:
+    """``F.nearest_solutions`` of the rows, or ``(inf, None)`` for each when
+    the map has no solution set to offer without a grid."""
+    try:
+        return F.nearest_solutions(p, xs, q.ybar_arr, grids)
+    except InputError:
+        return [(math.inf, None)] * len(xs)
+
+
+def _direction_candidates(F: SetValuedMap, q: RegularityQuery, p, xs, ys,
+                          near) -> list[list[np.ndarray]]:
+    """Unit-scale descent directions in the product space at each stacked
+    graph point (xs[i], ys[i]), as a list of arrays per point.
 
     Directions with ``max(|d_x|, gamma |d_y|) <= 1``: the maximizer of the
-    dual-distance support problem over each graph tangent cone at (x, y)
+    dual-distance support problem over each graph tangent cone at the point
     (the first-order optimal direction), plus the direction toward the
-    nearest solution point paired with the target.
+    nearest solution point ``near[i]`` (see ``nearest_solutions``) paired
+    with the target.  Each distinct support problem (cone, dual vector) is
+    solved once: a rule's cone is often one object at every point.
     """
-    g = GammaMetric(gamma)
-    ybar = q.ybar_arr
-    w = y - ybar
-    nw = np.linalg.norm(w)
-    dirs: list[np.ndarray] = []
-    qvec = np.concatenate([np.zeros(F.nx), -w / nw]) if nw > 0 else None
-
-    cones: list[ConeRep] = []
+    g = GammaMetric(q.gamma)
+    ybar, nx = q.ybar_arr, F.nx
+    W, nw = _targets(q, ys)
+    qvecs = np.hstack([np.zeros((len(xs), nx)), -W / nw[:, None]])
     if isinstance(F, PolyhedralGraphMap):
-        cones = F.piece_cones(p, x, y)
-    elif isinstance(F, ClosedFormMap):
-        # (x, y) has passed the graph check, so the rule's cone applies as is
-        if F.cone_fn is not None:
-            cones.append(F.cone_fn(p, x, y))
+        cones = [F.piece_cones(p, x, y) for x, y in zip(xs, ys)]
     else:
         try:
-            cone = F.normal_cone(p, x, y)
+            cones = [[cone] for cone in F.scan_cones(p, xs, ys)]
         except InputError:
-            cone = None
-        if cone is not None and not cone.empty:
-            cones.append(cone)
-    if qvec is not None:
-        for cone in cones:
-            _, u = gamma_dual_distance(qvec, cone, g, F.nx, with_direction=True)
-            if u is not None and np.linalg.norm(u) > 1e-12:
-                dirs.append(u)
+            cones = [[]] * len(xs)
+    support = memo_per_cone(lambda cone, qvec: gamma_dual_distance(
+        qvec, cone, g, nx, with_direction=True)[1])
+    out = []
+    for x, y, qvec, point_cones, (sd, upt) in zip(xs, ys, qvecs, cones, near):
+        dirs = [u for u in (support(cone, qvec) for cone in point_cones)
+                if u is not None and np.linalg.norm(u) > 1e-12]
+        # direction toward the nearest solution point, paired with the target
+        if upt is not None and math.isfinite(sd):
+            step = np.concatenate([upt - x, ybar - y])
+            s = max(np.linalg.norm(step[:nx]),
+                    q.gamma * np.linalg.norm(step[nx:]))
+            if s > 0:
+                dirs.append(step / s)
+        out.append(dirs)
+    return out
 
-    # direction toward the nearest solution point, paired with the target
-    try:
-        sd, upt = dist_to_region(x, F.solution_set(p, ybar))
-    except InputError:
-        sd, upt = math.inf, None
-    if upt is not None and math.isfinite(sd):
-        step = np.concatenate([upt - x, ybar - y])
-        s = max(np.linalg.norm(step[: F.nx]), gamma * np.linalg.norm(step[F.nx:]))
-        if s > 0:
-            dirs.append(step / s)
-    return dirs
+
+def _directions(F, q, p, xs, ys, grids) -> list:
+    """The directions of every row, each point's built once per ``(p, x, y,
+    ybar, gamma, grids)`` in the map's per-parameter memo, so both slope
+    checks share them; the rows not built yet are built in one batch."""
+    memo = F._memo(("directions", q.ybar_arr.tobytes(), q.gamma, grids), p,
+                   dict)
+    keys = [x.tobytes() + y.tobytes() for x, y in zip(xs, ys)]
+    todo = [i for i, k in enumerate(keys) if k not in memo]
+    if todo:
+        built = _direction_candidates(
+            F, q, p, xs[todo], ys[todo],
+            _nearest_solutions(F, q, p, xs[todo], grids))
+        for i, dirs in zip(todo, built):
+            memo[keys[i]] = dirs
+    return [memo[k] for k in keys]
 
 
 def _points_on_graph_along(F, p, x, y, d, ts) -> list[np.ndarray]:
     """Polyhedral graph points near (x, y) stepping along direction ``d``,
     as rows (u, v): each step on the graph as it is, and each step off it
     projected back when the projection lies within the step's length.  One
-    membership test covers all the steps."""
+    membership test covers all the steps; each off-graph step is projected
+    once per parameter, in the map's memo, whichever slope check takes it."""
     region = F.graph_region(p)
+    projected = F._memo("graph projections", p, dict)
     zs = np.concatenate([x, y]) + np.outer(ts, d)
     out = []
     for z, t, on in zip(zs, ts, region.contains_rows(zs, 1e-10)):
         if on:
             out.append(z)
             continue
-        dz, zp = dist_to_region(z, region)
+        k = z.tobytes()
+        if k not in projected:
+            projected[k] = dist_to_region(z, region)
+        dz, zp = projected[k]
         if zp is not None and dz <= abs(t):
             out.append(zp)
     return out
 
 
-def _step_schedule(nw: float, gamma: float) -> np.ndarray:
-    """Shared radius schedule for honest short steps from a graph point."""
-    r0 = min(1e-4, 1e-5 * nw * min(gamma, 1.0))
-    return r0 * 2.0 ** (-np.arange(_LEVELS, dtype=float))
+def _step_schedule(nw: np.ndarray, gamma: float) -> np.ndarray:
+    """Shared radius schedules for honest short steps from graph points at
+    distances ``nw`` from the target: one row ``r0 2^-j`` per point."""
+    r0 = np.minimum(1e-4, 1e-5 * nw * min(gamma, 1.0))
+    return r0[:, None] * 2.0 ** (-np.arange(_LEVELS, dtype=float))
 
 
-def _short_step_candidates(F, q, p, x, y, ts):
-    """Honest graph points stepped from (x, y), as stacked ``(us, vs)``;
-    used by both slope variants so the local value never exceeds the
-    nonlocal one numerically.
+def _short_step_candidates(F, q, p, xs, ys, radii, grids):
+    """Honest graph points stepped from the stacked points (xs[i], ys[i])
+    along their radius schedules ``radii[i]``, as ``(owner, us, vs)``: row k
+    is a step from point ``owner[k]``.  Used by both slope variants so the
+    local value never exceeds the nonlocal one numerically.
 
     A closed-form map's honest step is (x + s, F(p, x + s)), so it depends
     only on the x-step s: each first-order direction's x-part times each
     radius, and each +-e_i times each radius and radius/(1 + gamma).  The
-    rule is evaluated once per distinct step, in one call of a batched rule.
-    A polyhedral map steps along each direction and projects back onto the
-    graph.  The directions are built once per ``(p, x, y, ybar, gamma)`` in
-    the map's per-parameter memo, so both slope checks share them.
+    steps of all points are de-duplicated per point by one ``lexsort`` on
+    (point, u) and evaluated in one ``graph_rows`` call.  A polyhedral map
+    steps along each direction and projects back onto the graph.
     """
-    x, y = as_point(x), as_point(y)
-    key = ("directions", x.tobytes(), y.tobytes(), q.ybar_arr.tobytes(),
-           q.gamma)
-    dirs = F._memo(key, p, lambda: tuple(
-        _direction_candidates(F, q, p, x, y, q.gamma)))
+    nx, n = F.nx, len(xs)
+    if not isinstance(F, (ClosedFormMap, PolyhedralGraphMap)):
+        return np.zeros(0, dtype=int), np.zeros((0, nx)), np.zeros((0, F.ny))
+    dirs = _directions(F, q, p, xs, ys, grids)
     if isinstance(F, ClosedFormMap):
-        radii = np.concatenate([ts, ts / (1 + q.gamma)])
-        radii = np.concatenate([radii, -radii])
-        steps = [np.outer(ts, d[:F.nx]) for d in dirs]
-        steps += [np.outer(radii, e) for e in np.eye(F.nx)]
-        # the distinct steps in lexicographic order, as np.unique(us, axis=0)
-        # gives them at several times the cost on arrays this small
-        us = x + np.vstack(steps)
-        us = us[np.lexsort(us.T[::-1])]
-        return F.graph_over(p, us[np.r_[True, (us[1:] != us[:-1]).any(1)]])
-    zs: list[np.ndarray] = []
-    if isinstance(F, PolyhedralGraphMap):
-        for d in dirs:
-            zs.extend(_points_on_graph_along(F, p, x, y, d, ts))
-    if not zs:
-        return np.zeros((0, F.nx)), np.zeros((0, F.ny))
-    zs = np.array(zs)
-    return zs[:, :F.nx], zs[:, F.nx:]
+        own = np.repeat(np.arange(n), [len(d) for d in dirs])
+        D = np.array([d[:nx] for ds in dirs for d in ds]).reshape(-1, nx)
+        along = radii[own][:, :, None] * D[:, None, :]
+        axes = np.hstack([radii, radii / (1 + q.gamma)])
+        axes = np.hstack([axes, -axes])[:, None, :, None] * \
+            np.eye(nx)[None, :, None, :]
+        owner = np.concatenate([np.repeat(own, radii.shape[1]),
+                                np.repeat(np.arange(n), axes[0].size // nx)])
+        us = xs[owner] + np.vstack([along.reshape(-1, nx),
+                                    axes.reshape(-1, nx)])
+        # the distinct steps of each point in lexicographic order, as
+        # np.unique(us, axis=0) gives them at several times the cost
+        order = np.lexsort((*us.T[::-1], owner))
+        us, owner = us[order], owner[order]
+        keep = np.r_[True, (us[1:] != us[:-1]).any(1) |
+                     (owner[1:] != owner[:-1])]
+        us, owner = us[keep], owner[keep]
+        rows, vs = F.graph_rows(p, us)
+        return owner[rows], us[rows], vs
+    owner, zs = [], []
+    for i, (x, y, ts) in enumerate(zip(xs, ys, radii)):
+        for d in dirs[i]:
+            found = _points_on_graph_along(F, p, x, y, d, ts)
+            owner += [i] * len(found)
+            zs += found
+    zs = np.array(zs).reshape(-1, nx + F.ny)
+    return np.array(owner, dtype=int), zs[:, :nx], zs[:, nx:]
+
+
+def _best(n: int, owner, r, ok) -> np.ndarray:
+    """Each point's largest ``r`` over its rows with ``ok``; -inf for a
+    point without one."""
+    best = np.full(n, -np.inf)
+    np.maximum.at(best, owner[ok], r[ok])
+    return best
+
+
+def _slopes(best: np.ndarray, one: bool):
+    """``max(0, best)`` per point (0 for a point without a quotient), as a
+    float for a single point."""
+    vals = np.where(best > 0, best, 0.0)
+    return float(vals[0]) if one else vals
 
 
 def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
-                   grids: ScanGrids, x_radius: float | None = None) -> float:
+                   grids: ScanGrids, x_radius: float | None = None):
     """Supremum of merit difference quotients over the admissible graph scan.
 
     Admissible competitors (u, v) lie on gph F_p with u in the open ball of
@@ -195,62 +274,82 @@ def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
     strictly below alpha*mu.  The scan uses the graph sample plus the nearest
     solution point and short honest steps from (x, y), so the reported value
     is a certified lower bound of the supremum.
+
+    ``x`` and ``y`` are one graph point (checked, a float back) or one
+    parameter's stacked graph points as rows (taken as given, as a
+    ``ScanBatch`` holds them; an array back, row by row the one-point
+    values).
     """
-    _require_graph_point(F, p, x, y)
-    x, y = as_point(x), as_point(y)
-    ybar = q.ybar_arr
-    w = y - ybar
-    nw = float(np.linalg.norm(w))
-    if nw == 0:
-        raise InputError("slope scan requires y != ybar")
+    xs, ys, one = _stack(F, p, x, y)
+    W, nw = _targets(q, ys)
     if x_radius is None:
         x_radius = q.delta + q.mu
     cap = strict_cap(q.alpha * q.mu)
+    xbar, ybar, nx = q.xbar_arr, q.ybar_arr, F.nx
 
-    # the graph sample, the same short honest steps the local slope uses
-    # plus coarser ones (so the nonlocal value dominates the local one
-    # numerically), and the nearest solution point paired with the target
+    def admissible(us, vs):
+        return (np.sqrt(_row_dots(us - xbar)) < x_radius) & \
+            (np.sqrt(_row_dots(vs - ybar)) <= cap)
+
+    # the nearest solution points paired with the target
+    near = _nearest_solutions(F, q, p, xs, grids)
+    has = np.array([i for i, (_, u) in enumerate(near) if u is not None],
+                   dtype=int)
+    us = np.array([near[i][1] for i in has]).reshape(-1, nx)
+    vs = np.tile(ybar, (len(has), 1))
+    d, r = _quotients(W[has], us, vs, xs[has], ys[has], q.gamma)
+    best = _best(len(xs), has, r, admissible(us, vs) & (d > 0))
+
+    # the graph sample against every point, in blocks of about _BLOCK rows
     pts = F.graph_points(p, grids)
-    ts = _step_schedule(nw, q.gamma)
-    coarse = min(0.1 * nw, 0.1 * nw * q.gamma) * 2.0 ** (-np.arange(6, dtype=float))
-    us, vs = _short_step_candidates(F, q, p, x, y, np.concatenate([coarse, ts]))
-    us, vs = np.vstack([pts[:, :F.nx], us]), np.vstack([pts[:, F.nx:], vs])
-    try:
-        _, upt = dist_to_region(x, F.solution_set(p, ybar, grids))
-    except InputError:
-        upt = None
-    if upt is not None:
-        us, vs = np.vstack([upt, us]), np.vstack([ybar, vs])
-    d, r = _quotients(w, us, vs, x, y, q.gamma)
-    ok = (np.sqrt(_row_dots(us - q.xbar_arr)) < x_radius) & (d > 0)
-    ok &= np.sqrt(_row_dots(vs - ybar)) <= cap
-    return float(max(0.0, np.max(r[ok]))) if ok.any() else 0.0
+    su, sv = pts[:, :nx], pts[:, nx:]
+    keep = admissible(su, sv)
+    su, sv = su[keep], sv[keep]
+    if len(su):
+        step = max(1, _BLOCK // len(su))
+        for a in range(0, len(xs), step):
+            c = slice(a, a + step)
+            d, r = _quotients(W[c, None], su, sv, xs[c, None], ys[c, None],
+                              q.gamma)
+            best[c] = np.maximum(best[c],
+                                 np.where(d > 0, r, -np.inf).max(axis=1))
+
+    # the same short honest steps the local slope uses plus coarser ones (so
+    # the nonlocal value dominates the local one numerically)
+    coarse = np.minimum(0.1 * nw, 0.1 * nw * q.gamma)[:, None] * \
+        2.0 ** (-np.arange(6, dtype=float))
+    owner, us, vs = _short_step_candidates(
+        F, q, p, xs, ys, np.hstack([coarse, _step_schedule(nw, q.gamma)]),
+        grids)
+    d, r = _quotients(W[owner], us, vs, xs[owner], ys[owner], q.gamma)
+    best = np.maximum(best, _best(len(xs), owner, r,
+                                  admissible(us, vs) & (d > 0)))
+    return _slopes(best, one)
 
 
 def local_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
-                grids: ScanGrids | None = None, r0: float | None = None) -> float:
+                grids: ScanGrids | None = None, r0: float | None = None):
     """Limit of merit difference quotients as competitors approach (x, y).
 
     Approximated on the geometric radius schedule ``r0 * 2^-k``, k = 0..12;
     the reported value is the maximum over the last three levels; the levels
     are nested, so that is the level of the third-last radius.  Competitors
     are honest graph points stepped along first-order optimal directions.
+    ``x`` and ``y`` are one graph point or stacked rows, as for
+    ``nonlocal_slope``.
     """
-    _require_graph_point(F, p, x, y)
-    x, y = as_point(x), as_point(y)
-    w = y - q.ybar_arr
-    nw = float(np.linalg.norm(w))
-    if nw == 0:
-        raise InputError("slope scan requires y != ybar")
+    xs, ys, one = _stack(F, p, x, y)
+    W, nw = _targets(q, ys)
     if r0 is None:
         radii = _step_schedule(nw, q.gamma)
     else:
-        radii = r0 * 2.0 ** (-np.arange(_LEVELS, dtype=float))
+        radii = np.tile(r0 * 2.0 ** (-np.arange(_LEVELS, dtype=float)),
+                        (len(xs), 1))
 
-    us, vs = _short_step_candidates(F, q, p, x, y, radii)
-    d, r = _quotients(w, us, vs, x, y, q.gamma)
-    ok = (d > 0) & (d <= radii[-_LAST] * (1 + 1e-9))
-    return float(max(0.0, np.max(r[ok]))) if ok.any() else 0.0
+    owner, us, vs = _short_step_candidates(F, q, p, xs, ys, radii, grids)
+    d, r = _quotients(W[owner], us, vs, xs[owner], ys[owner], q.gamma)
+    ok = (d > 0) & (d <= radii[owner, -_LAST] * (1 + 1e-9))
+    return _slopes(_best(len(xs), owner, r, ok), one)
 
 
 def slope_preconditions(F: SetValuedMap, mode: str, local: bool):
@@ -264,12 +363,12 @@ def slope_preconditions(F: SetValuedMap, mode: str, local: bool):
 
 def _condition_check(F, q, grids, mode, slope_fn, tol, local) -> Certificate:
     slope_preconditions(F, mode, local)
-    q, x_radius, points = condition_scan(F, q, grids, mode)
+    q, x_radius, batches = condition_scan(F, q, grids, mode)
     scan = MarginScan(tol)
-    for sp in points:
-        val = slope_fn(F, q, sp.p, sp.x, sp.y, grids)
-        scan.add(val - q.alpha, lambda _: {
-            "p": sp.p, "x": sp.x, "y": sp.y, "value": val,
+    for b in batches:
+        vals = slope_fn(F, q, b.p, b.xs, b.ys, grids)
+        scan.add(vals - q.alpha, lambda i: {
+            "p": b.p, "x": b.xs[i], "y": b.ys[i], "value": float(vals[i]),
             "inequality": "slope >= alpha"})
     meta = dict(_base_meta(q, grids), mode=mode, x_radius=x_radius,
                 kind="local" if local else "nonlocal")

@@ -7,6 +7,8 @@ F(p, x) = [a x + b p + c, +inf) has the same modulus and solution map
 structure for a > 0.  Both families drive the randomized acceptance suites.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,16 @@ from regulab import (
     RegularityQuery,
     ScanGrids,
 )
+from regulab.mappings import condition_scan_points
 from regulab.sets import ConeRep
+
+def scan_points(F, q, grids, x_radius) -> list:
+    """The points of ``condition_scan_points`` one by one, as ``(p, x, y)``
+    namespaces, for tests that call the one-point functions."""
+    return [SimpleNamespace(p=b.p, x=x, y=y)
+            for b in condition_scan_points(F, q, grids, x_radius)
+            for x, y in zip(b.xs, b.ys)]
+
 
 X1 = NormedSpace("X", 1)
 Y1 = NormedSpace("Y", 1)
@@ -63,6 +74,17 @@ def halfplane_map_1d(a: float, b: float, c: float = 0.0) -> PolyhedralGraphMap:
         return [(np.array([[a, -1.0]]), np.array([-(b * pv + c)]))]
 
     return PolyhedralGraphMap(X1, Y1, pieces, param_space=P1, convex=True)
+
+
+def kinked_map_1d(a1=1.6, a2=0.9, b=0.3):
+    """A nonconvex two-piece union, F(p, x) = [a1 x - b p, inf) for x <= 0
+    and [a2 x - b p, inf) for x >= 0: a graph with a kink at x = 0."""
+    def pieces(p):
+        s = b * float(np.atleast_1d(p)[0])
+        return [(np.array([[a1, -1.0], [1.0, 0.0]]), np.array([s, 0.0])),
+                (np.array([[a2, -1.0], [-1.0, 0.0]]), np.array([s, 0.0]))]
+
+    return PolyhedralGraphMap(X1, Y1, pieces, param_space=P1, convex=False)
 
 
 def affine_map_2d(A: np.ndarray, B: np.ndarray) -> ClosedFormMap:

@@ -55,9 +55,9 @@ from regulab.cli import (
     load_scenario,
     run_scenario,
 )
-from regulab.mappings import condition_scan_points
 from regulab.spaces import NormedSpace
-from conftest import affine_map_1d, grids_1d, query_1d, random_convex_instances
+from conftest import (affine_map_1d, grids_1d, query_1d, random_convex_instances,
+                      scan_points)
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -211,7 +211,7 @@ def test_acceptance_6_slope_identities(convex_suite):
         if n_points >= 500:
             break
         q = query_1d(0.75 * modulus, gamma=1.3)
-        for sp in condition_scan_points(F, q, grids, q.delta + q.mu):
+        for sp in scan_points(F, q, grids, q.delta + q.mu):
             ls = local_slope(F, q, sp.p, sp.x, sp.y, grids)
             ns = nonlocal_slope(F, q, sp.p, sp.x, sp.y, grids)
             sd = subdiff_distance(F, q, sp.p, sp.x, sp.y)

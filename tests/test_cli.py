@@ -590,22 +590,20 @@ def test_difference_example_evaluates_its_rule_in_arrays(tmp_path,
         F.value_rule = counted
         return F
 
-    scanned, built = [], []
+    scanned, built = [], []  # the points of each call
     slope_at, directions = regulab.slope.nonlocal_slope, \
         regulab.slope._direction_candidates
     monkeypatch.setattr(regulab.cli, "build_mapping", spied_build)
-    monkeypatch.setattr(regulab.slope, "nonlocal_slope",
-                        lambda *a, **k: scanned.append(1) or slope_at(*a, **k))
-    monkeypatch.setattr(regulab.slope, "_direction_candidates",
-                        lambda *a: built.append(1) or directions(*a))
+    monkeypatch.setattr(regulab.slope, "nonlocal_slope", lambda *a, **k:
+                        scanned.append(len(a[3])) or slope_at(*a, **k))
+    monkeypatch.setattr(regulab.slope, "_direction_candidates", lambda *a:
+                        built.append(len(a[3])) or directions(*a))
     assert run_scenario(sc)[0] == 0
-    n = len(scanned)  # slope-local scans the same points
-    assert n == 418
-    # slope-local reuses the directions slope-nonlocal built
-    assert len(built) == n
-    # one array call per scan point per slope check and one per graph
-    # sample (11 parameters); the other calls are one-point graph checks
-    # (in_graph), at each scan point of four checks
-    batched = [r for r in rows if r > 1]
-    assert len(batched) == 2 * n + 11
-    assert rows.count(1) == 4 * n and len(rows) == len(batched) + 4 * n
+    # one call per parameter (11) with its stacked scan points
+    assert len(scanned) == 11 and sum(scanned) == 418
+    # slope-local scans the same points and reuses the directions that
+    # slope-nonlocal built, one batch per parameter
+    assert built == scanned
+    # one array call per parameter per slope check and one per graph
+    # sample; the checkers make no one-point graph checks (in_graph)
+    assert len(rows) == 3 * 11 and min(rows) > 1

@@ -21,7 +21,6 @@ from regulab import (
     subdiff_distance,
 )
 from regulab.cli import _rule_affine, _rule_quadratic_difference
-from regulab.mappings import condition_scan_points
 from regulab.spaces import NormedSpace
 from conftest import (
     affine_map_1d,
@@ -30,6 +29,7 @@ from conftest import (
     halfplane_map_1d,
     query_1d,
     random_convex_instances,
+    scan_points,
 )
 
 
@@ -72,7 +72,7 @@ def test_subdifferential_check_builds_one_cone_per_point(monkeypatch):
     monkeypatch.setattr(F, "normal_cone",
                         lambda *a: cones.append(a) or normal_cone(*a))
     cert = check_subdifferential_condition(F, q, grids)
-    points = list(condition_scan_points(F, q, grids, q.delta + q.mu))
+    points = scan_points(F, q, grids, q.delta + q.mu)
     assert len(cones) == cert.scan_meta["points_scanned"] == len(points)
     assert cert.margin == min(subdiff_distance(F, q, sp.p, sp.x, sp.y)
                               for sp in points) - q.alpha
@@ -203,7 +203,7 @@ def test_sum_rule_consistency_identity():
     for F, modulus, _ in random_convex_instances(8, seed=71):
         q = query_1d(0.8 * modulus, gamma=1.4)
         g = GammaMetric(q.gamma)
-        for sp in list(condition_scan_points(F, q, grids, q.delta))[:3]:
+        for sp in scan_points(F, q, grids, q.delta)[:3]:
             sd = subdiff_distance(F, q, sp.p, sp.x, sp.y)
             [ystar] = dual_candidates(sp.y, q.ybar_arr, "exact", q.tau)
             cone = F.normal_cone(sp.p, sp.x, sp.y)

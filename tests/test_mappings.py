@@ -16,7 +16,7 @@ from regulab import (
     hat_reduction,
 )
 import regulab.sets
-from regulab.mappings import PolyhedralGraphMap, condition_scan_points
+from regulab.mappings import condition_scan_points
 from regulab.oracle import check_geometric, check_subreg_uniform
 from regulab.sets import Polyhedron
 from regulab.slope import (
@@ -28,6 +28,7 @@ from conftest import (
     counting_rule,
     grids_1d,
     halfplane_map_1d,
+    kinked_map_1d,
     query_1d,
 )
 
@@ -157,26 +158,18 @@ def test_query_validation():
 def test_condition_scan_points_filters():
     F = affine_map_1d(1.0, 0.0)
     q = query_1d(alpha=1.0, delta=0.5, mu=0.5)
-    pts = list(condition_scan_points(F, q, grids_1d(), q.delta))
-    assert pts
-    for sp in pts:
-        assert np.linalg.norm(sp.x) < q.delta
-        assert 0 < sp.dist_to_target < q.alpha * q.mu
-        assert sp.sol_dist > 0
-        assert F.in_graph(sp.p, sp.x, sp.y)
-
-
-def kinked_map_1d(a1=1.6, a2=0.9, b=0.3):
-    """A nonconvex two-piece union, F(p, x) = [a1 x - b p, inf) for x <= 0
-    and [a2 x - b p, inf) for x >= 0: a graph with a kink at x = 0."""
-    def pieces(p):
-        s = b * float(np.atleast_1d(p)[0])
-        return [(np.array([[a1, -1.0], [1.0, 0.0]]), np.array([s, 0.0])),
-                (np.array([[a2, -1.0], [-1.0, 0.0]]), np.array([s, 0.0]))]
-
-    return PolyhedralGraphMap(NormedSpace("X", 1), NormedSpace("Y", 1),
-                              pieces, param_space=NormedSpace("P", 1),
-                              convex=False)
+    batches = list(condition_scan_points(F, q, grids_1d(), q.delta))
+    assert batches
+    # one batch per parameter, each with the points' data as stacked rows
+    assert len({tuple(b.p) for b in batches}) == len(batches)
+    for b in batches:
+        assert len(b.xs) == len(b.ys) == len(b.dist_to_target) \
+            == len(b.sol_dist)
+        assert np.all(np.linalg.norm(b.xs, axis=1) < q.delta)
+        assert np.all((0 < b.dist_to_target)
+                      & (b.dist_to_target < q.alpha * q.mu))
+        assert np.all(b.sol_dist > 0)
+        assert all(F.in_graph(b.p, x, y) for x, y in zip(b.xs, b.ys))
 
 
 def test_polyhedral_scans_solve_each_slice_and_point_once(monkeypatch):

@@ -19,7 +19,7 @@ from regulab.cli import (EXAMPLE_QUADRATIC, _rule_quadratic_difference,
                          build_grids, build_mapping, build_query,
                          load_scenario)
 from regulab.mappings import strict_cap
-from regulab.oracle import _residual_scan
+from regulab.oracle import MarginScan, _residual_scan
 from regulab.spaces import NormedSpace
 from conftest import affine_map_1d, grids_1d, query_1d, random_convex_instances
 
@@ -262,3 +262,31 @@ def test_geometric_tie_goes_to_the_rung():
     ladder = np.linspace(q.mu / 65, q.mu, 64, endpoint=False)
     assert rho in ladder and crit * (1 + 1e-9) < q.mu
     assert rho != crit * (1 + 1e-9) and rho - 1e20 == crit * (1 + 1e-9) - 1e20
+
+
+def test_margin_scan_never_certifies_a_nan_margin():
+    def witness(i):
+        return {"i": i}
+
+    # a NaN beside a checked violation: the violation stands
+    scan = MarginScan(1e-9)
+    scan.add(np.array([math.nan, -1.0]), witness)
+    cert = scan.certificate({})
+    assert cert.verdict is Verdict.VIOLATED
+    assert cert.margin == -1.0 and cert.witness == {"i": 1}
+    assert cert.scan_meta == {"points_scanned": 2, "nan_margins": 1}
+    # a scan of a single NaN, or of a NaN beside margins that hold, is
+    # inconclusive
+    for margins in (math.nan, np.array([0.5, math.nan, 2.0])):
+        scan = MarginScan(1e-9)
+        scan.add(margins, witness)
+        cert = scan.certificate({})
+        assert cert.verdict is Verdict.INCONCLUSIVE
+        assert math.isnan(cert.margin) and cert.witness is None
+        assert cert.scan_meta["nan_margins"] == 1
+    # without a NaN the scan_meta is as before
+    scan = MarginScan(1e-9)
+    scan.add(np.array([0.5, 2.0]), witness)
+    cert = scan.certificate({})
+    assert cert.verdict is Verdict.HOLDS and cert.margin == 0.5
+    assert cert.scan_meta == {"points_scanned": 2}

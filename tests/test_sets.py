@@ -580,14 +580,14 @@ def test_subspace_forms_match_2d_vertex_forms_on_lines(line, q, gamma, y,
     cone, q, c = ConeRep.make(lineality=[line]), np.array(q), 1.0 / gamma
     polar, primal, _ = cone.face((), 1)
     val, _, u = _support_subspace(q, polar, c)
-    ref = _support_2d(q, cone.polar_halfspaces(), c)[0]
+    ref = _support_2d(q, cone, c)[0]
     assert abs(val - ref) <= 1e-9 * max(1.0, ref)
     assert abs(cone.lineality @ u)[0] <= 1e-12
     assert abs(u[0]) <= 1 + 1e-12 and abs(u[1]) <= c * (1 + 1e-12)
     assert abs(q @ u - val) <= 1e-12 * max(1.0, val)
     if abs(line[1]) >= 1e-3:  # the line's y-parts reach every target
         mn = _min_norm_subspace(primal, 1, np.array([y]), eta)[1]
-        ref = _min_norm_2d(cone.polar_halfspaces(), y, eta)
+        ref = _min_norm_2d(cone, y, eta)
         assert abs(mn - ref) <= 1e-9 * max(1.0, ref)
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regulab import (
     InputError,
@@ -14,7 +16,7 @@ from regulab import (
     nonlocal_slope,
     subdiff_distance,
 )
-from regulab.cli import _rule_quadratic_difference
+from regulab.cli import _RULES, _rule_quadratic_difference
 from regulab.mappings import RegularityQuery, ScanGrids, condition_scan_points
 from regulab.slope import _quotients
 from regulab.spaces import GammaMetric, GridSpec, NormedSpace, prod_dist
@@ -24,8 +26,10 @@ from conftest import (
     counting_rule,
     grids_1d,
     halfplane_map_1d,
+    kinked_map_1d,
     query_1d,
     random_convex_instances,
+    scan_points,
 )
 
 
@@ -101,7 +105,7 @@ def test_slopes_evaluate_the_rule_once_per_point():
         q = RegularityQuery(xbar=(0.0,) * F.nx, ybar=(0.0,) * F.ny,
                             pbar=(0.0,), alpha=0.5, delta=0.6, mu=0.6,
                             eta=0.4, gamma=gamma)
-        points = list(condition_scan_points(F, q, grids, q.delta + q.mu))
+        points = scan_points(F, q, grids, q.delta + q.mu)
         seen = counting_rule(F)
         for sp in points[::5]:
             for slope in (nonlocal_slope, local_slope):
@@ -110,11 +114,50 @@ def test_slopes_evaluate_the_rule_once_per_point():
                 assert seen and len(set(seen)) == len(seen)
 
 
+def _stacked_case(kind, c):
+    """A map of ``kind`` from the coefficients ``c`` (in [0.5, 2]), and its
+    scan grids."""
+    X1, X2, P1 = NormedSpace("X", 1), NormedSpace("X", 2), NormedSpace("P", 1)
+    if kind == "affine-1d":  # the batched rule of the rule library
+        return _RULES["affine"](X1, X1, P1, {"a": -c[0], "b": c[1] - 1}), \
+            grids_1d(11, 3)
+    if kind == "quadratic-1d":
+        return _rule_quadratic_difference(X1, X1, P1, {}), grids_1d(11, 3)
+    if kind == "kinked":  # a two-piece polyhedral union
+        return kinked_map_1d(c[0], c[1] / 2, c[2] - 1), grids_1d(9, 3)
+    grids2 = ScanGrids(x=GridSpec((-1.0, -1.0), (1.0, 1.0), 5),
+                       p=GridSpec((-0.3,), (0.3,), 3))
+    A = [[c[0] + 1, c[1] - 1.25], [c[2] - 1.25, c[3] + 1]]  # invertible
+    if kind == "affine-2d-rule":  # one matrix product for all rows
+        return _RULES["affine"](X2, X2, P1, {"a": A, "b": c[1] - 1}), grids2
+    return affine_map_2d(A, [c[1] - 1, 0.2]), grids2  # one call per row
+
+
+@given(kind=st.sampled_from(["affine-1d", "quadratic-1d", "kinked",
+                             "affine-2d-rule", "affine-2d"]),
+       c=st.lists(st.floats(0.5, 2.0), min_size=4, max_size=4),
+       alpha=st.floats(0.2, 1.5), gamma=st.sampled_from([0.5, 1.0, 2.0]))
+@settings(max_examples=30, deadline=None)
+def test_stacked_slopes_equal_one_point_slopes(kind, c, alpha, gamma):
+    # the slopes of one parameter's stacked scan points are, bit for bit,
+    # the slopes of the points one at a time (on a map with its own memo)
+    F, grids = _stacked_case(kind, c)
+    G, _ = _stacked_case(kind, c)
+    q = RegularityQuery(xbar=(0.0,) * F.nx, ybar=(0.0,) * F.ny, pbar=(0.0,),
+                        alpha=alpha, delta=0.6, mu=0.6, eta=0.4, gamma=gamma)
+    for b in condition_scan_points(F, q, grids, q.delta + q.mu):
+        for slope in (nonlocal_slope, local_slope):
+            stacked = slope(F, q, b.p, b.xs, b.ys, grids)
+            one = [slope(G, q, b.p, x, y, grids) for x, y in zip(b.xs, b.ys)]
+            assert stacked.shape == (len(b.xs),)
+            assert stacked.tobytes() == np.array(one).tobytes()
+
+
 def test_local_at_most_nonlocal_pointwise():
     grids = grids_1d(21, 3)
     for F, modulus, _ in random_convex_instances(6, seed=31):
         q = query_1d(0.8 * modulus)
-        for sp in list(condition_scan_points(F, q, grids, q.delta))[:4]:
+        for sp in scan_points(F, q, grids, q.delta)[:4]:
             ls = local_slope(F, q, sp.p, sp.x, sp.y, grids)
             ns = nonlocal_slope(F, q, sp.p, sp.x, sp.y, grids)
             assert ls <= ns + 1e-9
@@ -124,7 +167,7 @@ def test_local_slope_matches_subdifferential_distance():
     grids = grids_1d(21, 3)
     for F, modulus, _ in random_convex_instances(6, seed=41):
         q = query_1d(0.8 * modulus, gamma=1.3)
-        for sp in list(condition_scan_points(F, q, grids, q.delta))[:4]:
+        for sp in scan_points(F, q, grids, q.delta)[:4]:
             ls = local_slope(F, q, sp.p, sp.x, sp.y, grids)
             sd = subdiff_distance(F, q, sp.p, sp.x, sp.y)
             assert abs(ls - sd) <= 1e-6
