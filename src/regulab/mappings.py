@@ -201,14 +201,20 @@ class SetValuedMap:
         d, _ = dist_to_region(as_point(x), self.solution_set(p, ybar, grids))
         return d
 
+    def _solution_grids(self, ybar, grids):
+        """The ``grids`` that ``solution_set(p, ybar, grids)`` reads: None
+        where the set has an exact form and ignores them."""
+        return grids
+
     def nearest_solutions(self, p, xs: np.ndarray, ybar,
                           grids: ScanGrids | None = None) -> list:
         """``(d(x, G(p)), a nearest point of G(p))`` for every row ``x`` of
         ``xs``, ``(inf, None)`` where G(p) is empty; each distinct row is
-        solved once per ``(p, ybar, grids)``, in the map's memo, so the scan
-        that measured a point's distance also hands its nearest point to the
-        slope checks."""
+        solved once per ``(p, ybar)`` and the grids the solution set reads,
+        in the map's memo, so the scan that measured a point's distance also
+        hands its nearest point to the slope checks."""
         ybar = as_point(ybar)
+        grids = self._solution_grids(ybar, grids)
         region = self.solution_set(p, ybar, grids)
         return self._per_point(("nearest solution", ybar.tobytes(), grids),
                                p, xs, lambda x: dist_to_region(x, region))
@@ -314,6 +320,11 @@ class ClosedFormMap(SetValuedMap):
         res = self.residual_vec(p, xs, ybar)
         return PointCloud(xs[res <= _GRAPH_TOL], dedupe_tol=0.0)
 
+    def _solution_grids(self, ybar, grids):
+        exact = self.solution_any_fn is not None or (
+            self.solution_fn is not None and self._matches_target(ybar))
+        return None if exact else grids
+
     def _matches_target(self, ybar) -> bool:
         return self.target is None or bool(
             np.linalg.norm(ybar - self.target) <= 1e-12
@@ -413,6 +424,9 @@ class PolyhedralGraphMap(SetValuedMap):
     def solution_set(self, p, ybar, grids=None) -> PolyUnion:
         return self._slice(p, "y", as_point(ybar))
 
+    def _solution_grids(self, ybar, grids):
+        return None
+
     def graph_points(self, p, grids: ScanGrids) -> np.ndarray:
         return self._memo(grids, p, lambda: region_sample_points(
             self.graph_region(p), grids.product_xy()))
@@ -483,10 +497,6 @@ class ShiftedTargetMap(SetValuedMap):
     def normal_cone(self, p, x, y) -> ConeRep:
         base_p, shift = self._split(p)
         return self.base.normal_cone(base_p, x, as_point(y) + shift)
-
-    def scan_cones(self, p, xs, ys) -> list[ConeRep]:
-        base_p, shift = self._split(p)
-        return self.base.scan_cones(base_p, xs, ys + shift[None, :])
 
 
 def hat_reduction(F: SetValuedMap, y_shifts) -> ShiftedTargetMap:

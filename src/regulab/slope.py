@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DimensionMismatchError, InputError
 from .mappings import (
     ClosedFormMap,
     PolyhedralGraphMap,
@@ -62,12 +62,18 @@ def _require_graph_point(F, p, x, y):
 
 
 def _stack(F, p, x, y):
-    """``(xs, ys, one)``: stacked rows as they are, or a single point as one
-    row once it has passed the graph check."""
-    if np.ndim(x) == 2:
-        return np.asarray(x, dtype=float), np.asarray(y, dtype=float), False
-    _require_graph_point(F, p, x, y)
-    return as_point(x)[None, :], as_point(y)[None, :], True
+    """``(xs, ys, one)``: a single point as one row once it has passed the
+    graph check, or stacked rows as they are (shapes checked, graph not)."""
+    if np.ndim(x) < 2 and np.ndim(y) < 2:
+        _require_graph_point(F, p, x, y)
+        return as_point(x)[None, :], as_point(y)[None, :], True
+    xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if xs.ndim != 2 or ys.ndim != 2 or len(xs) != len(ys) or \
+            xs.shape[1] != F.nx or ys.shape[1] != F.ny:
+        raise DimensionMismatchError(
+            f"stacked points need shapes (n, {F.nx}) and (n, {F.ny}), got "
+            f"{xs.shape} and {ys.shape}")
+    return xs, ys, False
 
 
 def _targets(q: RegularityQuery, ys: np.ndarray):
@@ -109,7 +115,8 @@ def _quotients(w, us, vs, x, y, gamma: float):
 
 def _nearest_solutions(F, q, p, xs, grids) -> list:
     """``F.nearest_solutions`` of the rows, or ``(inf, None)`` for each when
-    the map has no solution set to offer without a grid."""
+    the map has no solution set to offer (without a grid, when ``grids`` is
+    None)."""
     try:
         return F.nearest_solutions(p, xs, q.ybar_arr, grids)
     except InputError:
@@ -124,9 +131,10 @@ def _direction_candidates(F: SetValuedMap, q: RegularityQuery, p, xs, ys,
     Directions with ``max(|d_x|, gamma |d_y|) <= 1``: the maximizer of the
     dual-distance support problem over each graph tangent cone at the point
     (the first-order optimal direction), plus the direction toward the
-    nearest solution point ``near[i]`` (see ``nearest_solutions``) paired
-    with the target.  Each distinct support problem (cone, dual vector) is
-    solved once: a rule's cone is often one object at every point.
+    nearest solution point ``near[i]`` (of the solution set without grids,
+    see ``_directions``) paired with the target.  Each distinct support
+    problem (cone, dual vector) is solved once: a rule's cone is often one
+    object at every point.
     """
     g = GammaMetric(q.gamma)
     ybar, nx = q.ybar_arr, F.nx
@@ -156,18 +164,20 @@ def _direction_candidates(F: SetValuedMap, q: RegularityQuery, p, xs, ys,
     return out
 
 
-def _directions(F, q, p, xs, ys, grids) -> list:
+def _directions(F, q, p, xs, ys) -> list:
     """The directions of every row, each point's built once per ``(p, x, y,
-    ybar, gamma, grids)`` in the map's per-parameter memo, so both slope
-    checks share them; the rows not built yet are built in one batch."""
-    memo = F._memo(("directions", q.ybar_arr.tobytes(), q.gamma, grids), p,
-                   dict)
+    ybar, gamma)`` in the map's per-parameter memo, so both slope checks
+    share them; the rows not built yet are built in one batch.  They read no
+    scan grid: the nearest solution point is one of the solution set without
+    grids, where the map has one; when that set reads no grid anyway, the
+    scan's own distances have already put these points in the memo."""
+    memo = F._memo(("directions", q.ybar_arr.tobytes(), q.gamma), p, dict)
     keys = [x.tobytes() + y.tobytes() for x, y in zip(xs, ys)]
     todo = [i for i, k in enumerate(keys) if k not in memo]
     if todo:
         built = _direction_candidates(
             F, q, p, xs[todo], ys[todo],
-            _nearest_solutions(F, q, p, xs[todo], grids))
+            _nearest_solutions(F, q, p, xs[todo], None))
         for i, dirs in zip(todo, built):
             memo[keys[i]] = dirs
     return [memo[k] for k in keys]
@@ -203,7 +213,7 @@ def _step_schedule(nw: np.ndarray, gamma: float) -> np.ndarray:
     return r0[:, None] * 2.0 ** (-np.arange(_LEVELS, dtype=float))
 
 
-def _short_step_candidates(F, q, p, xs, ys, radii, grids):
+def _short_step_candidates(F, q, p, xs, ys, radii):
     """Honest graph points stepped from the stacked points (xs[i], ys[i])
     along their radius schedules ``radii[i]``, as ``(owner, us, vs)``: row k
     is a step from point ``owner[k]``.  Used by both slope variants so the
@@ -219,7 +229,7 @@ def _short_step_candidates(F, q, p, xs, ys, radii, grids):
     nx, n = F.nx, len(xs)
     if not isinstance(F, (ClosedFormMap, PolyhedralGraphMap)):
         return np.zeros(0, dtype=int), np.zeros((0, nx)), np.zeros((0, F.ny))
-    dirs = _directions(F, q, p, xs, ys, grids)
+    dirs = _directions(F, q, p, xs, ys)
     if isinstance(F, ClosedFormMap):
         own = np.repeat(np.arange(n), [len(d) for d in dirs])
         D = np.array([d[:nx] for ds in dirs for d in ds]).reshape(-1, nx)
@@ -276,9 +286,9 @@ def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
     is a certified lower bound of the supremum.
 
     ``x`` and ``y`` are one graph point (checked, a float back) or one
-    parameter's stacked graph points as rows (taken as given, as a
-    ``ScanBatch`` holds them; an array back, row by row the one-point
-    values).
+    parameter's stacked graph points as rows of shapes (n, nx) and (n, ny),
+    as a ``ScanBatch`` holds them: an array back, row by row the one-point
+    values.  Stacked rows are not checked against the graph.
     """
     xs, ys, one = _stack(F, p, x, y)
     W, nw = _targets(q, ys)
@@ -319,8 +329,7 @@ def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
     coarse = np.minimum(0.1 * nw, 0.1 * nw * q.gamma)[:, None] * \
         2.0 ** (-np.arange(6, dtype=float))
     owner, us, vs = _short_step_candidates(
-        F, q, p, xs, ys, np.hstack([coarse, _step_schedule(nw, q.gamma)]),
-        grids)
+        F, q, p, xs, ys, np.hstack([coarse, _step_schedule(nw, q.gamma)]))
     d, r = _quotients(W[owner], us, vs, xs[owner], ys[owner], q.gamma)
     best = np.maximum(best, _best(len(xs), owner, r,
                                   admissible(us, vs) & (d > 0)))
@@ -334,8 +343,9 @@ def local_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
     Approximated on the geometric radius schedule ``r0 * 2^-k``, k = 0..12;
     the reported value is the maximum over the last three levels; the levels
     are nested, so that is the level of the third-last radius.  Competitors
-    are honest graph points stepped along first-order optimal directions.
-    ``x`` and ``y`` are one graph point or stacked rows, as for
+    are honest graph points stepped along first-order optimal directions,
+    which read no scan grid (``grids`` is taken for the checkers' common
+    call).  ``x`` and ``y`` are one graph point or stacked rows, as for
     ``nonlocal_slope``.
     """
     xs, ys, one = _stack(F, p, x, y)
@@ -346,7 +356,7 @@ def local_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
         radii = np.tile(r0 * 2.0 ** (-np.arange(_LEVELS, dtype=float)),
                         (len(xs), 1))
 
-    owner, us, vs = _short_step_candidates(F, q, p, xs, ys, radii, grids)
+    owner, us, vs = _short_step_candidates(F, q, p, xs, ys, radii)
     d, r = _quotients(W[owner], us, vs, xs[owner], ys[owner], q.gamma)
     ok = (d > 0) & (d <= radii[owner, -_LAST] * (1 + 1e-9))
     return _slopes(_best(len(xs), owner, r, ok), one)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regulab import (
+    DimensionMismatchError,
     InputError,
     Verdict,
     check_local_slope_condition,
@@ -151,6 +152,43 @@ def test_stacked_slopes_equal_one_point_slopes(kind, c, alpha, gamma):
             one = [slope(G, q, b.p, x, y, grids) for x, y in zip(b.xs, b.ys)]
             assert stacked.shape == (len(b.xs),)
             assert stacked.tobytes() == np.array(one).tobytes()
+
+
+def test_slope_steps_read_no_scan_grid():
+    # at ybar = 0.25 the quadratic map has no exact solution rule, so only
+    # the nonlocal slope's own candidate reads G(p) off the grid; the honest
+    # steps, and with them the local slope, are those of a call without grids
+    F = _rule_quadratic_difference(NormedSpace("X", 1), NormedSpace("Y", 1),
+                                   NormedSpace("P", 1), {})
+    G = _rule_quadratic_difference(NormedSpace("X", 1), NormedSpace("Y", 1),
+                                   NormedSpace("P", 1), {})
+    grids = grids_1d(21, 5)
+    for gamma in (1.0, 2.0):
+        q = RegularityQuery(xbar=(0.0,), ybar=(0.25,), pbar=(0.0,),
+                            alpha=0.5, delta=0.6, mu=0.6, eta=0.4,
+                            gamma=gamma)
+        for b in condition_scan_points(F, q, grids, q.delta + q.mu):
+            stacked = local_slope(F, q, b.p, b.xs, b.ys, grids)
+            one = [local_slope(G, q, b.p, x, y) for x, y in zip(b.xs, b.ys)]
+            assert stacked.tobytes() == np.array(one).tobytes()
+            stacked = nonlocal_slope(F, q, b.p, b.xs, b.ys, grids)
+            one = [nonlocal_slope(G, q, b.p, x, y, grids)
+                   for x, y in zip(b.xs, b.ys)]
+            assert stacked.tobytes() == np.array(one).tobytes()
+
+
+def test_stacked_slopes_check_their_shapes():
+    # stacked rows are taken without a graph check, but their shapes are
+    # checked; a single point still gets the graph check
+    F = affine_map_1d(-1.0, 1.0)
+    q = query_1d(1.0)
+    xs, ys = np.array([[0.1], [0.2]]), np.array([[-0.1], [-0.2]])
+    for slope in (nonlocal_slope, local_slope):
+        assert slope(F, q, [0.0], xs, ys, grids_1d()).shape == (2,)
+        for x, y in ((xs, ys[:1]), (xs, ys[:, 0]), (xs[:, 0], ys),
+                     (np.hstack([xs, xs]), ys)):
+            with pytest.raises(DimensionMismatchError):
+                slope(F, q, [0.0], x, y, grids_1d())
 
 
 def test_local_at_most_nonlocal_pointwise():
