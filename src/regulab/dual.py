@@ -12,11 +12,15 @@ built from the normal cone N to the graph at (x, y):
   ball around -y* must have norm >= alpha (ball form), alpha/(1-eta)
   (normalized sufficient form) or alpha(1-eta) (necessary form).
 
-The checkers take the scan one parameter at a time (a ``ScanBatch``): they
-build the normal cones of its points without testing their graph membership
-again, solve each distinct (cone, dual vector) problem once per check
-(``memo_per_cone``), and reduce the batch's margins in one
-``MarginScan.add``.
+Each checker first collects the (point, dual vector) pairs of every
+``ScanBatch`` of its scan (one batch per parameter), with the normal cones
+of the points, built without testing their graph membership again.  It then
+solves all pairs in one stacked call per distinct cone object, each
+distinct dual vector of a cone once (``solve_per_cone``): a rule's cone is
+often one object at every point, so a whole check is one array search.
+Last it reduces each batch's margins in one ``MarginScan.add``, batch by
+batch in scan order, so the witness is the first point attaining the
+minimum.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import InputError
 from .mappings import RegularityQuery, ScanGrids, SetValuedMap, check_mode, \
     condition_scan
 from .oracle import Certificate, MarginScan, _base_meta
-from .sets import (cone_min_norm, gamma_dual_distance, memo_per_cone,
+from .sets import (cone_min_norm, gamma_dual_distance, solve_per_cone,
                    _unit_directions)
 from .spaces import GammaMetric, as_point
 
@@ -101,17 +105,32 @@ def coderivative_distance(F: SetValuedMap, p, x, y, ystar, eta: float) -> float:
     return cone_min_norm(cone, F.nx, -ystar, eta)
 
 
-def _dual_pairs(F: SetValuedMap, b, q: RegularityQuery, kind: str):
-    """The (point, dual vector) pairs of a ``ScanBatch``, point by point in
-    ``dual_candidates`` order, as ``(at, cones, ystars)``: pair k is the
-    point ``at[k]`` with its normal cone ``cones[k]`` and ``ystars[k]``."""
-    at, cones, ystars = [], [], []
-    for i, (y, cone) in enumerate(zip(b.ys, F.scan_cones(b.p, b.xs, b.ys))):
-        for ystar in dual_candidates(y, q.ybar_arr, kind, q.tau):
-            at.append(i)
-            cones.append(cone)
-            ystars.append(ystar)
-    return at, cones, ystars
+def _dual_pairs(F: SetValuedMap, batches, q: RegularityQuery, kind: str):
+    """The (point, dual vector) pairs of a check's ``ScanBatch``es, point by
+    point in ``dual_candidates`` order, as ``(pairs, cones)``: ``pairs``
+    holds ``(b, at, ystars)`` per batch, its pair k the point ``at[k]`` of
+    ``b`` with the dual vector ``ystars[k]``, and ``cones`` the normal cone
+    of every pair of every batch, in that order."""
+    pairs, cones = [], []
+    for b in batches:
+        at, ystars = [], []
+        for i, (y, cone) in enumerate(zip(b.ys, F.scan_cones(b.p, b.xs, b.ys))):
+            for ystar in dual_candidates(y, q.ybar_arr, kind, q.tau):
+                at.append(i)
+                ystars.append(ystar)
+                cones.append(cone)
+        pairs.append((b, at, np.array(ystars).reshape(-1, F.ny)))
+    return pairs, cones
+
+
+def _solve_pairs(pairs, cones, solve) -> list:
+    """``solve(cone, ystars)`` on the stacked dual vectors of all pairs,
+    one call per distinct cone (``solve_per_cone``), split into one array
+    per batch."""
+    if not pairs:
+        return []
+    vals = solve_per_cone(solve, cones, np.vstack([ys for _, _, ys in pairs]))
+    return np.split(vals, np.cumsum([len(ys) for _, _, ys in pairs])[:-1])
 
 
 def check_variant(variant: str):
@@ -142,22 +161,19 @@ def check_subdifferential_condition(F: SetValuedMap, q: RegularityQuery,
     q, x_radius, batches = condition_scan(F, q, grids, mode)
     scan = MarginScan(tol)
     g = GammaMetric(q.gamma)
-    flags = 0
-    distance = memo_per_cone(lambda cone, ystar: gamma_dual_distance(
-        -np.concatenate([np.zeros(F.nx), ystar]), cone, g, F.nx))
-    small_ystar_xnorm = memo_per_cone(lambda cone, ystar: cone_min_norm(
-        cone, F.nx, -ystar, small_ystar_eps))
-    for b in batches:
-        # scan points have y != ybar, so the point part is (0, y*) with y*
-        # the one exact dual vector: the subdifferential at point i is
-        # (0, ystars[i]) + cones[i]
-        _, cones, ystars = _dual_pairs(F, b, q, "exact")
-        vals = list(map(distance, cones, ystars))
-        scan.add(np.array(vals, dtype=float) - q.alpha, lambda i: {
-            "p": b.p, "x": b.xs[i], "y": b.ys[i], "value": vals[i],
+    # scan points have y != ybar, so the point part is (0, y*) with y* the
+    # one exact dual vector: the subdifferential at a point is (0, y*) + N
+    pairs, cones = _dual_pairs(F, batches, q, "exact")
+    dists = _solve_pairs(pairs, cones, lambda cone, ys: gamma_dual_distance(
+        -np.hstack([np.zeros((len(ys), F.nx)), ys]), cone, g, F.nx))
+    xnorms = _solve_pairs(pairs, cones, lambda cone, ys: cone_min_norm(
+        cone, F.nx, -ys, small_ystar_eps))
+    for (b, _, _), vals in zip(pairs, dists):
+        scan.add(vals - q.alpha, lambda i: {
+            "p": b.p, "x": b.xs[i], "y": b.ys[i], "value": float(vals[i]),
             "inequality": "d_gamma(0, subdifferential) >= alpha"})
-        flags += sum(math.isfinite(v) and v < q.alpha - tol
-                     for v in map(small_ystar_xnorm, cones, ystars))
+    flags = sum(int(np.sum(np.isfinite(v) & (v < q.alpha - tol)))
+                for v in xnorms)
     meta = dict(_base_meta(q, grids), mode=mode, x_radius=x_radius,
                 small_ystar_flags=flags)
     return scan.certificate(meta)
@@ -189,14 +205,14 @@ def check_normal_cone_condition(F: SetValuedMap, q: RegularityQuery,
     q, x_radius, batches = condition_scan(F, q, grids, mode)
     g = GammaMetric(q.gamma)
     scan = MarginScan(tol)
-    distance = memo_per_cone(lambda cone, ystar: gamma_dual_distance(
-        np.concatenate([np.zeros(F.nx), -ystar]), cone, g, F.nx))
-    for b in batches:
-        at, cones, ystars = _dual_pairs(F, b, q, kind)
-        vals = list(map(distance, cones, ystars))
-        scan.add(np.array(vals, dtype=float) - q.alpha, lambda i: {
-            "p": b.p, "x": b.xs[at[i]], "y": b.ys[at[i]], "value": vals[i],
-            "ystar": ystars[i], "inequality": "d_gamma((0,-y*), N) >= alpha"})
+    pairs, cones = _dual_pairs(F, batches, q, kind)
+    dists = _solve_pairs(pairs, cones, lambda cone, ys: gamma_dual_distance(
+        np.hstack([np.zeros((len(ys), F.nx)), -ys]), cone, g, F.nx))
+    for (b, at, ystars), vals in zip(pairs, dists):
+        scan.add(vals - q.alpha, lambda i: {
+            "p": b.p, "x": b.xs[at[i]], "y": b.ys[at[i]],
+            "value": float(vals[i]), "ystar": ystars[i],
+            "inequality": "d_gamma((0,-y*), N) >= alpha"})
     meta = dict(_base_meta(q, grids), mode=mode, variant=variant,
                 x_radius=x_radius)
     return scan.certificate(meta)
@@ -239,17 +255,16 @@ def check_coderivative_condition(F: SetValuedMap, q: RegularityQuery,
     kind = "exact" if variant == "convex-normal" else "cap"
     q, x_radius, batches = condition_scan(F, q, grids, mode)
     scan = MarginScan(tol)
-    vacuous = 0
-    min_norm = memo_per_cone(lambda cone, ystar: cone_min_norm(
-        cone, F.nx, -ystar, q.eta))
-    for b in batches:
-        at, cones, ystars = _dual_pairs(F, b, q, kind)
-        vals = list(map(min_norm, cones, ystars))
+    pairs, cones = _dual_pairs(F, batches, q, kind)
+    norms = _solve_pairs(pairs, cones, lambda cone, ys: cone_min_norm(
+        cone, F.nx, -ys, q.eta))
+    for (b, at, ystars), vals in zip(pairs, norms):
         # a vacuous pair has margin +inf: never the scan minimum
-        vacuous += sum(math.isinf(v) for v in vals)
-        scan.add(np.array(vals, dtype=float) - threshold, lambda i: {
-            "p": b.p, "x": b.xs[at[i]], "y": b.ys[at[i]], "value": vals[i],
-            "ystar": ystars[i], "inequality": f"min |x*| >= {threshold:.6g}"})
+        scan.add(vals - threshold, lambda i: {
+            "p": b.p, "x": b.xs[at[i]], "y": b.ys[at[i]],
+            "value": float(vals[i]), "ystar": ystars[i],
+            "inequality": f"min |x*| >= {threshold:.6g}"})
+    vacuous = sum(int(np.sum(np.isinf(v))) for v in norms)
     meta = dict(_base_meta(q, grids), mode=mode, form=form, variant=variant,
                 x_radius=x_radius, threshold=threshold, vacuous=vacuous)
     return scan.certificate(meta)

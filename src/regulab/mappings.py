@@ -448,6 +448,12 @@ class PolyhedralGraphMap(SetValuedMap):
     def normal_cone(self, p, x, y) -> ConeRep:
         return normal_cone_from(self.piece_cones(p, x, y), self.nx + self.ny)
 
+    def scan_cones(self, p, xs, ys) -> list[ConeRep]:
+        # each point's cone once per parameter, for every check that scans it
+        nx = self.nx
+        return self._per_point("normal cone", p, np.hstack([xs, ys]),
+                               lambda z: self.normal_cone(p, z[:nx], z[nx:]))
+
 
 class ShiftedTargetMap(SetValuedMap):
     """Canonical-perturbation reduction: parameters (p, y), values F(p,x) - y.
@@ -460,18 +466,30 @@ class ShiftedTargetMap(SetValuedMap):
 
     def __init__(self, base: SetValuedMap, y_shifts):
         self.base = base
-        shifts = [as_point(s) for s in y_shifts]
+        self.shifts = [tuple(as_point(s)) for s in y_shifts]
         if base.param_labels is not None:
-            labels = [(lbl, tuple(s)) for lbl in base.param_labels for s in shifts]
+            labels = [(lbl, s) for lbl in base.param_labels
+                      for s in self.shifts]
         else:
-            labels = [(None, tuple(s)) for s in shifts]
+            labels = [(None, s) for s in self.shifts]
         super().__init__(base.domain_space, base.range_space, param_labels=labels)
         self.convex_graph = base.convex_graph
+
+    def _pkey(self, p):
+        base_p, shift = p
+        return self.base._pkey(base_p), tuple(as_point(shift))
 
     @staticmethod
     def _split(p):
         base_p, shift = p
         return base_p, as_point(shift)
+
+    def param_points(self, q: RegularityQuery, grids: ScanGrids):
+        """Every scanned parameter of the base map paired with every shift:
+        a base map with a parameter space draws its parameters from the
+        grid, where the labels hold None."""
+        return [(base_p, shift) for base_p in self.base.param_points(q, grids)
+                for shift in self.shifts]
 
     def values(self, p, x) -> np.ndarray:
         base_p, shift = self._split(p)

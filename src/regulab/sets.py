@@ -26,8 +26,14 @@ Distances from a dual vector to a cone in the weighted dual norm
 
 in closed form: at a vertex of a polygon when both factors are
 one-dimensional, else face by face of the polar, each face a subspace on
-which one scalar search solves the problem.  Every answer comes with a
-primal-dual bracket that must close, else ``NumericError``.
+which a Newton search on one multiplier solves the problem.  Every answer
+comes with a primal-dual bracket that must close, else ``NumericError``.
+``gamma_dual_distance`` and ``cone_min_norm`` take one vector or stacked
+rows: the rows of one cone run the face search and the Newton search in
+lockstep, each leaving as its bracket closes, and each row goes through
+the products a single vector would, so stacking changes no answer.  One
+vector is a batch of one; the 1-D vertex forms stay per vector.
+``solve_per_cone`` makes one such call per distinct cone object.
 """
 
 from __future__ import annotations
@@ -473,6 +479,15 @@ class ConeRep:
         self._bases[key] = _block_basis(null, nx), _block_basis(rows, nx), D
         return self._bases[key]
 
+    def y_span(self, nx: int) -> np.ndarray:
+        """An orthonormal basis (rows) of ``span(L_y)``, the y-parts of the
+        lineality space, built once per cone and ``nx`` as ``face`` keeps
+        its bases."""
+        key = ("y", nx)
+        if key not in self._bases:
+            self._bases[key] = _orthonormal_split(self.lineality[:, nx:])[0]
+        return self._bases[key]
+
     def polar_halfspaces(self) -> np.ndarray:
         """``[G; L; -L]``: the polar is ``{u : G u <= 0, L u = 0}``."""
         return np.vstack([self.generators, self.lineality, -self.lineality])
@@ -624,44 +639,69 @@ def norm_subdifferential(y, base):
 # weighted dual-norm distances to cones
 
 
+def _rows(v):
+    """``(V, one)``: one vector as a batch of one row, or stacked rows (a 2-D
+    array) as they are."""
+    V = np.asarray(v, dtype=float)
+    if V.ndim == 2:
+        return V, False
+    return as_point(V)[None, :], True
+
+
 def gamma_dual_distance(q, cone: ConeRep, g: GammaMetric, nx: int,
                         with_direction: bool = False):
     """Distance from ``q=(q_x, q_y)`` to the cone in the norm |.|+|.|/gamma.
 
-    ``nx`` is the length of the first block.  Computed in support form: at
-    the vertices of a polygon when both blocks are one-dimensional, else
-    face by face (``_support_faces``).  With ``with_direction`` the
-    maximizing primal direction (an element of the polar of the cone with
-    ``|u_x| <= 1``, ``|u_y| <= 1/gamma``) is returned alongside the value.
+    ``nx`` is the length of the first block.  ``q`` is one vector (a float
+    back) or stacked rows of shape (n, dim) (an array of n distances back,
+    row by row the one-vector values).  Computed in support form: at the
+    vertices of a polygon, vector by vector, when both blocks are
+    one-dimensional, else face by face (``_support_faces``) for all rows at
+    once.  With ``with_direction`` the maximizing primal direction (an
+    element of the polar of the cone with ``|u_x| <= 1``, ``|u_y| <=
+    1/gamma``) is returned alongside the value: one vector (None for the
+    empty cone) or one row per row of ``q`` (NaN rows for the empty cone).
     ``NumericError`` when the face search's bracket does not close.
     """
-    q = as_point(q)
-    n = q.shape[0]
+    Q, one = _rows(q)
     if cone.empty:
-        return (np.inf, None) if with_direction else np.inf
-    if cone.dim != n:
+        vals, U = np.full(len(Q), np.inf), np.full(Q.shape, np.nan)
+    elif cone.dim != Q.shape[1]:
         raise DimensionMismatchError("cone and point dimensions differ")
-    if nx == 1 and n == 2:
+    elif nx == 1 and Q.shape[1] == 2:
         # 0 when q is in the cone: the origin is the first vertex
-        val, u = _support_2d(q, cone, 1.0 / g.gamma)
+        found = [_support_2d(v, cone, 1.0 / g.gamma) for v in Q]
+        vals = np.array([val for val, _ in found])
+        U = np.array([u for _, u in found]).reshape(Q.shape)
     else:
-        val, u = _support_faces(q, cone, nx, 1.0 / g.gamma)
-    return (val, u) if with_direction else val
+        vals, U = _support_faces(Q, cone, nx, 1.0 / g.gamma)
+    if one:
+        vals, U = float(vals[0]), None if cone.empty else U[0]
+    return (vals, U) if with_direction else vals
 
 
-def memo_per_cone(solve):
-    """``solve(cone, v)`` solved once per cone object and vector ``v``: a
-    rule's cone is often one object at every scan point.  The memo keeps
-    every cone it has seen, so no other cone can take its ``id``."""
-    seen = {}
-
-    def solve_once(cone: ConeRep, v: np.ndarray):
-        key = (id(cone), v.tobytes())
-        if key not in seen:
-            seen[key] = cone, solve(cone, v)
-        return seen[key][1]
-
-    return solve_once
+def solve_per_cone(solve, cones, vectors) -> np.ndarray:
+    """The answers to the pairs ``(cones[k], vectors[k])``, as an array
+    aligned with the pairs, from one call ``solve(cone, V)`` per distinct
+    cone object on the stacked distinct vectors ``V`` paired with it;
+    ``solve`` returns one answer (a number or a row) per row of ``V``.  A
+    rule's cone is often one object at every scan point, so a whole check
+    makes one call per cone."""
+    vectors = np.asarray(vectors, dtype=float)
+    # per cone object, the pairs of each distinct vector
+    groups: dict = {}
+    for k, cone in enumerate(cones):
+        groups.setdefault(id(cone), (cone, {}))[1].setdefault(
+            vectors[k].tobytes(), []).append(k)
+    out = None
+    for cone, by_vector in groups.values():
+        ks = list(by_vector.values())
+        found = np.asarray(solve(cone, vectors[[k[0] for k in ks]]))
+        if out is None:
+            out = np.empty((len(cones),) + found.shape[1:])
+        out[np.concatenate(ks)] = found[np.repeat(np.arange(len(ks)),
+                                                  [len(k) for k in ks])]
+    return np.zeros(0) if out is None else out
 
 
 def _polar_vertices(M, c: float = math.inf) -> np.ndarray:
@@ -717,34 +757,38 @@ def _support_2d(q, cone: ConeRep, c: float):
     return float(max(0.0, vals[i])), P[i]
 
 
-def _support_faces(q, cone: ConeRep, nx: int, c: float):
+def _support_faces(Q, cone: ConeRep, nx: int, c: float):
     """max q.u over the polar ``{G u <= 0, L u = 0}`` with ``|u_x| <= 1``
-    and ``|u_y| <= c``, and a maximizer, by ``_face_search``: a face's
-    maximizer ``u`` (``_support_subspace``) bounds it below if ``G_i u <=
-    1e-12 |G_i| |u|`` for every row.  It is ``min |q_x - w_x| + c |q_y -
-    w_y|`` over ``w`` in the cone, and the ``w = G_S^T a + L^T t`` fitting
-    ``q`` by nonnegative least squares on ``[G_S, L, -L]`` and the normals
-    of the balls active at ``u`` (within 1e-9) bounds it above, as does the
-    face S = () itself: it contains the polar."""
+    and ``|u_y| <= c``, and a maximizer, for every row ``q`` of ``Q``, by
+    ``_face_search``: a face's maximizer ``u`` (``_support_subspace``)
+    bounds it below if ``G_i u <= 1e-12 |G_i| |u|`` for every row.  It is
+    ``min |q_x - w_x| + c |q_y - w_y|`` over ``w`` in the cone, and the ``w
+    = G_S^T a + L^T t`` fitting ``q`` by nonnegative least squares on
+    ``[G_S, L, -L]`` and the normals of the balls active at ``u`` (within
+    1e-9) bounds it above, as does the face S = () itself: it contains the
+    polar."""
     G, L = cone.generators, cone.lineality
-    G_tol = 1e-12 * np.linalg.norm(G, axis=1) if len(G) else None
+    G_tol = 1e-12 * np.linalg.norm(G, axis=1)
 
-    def bounds(S, face):
-        low, up, u = _support_subspace(q, face[0], c)
-        if len(G) and not np.all(G @ u <= G_tol * np.linalg.norm(u)):
-            low = -math.inf
+    def bounds(S, face, rows):
+        low, up, U = _support_subspace(Q[rows], face[0], c)
+        if len(G):
+            low[~np.all(np.matvec(G, U) <= G_tol * _norms(U)[:, None],
+                        axis=1)] = -math.inf
         if S:
             B = np.vstack([G[list(S)], L, -L]).T
-            ux = u * (np.arange(len(u)) < nx)  # the ball normals (u_x, 0)
-            balls = [b for b, r2 in ((ux, 1.0), (u - ux, c * c))  # (0, u_y)
-                     if b @ b >= r2 * (1 - 1e-9)]
-            r = q - B @ _nonneg_lsq(np.column_stack([B, *balls]),
-                                    q)[:B.shape[1]]
-            up = np.linalg.norm(r[:nx]) + c * np.linalg.norm(r[nx:])
-        yield low, up, u
+            for j, (q, u) in enumerate(zip(Q[rows], U)):
+                ux = u * (np.arange(len(u)) < nx)  # the ball normals (u_x, 0)
+                balls = [b for b, r2 in ((ux, 1.0),
+                                         (u - ux, c * c))  # (0, u_y)
+                         if b @ b >= r2 * (1 - 1e-9)]
+                r = q - B @ _nonneg_lsq(np.column_stack([B, *balls]),
+                                        q)[:B.shape[1]]
+                up[j] = np.linalg.norm(r[:nx]) + c * np.linalg.norm(r[nx:])
+        return low, up, U
 
-    lower, _, u = _face_search(cone, nx, bounds)
-    return lower, u
+    lower, _, U = _face_search(cone, nx, bounds, len(Q))
+    return lower, U
 
 
 def _block_basis(R, nx: int):
@@ -759,95 +803,144 @@ def _block_basis(R, nx: int):
     return G, (G[:, :nx] ** 2).sum(axis=1), (G[:, nx:] ** 2).sum(axis=1)
 
 
-def _is_closed(lower: float, upper: float, tol: float) -> bool:
-    return upper < math.inf and upper - lower <= tol * max(1.0, upper)
+# The stacked forms below take every row through the product that the same
+# vector alone goes through: np.vecdot(a, b) rounds each row as the 1-D a_i @
+# b_i, and np.matvec(M, X) each row as M @ x_i, so a row rounds as it does
+# in a batch of one.
 
 
-def _face_search(cone: ConeRep, nx: int, bounds):
-    """The closest ``(lower, upper, u)`` of the bounds, and the point of the
-    lower one, that ``bounds(S, cone.face(S, nx))`` yields over the sets S
-    of generator rows independent modulo L, smallest first.  An optimum lies
-    on a face ``cone(G_S) + L`` or ``{G_S u = 0, L u = 0}`` for such an S
-    (Caratheodory's theorem), where the bounds meet.  Stops once they are
-    within 1e-13; ``NumericError`` unless they end within 1e-10 (relative
-    above 1), or above ``_MAX_FACES`` sets to try."""
+def _norms(a) -> np.ndarray:
+    """``np.linalg.norm(a_i)`` for every row, rounded as it is for one."""
+    return np.sqrt(np.vecdot(a, a))
+
+
+def _is_closed(lower, upper, tol: float) -> np.ndarray:
+    """Per row, whether the bounds are finite and within ``tol`` (relative
+    above 1); inf - inf is nan and fails, under ``np.errstate``."""
+    return (upper < math.inf) & (upper - lower <= tol * np.maximum(1.0, upper))
+
+
+def _face_search(cone: ConeRep, nx: int, bounds, n: int):
+    """The closest ``(lower, upper, u)`` of the bounds of n problems, and
+    the points of the lower ones, that ``bounds(S, cone.face(S, nx), rows)``
+    gives for the problems ``rows`` still open, as arrays ``(lower, upper,
+    u)`` with a row per problem (``u`` may be None), over the sets S of
+    generator rows independent modulo L, smallest first.  An optimum lies on
+    a face ``cone(G_S) + L`` or ``{G_S u = 0, L u = 0}`` for such an S
+    (Caratheodory's theorem), where the bounds meet.  A problem leaves the
+    search once its bounds are within 1e-13; ``NumericError`` unless the
+    bounds of every problem end within 1e-10 (relative above 1), or above
+    ``_MAX_FACES`` sets to try."""
     k = cone.generators.shape[0]
     sizes = range(min(k, cone.dim - cone.face((), nx)[1][0].shape[0]) + 1)
     if sum(math.comb(k, j) for j in sizes) > _MAX_FACES:
         raise NumericError(f"a cone with {k} generators has more than "
                            f"{_MAX_FACES} faces to enumerate")
-    lower, upper, best = -math.inf, math.inf, None
-    for S in itertools.chain.from_iterable(
-            itertools.combinations(range(k), j) for j in sizes):
-        if (face := cone.face(S, nx)) is None:
-            continue
-        for low, up, u in bounds(S, face):
-            if low > lower:
-                lower, best = low, u
-            upper = min(upper, up)
-        if _is_closed(lower, upper, 1e-13):
-            break
-    if not _is_closed(lower, upper, 1e-10):
-        raise NumericError(f"closed-form bracket [{lower!r}, {upper!r}] did "
-                           "not close")
+    lower, upper, best = np.full(n, -math.inf), np.full(n, math.inf), None
+    rows = np.arange(n)
+    with np.errstate(invalid="ignore"):
+        for S in itertools.chain.from_iterable(
+                itertools.combinations(range(k), j) for j in sizes):
+            if not len(rows):
+                break
+            if (face := cone.face(S, nx)) is None:
+                continue
+            low, up, u = bounds(S, face, rows)
+            moved = low > lower[rows]
+            lower[rows[moved]] = low[moved]
+            if u is not None:
+                if best is None:
+                    best = np.full((n, u.shape[1]), np.nan)
+                best[rows[moved]] = u[moved]
+            upper[rows] = np.where(up < upper[rows], up, upper[rows])
+            rows = rows[~_is_closed(lower[rows], upper[rows], 1e-13)]
+        open_ = np.flatnonzero(~_is_closed(lower, upper, 1e-10))
+    if len(open_):
+        i = open_[0]
+        raise NumericError(f"closed-form bracket [{float(lower[i])!r}, "
+                           f"{float(upper[i])!r}] did not close")
     return lower, upper, best
 
 
-def _bracket_search(at, ends=()):
-    """``(lower, upper, u)``: the closest bounds on the optimum of a
-    subspace problem that ``at`` gives over multipliers ``lam > 0``.
+def _bracket_search(at, n: int, ends=()):
+    """``(lower, upper, u)``: the closest bounds on the optimum of n
+    subspace problems that ``at`` gives over multipliers ``lam > 0``.
 
-    ``at(lam)`` returns ``(f, df/dlam, lower, upper, u)``: bounds valid at
-    every ``lam`` (nan or inf where undefined), the point ``u`` whose value
-    is ``lower``, and ``f``, which changes sign once, from negative to
-    positive, where the bounds meet.  After the points ``ends``, a Newton
-    search on ``f`` keeps a bracket of the sign change, all of
-    ``[1 / _LAM_MAX, _LAM_MAX]`` at first, and bisects it geometrically when
-    a step would leave it or would not halve the move before it (as in
-    Numerical Recipes' ``rtsafe``).  A step taken from ``f < 0`` is doubled,
-    and lengthened by 2^-44 of ``lam`` to get past rounding, where the
-    bracket allows: so the points fall on both sides of the sign change, and
-    a bound that holds only on one side closes too.  The search stops once
-    the bounds are within 1e-13, the bracket is within rounding of a point,
-    or after 100 steps.
+    ``at(lam, rows)`` returns, for the problems ``rows`` at their
+    multipliers ``lam``, arrays ``(f, df/dlam, lower, upper, u)``: bounds
+    valid at every ``lam`` (nan or inf where undefined), the points ``u``
+    (one row per problem, or None) whose values are ``lower``, and ``f``,
+    which changes sign once, from negative to positive, where the bounds
+    meet.  After the points ``ends``, every problem runs a Newton search on
+    its ``f``, in lockstep with the others, that keeps a bracket of the sign
+    change, all of ``[1 / _LAM_MAX, _LAM_MAX]`` at first, and bisects it
+    geometrically when a step would leave it or would not halve the move
+    before it (as in Numerical Recipes' ``rtsafe``).  A step taken from ``f
+    < 0`` is doubled, and lengthened by 2^-44 of ``lam`` to get past
+    rounding, where the bracket allows: so the points fall on both sides of
+    the sign change, and a bound that holds only on one side closes too.  A
+    problem leaves the search once its bounds are within 1e-13 or its
+    bracket is within rounding of a point; the search ends with the last
+    problem, or after 100 steps.
     """
-    lower, upper, u = -math.inf, math.inf, None
+    lower, upper, best = np.full(n, -math.inf), np.full(n, math.inf), None
+    # the state of the problems still searching, one entry per problem
+    rows, low, up, u = np.arange(n), lower.copy(), upper.copy(), None
 
     def take(lam):
-        nonlocal lower, upper, u
-        f, df, low, up, u_lam = at(lam)
-        if low > lower:
-            lower, u = low, u_lam
-        upper = min(upper, up)
+        nonlocal low, up, u
+        f, df, new_low, new_up, new_u = at(lam, rows)
+        if new_u is not None:
+            better = new_low > low
+            u = np.where(better[:, None], new_u, 0.0 if u is None else u)
+        # a nan bound counts for nothing
+        low, up = np.fmax(low, new_low), np.fmin(up, new_up)
         return f, df
+
+    def settle(done):
+        nonlocal best
+        lower[rows[done]], upper[rows[done]] = low[done], up[done]
+        if u is not None:
+            if best is None:
+                best = np.zeros((n, u.shape[1]))
+            best[rows[done]] = u[done]
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for lam in ends:
-            take(lam)
-        lo, hi, lam, moved = 1 / _LAM_MAX, _LAM_MAX, 1.0, math.inf
+            take(np.full(n, lam))
+        lo, hi = np.full(n, 1 / _LAM_MAX), np.full(n, _LAM_MAX)
+        lam, half = np.ones(n), np.full(n, math.inf)  # half the last move
         for _ in range(100):
-            if _is_closed(lower, upper, 1e-13) or hi - lo <= 2.0 ** -50 * hi:
-                break
+            done = _is_closed(low, up, 1e-13) | (hi - lo <= 2.0 ** -50 * hi)
+            if np.count_nonzero(done):
+                settle(done)
+                go = ~done
+                rows, low, up, lo, hi, lam, half = (
+                    a[go] for a in (rows, low, up, lo, hi, lam, half))
+                u = None if u is None else u[go]
+                if not len(rows):
+                    break
             f, df = take(lam)
-            if f < 0:
-                lo = lam
-            else:
-                hi = lam
+            neg = f < 0
+            np.copyto(lo, lam, where=neg)
+            np.copyto(hi, lam, where=~neg)
             step = -f / df
-            if lo < lam + step < hi and abs(step) <= moved / 2:
-                new = lam + step
-                if f < 0 and new + step + 2.0 ** -44 * lam < hi:
-                    new += step + 2.0 ** -44 * lam
-            else:
-                new = math.sqrt(lo * hi)
-            lam, moved = new, abs(new - lam)
-    return lower, upper, u
+            new = lam + step
+            newton = (lo < new) & (new < hi) & (np.abs(step) <= half)
+            tiny = 2.0 ** -44 * lam
+            np.copyto(new, new + (step + tiny),
+                      where=newton & neg & (new + step + tiny < hi))
+            np.copyto(new, np.sqrt(lo * hi), where=~newton)
+            lam, half = new, np.abs(new - lam) / 2
+        settle(np.ones(len(rows), dtype=bool))
+    return lower, upper, best
 
 
-def _support_subspace(q, basis, c: float):
-    """``(lower, upper, u)``: bounds on max q.u over ``u`` in a subspace
+def _support_subspace(Q, basis, c: float):
+    """``(lower, upper, U)``: bounds on max q.u over ``u`` in a subspace
     with ``|u_x| <= 1`` and ``|u_y| <= c``, and a maximizer ``u`` of value
-    ``lower``; 0 when ``q`` is within 1e-13 of the orthogonal complement.
+    ``lower``, for every row ``q`` of ``Q``; 0 for a row within 1e-13 of
+    the orthogonal complement.
 
     In the subspace's basis ``basis = (G, sx, sy)`` from ``_block_basis``,
     with ``h = G q``: for every ``lam > 0``, the Lagrangian dual value at
@@ -857,56 +950,79 @@ def _support_subspace(q, basis, c: float):
     edge is a feasible ``u`` that bounds it below.  The bounds meet where
     ``c^2 |w_x|^2 - |w_y|^2``, the sign of the upper one's derivative,
     changes sign, or in the limit ``lam -> 0`` or ``lam -> inf``, for which
-    the ends of the search range stand.
+    the ends of the search range stand.  The rows search in lockstep
+    (``_bracket_search``).
     """
     G, sx, sy = basis
-    h = G @ q
-    if np.linalg.norm(h) <= 1e-13:
-        return 0.0, 0.0, np.zeros(q.shape[0])
-    c2 = c * c
+    H = np.matvec(G, Q)
+    lower, upper, U = np.zeros(len(Q)), np.zeros(len(Q)), np.zeros(Q.shape)
+    on = ~(_norms(H) <= 1e-13)
+    Q, H, c2 = Q[on], H[on], c * c
+    slope = (c2 * sx - sy) * sy
 
-    def at(lam):
-        E = sx + lam * sy
+    def at(lam, rows):
+        h = H[rows]
+        E = sx + lam[:, None] * sy
         w = h / E
-        P, Q = sx @ (w * w), sy @ (w * w)
-        u = G.T @ w * (c / max(c * math.sqrt(P), math.sqrt(Q)))
-        return (c2 * P - Q, -2 * ((c2 * sx - sy) * sy / E) @ (w * w),
-                float(q @ u), math.sqrt((1 + lam * c2) * (h @ w)), u)
+        ww = w * w
+        P, Qy = np.vecdot(ww, sx), np.vecdot(ww, sy)
+        edge, rim = c * np.sqrt(P), np.sqrt(Qy)
+        u = np.matvec(G.T, w) * (c / np.where(rim > edge, rim, edge))[:, None]
+        up = np.sqrt((1 + lam * c2) * np.vecdot(h, w))
+        return (c2 * P - Qy, np.vecdot(-2 * (slope / E), ww),
+                np.vecdot(Q[rows], u), up, u)
 
-    return _bracket_search(at, ends=(1 / _LAM_MAX, _LAM_MAX))
+    if len(Q):
+        lower[on], upper[on], U[on] = _bracket_search(
+            at, len(Q), ends=(1 / _LAM_MAX, _LAM_MAX))
+    return lower, upper, U
 
 
-def cone_min_norm(cone: ConeRep, nx: int, y_target: np.ndarray,
-                  eta: float) -> float:
+def cone_min_norm(cone: ConeRep, nx: int, y_target, eta: float):
     """min |w_x| over cone elements ``w=(w_x, w_y)`` with ``|w_y - y_target| <= eta``.
 
+    ``y_target`` is one vector (a float back) or stacked rows of shape (n,
+    ny) (an array of n values back, row by row the one-vector values).
     Returns +inf when no cone element meets the ball constraint (the check is
-    then vacuous).  At the vertices of a polygon when both blocks are
-    one-dimensional, else face by face (``_min_norm_faces``); ``NumericError``
-    when the face search's bracket does not close.  Used for coderivative
-    distances: the coderivative of F at (x, y) applied to v* collects the
-    x-parts of cone elements with y-part ``-v*``.
+    then vacuous).  At the vertices of a polygon, vector by vector, when both
+    blocks are one-dimensional, else face by face (``_min_norm_faces``) for
+    all rows at once; ``NumericError`` when the face search's bracket does
+    not close.  Used for coderivative distances: the coderivative of F at
+    (x, y) applied to v* collects the x-parts of cone elements with y-part
+    ``-v*``.
     """
-    if cone.empty:
-        return np.inf
-    ny = cone.dim - nx
-    y_target = as_point(y_target)
-    if y_target.shape[0] != ny:
-        raise DimensionMismatchError("target dim mismatch in cone_min_norm")
-    k, m = cone.generators.shape[0], cone.lineality.shape[0]
-    if k + m == 0:
-        # cone = {0}: w_y = 0
-        return 0.0 if np.linalg.norm(y_target) <= eta + 1e-12 else np.inf
-    if nx == 1 and ny == 1:
-        return _min_norm_2d(cone, float(y_target[0]), eta)
-    # nearest cone y-part to the target: the y-rows of the columns [G; L; -L]
+    Y, one = _rows(y_target)
+    vals = np.full(len(Y), math.inf)
+    if not cone.empty:
+        ny = cone.dim - nx
+        if Y.shape[1] != ny:
+            raise DimensionMismatchError(
+                "target dim mismatch in cone_min_norm")
+        if cone.generators.shape[0] + cone.lineality.shape[0] == 0:
+            # cone = {0}: w_y = 0
+            vals[_norms(Y) <= eta + 1e-12] = 0.0
+        elif nx == 1 and ny == 1:
+            vals = np.array([_min_norm_2d(cone, y, eta) for y in Y[:, 0]])
+        else:
+            reach = ~(_y_distances(cone, nx, Y) > eta + 1e-10)
+            home = reach & (np.vecdot(Y, Y) <= eta * eta)
+            vals[home] = 0.0  # w = 0
+            rest = reach & ~home
+            if rest.any():
+                vals[rest] = _min_norm_faces(cone, nx, Y[rest], eta)
+    return float(vals[0]) if one else vals
+
+
+def _y_distances(cone: ConeRep, nx: int, Y) -> np.ndarray:
+    """The distance from every row of ``Y`` to the y-parts of the cone: one
+    projection onto ``span(L_y)`` (``ConeRep.y_span``) for a cone without
+    generators, else per row the nearest y-part of the columns ``[G; L;
+    -L]`` by nonnegative least squares."""
+    if not len(cone.generators):
+        R = cone.y_span(nx)
+        return np.linalg.norm(Y - (Y @ R.T) @ R, axis=1)
     Bp = cone.polar_halfspaces().T[nx:]
-    c = _nonneg_lsq(Bp, y_target)
-    if np.linalg.norm(Bp @ c - y_target) > eta + 1e-10:
-        return np.inf
-    if y_target @ y_target <= eta * eta:
-        return 0.0  # w = 0
-    return _min_norm_faces(cone, nx, y_target, eta)
+    return np.array([np.linalg.norm(Bp @ _nonneg_lsq(Bp, y) - y) for y in Y])
 
 
 def _min_norm_2d(cone: ConeRep, y: float, eta: float) -> float:
@@ -931,46 +1047,58 @@ def _min_norm_2d(cone: ConeRep, y: float, eta: float) -> float:
     return float(max(0.0, np.max(np.where(vy >= 0, lo * vy, hi * vy))))
 
 
-def _min_norm_faces(cone: ConeRep, nx: int, y, eta: float) -> float:
-    """min |w_x| over ``w`` in the cone with ``|w_y - y| <= eta``, a ball
-    that the cone's y-parts meet and that does not hold the origin, by
-    ``_face_search``: at each ``lam`` of the search on a face
-    (``_min_norm_subspace``), ``w`` bounds it above by ``|w_x|`` if in the
-    ball and the cone (``D w >= -1e-12 |D_i| |w|``), and ``v = -(w_x, lam
-    (w_y - y))``, orthogonal to the face, below by ``(<v_y, y> - eta |v_y|)
-    / |v_x|`` (weak duality) if ``G_i v <= 1e-12 |G_i| |v|`` for every row;
-    so does 0.  ``span(L)``, in the cone, and ``span(G, L)``, holding it,
-    add their own upper and lower bounds."""
+def _min_norm_faces(cone: ConeRep, nx: int, Y, eta: float) -> np.ndarray:
+    """min |w_x| over ``w`` in the cone with ``|w_y - y| <= eta``, for every
+    row ``y`` of ``Y``, a ball that the cone's y-parts meet and that does
+    not hold the origin, by ``_face_search``: at each ``lam`` of the search
+    on a face (``_min_norm_subspace``), ``w`` bounds it above by ``|w_x|``
+    if in the ball and the cone (``D w >= -1e-12 |D_i| |w|``), and ``v =
+    -(w_x, lam (w_y - y))``, orthogonal to the face, below by ``(<v_y, y> -
+    eta |v_y|) / |v_x|`` (weak duality) if ``G_i v <= 1e-12 |G_i| |v|`` for
+    every row; so does 0.  ``span(L)``, in the cone, and ``span(G, L)``,
+    holding it, add their own upper and lower bounds."""
     G, e2 = cone.generators, eta * eta
+    G_norms = np.linalg.norm(G, axis=1)
 
-    def bounds(S, face):
+    def bounds(S, face, rows):
         (N, _, _), basis, D = face
-        low, up, trace = _min_norm_subspace(basis, nx, y, eta)
-        yield (low if len(S) == len(G) else 0.0), (math.inf if S else up), None
-        if not len(G):
-            return  # the one face is the cone
-        D_norms, G_norms = np.linalg.norm(D, axis=1), np.linalg.norm(G, axis=1)
-        for lam, z, cost, r in trace:
-            w = basis[0].T @ z
-            in_cone = np.all(D @ w >= -1e-12 * D_norms * np.linalg.norm(w))
-            # at a large lam, w_y - y is mostly rounding: put v back onto
-            # the face's orthogonal complement, where it lies
-            v = -N.T @ (N @ np.concatenate([w[:nx], lam * (w[nx:] - y)]))
-            vx = np.linalg.norm(v[:nx])
-            in_polar = vx > 0 and np.all(G @ v <= 1e-12 * G_norms *
-                                         np.linalg.norm(v))
-            low = (v[nx:] @ y - eta * np.linalg.norm(v[nx:])) / vx \
-                if in_polar else -math.inf
-            up = math.sqrt(cost) if r <= e2 and in_cone else math.inf
-            yield low, up, None
+        low, up, trace = _min_norm_subspace(basis, nx, Y[rows], eta)
+        if len(S) < len(G):
+            low = np.zeros(len(rows))
+        if S:
+            up = np.full(len(rows), math.inf)
+        if not len(G) or not trace:
+            return low, up, None  # the one face is the cone
+        # the points of every step at once, entry k of problem at[k]
+        at, lam, z, cost, r = (np.concatenate(a) for a in zip(*trace))
+        y = Y[rows[at]]
+        W = np.matvec(basis[0].T, z)
+        in_cone = np.all(np.matvec(D, W) >= -1e-12 * np.linalg.norm(D, axis=1)
+                         * _norms(W)[:, None], axis=1)
+        # at a large lam, w_y - y is mostly rounding: put v back onto the
+        # face's orthogonal complement, where it lies
+        V = np.matvec(-N.T, np.matvec(N, np.hstack(
+            [W[:, :nx], lam[:, None] * (W[:, nx:] - y)])))
+        vx = _norms(V[:, :nx])
+        in_polar = (vx > 0) & np.all(
+            np.matvec(G, V) <= 1e-12 * G_norms * _norms(V)[:, None], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v_low = (np.vecdot(V[:, nx:], y) - eta * _norms(V[:, nx:])) / vx
+        # each problem's best bound over its steps; nan bounds count for
+        # nothing, as in the comparisons of _face_search
+        np.fmax.at(low, at, np.where(in_polar, v_low, -math.inf))
+        np.fmin.at(up, at, np.where((r <= e2) & in_cone, np.sqrt(cost),
+                                    math.inf))
+        return low, up, None
 
-    return _face_search(cone, nx, bounds)[1]
+    return _face_search(cone, nx, bounds, len(Y))[1]
 
 
-def _min_norm_subspace(basis, nx: int, y, eta: float):
+def _min_norm_subspace(basis, nx: int, Y, eta: float):
     """``(lower, upper, trace)``: bounds on min |w_x| over ``w`` in a
-    subspace with ``|w_y - y| <= eta``, a ball that the y-parts of that space
-    meet and that does not hold the origin, and the search's points.
+    subspace with ``|w_y - y| <= eta``, for every row ``y`` of ``Y``, a ball
+    that the y-parts of that space meet and that does not hold the origin,
+    and the search's points.
 
     A trust-region problem (Moré and Sorensen, *Computing a trust region
     step*, 1983), in the subspace's basis ``basis = (G, sx, sy)`` from
@@ -981,25 +1109,32 @@ def _min_norm_subspace(basis, nx: int, y, eta: float):
     above where ``w`` is in the ball.  ``|w_y - y|`` falls as ``lam`` grows,
     and the bounds meet where it equals ``eta``, or in the limit ``lam ->
     0``, where only the directions with no x-part move ``w`` (the answer is
-    then 0), for which the lower end of the search range stands.  ``trace``
-    lists ``(lam, z, |w_x|^2, |w_y - y|^2)`` at each ``lam`` evaluated.
+    then 0), for which the lower end of the search range stands.  The rows
+    search in lockstep (``_bracket_search``); ``trace`` lists ``(rows, lam,
+    z, |w_x|^2, |w_y - y|^2)`` of the rows evaluated at each step, one entry
+    of each array per row.
     """
-    yy, e2 = float(y @ y), eta * eta
     G, sx, sy = basis
     if not len(G):
-        return math.inf, math.inf, []  # {0} misses the ball
-    b = G[:, nx:] @ y
+        # {0} misses the ball
+        return np.full(len(Y), math.inf), np.full(len(Y), math.inf), []
+    yy, e2 = np.vecdot(Y, Y), eta * eta
+    B = np.matvec(G[:, nx:], Y)
+    bsx2 = (B * sx) ** 2
     trace = []
 
-    def at(lam):
-        E = sx + lam * sy
-        z = lam * b / E
-        cost = sx @ (z * z)
-        r = yy - 2 * (b @ z) + sy @ (z * z)  # |w_y - y|^2
-        trace.append((lam, z, cost, r))
-        return (e2 - r, 2 * ((b * sx) ** 2 / E ** 3).sum(),
-                math.sqrt(max(cost + lam * (r - e2), 0.0)),
-                math.sqrt(cost) if r <= e2 else math.inf, None)
+    def at(lam, rows):
+        b, lam_ = B[rows], lam[:, None]
+        E = sx + lam_ * sy
+        z = lam_ * b / E
+        zz = z * z
+        cost = np.vecdot(zz, sx)
+        r = yy[rows] - 2 * np.vecdot(b, z) + np.vecdot(zz, sy)  # |w_y - y|^2
+        trace.append((rows, lam, z, cost, r))
+        up = np.sqrt(cost)
+        np.copyto(up, math.inf, where=~(r <= e2))
+        return (e2 - r, 2 * np.add.reduce(bsx2[rows] / E ** 3, 1),
+                np.sqrt(np.maximum(cost + lam * (r - e2), 0.0)), up, None)
 
-    lower, upper, _ = _bracket_search(at, ends=(1 / _LAM_MAX,))
+    lower, upper, _ = _bracket_search(at, len(Y), ends=(1 / _LAM_MAX,))
     return lower, upper, trace

@@ -13,11 +13,13 @@ Both slopes take one graph point or one parameter's stacked scan points (the
 rows of a ``ScanBatch``), and the checkers make one call per parameter.  The
 candidates of all points are built as arrays: the (scan points x graph
 sample) quotient block, in blocks of rows; each point's nearest solution
-point, from the map's memo; and the short honest steps, whose closed-form
-x-steps are de-duplicated per point and evaluated in one call of the rule.
-The quotients are scored row by row, rounding as for a single point, and a
-point's slope is the maximum of its rows, so the stacked values are the
-one-point values bit for bit.
+point, from the map's memo; and the short honest steps, along first-order
+directions whose support problems are solved in one stacked call per cone,
+and whose closed-form x-steps are de-duplicated per point and evaluated in
+one call of the rule.  The local slope drops, before that call, the x-steps
+too far from their point to count.  The quotients are scored row by row,
+rounding as for a single point, and a point's slope is the maximum of its
+rows, so the stacked values are the one-point values bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .mappings import (
     strict_cap,
 )
 from .oracle import Certificate, MarginScan, _base_meta
-from .sets import dist_to_region, gamma_dual_distance, memo_per_cone
+from .sets import dist_to_region, gamma_dual_distance, solve_per_cone
 from .spaces import GammaMetric, as_point
 
 _LEVELS = 13
@@ -132,9 +134,10 @@ def _direction_candidates(F: SetValuedMap, q: RegularityQuery, p, xs, ys,
     dual-distance support problem over each graph tangent cone at the point
     (the first-order optimal direction), plus the direction toward the
     nearest solution point ``near[i]`` (of the solution set without grids,
-    see ``_directions``) paired with the target.  Each distinct support
-    problem (cone, dual vector) is solved once: a rule's cone is often one
-    object at every point.
+    see ``_directions``) paired with the target.  The support problems of
+    all points are solved in one stacked call per distinct cone object, each
+    distinct (cone, dual vector) problem once (``solve_per_cone``): a rule's
+    cone is often one object at every point.
     """
     g = GammaMetric(q.gamma)
     ybar, nx = q.ybar_arr, F.nx
@@ -147,12 +150,17 @@ def _direction_candidates(F: SetValuedMap, q: RegularityQuery, p, xs, ys,
             cones = [[cone] for cone in F.scan_cones(p, xs, ys)]
         except InputError:
             cones = [[]] * len(xs)
-    support = memo_per_cone(lambda cone, qvec: gamma_dual_distance(
-        qvec, cone, g, nx, with_direction=True)[1])
-    out = []
-    for x, y, qvec, point_cones, (sd, upt) in zip(xs, ys, qvecs, cones, near):
-        dirs = [u for u in (support(cone, qvec) for cone in point_cones)
-                if u is not None and np.linalg.norm(u) > 1e-12]
+    out = [[] for _ in xs]
+    owner = np.repeat(np.arange(len(xs)), [len(c) for c in cones])
+    if len(owner):
+        U = solve_per_cone(lambda cone, qv: gamma_dual_distance(
+            qv, cone, g, nx, with_direction=True)[1],
+            [cone for point_cones in cones for cone in point_cones],
+            qvecs[owner])
+        # an empty cone's rows are NaN, and fail the test
+        for k in np.flatnonzero(np.linalg.norm(U, axis=1) > 1e-12):
+            out[owner[k]].append(U[k])
+    for x, y, dirs, (sd, upt) in zip(xs, ys, out, near):
         # direction toward the nearest solution point, paired with the target
         if upt is not None and math.isfinite(sd):
             step = np.concatenate([upt - x, ybar - y])
@@ -160,7 +168,6 @@ def _direction_candidates(F: SetValuedMap, q: RegularityQuery, p, xs, ys,
                     q.gamma * np.linalg.norm(step[nx:]))
             if s > 0:
                 dirs.append(step / s)
-        out.append(dirs)
     return out
 
 
@@ -213,7 +220,7 @@ def _step_schedule(nw: np.ndarray, gamma: float) -> np.ndarray:
     return r0[:, None] * 2.0 ** (-np.arange(_LEVELS, dtype=float))
 
 
-def _short_step_candidates(F, q, p, xs, ys, radii):
+def _short_step_candidates(F, q, p, xs, ys, radii, _reach=None):
     """Honest graph points stepped from the stacked points (xs[i], ys[i])
     along their radius schedules ``radii[i]``, as ``(owner, us, vs)``: row k
     is a step from point ``owner[k]``.  Used by both slope variants so the
@@ -221,10 +228,12 @@ def _short_step_candidates(F, q, p, xs, ys, radii):
 
     A closed-form map's honest step is (x + s, F(p, x + s)), so it depends
     only on the x-step s: each first-order direction's x-part times each
-    radius, and each +-e_i times each radius and radius/(1 + gamma).  The
-    steps of all points are de-duplicated per point by one ``lexsort`` on
-    (point, u) and evaluated in one ``graph_rows`` call.  A polyhedral map
-    steps along each direction and projects back onto the graph.
+    radius, and each +-e_i times each radius and radius/(1 + gamma).  With
+    ``_reach``, the x-steps u with ``|u - x_i| > _reach[i]`` are dropped
+    first: the local slope counts no step farther than that.  The steps of
+    all points are de-duplicated per point by one ``lexsort`` on (point, u)
+    and evaluated in one ``graph_rows`` call.  A polyhedral map steps along
+    each direction and projects back onto the graph.
     """
     nx, n = F.nx, len(xs)
     if not isinstance(F, (ClosedFormMap, PolyhedralGraphMap)):
@@ -241,6 +250,10 @@ def _short_step_candidates(F, q, p, xs, ys, radii):
                                 np.repeat(np.arange(n), axes[0].size // nx)])
         us = xs[owner] + np.vstack([along.reshape(-1, nx),
                                     axes.reshape(-1, nx)])
+        if _reach is not None:
+            # |u - x| as _quotients computes it, a lower bound on d
+            near = np.sqrt(_row_dots(us - xs[owner])) <= _reach[owner]
+            us, owner = us[near], owner[near]
         # the distinct steps of each point in lexicographic order, as
         # np.unique(us, axis=0) gives them at several times the cost
         order = np.lexsort((*us.T[::-1], owner))
@@ -356,9 +369,10 @@ def local_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
         radii = np.tile(r0 * 2.0 ** (-np.arange(_LEVELS, dtype=float)),
                         (len(xs), 1))
 
-    owner, us, vs = _short_step_candidates(F, q, p, xs, ys, radii)
+    reach = radii[:, -_LAST] * (1 + 1e-9)
+    owner, us, vs = _short_step_candidates(F, q, p, xs, ys, radii, reach)
     d, r = _quotients(W[owner], us, vs, xs[owner], ys[owner], q.gamma)
-    ok = (d > 0) & (d <= radii[owner, -_LAST] * (1 + 1e-9))
+    ok = (d > 0) & (d <= reach[owner])
     return _slopes(_best(len(xs), owner, r, ok), one)
 
 

@@ -265,3 +265,62 @@ def test_dual_checks_2d_instance():
                            eta=0.4, gamma=1.0 / (1.4 * np.linalg.norm(A, 2)))
     cert = check_normal_cone_condition(F, q_hi, grids)
     assert cert.verdict is Verdict.VIOLATED
+
+
+def test_dual_checks_make_one_stacked_call_per_cone(monkeypatch):
+    # a 2-D affine rule whose cone is one object at every point: each check
+    # solves all its pairs, over every parameter, in one call per solver,
+    # with each distinct dual vector once; the answers are those of
+    # one-vector calls
+    import regulab.dual
+    from regulab import GridSpec, ScanGrids
+    from regulab.sets import ConeRep
+
+    A = np.array([[1.2, 0.4], [-0.3, 0.9]])
+    F = affine_map_2d(A, np.array([0.3, -0.2]))
+    cone = ConeRep.make(lineality=np.hstack([-A, np.eye(2)]))
+    F.cone_fn = lambda p, x, y: cone
+    grids = ScanGrids(x=GridSpec((-1.0, -1.0), (1.0, 1.0), 7),
+                      y=GridSpec((-1.0, -1.0), (1.0, 1.0), 7),
+                      p=GridSpec((-0.3,), (0.3,), 3))
+    q = RegularityQuery(xbar=(0.0, 0.0), ybar=(0.0, 0.0), pbar=(0.0,),
+                        alpha=0.6, delta=0.6, mu=0.6, eta=0.4, gamma=1.0,
+                        tau=0.9)
+    calls = []
+    for name in ("gamma_dual_distance", "cone_min_norm"):
+        solve = getattr(regulab.dual, name)
+
+        def spy(*args, solve=solve, name=name):
+            calls.append((name, args))
+            return solve(*args)
+
+        monkeypatch.setattr(regulab.dual, name, spy)
+
+    points = scan_points(F, q, grids, q.delta + q.mu)
+    assert len({tuple(np.atleast_1d(sp.p)) for sp in points}) == 3
+    g = GammaMetric(q.gamma)
+    for check, kw, solvers in [
+            (check_normal_cone_condition, {}, ["gamma_dual_distance"]),
+            (check_normal_cone_condition, {"variant": "frechet-cap"},
+             ["gamma_dual_distance"]),
+            (check_coderivative_condition, {}, ["cone_min_norm"]),
+            (check_subdifferential_condition, {},
+             ["gamma_dual_distance", "cone_min_norm"])]:
+        calls.clear()
+        cert = check(F, q, grids, **kw)
+        assert [name for name, _ in calls] == solvers
+        # gamma_dual_distance(q, cone, ...), cone_min_norm(cone, nx, y, ...)
+        assert all(args[name == "gamma_dual_distance"] is cone
+                   for name, args in calls)
+        kind = "cap" if kw else "exact"
+        ystars = np.array([ys for sp in points for ys in
+                           dual_candidates(sp.y, q.ybar_arr, kind, q.tau)])
+        distinct = len(np.unique(ystars, axis=0))
+        assert [len(args[0 if name == "gamma_dual_distance" else 2])
+                for name, args in calls] == [distinct] * len(solvers)
+        assert distinct > 3
+        assert cert.scan_meta["points_scanned"] == len(ystars)
+        if check is check_normal_cone_condition:
+            ref = min(gamma_dual_distance(np.concatenate([np.zeros(2), -ys]),
+                                          cone, g, 2) for ys in ystars)
+            assert cert.margin == ref - q.alpha

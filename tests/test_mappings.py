@@ -16,6 +16,7 @@ from regulab import (
     hat_reduction,
 )
 import regulab.sets
+from regulab.dual import check_normal_cone_condition
 from regulab.mappings import condition_scan_points
 from regulab.oracle import check_geometric, check_subreg_uniform
 from regulab.sets import Polyhedron
@@ -143,6 +144,22 @@ def test_hat_double_shift_recovers_residuals():
     p2 = ((0.1, (0.2,)), (-0.2,))
     assert abs(HH.residual(p2, [0.3], [0.0])
                - F.residual(0.1, [0.3], [0.0])) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.5])
+def test_hat_reduction_of_a_metric_parameter_map_scans_the_base_grid(alpha):
+    # the base map draws its parameters from the P grid; at shift 0 the
+    # shifted map is the base map, parameter by parameter
+    F = affine_map_1d(2.0, 0.5)
+    H = hat_reduction(F, [(0.0,)])
+    q, grids = query_1d(alpha), grids_1d()
+    for check in (check_subreg_uniform, check_nonlocal_slope_condition,
+                  check_normal_cone_condition):
+        base, shifted = check(F, q, grids), check(H, q, grids)
+        assert shifted.verdict is base.verdict
+        assert shifted.margin == base.margin
+        assert shifted.scan_meta["points_scanned"] == \
+            base.scan_meta["points_scanned"] > 0
 
 
 def test_query_validation():

@@ -579,14 +579,14 @@ def test_subspace_forms_match_2d_vertex_forms_on_lines(line, q, gamma, y,
                                                        eta):
     cone, q, c = ConeRep.make(lineality=[line]), np.array(q), 1.0 / gamma
     polar, primal, _ = cone.face((), 1)
-    val, _, u = _support_subspace(q, polar, c)
+    val, _, u = (a[0] for a in _support_subspace(q[None], polar, c))
     ref = _support_2d(q, cone, c)[0]
     assert abs(val - ref) <= 1e-9 * max(1.0, ref)
     assert abs(cone.lineality @ u)[0] <= 1e-12
     assert abs(u[0]) <= 1 + 1e-12 and abs(u[1]) <= c * (1 + 1e-12)
     assert abs(q @ u - val) <= 1e-12 * max(1.0, val)
     if abs(line[1]) >= 1e-3:  # the line's y-parts reach every target
-        mn = _min_norm_subspace(primal, 1, np.array([y]), eta)[1]
+        mn = _min_norm_subspace(primal, 1, np.array([[y]]), eta)[1][0]
         ref = _min_norm_2d(cone, y, eta)
         assert abs(mn - ref) <= 1e-9 * max(1.0, ref)
 
@@ -755,6 +755,102 @@ def test_face_enumeration_is_capped():
         gamma_dual_distance(np.ones(4), cone, GammaMetric(1.0), 2)
     with pytest.raises(NumericError, match="faces"):
         cone_min_norm(cone, 2, np.array([5.0, 5.0]), 0.5)
+
+
+@st.composite
+def _stacked_case(draw):
+    """A subspace or generator cone in R^3 or R^4, and stacked dual vectors
+    and y-targets of scales 1e-3 to 1e3, so rows close at different steps,
+    with rows whose answer is 0 (the origin, a target inside the ball) or
+    inf (a target the cone's y-parts do not reach)."""
+    n = draw(st.sampled_from([3, 4]))
+    nx = draw(st.integers(1, n - 1))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
+    G = np.array(draw(st.lists(row, max_size=3)), float).reshape(-1, n)
+    L = np.array(draw(st.lists(row, min_size=0 if len(G) else 1,
+                               max_size=2)), float).reshape(-1, n)
+    floats = st.floats(-2, 2)
+    scales = st.sampled_from([1e-3, 1.0, 1e3])
+    Q = np.array([np.array(draw(st.lists(floats, min_size=n, max_size=n)))
+                  * draw(scales) for _ in range(draw(st.integers(3, 6)))])
+    Y = np.array([np.array(draw(st.lists(floats, min_size=n - nx,
+                                         max_size=n - nx))) * draw(scales)
+                  for _ in range(draw(st.integers(3, 6)))])
+    Q = np.vstack([Q, np.zeros(n)])
+    # a tiny target is in the ball; a far one misses a cone that is not
+    # onto in y, and repeats are solved once
+    Y = np.vstack([Y, np.full(n - nx, 1e-3), np.full(n - nx, 1e3), Y[:1]])
+    gamma = draw(st.sampled_from([0.25, 1.0, 4.0]))
+    eta = draw(st.sampled_from([0.25, 1.0]))
+    return G, L, nx, Q, Y, gamma, eta
+
+
+def _close(a, b):
+    return (math.isinf(a) and a == b) or abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+@given(_stacked_case())
+@settings(max_examples=60, deadline=None)
+def test_stacked_dual_solves_equal_one_vector_calls(case):
+    G, L, nx, Q, Y, gamma, eta = case
+    cone = ConeRep.make(generators=G if len(G) else None,
+                        lineality=L if len(L) else None, dim=Q.shape[1])
+    g = GammaMetric(gamma)
+    try:
+        one = [gamma_dual_distance(q, cone, g, nx, with_direction=True)
+               for q in Q]
+    except NumericError:
+        with pytest.raises(NumericError):
+            gamma_dual_distance(Q, cone, g, nx)
+    else:
+        vals, U = gamma_dual_distance(Q, cone, g, nx, with_direction=True)
+        assert vals.shape == (len(Q),) and U.shape == Q.shape
+        assert vals[-1] == 0.0  # the origin
+        for (val, u), v, w in zip(one, vals, U):
+            assert _close(v, val)
+            assert np.all(np.abs(w - u) <= 1e-12 * max(1.0, abs(val)))
+    try:
+        one = [cone_min_norm(cone, nx, y, eta) for y in Y]
+    except NumericError:
+        with pytest.raises(NumericError):
+            cone_min_norm(cone, nx, Y, eta)
+    else:
+        vals = cone_min_norm(cone, nx, Y, eta)
+        assert vals.shape == (len(Y),)
+        assert vals[-3] == 0.0  # the target in the ball
+        assert all(_close(v, ref) for v, ref in zip(vals, one))
+
+
+def test_stacked_rows_leave_the_search_at_different_steps(monkeypatch):
+    # the normal space of the graph of a 2-D affine map: a subspace cone,
+    # whose rows share the one face and close after different numbers of
+    # Newton steps
+    A = np.array([[1.2, 0.4], [-0.3, 0.9]])
+    cone = ConeRep.make(lineality=np.hstack([-A, np.eye(2)]))
+    rng = np.random.default_rng(3)
+    Y = rng.normal(size=(12, 2)) * np.repeat([1e-2, 1.0, 1e2], 4)[:, None]
+    widths = []
+    search = regulab.sets._bracket_search
+
+    def recording(at, n, ends=()):
+        def at_rows(lam, rows):
+            widths.append(len(rows))
+            return at(lam, rows)
+        return search(at_rows, n, ends)
+
+    monkeypatch.setattr(regulab.sets, "_bracket_search", recording)
+    vals = cone_min_norm(cone, 2, Y, 0.5)
+    # the targets outside the ball search together, then leave one by one
+    assert widths[0] == np.sum(np.linalg.norm(Y, axis=1) > 0.5) > 4
+    assert len(set(widths)) > 2
+    assert all(v == cone_min_norm(cone, 2, y, 0.5) for v, y in zip(vals, Y))
+    # one vector is a batch of one; an empty cone answers inf to every row
+    assert isinstance(cone_min_norm(cone, 2, Y[0], 0.5), float)
+    empty = ConeRep.empty_cone(4)
+    assert np.all(np.isinf(cone_min_norm(empty, 2, Y, 0.5)))
+    vals, U = gamma_dual_distance(np.hstack([Y, Y]), empty, GammaMetric(1.0),
+                                  2, with_direction=True)
+    assert np.all(np.isinf(vals)) and np.all(np.isnan(U))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from regulab import (
 )
 from regulab.cli import _RULES, _rule_quadratic_difference
 from regulab.mappings import RegularityQuery, ScanGrids, condition_scan_points
-from regulab.slope import _quotients
+from regulab.slope import (_LAST, _best, _quotients, _short_step_candidates,
+                           _slopes, _step_schedule, _targets)
 from regulab.spaces import GammaMetric, GridSpec, NormedSpace, prod_dist
 from conftest import (
     affine_map_1d,
@@ -152,6 +153,38 @@ def test_stacked_slopes_equal_one_point_slopes(kind, c, alpha, gamma):
             one = [slope(G, q, b.p, x, y, grids) for x, y in zip(b.xs, b.ys)]
             assert stacked.shape == (len(b.xs),)
             assert stacked.tobytes() == np.array(one).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["affine-1d", "quadratic-1d",
+                                  "affine-2d-rule", "affine-2d"])
+def test_local_slope_skips_only_steps_that_cannot_count(kind, monkeypatch):
+    # the local slope evaluates the rule at fewer steps than the schedule
+    # gives, and is still, bit for bit, the maximum over all of them
+    F, grids = _stacked_case(kind, [1.5, 0.75, 1.25, 0.9])
+    q = RegularityQuery(xbar=(0.0,) * F.nx, ybar=(0.0,) * F.ny, pbar=(0.0,),
+                        alpha=0.5, delta=0.6, mu=0.6, eta=0.4, gamma=2.0)
+    seen = []
+    graph_rows = F.graph_rows
+    monkeypatch.setattr(F, "graph_rows", lambda p, us:
+                        seen.append(len(us)) or graph_rows(p, us))
+    fewer = 0
+    for b in condition_scan_points(F, q, grids, q.delta + q.mu):
+        W, nw = _targets(q, b.ys)
+        radii = _step_schedule(nw, q.gamma)
+        seen.clear()
+        owner, us, vs = _short_step_candidates(F, q, b.p, b.xs, b.ys,
+                                               radii)
+        all_rows = sum(seen)
+        d, r = _quotients(W[owner], us, vs, b.xs[owner], b.ys[owner],
+                          q.gamma)
+        ok = (d > 0) & (d <= radii[owner, -_LAST] * (1 + 1e-9))
+        ref = _slopes(_best(len(b.xs), owner, r, ok), False)
+        seen.clear()
+        vals = local_slope(F, q, b.p, b.xs, b.ys, grids)
+        assert vals.tobytes() == ref.tobytes()
+        assert sum(seen) <= all_rows
+        fewer += sum(seen) < all_rows
+    assert fewer
 
 
 def test_slope_steps_read_no_scan_grid():
