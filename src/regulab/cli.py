@@ -413,6 +413,8 @@ def build_grids(sc: Scenario) -> ScanGrids:
 # orchestration
 
 _DEP_ORDER = {name: i for i, name in enumerate(KNOWN_CHECKS)}
+# the checks that scan ordered pairs of parameters
+_PAIR_CHECKS = ("recede", "aubin", "compose-rate", "aubin-pipeline")
 
 
 def _options(entry) -> dict:
@@ -426,8 +428,8 @@ def _preflight(name: str, opts: dict, F, q, grids, query: dict):
     reject, so that a scenario is refused before any check runs;
     ``validate`` and ``run`` both call it through ``load_scenario``."""
     mode, variant = opts["mode"], opts["variant"]
-    if name in ("recede", "aubin", "compose-rate", "aubin-pipeline"):
-        param_pair_preconditions(F, grids)
+    if name in _PAIR_CHECKS:
+        param_pair_preconditions(F, grids, q.pbar)
         positive_rate("l", float(query["l"]))
     if name == "aubin-pipeline":
         pipeline_preconditions(F, q, opts.get("condition",
@@ -541,10 +543,13 @@ def run_scenario(sc: Scenario, out_dir: str | None = None,
     q = build_query(sc)
     grids = build_grids(sc)
     if max_points is not None:
-        # the oracle scans every X grid point at every parameter
+        # the oracle scans every X grid point at every parameter, and the
+        # pair scans every X grid point at every ordered parameter pair
         n_params = len(F.param_labels) if F.param_labels is not None else \
             grids.p.point_count() if grids.p is not None else 1
         n_points = grids.x.point_count() * n_params
+        if any(_check_name(e) in _PAIR_CHECKS for e in sc.checks):
+            n_points *= n_params
         if n_points > max_points:
             raise ResourceCapError(n_points, max_points)
 
@@ -690,8 +695,11 @@ def main():
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Directory for the CSV and report files.")
 @click.option("--max-points", type=int, default=None,
-              help="Refuse scenarios whose oracle scan, X grid points times "
-                   "P grid points (or parameter labels), exceeds this count.")
+              help="Refuse scenarios whose scan exceeds this count: X grid "
+                   "points times P grid points (or parameter labels) for the "
+                   "oracle, times P grid points again when a recede, aubin, "
+                   "compose-rate or aubin-pipeline check scans parameter "
+                   "pairs.")
 def run_cmd(scenario_file, out_dir, max_points):
     """Run all checks of a scenario and report verdicts."""
     try:

@@ -18,7 +18,7 @@ import numpy as np
 from .dual import coderivative_threshold, normal_cone_preconditions
 from .errors import InputError
 from .mappings import RegularityQuery, ScanGrids, SetValuedMap
-from .oracle import Certificate, MarginScan, Verdict
+from .oracle import _BLOCK, Certificate, MarginScan, Verdict
 from .sets import region_sample_points
 from .spaces import as_point, ball_mask, make_grid
 
@@ -50,18 +50,21 @@ def positive_rate(name: str, value: float):
         raise InputError(f"rate {name} must be positive, got {value}")
 
 
-def param_pair_preconditions(F: SetValuedMap, grids: ScanGrids):
+def param_pair_preconditions(F: SetValuedMap, grids: ScanGrids, pbar):
     """``InputError`` unless a recede or Aubin scan can draw its parameter
-    pairs: a metric parameter space and a parameter grid."""
+    pairs: a metric parameter space, a parameter grid and a reference
+    parameter ``pbar`` to center the eta-ball on."""
     if F.param_labels is not None:
         raise InputError("recede/Aubin scans need a metric parameter space")
     if grids.p is None:
         raise InputError("scan requires a parameter grid")
+    if pbar is None:
+        raise InputError("recede/Aubin scans need a reference parameter pbar")
 
 
 def _param_pairs(F: SetValuedMap, pbar, eta, mu, grids: ScanGrids):
     """Ordered pairs (p, p') of grid parameters in B_eta(pbar), 0 < d < mu."""
-    param_pair_preconditions(F, grids)
+    param_pair_preconditions(F, grids, pbar)
     pts = make_grid(grids.p)
     pts = pts[ball_mask(pts, as_point(pbar), eta)]
     for p in pts:
@@ -84,25 +87,64 @@ def _solution_points(F, p, ybar, xbar, delta, grids):
     return pts[ball_mask(pts, as_point(xbar), delta)]
 
 
+def _pair_scan(F: SetValuedMap, q, grids: ScanGrids, tol: float,
+               pair_margins, inequality: str) -> MarginScan:
+    """The margins of every parameter pair (p, p') of ``_param_pairs`` and
+    point x of G(p') in the delta-ball around xbar, for the radii and
+    reference points of ``q`` (a ``RegularityQuery`` or an ``AubinQuery``),
+    reduced in one ``MarginScan.add`` per block of at most ``_BLOCK`` rows
+    or one pair's points (one block for the whole scan, on small grids).
+
+    ``pair_margins(p, pp, dpp, xs)`` returns the margins and the witness
+    values of one pair; it is called once per pair, on that pair's points
+    alone, so a rule it evaluates sees the rows a scan of that pair alone
+    gives it: merged pairs could round differently.
+    """
+    scan = MarginScan(tol)
+    pending, n = [], 0
+
+    def flush():
+        pairs, xs, margins, values = zip(*pending)
+        owner = np.repeat(np.arange(len(pairs)), [len(x) for x in xs])
+        xs, values = np.concatenate(xs), np.concatenate(values)
+        scan.add(np.concatenate(margins), lambda i: {
+            "p": tuple(v.copy() for v in pairs[owner[i]]),
+            "x": xs[i].copy(), "y": None, "value": float(values[i]),
+            "inequality": inequality})
+
+    for p, pp, dpp in _param_pairs(F, q.pbar, q.eta, q.mu, grids):
+        xs = _solution_points(F, pp, q.ybar, q.xbar, q.delta, grids)
+        if xs.shape[0] == 0:
+            continue
+        margins, values = pair_margins(p, pp, dpp, xs)
+        if pending and n + len(xs) > _BLOCK:
+            flush()
+            pending, n = [], 0
+        pending.append(((p, pp), xs, margins, values))
+        n += len(xs)
+    if pending:
+        flush()
+    return scan
+
+
 def check_recede(F: SetValuedMap, q: RegularityQuery, l: float,
                  grids: ScanGrids, tol: float = 1e-9) -> Certificate:
     """Scan ``d(ybar, F(p, x)) <= l d(p, p')`` for x solving the p'-problem.
 
     Pairs p, p' range over grid points of B_eta(pbar) with 0 < d(p,p') < mu;
-    x ranges over G(p') within the delta-ball around xbar.
+    x ranges over G(p') within the delta-ball around xbar.  Each pair's
+    residuals are one ``residual_vec`` call; the margins of all pairs are
+    reduced together (``_pair_scan``).  ``InputError`` without ``q.pbar``.
     """
     positive_rate("l", l)
     ybar = q.ybar_arr
-    scan = MarginScan(tol)
-    for p, pp, dpp in _param_pairs(F, q.pbar_arr, q.eta, q.mu, grids):
-        xs = _solution_points(F, pp, ybar, q.xbar_arr, q.delta, grids)
-        if xs.shape[0] == 0:
-            continue
+
+    def margins(p, pp, dpp, xs):
         res = F.residual_vec(p, xs, ybar)
-        scan.add(l * dpp - res, lambda i: {
-            "p": (p.copy(), pp.copy()), "x": xs[i].copy(), "y": None,
-            "value": float(res[i]),
-            "inequality": "d(ybar, F(p,x)) <= l*d(p,p')"})
+        return l * dpp - res, res
+
+    scan = _pair_scan(F, q, grids, tol, margins,
+                      "d(ybar, F(p,x)) <= l*d(p,p')")
     meta = {"l": l, "eta": q.eta, "delta": q.delta, "mu": q.mu,
             "grid_res": grids.x.resolution}
     return scan.certificate(meta)
@@ -110,18 +152,19 @@ def check_recede(F: SetValuedMap, q: RegularityQuery, l: float,
 
 def check_aubin(F: SetValuedMap, aq: AubinQuery, grids: ScanGrids,
                 tol: float = 1e-9) -> Certificate:
-    """Scan ``d(x, G(p)) <= l d(p, p')`` for x in G(p') near xbar."""
+    """Scan ``d(x, G(p)) <= l d(p, p')`` for x in G(p') near xbar.
+
+    Each pair's distances are one ``solution_distance_vec`` call; the
+    margins of all pairs are reduced together (``_pair_scan``).
+    ``InputError`` without ``aq.pbar``.
+    """
     ybar = as_point(aq.ybar)
-    scan = MarginScan(tol)
-    for p, pp, dpp in _param_pairs(F, aq.pbar, aq.eta, aq.mu, grids):
-        xs = _solution_points(F, pp, ybar, aq.xbar, aq.delta, grids)
-        if xs.shape[0] == 0:
-            continue
+
+    def margins(p, pp, dpp, xs):
         dist = F.solution_distance_vec(p, xs, ybar, grids)
-        scan.add(aq.l * dpp - dist, lambda i: {
-            "p": (p.copy(), pp.copy()), "x": xs[i].copy(), "y": None,
-            "value": float(dist[i]),
-            "inequality": "d(x, G(p)) <= l*d(p,p')"})
+        return aq.l * dpp - dist, dist
+
+    scan = _pair_scan(F, aq, grids, tol, margins, "d(x, G(p)) <= l*d(p,p')")
     meta = {"l": aq.l, "eta": aq.eta, "delta": aq.delta, "mu": aq.mu,
             "grid_res": grids.x.resolution}
     return scan.certificate(meta)

@@ -180,22 +180,26 @@ class SetValuedMap:
         return float(np.min(np.linalg.norm(vals - as_point(ybar), axis=1)))
 
     def _per_point(self, key, p, xs, solve) -> list:
-        """``solve(x)`` for every row of ``xs``, each distinct row solved
-        once per ``(key, p)``: the values are kept in the map's memo."""
+        """The value of every row of ``xs``, each distinct row solved once
+        per ``(key, p)``: the values are kept in the map's memo, and the
+        rows missing from it go to one call ``solve(X)``, which returns one
+        value per row of ``X``, in the order of their first appearance."""
         seen = self._memo(key, p, dict)
-        out = []
-        for x in np.asarray(xs, dtype=float):
-            k = x.tobytes()
+        xs = np.asarray(xs, dtype=float)
+        keys = [x.tobytes() for x in xs]
+        todo = {}
+        for i, k in enumerate(keys):
             if k not in seen:
-                seen[k] = solve(x)
-            out.append(seen[k])
-        return out
+                todo.setdefault(k, i)
+        if todo:
+            seen.update(zip(todo, solve(xs[list(todo.values())])))
+        return [seen[k] for k in keys]
 
     def residual_vec(self, p, xs: np.ndarray, ybar) -> np.ndarray:
         ybar = as_point(ybar)
-        return np.array(self._per_point(("residual", ybar.tobytes()), p, xs,
-                                        lambda x: self.residual(p, x, ybar)),
-                        dtype=float)
+        return np.array(self._per_point(
+            ("residual", ybar.tobytes()), p, xs,
+            lambda X: [self.residual(p, x, ybar) for x in X]), dtype=float)
 
     def solution_distance(self, p, x, ybar, grids: ScanGrids | None = None) -> float:
         d, _ = dist_to_region(as_point(x), self.solution_set(p, ybar, grids))
@@ -212,12 +216,18 @@ class SetValuedMap:
         ``xs``, ``(inf, None)`` where G(p) is empty; each distinct row is
         solved once per ``(p, ybar)`` and the grids the solution set reads,
         in the map's memo, so the scan that measured a point's distance also
-        hands its nearest point to the slope checks."""
+        hands its nearest point to the slope checks.  The rows missing
+        from the memo go to one stacked ``dist_to_region`` call."""
         ybar = as_point(ybar)
         grids = self._solution_grids(ybar, grids)
         region = self.solution_set(p, ybar, grids)
+
+        def solve(X):
+            d, near = dist_to_region(X, region)
+            return list(zip(d.tolist(), near))
+
         return self._per_point(("nearest solution", ybar.tobytes(), grids),
-                               p, xs, lambda x: dist_to_region(x, region))
+                               p, xs, solve)
 
     def solution_distance_vec(self, p, xs: np.ndarray, ybar,
                               grids: ScanGrids | None = None) -> np.ndarray:
@@ -307,18 +317,27 @@ class ClosedFormMap(SetValuedMap):
         return super().residual_vec(p, xs, ybar)
 
     def solution_set(self, p, ybar, grids=None):
+        """The cloud of the exact solution rule, else of the X grid points
+        with residual within the graph tolerance; built once per ``(p,
+        ybar)`` and the grids it reads, in the map's memo."""
         ybar = as_point(ybar)
-        if self.solution_fn is not None and self._matches_target(ybar):
-            return PointCloud(np.atleast_2d(np.asarray(self.solution_fn(p),
-                                                       dtype=float)))
-        if self.solution_any_fn is not None:
-            return PointCloud(np.atleast_2d(np.asarray(
-                self.solution_any_fn(p, ybar), dtype=float)))
-        if grids is None:
-            raise InputError("solution set needs a grid without an exact rule")
-        xs = make_grid(grids.x)
-        res = self.residual_vec(p, xs, ybar)
-        return PointCloud(xs[res <= _GRAPH_TOL], dedupe_tol=0.0)
+        grids = self._solution_grids(ybar, grids)
+
+        def build():
+            if self.solution_fn is not None and self._matches_target(ybar):
+                return PointCloud(np.atleast_2d(np.asarray(
+                    self.solution_fn(p), dtype=float)))
+            if self.solution_any_fn is not None:
+                return PointCloud(np.atleast_2d(np.asarray(
+                    self.solution_any_fn(p, ybar), dtype=float)))
+            if grids is None:
+                raise InputError(
+                    "solution set needs a grid without an exact rule")
+            xs = make_grid(grids.x)
+            res = self.residual_vec(p, xs, ybar)
+            return PointCloud(xs[res <= _GRAPH_TOL], dedupe_tol=0.0)
+
+        return self._memo(("solution set", ybar.tobytes(), grids), p, build)
 
     def _solution_grids(self, ybar, grids):
         exact = self.solution_any_fn is not None or (
@@ -326,9 +345,10 @@ class ClosedFormMap(SetValuedMap):
         return None if exact else grids
 
     def _matches_target(self, ybar) -> bool:
-        return self.target is None or bool(
-            np.linalg.norm(ybar - self.target) <= 1e-12
-        )
+        # once per ybar: every parameter of a scan asks
+        return self.target is None or self._memo(
+            ("matches target", ybar.tobytes()), None,
+            lambda: bool(np.linalg.norm(ybar - self.target) <= 1e-12))
 
     def solution_distance_vec(self, p, xs, ybar, grids=None):
         if self.solution_dist_rule is not None and self._matches_target(as_point(ybar)):
@@ -451,8 +471,9 @@ class PolyhedralGraphMap(SetValuedMap):
     def scan_cones(self, p, xs, ys) -> list[ConeRep]:
         # each point's cone once per parameter, for every check that scans it
         nx = self.nx
-        return self._per_point("normal cone", p, np.hstack([xs, ys]),
-                               lambda z: self.normal_cone(p, z[:nx], z[nx:]))
+        return self._per_point(
+            "normal cone", p, np.hstack([xs, ys]),
+            lambda Z: [self.normal_cone(p, z[:nx], z[nx:]) for z in Z])
 
 
 class ShiftedTargetMap(SetValuedMap):

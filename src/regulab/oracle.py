@@ -7,6 +7,12 @@ over the admissible scan set, its geometric ball-intersection counterpart,
 and the best rate in closed form.  Other modules' condition checkers are
 validated against these scans; every checker, here and there, reduces its
 margins to a ``Certificate`` through ``MarginScan``.
+
+The scan is stacked: ``_residual_scan`` yields the rows of all parameters
+in scan order, in blocks of at most ``_BLOCK`` rows, and each check reduces
+a block in one array pass and one ``MarginScan.add``, so its witness is the
+first scan point attaining the minimum, as in a scan parameter by
+parameter.  The map's rules still see one parameter's rows per call.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +28,9 @@ from .errors import InputError
 from .mappings import (SOL_TOL, RegularityQuery, ScanGrids, SetValuedMap,
                        strict_cap)
 from .spaces import ball_mask, make_grid
+
+# rows of a stacked scan reduced at once
+_BLOCK = 1 << 16
 
 
 class Verdict(str, Enum):
@@ -67,7 +77,8 @@ class MarginScan:
     point; it is called only when that point lowers the running minimum below
     ``-tol``, so the witness is the first point attaining the scan minimum.
     A NaN margin is no number to compare: it is counted, never taken as the
-    minimum, and it keeps the scan from certifying HOLDS.
+    minimum, and it keeps the scan from certifying HOLDS.  An empty batch
+    adds nothing.
     """
 
     def __init__(self, tol: float = 0.0):
@@ -80,6 +91,8 @@ class MarginScan:
     def add(self, margins, witness) -> None:
         margins = np.atleast_1d(margins)
         self.points_scanned += margins.size
+        if not margins.size:
+            return
         nan = np.isnan(margins)
         if nan.any():
             self.nan_margins += int(nan.sum())
@@ -110,25 +123,64 @@ class MarginScan:
         return Certificate(Verdict.HOLDS, self.margin, None, meta)
 
 
+class ScanRows(NamedTuple):
+    """One block of a stacked ground-truth scan: row i is the scan point
+    ``xs[i]`` at the parameter ``params[k[i]]``, with its residual and its
+    solution distance."""
+
+    params: list
+    k: np.ndarray
+    xs: np.ndarray
+    res: np.ndarray
+    dist: np.ndarray
+
+    def p(self, i):
+        return self.params[self.k[i]]
+
+
 def _residual_scan(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
                    cap: float):
-    """Per scanned parameter p: the X-grid points of B_delta(xbar) with
-    residual <= cap, their residuals and their distances to G(p), where a
-    distance within ``SOL_TOL`` (float noise between grids) counts as 0.
+    """The X-grid points of B_delta(xbar) with residual <= cap at every
+    scanned parameter p, their residuals and their distances to G(p), where
+    a distance within ``SOL_TOL`` (float noise between grids) counts as 0.
 
-    Yields ``(p, xs, res, dist)``, skipping parameters with no such point.
+    Yields the rows of all parameters stacked in scan order, as
+    ``ScanRows`` blocks of at most ``_BLOCK`` rows.  Each parameter's rows
+    come from one ``residual_vec`` call on the ball's grid points and one
+    ``solution_distance_vec`` call on the points it admits, as a scan of
+    that parameter alone makes them: a rule evaluated on other rows can
+    round differently.
     """
     ybar = q.ybar_arr
     xs_all = make_grid(grids.x)
     xs_all = xs_all[ball_mask(xs_all, q.xbar_arr, q.delta)]
-    for p in F.param_points(q, grids):
+    params = list(F.param_points(q, grids))
+    pending, n = [], 0
+    for k, p in enumerate(params):
         res = F.residual_vec(p, xs_all, ybar)
         mask = res <= cap
         if not mask.any():
             continue
         xs = xs_all[mask]
-        dist = F.solution_distance_vec(p, xs, ybar, grids)
-        yield p, xs, res[mask], np.where(dist <= SOL_TOL, 0.0, dist)
+        if pending and n + len(xs) > _BLOCK:
+            yield from _blocks(params, pending)
+            pending, n = [], 0
+        pending.append((k, xs, res[mask],
+                        F.solution_distance_vec(p, xs, ybar, grids)))
+        n += len(xs)
+    if pending:
+        yield from _blocks(params, pending)
+
+
+def _blocks(params, parts):
+    """The scan parts ``(k, xs, res, dist)``, each of the parameter
+    ``params[k]``, stacked in ``ScanRows`` of at most ``_BLOCK`` rows."""
+    k = np.repeat([part[0] for part in parts], [len(part[1]) for part in parts])
+    xs, res, dist = (np.concatenate(c) for c in list(zip(*parts))[1:])
+    dist = np.where(dist <= SOL_TOL, 0.0, dist)
+    for a in range(0, len(k), _BLOCK):
+        b = slice(a, a + _BLOCK)
+        yield ScanRows(params, k[b], xs[b], res[b], dist[b])
 
 
 def check_subreg_uniform(F: SetValuedMap, q: RegularityQuery,
@@ -142,11 +194,11 @@ def check_subreg_uniform(F: SetValuedMap, q: RegularityQuery,
     """
     ybar = q.ybar_arr
     scan = MarginScan()
-    for p, xs, res, dist in _residual_scan(F, q, grids,
-                                           strict_cap(q.alpha * q.mu)):
-        scan.add(res - q.alpha * dist, lambda i: {
-            "p": p, "x": xs[i].copy(), "y": _nearest_value(F, p, xs[i], ybar),
-            "value": float(res[i] / dist[i]),
+    for r in _residual_scan(F, q, grids, strict_cap(q.alpha * q.mu)):
+        scan.add(r.res - q.alpha * r.dist, lambda i: {
+            "p": r.p(i), "x": r.xs[i].copy(),
+            "y": _nearest_value(F, r.p(i), r.xs[i], ybar),
+            "value": float(r.res[i] / r.dist[i]),
             "inequality": "alpha*d(x, G(p)) <= d(ybar, F(p,x))"})
     return scan.certificate(_base_meta(q, grids))
 
@@ -184,27 +236,23 @@ def check_geometric(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
     mu = q.mu if math.isfinite(q.mu) else _grid_diameter(grids)
     ladder = np.linspace(mu / (n_rho + 1), mu, n_rho, endpoint=False)
     scan = MarginScan()
-    for p, xs, res, dist in _residual_scan(F, q, grids,
-                                           strict_cap(q.alpha * mu)):
-        crit = res / q.alpha
+    for r in _residual_scan(F, q, grids, strict_cap(q.alpha * mu)):
+        crit = r.res / q.alpha
         k = np.searchsorted(ladder, crit / (1 - 1e-12), side="right")
         has_rung = k < n_rho
         rung = ladder[np.minimum(k, n_rho - 1)]
         at_crit = crit * (1 + 1e-9)
         has_crit = at_crit < mu
-        tested = has_rung | has_crit
-        if not tested.any():
-            continue
-        rung_gap = np.where(has_rung, rung - dist, math.inf)
-        crit_gap = np.where(has_crit, at_crit - dist, math.inf)
-        to_crit = crit_gap < rung_gap
-        xs, dist = xs[tested], dist[tested]
-        value = np.where(to_crit, at_crit, rung)[tested]
+        tested = np.flatnonzero(has_rung | has_crit)
+        rung_gap = np.where(has_rung, rung - r.dist, math.inf)
+        crit_gap = np.where(has_crit, at_crit - r.dist, math.inf)
+        value = np.where(crit_gap < rung_gap, at_crit, rung)
 
         def witness(i):
-            return {"p": p, "x": xs[i].copy(),
-                    "y": _nearest_value(F, p, xs[i], ybar),
-                    "value": float(value[i]),
+            j = tested[i]
+            return {"p": r.p(j), "x": r.xs[j].copy(),
+                    "y": _nearest_value(F, r.p(j), r.xs[j], ybar),
+                    "value": float(value[j]),
                     "inequality": "G(p) meets closed ball of radius rho around x"}
 
         scan.add(np.minimum(rung_gap, crit_gap)[tested], witness)
@@ -233,9 +281,10 @@ def estimate_modulus(F: SetValuedMap, xbar, ybar, delta, mu,
                         pbar=None if pbar is None else tuple(np.atleast_1d(pbar)),
                         eta=eta)
     mu_strict = strict_cap(mu)
-    bounds = [np.zeros(0)]
-    for _, _, res, dist in _residual_scan(F, q, grids, math.inf):
-        off = (dist > 0) & np.isfinite(res)
-        bounds.append(np.maximum(res[off] / dist[off], res[off] / mu_strict))
-    bounds = np.concatenate(bounds)
-    return float(bounds.min()) if bounds.size else math.inf
+    best = math.inf
+    for r in _residual_scan(F, q, grids, math.inf):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.maximum(r.res / r.dist, r.res / mu_strict)
+        off = (r.dist > 0) & np.isfinite(r.res)
+        best = min(best, float(np.where(off, bound, math.inf).min()))
+    return best

@@ -61,6 +61,8 @@ _FEAS_TOL = 1e-9
 # [1 / _LAM_MAX, _LAM_MAX]; the two ends stand for the limits 0 and infinity
 _LAM_MAX = 2.0 ** 128
 _MAX_FACES = 2 ** 12  # the most faces that _face_search enumerates
+# entries of a (rows x cloud points) distance matrix built at once
+_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -352,26 +354,52 @@ class PointCloud:
         return bool(np.min(np.linalg.norm(self.points - x, axis=1)) <= tol)
 
 
-def dist_to_region(x, region) -> tuple[float, np.ndarray | None]:
+def dist_to_region(x, region):
     """Exact distance from ``x`` to a polyhedral union or a point cloud, and
     a nearest point; ``(inf, None)`` for an empty region (d(x, empty) = inf).
+
+    ``x`` is one point (a float and a point back) or stacked rows of shape
+    (n, dim) (an array of n distances and a list of n nearest points back,
+    row by row the one-point answers); one point is a batch of one, with no
+    second kernel.  A point cloud answers its rows from one distance matrix,
+    built in blocks of at most ``_BLOCK`` entries; a polyhedral union
+    projects row by row.
     """
-    x = as_point(x)
+    X, one = _rows(x)
     if isinstance(region, PointCloud):
-        if region.points.shape[0] == 0:
-            return np.inf, None
-        d = np.linalg.norm(region.points - x, axis=1)
-        i = int(np.argmin(d))
-        return float(d[i]), region.points[i]
-    if isinstance(region, PolyUnion):
-        best, best_pt = np.inf, None
-        for piece in region.nonempty_pieces():
-            q = project_polyhedron(x, piece)
-            d = float(np.linalg.norm(q - x))
-            if d < best:
-                best, best_pt = d, q
-        return best, best_pt
-    raise InputError(f"unsupported region type {type(region).__name__}")
+        d, near = _cloud_distances(X, region.points)
+    elif isinstance(region, PolyUnion):
+        found = [_union_distance(x, region) for x in X]
+        d = np.array([dx for dx, _ in found], dtype=float)
+        near = [u for _, u in found]
+    else:
+        raise InputError(f"unsupported region type {type(region).__name__}")
+    return (float(d[0]), near[0]) if one else (d, near)
+
+
+def _cloud_distances(X, P):
+    """Distances from the rows of ``X`` to the point set ``P`` and a nearest
+    point of each, the first in ``P`` on a tie."""
+    if P.shape[0] == 0:
+        return np.full(len(X), np.inf), [None] * len(X)
+    d, near = np.empty(len(X)), []
+    step = max(1, _BLOCK // P.shape[0])
+    for a in range(0, len(X), step):
+        D = np.linalg.norm(P[None, :, :] - X[a:a + step, None, :], axis=2)
+        i = np.argmin(D, axis=1)
+        d[a:a + step] = D[np.arange(len(i)), i]
+        near.extend(P[i])
+    return d, near
+
+
+def _union_distance(x, region: PolyUnion):
+    best, best_pt = np.inf, None
+    for piece in region.nonempty_pieces():
+        q = project_polyhedron(x, piece)
+        d = float(np.linalg.norm(q - x))
+        if d < best:
+            best, best_pt = d, q
+    return best, best_pt
 
 
 def region_sample_points(region, grid: GridSpec | None = None) -> np.ndarray:

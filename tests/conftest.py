@@ -12,6 +12,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import regulab.implicit
+import regulab.oracle
+import regulab.sets
 from regulab import (
     ClosedFormMap,
     GridSpec,
@@ -21,7 +24,7 @@ from regulab import (
     ScanGrids,
 )
 from regulab.mappings import condition_scan_points
-from regulab.sets import ConeRep
+from regulab.sets import ConeRep, dist_to_region
 
 def scan_points(F, q, grids, x_radius) -> list:
     """The points of ``condition_scan_points`` one by one, as ``(p, x, y)``
@@ -29,6 +32,55 @@ def scan_points(F, q, grids, x_radius) -> list:
     return [SimpleNamespace(p=b.p, x=x, y=y)
             for b in condition_scan_points(F, q, grids, x_radius)
             for x, y in zip(b.xs, b.ys)]
+
+
+def one_point_distances(F, p, xs, ybar, grids) -> np.ndarray:
+    """d(x, G(p)) of each row of ``xs`` as a scan parameter by parameter
+    measured it: through the map's distance rule where it applies, else one
+    ``dist_to_region`` call per row."""
+    ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
+    if getattr(F, "solution_dist_rule", None) is not None and \
+            F._matches_target(ybar):
+        return F.solution_distance_vec(p, xs, ybar, grids)
+    region = F.solution_set(p, ybar, F._solution_grids(ybar, grids))
+    return np.array([dist_to_region(x, region)[0] for x in xs], dtype=float)
+
+
+def abs_shift_map():
+    """F(p, x) = {x - |p|}, G(p) = {|p|}: the parameters p and -p scan the
+    same rows, so every margin at p ties with the one at -p."""
+    return ClosedFormMap(
+        X1, Y1, value_rule=lambda p, xs: xs - abs(np.atleast_1d(p)[0]),
+        param_space=P1,
+        residual_rule=lambda p, xs, ybar: np.abs(
+            xs[:, 0] - abs(np.atleast_1d(p)[0]) - ybar[0]),
+        solution_fn=lambda p: np.array([[abs(np.atleast_1d(p)[0])]]),
+        solution_dist_rule=lambda p, xs: np.abs(
+            xs[:, 0] - abs(np.atleast_1d(p)[0])),
+        target=[0.0])
+
+
+def assert_same_certificate(cert, ref):
+    """Verdict, ``repr`` of the margin, witness p, x and value, points
+    scanned and detail all equal."""
+    assert cert.verdict is ref.verdict
+    assert repr(cert.margin) == repr(ref.margin)
+    assert cert.scan_meta["points_scanned"] == ref.scan_meta["points_scanned"]
+    assert cert.detail == ref.detail
+    if ref.witness is None:
+        assert cert.witness is None
+    else:
+        for key in ("p", "x"):
+            assert np.asarray(cert.witness[key]).tolist() == \
+                np.asarray(ref.witness[key]).tolist()
+        assert repr(cert.witness["value"]) == repr(ref.witness["value"])
+
+
+def small_blocks(monkeypatch, rows=7):
+    """Stack at most ``rows`` rows at once in every scan and distance
+    matrix."""
+    for module in (regulab.oracle, regulab.implicit, regulab.sets):
+        monkeypatch.setattr(module, "_BLOCK", rows)
 
 
 X1 = NormedSpace("X", 1)

@@ -460,6 +460,22 @@ def test_cli_exit_code_three_on_resource_cap(tmp_path):
         assert "resource cap" in res.output
 
 
+def test_cli_resource_cap_counts_parameter_pairs(tmp_path):
+    # the difference example has 81 X points and 11 parameters: the oracle
+    # scans |X||P| = 891 points, the pair scans |P|^2 |X| = 9,801
+    no_pairs = EXAMPLE_DIFFERENCE
+    for text in ("  - recede\n  - aubin\n", "  recede: HOLDS\n  aubin: HOLDS\n"):
+        assert text in no_pairs
+        no_pairs = no_pairs.replace(text, "")
+    recede = no_pairs.replace("  - oracle\n", "  - oracle\n  - recede\n")
+    for text, code in ((no_pairs, 0), (recede, 3), (EXAMPLE_DIFFERENCE, 3)):
+        res = CliRunner().invoke(main, ["run", write(tmp_path, text),
+                                        "--max-points", "5000"])
+        assert res.exit_code == code, res.output
+        if code == 3:
+            assert "scan of 9801 points exceeds cap 5000" in res.output
+
+
 def test_cli_validate(tmp_path):
     path = write(tmp_path, FAST_SCENARIO)
     res = CliRunner().invoke(main, ["validate", path])

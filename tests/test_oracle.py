@@ -15,13 +15,15 @@ from regulab import (
     check_subreg_uniform,
     estimate_modulus,
 )
-from regulab.cli import (EXAMPLE_QUADRATIC, _rule_quadratic_difference,
-                         build_grids, build_mapping, build_query,
-                         load_scenario)
-from regulab.mappings import strict_cap
+from regulab.cli import (EXAMPLE_DIFFERENCE, EXAMPLE_QUADRATIC,
+                         _rule_quadratic_difference, build_grids,
+                         build_mapping, build_query, load_scenario)
+from regulab.mappings import SOL_TOL, strict_cap
 from regulab.oracle import MarginScan, _residual_scan
-from regulab.spaces import NormedSpace
-from conftest import affine_map_1d, grids_1d, query_1d, random_convex_instances
+from regulab.spaces import NormedSpace, ball_mask, make_grid
+from conftest import (abs_shift_map, affine_map_1d, assert_same_certificate,
+                      grids_1d, kinked_map_1d, one_point_distances, query_1d,
+                      random_convex_instances, small_blocks)
 
 
 def quadratic_map():
@@ -196,20 +198,23 @@ def _ball_test_pointwise(F, q, grids, n_rho=64):
         np.linalg.norm(grids.x.upper_arr - grids.x.lower_arr))
     ladder = np.linspace(mu / (n_rho + 1), mu, n_rho, endpoint=False)
     best, x_best, rho_best, n = math.inf, None, None, 0
-    for _, xs, res, dist in _residual_scan(F, q, grids,
-                                           strict_cap(q.alpha * mu)):
-        for x, r, d in zip(xs, res, dist):
-            crit = r / q.alpha
-            rhos = np.concatenate([ladder[ladder > crit / (1 - 1e-12)],
-                                   [crit * (1 + 1e-9)]
-                                   if crit * (1 + 1e-9) < mu else []])
-            if not rhos.size:
-                continue
-            n += 1
-            gaps = rhos - d
-            if gaps.min() < best:
-                best, x_best = gaps.min(), x
-                rho_best = rhos[int(np.argmin(gaps))]
+    for rows in _residual_scan(F, q, grids, strict_cap(q.alpha * mu)):
+        # the stacked rows, grouped by parameter in scan order
+        for k in np.unique(rows.k):
+            at = rows.k == k
+            xs, res, dist = rows.xs[at], rows.res[at], rows.dist[at]
+            for x, r, d in zip(xs, res, dist):
+                crit = r / q.alpha
+                rhos = np.concatenate([ladder[ladder > crit / (1 - 1e-12)],
+                                       [crit * (1 + 1e-9)]
+                                       if crit * (1 + 1e-9) < mu else []])
+                if not rhos.size:
+                    continue
+                n += 1
+                gaps = rhos - d
+                if gaps.min() < best:
+                    best, x_best = gaps.min(), x
+                    rho_best = rhos[int(np.argmin(gaps))]
     return best, x_best, rho_best, n
 
 
@@ -290,3 +295,116 @@ def test_margin_scan_never_certifies_a_nan_margin():
     cert = scan.certificate({})
     assert cert.verdict is Verdict.HOLDS and cert.margin == 0.5
     assert cert.scan_meta == {"points_scanned": 2}
+
+
+def _parent_residual_scan(F, q, grids, cap):
+    """The ground-truth scan parameter by parameter, as it was before it
+    was stacked: ``(p, xs, res, dist)`` for each parameter that admits a
+    point, its solution distances measured one point at a time where the
+    map has no distance rule."""
+    ybar = q.ybar_arr
+    xs_all = make_grid(grids.x)
+    xs_all = xs_all[ball_mask(xs_all, q.xbar_arr, q.delta)]
+    for p in F.param_points(q, grids):
+        res = F.residual_vec(p, xs_all, ybar)
+        mask = res <= cap
+        if not mask.any():
+            continue
+        xs = xs_all[mask]
+        dist = one_point_distances(F, p, xs, ybar, grids)
+        yield p, xs, res[mask], np.where(dist <= SOL_TOL, 0.0, dist)
+
+
+def _parent_scans(F, q, grids, n_rho=64):
+    """The oracle's certificate, the ball test's and the best rate, each
+    reduced one parameter at a time from ``_parent_residual_scan``."""
+    oracle = MarginScan()
+    for p, xs, res, dist in _parent_residual_scan(
+            F, q, grids, strict_cap(q.alpha * q.mu)):
+        oracle.add(res - q.alpha * dist, lambda i: {
+            "p": p, "x": xs[i].copy(), "value": float(res[i] / dist[i])})
+    mu = q.mu if math.isfinite(q.mu) else float(
+        np.linalg.norm(grids.x.upper_arr - grids.x.lower_arr))
+    ladder = np.linspace(mu / (n_rho + 1), mu, n_rho, endpoint=False)
+    ball = MarginScan()
+    for p, xs, res, dist in _parent_residual_scan(
+            F, q, grids, strict_cap(q.alpha * mu)):
+        crit = res / q.alpha
+        k = np.searchsorted(ladder, crit / (1 - 1e-12), side="right")
+        has_rung = k < n_rho
+        rung = ladder[np.minimum(k, n_rho - 1)]
+        at_crit = crit * (1 + 1e-9)
+        has_crit = at_crit < mu
+        tested = has_rung | has_crit
+        if not tested.any():
+            continue
+        rung_gap = np.where(has_rung, rung - dist, math.inf)
+        crit_gap = np.where(has_crit, at_crit - dist, math.inf)
+        xs = xs[tested]
+        value = np.where(crit_gap < rung_gap, at_crit, rung)[tested]
+        ball.add(np.minimum(rung_gap, crit_gap)[tested],
+                 lambda i: {"p": p, "x": xs[i].copy(),
+                            "value": float(value[i])})
+    mu_strict = strict_cap(q.mu)
+    bounds = [np.zeros(0)]
+    for _, _, res, dist in _parent_residual_scan(F, q, grids, math.inf):
+        off = (dist > 0) & np.isfinite(res)
+        bounds.append(np.maximum(res[off] / dist[off], res[off] / mu_strict))
+    bounds = np.concatenate(bounds)
+    return (oracle.certificate({}), ball.certificate({}),
+            float(bounds.min()) if bounds.size else math.inf)
+
+
+def _example_case(tmp_path, text, alpha=None):
+    path = tmp_path / "example.yaml"
+    path.write_text(text)
+    sc = load_scenario(str(path))
+    q = build_query(sc)
+    if alpha is not None:
+        q = dataclasses.replace(q, alpha=alpha)
+    return lambda: build_mapping(sc), q, build_grids(sc)
+
+
+# each case: a builder of fresh maps, the query, the grids
+SCAN_CASES = {
+    # rule residuals and rule distances, a violation at alpha 0.5
+    "quadratic": lambda tmp: _example_case(tmp, EXAMPLE_QUADRATIC),
+    # rule residuals, distances to the exact solution cloud
+    "difference": lambda tmp: _example_case(tmp, EXAMPLE_DIFFERENCE),
+    "difference-violated": lambda tmp: _example_case(
+        tmp, EXAMPLE_DIFFERENCE, alpha=1.2),
+    # a polyhedral union: projections onto the slices' pieces
+    "kinked": lambda tmp: (kinked_map_1d, query_1d(1.2), grids_1d(21, 5)),
+    # the minimum margin at p = -0.3 ties with the one at p = 0.3
+    "tie": lambda tmp: (abs_shift_map,
+                        query_1d(1.5, mu=math.inf), grids_1d(21, 5)),
+    # residuals of 50 and more against a cap below 0.01
+    "empty": lambda tmp: (lambda: affine_map_1d(1.0, 0.0, c=50.0),
+                          query_1d(0.5, mu=0.01), grids_1d()),
+}
+
+
+# a scan of several blocks: one case with rule distances, one with clouds
+BLOCK_CASES = [(case, "default") for case in sorted(SCAN_CASES)] + \
+    [("quadratic", "small"), ("difference-violated", "small")]
+
+
+@pytest.mark.parametrize("case, blocks", BLOCK_CASES)
+def test_stacked_scans_equal_the_per_parameter_scans(case, blocks, tmp_path,
+                                                      monkeypatch):
+    if blocks == "small":
+        small_blocks(monkeypatch)
+    build, q, grids = SCAN_CASES[case](tmp_path)
+    oracle, ball, modulus = _parent_scans(build(), q, grids)
+    assert_same_certificate(check_subreg_uniform(build(), q, grids), oracle)
+    assert_same_certificate(check_geometric(build(), q, grids), ball)
+    m = estimate_modulus(build(), q.xbar, q.ybar, q.delta, q.mu, grids,
+                         pbar=q.pbar, eta=q.eta)
+    assert repr(m) == repr(modulus)
+    if case == "tie":
+        assert oracle.verdict is Verdict.VIOLATED
+        assert oracle.witness["p"].tolist() == [-0.3]
+    if case == "empty":
+        assert oracle.detail == ball.detail == "no admissible scan points"
+    if case.startswith(("quadratic", "difference-violated", "kinked")):
+        assert oracle.verdict is Verdict.VIOLATED

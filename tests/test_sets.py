@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -74,6 +75,49 @@ def test_dist_unit_box_side():
     grid = make_grid(GridSpec((-1.0, -1.0), (1.0, 1.0), 101))
     dg = np.min(np.linalg.norm(grid - np.array([2.0, 0.0]), axis=1))
     assert d <= dg + 1e-9
+
+
+@st.composite
+def _clouds_and_rows(draw):
+    """A cloud of 1-30 points in R^1-R^3, repeats kept, and 1-12 rows to
+    measure from; half-integer coordinates make ties between cloud points
+    common."""
+    n = draw(st.integers(1, 3))
+    coord = st.one_of(_halves, st.floats(-1e3, 1e3))
+    point = st.lists(coord, min_size=n, max_size=n)
+    cloud = draw(st.lists(point, min_size=1, max_size=30))
+    rows = draw(st.lists(point, min_size=1, max_size=12))
+    return np.array(cloud, float), np.array(rows, float)
+
+
+@given(_clouds_and_rows())
+@example((np.array([[-1.0], [1.0], [1.0]]), np.array([[0.0], [1.0], [3.0]])))
+@example((np.zeros((0, 2)), np.array([[0.0, 1.0], [2.0, 2.0]])))
+@settings(max_examples=300, deadline=None)
+def test_stacked_cloud_distances_equal_one_point_calls(case):
+    cloud, rows = case
+    region = PointCloud(cloud, dedupe_tol=0.0)
+    d, near = dist_to_region(rows, region)
+    # distance matrices of at most 5 entries: a row or two at a time
+    with mock.patch.object(regulab.sets, "_BLOCK", 5):
+        d_small, near_small = dist_to_region(rows, region)
+    assert d.shape == d_small.shape == (len(rows),)
+    assert len(near) == len(near_small) == len(rows)
+    for i, x in enumerate(rows):
+        one = dist_to_region(x, region)
+        if len(cloud) == 0:
+            assert one == (math.inf, None)
+            assert d[i] == d_small[i] == math.inf
+            assert near[i] is None and near_small[i] is None
+            continue
+        # the one-point answer as the distance row and its first minimum
+        dist = np.linalg.norm(cloud - x, axis=1)
+        k = int(np.argmin(dist))
+        assert repr(one[0]) == repr(float(dist[k]))
+        assert one[1].tolist() == cloud[k].tolist()
+        for dd, u in ((d, near), (d_small, near_small)):
+            assert repr(float(dd[i])) == repr(one[0])
+            assert u[i].tolist() == one[1].tolist()
 
 
 def test_projection_fixed_point_and_halfplane():
