@@ -112,8 +112,13 @@ def _pair_scan(F: SetValuedMap, q, grids: ScanGrids, tol: float,
             "x": xs[i].copy(), "y": None, "value": float(values[i]),
             "inequality": inequality})
 
+    points = {}  # the points of each p', fetched once per scan
     for p, pp, dpp in _param_pairs(F, q.pbar, q.eta, q.mu, grids):
-        xs = _solution_points(F, pp, q.ybar, q.xbar, q.delta, grids)
+        k = pp.tobytes()
+        if k not in points:
+            points[k] = _solution_points(F, pp, q.ybar, q.xbar, q.delta,
+                                         grids)
+        xs = points[k]
         if xs.shape[0] == 0:
             continue
         margins, values = pair_margins(p, pp, dpp, xs)

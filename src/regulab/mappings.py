@@ -2,10 +2,12 @@
 
 A mapping exposes, for each parameter ``p``: its values F(p, x), the graph of
 the slice F_p as a region in X x Y, residuals d(ybar, F(p, x)), the solution
-set {x : ybar in F(p, x)}, and normal cones to the graph at graph points.
+set {x : ybar in F(p, x)}, normal cones to the graph at graph points, and the
+short graph steps of the slope checks (``piece_cones``, ``step_points``).
 Two concrete models are provided, both exact: closed-form (finite value sets
 given by a rule, with optional exact solution sets and cones) and polyhedral
-(graph given as a finite union of polyhedra per parameter).
+(graph given as a finite union of polyhedra per parameter); ``hat_reduction``
+shifts either.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from .sets import (
     normal_cone_from,
     region_sample_points,
 )
-from .spaces import GridSpec, NormedSpace, as_point, ball_mask, make_grid
+from .spaces import (GridSpec, NormedSpace, as_point, ball_mask, make_grid,
+                     row_dots)
 
 _GRAPH_TOL = 1e-9
 # a scanned point whose solution distance is at most this is on the
@@ -170,6 +173,22 @@ class SetValuedMap:
         """The normal cones at stacked points ``(xs[i], ys[i])`` that are
         known to lie on gph F_p, such as the rows of a ``ScanBatch``."""
         return [self.normal_cone(p, x, y) for x, y in zip(xs, ys)]
+
+    def piece_cones(self, p, xs, ys) -> list[list[ConeRep]]:
+        """Per stacked graph point, the cones whose intersection is its
+        normal cone: its ``scan_cones`` entry, or none without a cone rule."""
+        try:
+            return [[cone] for cone in self.scan_cones(p, xs, ys)]
+        except InputError:
+            return [[] for _ in xs]
+
+    def step_points(self, p, xs, ys, dirs, radii, gamma: float, reach=None):
+        """Graph points stepped from the stacked graph points (xs[i], ys[i])
+        along ``dirs[i]`` by the radii ``radii[i]``, as ``(owner, us, vs)``
+        with row k a step from point ``owner[k]`` (x-steps beyond ``reach[i]``
+        may be dropped); none for a map without a stepping rule."""
+        return np.zeros(0, dtype=int), np.zeros((0, self.nx)), \
+            np.zeros((0, self.ny))
 
     # --- derived queries -------------------------------------------------
     def residual(self, p, x, ybar) -> float:
@@ -376,6 +395,37 @@ class ClosedFormMap(SetValuedMap):
             raise InputError("no normal-cone rule attached to this mapping")
         return self.cone_fn
 
+    def step_points(self, p, xs, ys, dirs, radii, gamma, reach=None):
+        """An honest step is (x + s, F(p, x + s)), so it depends only on the
+        x-step s: each direction's x-part times each radius, and each +-e_i
+        times each radius and radius/(1 + gamma), less those beyond
+        ``reach``.  The steps of all points are de-duplicated per point by
+        one ``lexsort`` on (point, u) and evaluated in one ``graph_rows``
+        call."""
+        nx, n = self.nx, len(xs)
+        own = np.repeat(np.arange(n), [len(d) for d in dirs])
+        D = np.array([d[:nx] for ds in dirs for d in ds]).reshape(-1, nx)
+        along = radii[own][:, :, None] * D[:, None, :]
+        axes = np.hstack([radii, radii / (1 + gamma)])
+        axes = np.hstack([axes, -axes])[:, None, :, None] * \
+            np.eye(nx)[None, :, None, :]
+        owner = np.concatenate([np.repeat(own, radii.shape[1]),
+                                np.repeat(np.arange(n), axes[0].size // nx)])
+        us = xs[owner] + np.vstack([along.reshape(-1, nx),
+                                    axes.reshape(-1, nx)])
+        if reach is not None:
+            # |u - x| as the slope's quotients compute it, a lower bound on d
+            near = np.sqrt(row_dots(us - xs[owner])) <= reach[owner]
+            us, owner = us[near], owner[near]
+        # the distinct steps of each point in lexicographic order, as
+        # np.unique(us, axis=0) gives them at several times the cost
+        order = np.lexsort((*us.T[::-1], owner))
+        us, owner = us[order], owner[order]
+        keep = np.r_[True, (us[1:] != us[:-1]).any(1) |
+                     (owner[1:] != owner[:-1])]
+        rows, vs = self.graph_rows(p, us[keep])
+        return owner[keep][rows], us[keep][rows], vs
+
 
 class PolyhedralGraphMap(SetValuedMap):
     """Mapping whose graph in X x Y is a finite union of polyhedra per p.
@@ -451,22 +501,47 @@ class PolyhedralGraphMap(SetValuedMap):
         return self._memo(grids, p, lambda: region_sample_points(
             self.graph_region(p), grids.product_xy()))
 
-    def piece_cones(self, p, x, y) -> list[ConeRep]:
-        """The normal cones at (x, y) of the graph pieces holding it, each
-        generated by the piece's active rows: one shared object per
+    def piece_cones(self, p, xs, ys) -> list[list[ConeRep]]:
+        """The normal cones at each stacked point of the graph pieces holding
+        it, each generated by the piece's active rows: one shared object per
         generator set, so the face bases a cone caches serve every point
         and parameter with those rows."""
-        xy = np.concatenate([as_point(x), as_point(y)])
-        cones = []
-        for piece, act in self.graph_region(p).active_pieces(xy):
-            G = piece.A[act]
-            cones.append(self._memo(("cone", G.shape, G.tobytes()), None,
-                                    lambda: ConeRep.make(generators=G,
-                                                         dim=G.shape[1])))
-        return cones
+        def cone(G):
+            return self._memo(("cone", G.shape, G.tobytes()), None,
+                              lambda: ConeRep.make(generators=G,
+                                                   dim=G.shape[1]))
+        region = self.graph_region(p)
+        return [[cone(piece.A[act]) for piece, act in region.active_pieces(z)]
+                for z in np.hstack([xs, ys])]
 
     def normal_cone(self, p, x, y) -> ConeRep:
-        return normal_cone_from(self.piece_cones(p, x, y), self.nx + self.ny)
+        cones = self.piece_cones(p, [as_point(x)], [as_point(y)])[0]
+        return normal_cone_from(cones, self.nx + self.ny)
+
+    def step_points(self, p, xs, ys, dirs, radii, gamma, reach=None):
+        """Each step on the graph as it is, and each one off it projected
+        back when the projection lies within the step's length: one
+        membership test per direction, and one projection per off-graph step
+        and parameter, in the map's memo, whichever slope check takes it."""
+        region = self.graph_region(p)
+        projected = self._memo("graph projections", p, dict)
+        owner, zs = [], []
+        for i, (z0, ts) in enumerate(zip(np.hstack([xs, ys]), radii)):
+            for d in dirs[i]:
+                steps = z0 + np.outer(ts, d)
+                for z, t, on in zip(steps, ts,
+                                    region.contains_rows(steps, 1e-10)):
+                    if not on:
+                        k = z.tobytes()
+                        if k not in projected:
+                            projected[k] = dist_to_region(z, region)
+                        dz, z = projected[k]
+                        if z is None or dz > abs(t):
+                            continue
+                    owner.append(i)
+                    zs.append(z)
+        zs = np.array(zs).reshape(-1, self.nx + self.ny)
+        return np.array(owner, dtype=int), zs[:, :self.nx], zs[:, self.nx:]
 
     def scan_cones(self, p, xs, ys) -> list[ConeRep]:
         # each point's cone once per parameter, for every check that scans it
@@ -480,9 +555,9 @@ class ShiftedTargetMap(SetValuedMap):
     """Canonical-perturbation reduction: parameters (p, y), values F(p,x) - y.
 
     Subregularity of the shifted mapping at target 0 encodes regularity-type
-    properties of the base mapping.  Graph points and normal cones are the
-    base ones translated by -y in the Y component (translation leaves normal
-    cones unchanged up to that shift of the base point).
+    properties of the base mapping.  Graph points, normal cones and slope
+    steps are the base ones translated by -y in the Y component (translation
+    leaves normal cones unchanged up to that shift of the base point).
     """
 
     def __init__(self, base: SetValuedMap, y_shifts):
@@ -536,6 +611,16 @@ class ShiftedTargetMap(SetValuedMap):
     def normal_cone(self, p, x, y) -> ConeRep:
         base_p, shift = self._split(p)
         return self.base.normal_cone(base_p, x, as_point(y) + shift)
+
+    def piece_cones(self, p, xs, ys):
+        base_p, shift = self._split(p)
+        return self.base.piece_cones(base_p, xs, ys + shift)
+
+    def step_points(self, p, xs, ys, dirs, radii, gamma, reach=None):
+        base_p, shift = self._split(p)
+        owner, us, vs = self.base.step_points(base_p, xs, ys + shift, dirs,
+                                              radii, gamma, reach)
+        return owner, us, vs - shift
 
 
 def hat_reduction(F: SetValuedMap, y_shifts) -> ShiftedTargetMap:

@@ -60,7 +60,9 @@ _FEAS_TOL = 1e-9
 # the multipliers that the closed forms on subspace cones search lie in
 # [1 / _LAM_MAX, _LAM_MAX]; the two ends stand for the limits 0 and infinity
 _LAM_MAX = 2.0 ** 128
-_MAX_FACES = 2 ** 12  # the most faces that _face_search enumerates
+# the most faces that _face_search enumerates, and the most row subsets that
+# cone_rays_from_halfspaces tries
+_MAX_FACES = 2 ** 12
 # entries of a (rows x cloud points) distance matrix built at once
 _BLOCK = 1 << 16
 
@@ -542,14 +544,13 @@ def _orthonormal_split(M: np.ndarray, tol: float = 1e-10):
 
 
 def cone_rays_from_halfspaces(M: np.ndarray, n: int, tol: float = 1e-9) -> ConeRep:
-    """V-form of ``{v in R^n : M v <= 0}`` for small dimensions (n <= 3).
+    """V-form of ``{v in R^n : M v <= 0}``.
 
     The lineality space is the nullspace of M; extreme rays are enumerated on
-    the orthogonal complement by intersecting n-1 facet planes at a time.
+    its k-dimensional orthogonal complement by intersecting k-1 facet planes
+    at a time; ``NumericError`` above ``_MAX_FACES`` row subsets to try.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float)) if M is not None and len(M) else np.zeros((0, n))
-    if n > 3 and M.shape[0] > 0:
-        raise InputError("cone ray enumeration supports dimension <= 3")
     lin = _orthonormal_split(M)[1]
     W = _orthonormal_split(lin)[1] if lin.shape[0] else np.eye(n)
     k = W.shape[0]
@@ -560,7 +561,17 @@ def cone_rays_from_halfspaces(M: np.ndarray, n: int, tol: float = 1e-9) -> ConeR
         if k == 1:
             cands = [np.array([1.0]), np.array([-1.0])]
         else:
-            rows = range(Mw.shape[0])
+            # rows on one hyperplane give no 1-D nullspace together (the
+            # +-L rows of intersect_cones), so the first one stands for all
+            with np.errstate(divide="ignore", invalid="ignore"):
+                U = Mw / np.linalg.norm(Mw, axis=1)[:, None]
+            gap = np.minimum(np.abs(U[:, None] - U).max(-1),
+                             np.abs(U[:, None] + U).max(-1))
+            rows = np.flatnonzero(np.isfinite(U).all(1) &
+                                  ~np.tril(gap <= 1e-12, -1).any(1))
+            if math.comb(len(rows), k - 1) > _MAX_FACES:
+                raise NumericError(f"{len(rows)} halfspaces give more than "
+                                   f"{_MAX_FACES} row subsets to try")
             for idx in itertools.combinations(rows, k - 1):
                 ns = _orthonormal_split(Mw[list(idx)])[1]
                 if ns.shape[0] != 1:
@@ -576,7 +587,7 @@ def cone_rays_from_halfspaces(M: np.ndarray, n: int, tol: float = 1e-9) -> ConeR
 
 
 def intersect_cones(c1: ConeRep, c2: ConeRep) -> ConeRep:
-    """Intersection of two finitely generated cones (dimension <= 3).
+    """Intersection of two finitely generated cones.
 
     Uses the double-polar route: V-form of each polar, then the polar of the
     sum, enumerated back to generators.

@@ -13,13 +13,13 @@ Both slopes take one graph point or one parameter's stacked scan points (the
 rows of a ``ScanBatch``), and the checkers make one call per parameter.  The
 candidates of all points are built as arrays: the (scan points x graph
 sample) quotient block, in blocks of rows; each point's nearest solution
-point, from the map's memo; and the short honest steps, along first-order
-directions whose support problems are solved in one stacked call per cone,
-and whose closed-form x-steps are de-duplicated per point and evaluated in
-one call of the rule.  The local slope drops, before that call, the x-steps
-too far from their point to count.  The quotients are scored row by row,
-rounding as for a single point, and a point's slope is the maximum of its
-rows, so the stacked values are the one-point values bit for bit.
+point, from the map's memo; and the short honest steps along first-order
+directions, whose support problems over the map's ``piece_cones`` are solved
+in one stacked call per cone.  The map takes the steps (``step_points``), so
+every model, a shifted one too, scans the same way.  The quotients are
+scored row by row, rounding as for a single point, and a point's slope is
+the maximum of its rows, so the stacked values are the one-point values bit
+for bit.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InputError
 from .mappings import (
-    ClosedFormMap,
-    PolyhedralGraphMap,
     RegularityQuery,
     ScanGrids,
     SetValuedMap,
@@ -40,8 +38,8 @@ from .mappings import (
     strict_cap,
 )
 from .oracle import Certificate, MarginScan, _base_meta
-from .sets import dist_to_region, gamma_dual_distance, solve_per_cone
-from .spaces import GammaMetric, as_point
+from .sets import gamma_dual_distance, solve_per_cone
+from .spaces import GammaMetric, as_point, row_dots
 
 _LEVELS = 13
 _LAST = 3
@@ -58,16 +56,12 @@ def merit_value(F: SetValuedMap, q: RegularityQuery, p, u, v,
     return float(np.linalg.norm(v - q.ybar_arr))
 
 
-def _require_graph_point(F, p, x, y):
-    if not F.in_graph(p, x, y, 1e-8):
-        raise InputError("slope is only defined at points of the graph")
-
-
 def _stack(F, p, x, y):
     """``(xs, ys, one)``: a single point as one row once it has passed the
     graph check, or stacked rows as they are (shapes checked, graph not)."""
     if np.ndim(x) < 2 and np.ndim(y) < 2:
-        _require_graph_point(F, p, x, y)
+        if not F.in_graph(p, x, y, 1e-8):
+            raise InputError("slope is only defined at points of the graph")
         return as_point(x)[None, :], as_point(y)[None, :], True
     xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if xs.ndim != 2 or ys.ndim != 2 or len(xs) != len(ys) or \
@@ -81,17 +75,10 @@ def _stack(F, p, x, y):
 def _targets(q: RegularityQuery, ys: np.ndarray):
     """``(ys - ybar, |ys - ybar|)`` per row; ``InputError`` at y = ybar."""
     W = ys - q.ybar_arr
-    nw = np.sqrt(_row_dots(W))  # np.linalg.norm(w) of each row
+    nw = np.sqrt(row_dots(W))  # np.linalg.norm(w) of each row
     if np.any(nw == 0):
         raise InputError("slope scan requires y != ybar")
     return W, nw
-
-
-def _row_dots(a: np.ndarray) -> np.ndarray:
-    """``a_i . a_i`` for every row (the last axis), rounded as the 1-D
-    ``a_i @ a_i`` is (``np.sum(a * a, -1)`` and ``np.linalg.norm(a,
-    axis=-1)`` round some 2-D rows differently)."""
-    return (a[..., None, :] @ a[..., :, None])[..., 0, 0]
 
 
 def _quotients(w, us, vs, x, y, gamma: float):
@@ -105,11 +92,11 @@ def _quotients(w, us, vs, x, y, gamma: float):
     difference-of-squares identity to avoid cancellation when v is close to
     y.  Rows with ``d = 0`` give no quotient; callers drop them.
     """
-    ww = _row_dots(w)
-    d = np.maximum(np.sqrt(_row_dots(us - x)),
-                   gamma * np.sqrt(_row_dots(vs - y)))
+    ww = row_dots(w)
+    d = np.maximum(np.sqrt(row_dots(us - x)),
+                   gamma * np.sqrt(row_dots(vs - y)))
     wv = vs - (y - w)  # v - ybar
-    wv2 = _row_dots(wv)
+    wv2 = row_dots(wv)
     num = (ww - wv2) / (np.sqrt(ww) + np.sqrt(wv2))
     with np.errstate(divide="ignore", invalid="ignore"):
         return d, num / d
@@ -131,25 +118,20 @@ def _direction_candidates(F: SetValuedMap, q: RegularityQuery, p, xs, ys,
     graph point (xs[i], ys[i]), as a list of arrays per point.
 
     Directions with ``max(|d_x|, gamma |d_y|) <= 1``: the maximizer of the
-    dual-distance support problem over each graph tangent cone at the point
-    (the first-order optimal direction), plus the direction toward the
-    nearest solution point ``near[i]`` (of the solution set without grids,
-    see ``_directions``) paired with the target.  The support problems of
-    all points are solved in one stacked call per distinct cone object, each
-    distinct (cone, dual vector) problem once (``solve_per_cone``): a rule's
-    cone is often one object at every point.
+    dual-distance support problem over each graph tangent cone at the point,
+    the polar of one of its ``F.piece_cones`` (the first-order optimal
+    direction), plus the direction toward the nearest solution point
+    ``near[i]`` (of the solution set without grids, see ``_directions``)
+    paired with the target.  The support problems of all points are solved
+    in one stacked call per distinct cone object, each distinct (cone, dual
+    vector) problem once (``solve_per_cone``): a rule's cone is often one
+    object at every point.
     """
     g = GammaMetric(q.gamma)
     ybar, nx = q.ybar_arr, F.nx
     W, nw = _targets(q, ys)
     qvecs = np.hstack([np.zeros((len(xs), nx)), -W / nw[:, None]])
-    if isinstance(F, PolyhedralGraphMap):
-        cones = [F.piece_cones(p, x, y) for x, y in zip(xs, ys)]
-    else:
-        try:
-            cones = [[cone] for cone in F.scan_cones(p, xs, ys)]
-        except InputError:
-            cones = [[]] * len(xs)
+    cones = F.piece_cones(p, xs, ys)
     out = [[] for _ in xs]
     owner = np.repeat(np.arange(len(xs)), [len(c) for c in cones])
     if len(owner):
@@ -190,87 +172,11 @@ def _directions(F, q, p, xs, ys) -> list:
     return [memo[k] for k in keys]
 
 
-def _points_on_graph_along(F, p, x, y, d, ts) -> list[np.ndarray]:
-    """Polyhedral graph points near (x, y) stepping along direction ``d``,
-    as rows (u, v): each step on the graph as it is, and each step off it
-    projected back when the projection lies within the step's length.  One
-    membership test covers all the steps; each off-graph step is projected
-    once per parameter, in the map's memo, whichever slope check takes it."""
-    region = F.graph_region(p)
-    projected = F._memo("graph projections", p, dict)
-    zs = np.concatenate([x, y]) + np.outer(ts, d)
-    out = []
-    for z, t, on in zip(zs, ts, region.contains_rows(zs, 1e-10)):
-        if on:
-            out.append(z)
-            continue
-        k = z.tobytes()
-        if k not in projected:
-            projected[k] = dist_to_region(z, region)
-        dz, zp = projected[k]
-        if zp is not None and dz <= abs(t):
-            out.append(zp)
-    return out
-
-
 def _step_schedule(nw: np.ndarray, gamma: float) -> np.ndarray:
     """Shared radius schedules for honest short steps from graph points at
     distances ``nw`` from the target: one row ``r0 2^-j`` per point."""
     r0 = np.minimum(1e-4, 1e-5 * nw * min(gamma, 1.0))
     return r0[:, None] * 2.0 ** (-np.arange(_LEVELS, dtype=float))
-
-
-def _short_step_candidates(F, q, p, xs, ys, radii, _reach=None):
-    """Honest graph points stepped from the stacked points (xs[i], ys[i])
-    along their radius schedules ``radii[i]``, as ``(owner, us, vs)``: row k
-    is a step from point ``owner[k]``.  Used by both slope variants so the
-    local value never exceeds the nonlocal one numerically.
-
-    A closed-form map's honest step is (x + s, F(p, x + s)), so it depends
-    only on the x-step s: each first-order direction's x-part times each
-    radius, and each +-e_i times each radius and radius/(1 + gamma).  With
-    ``_reach``, the x-steps u with ``|u - x_i| > _reach[i]`` are dropped
-    first: the local slope counts no step farther than that.  The steps of
-    all points are de-duplicated per point by one ``lexsort`` on (point, u)
-    and evaluated in one ``graph_rows`` call.  A polyhedral map steps along
-    each direction and projects back onto the graph.
-    """
-    nx, n = F.nx, len(xs)
-    if not isinstance(F, (ClosedFormMap, PolyhedralGraphMap)):
-        return np.zeros(0, dtype=int), np.zeros((0, nx)), np.zeros((0, F.ny))
-    dirs = _directions(F, q, p, xs, ys)
-    if isinstance(F, ClosedFormMap):
-        own = np.repeat(np.arange(n), [len(d) for d in dirs])
-        D = np.array([d[:nx] for ds in dirs for d in ds]).reshape(-1, nx)
-        along = radii[own][:, :, None] * D[:, None, :]
-        axes = np.hstack([radii, radii / (1 + q.gamma)])
-        axes = np.hstack([axes, -axes])[:, None, :, None] * \
-            np.eye(nx)[None, :, None, :]
-        owner = np.concatenate([np.repeat(own, radii.shape[1]),
-                                np.repeat(np.arange(n), axes[0].size // nx)])
-        us = xs[owner] + np.vstack([along.reshape(-1, nx),
-                                    axes.reshape(-1, nx)])
-        if _reach is not None:
-            # |u - x| as _quotients computes it, a lower bound on d
-            near = np.sqrt(_row_dots(us - xs[owner])) <= _reach[owner]
-            us, owner = us[near], owner[near]
-        # the distinct steps of each point in lexicographic order, as
-        # np.unique(us, axis=0) gives them at several times the cost
-        order = np.lexsort((*us.T[::-1], owner))
-        us, owner = us[order], owner[order]
-        keep = np.r_[True, (us[1:] != us[:-1]).any(1) |
-                     (owner[1:] != owner[:-1])]
-        us, owner = us[keep], owner[keep]
-        rows, vs = F.graph_rows(p, us)
-        return owner[rows], us[rows], vs
-    owner, zs = [], []
-    for i, (x, y, ts) in enumerate(zip(xs, ys, radii)):
-        for d in dirs[i]:
-            found = _points_on_graph_along(F, p, x, y, d, ts)
-            owner += [i] * len(found)
-            zs += found
-    zs = np.array(zs).reshape(-1, nx + F.ny)
-    return np.array(owner, dtype=int), zs[:, :nx], zs[:, nx:]
 
 
 def _best(n: int, owner, r, ok) -> np.ndarray:
@@ -311,8 +217,8 @@ def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
     xbar, ybar, nx = q.xbar_arr, q.ybar_arr, F.nx
 
     def admissible(us, vs):
-        return (np.sqrt(_row_dots(us - xbar)) < x_radius) & \
-            (np.sqrt(_row_dots(vs - ybar)) <= cap)
+        return (np.sqrt(row_dots(us - xbar)) < x_radius) & \
+            (np.sqrt(row_dots(vs - ybar)) <= cap)
 
     # the nearest solution points paired with the target
     near = _nearest_solutions(F, q, p, xs, grids)
@@ -341,8 +247,9 @@ def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
     # the nonlocal value dominates the local one numerically)
     coarse = np.minimum(0.1 * nw, 0.1 * nw * q.gamma)[:, None] * \
         2.0 ** (-np.arange(6, dtype=float))
-    owner, us, vs = _short_step_candidates(
-        F, q, p, xs, ys, np.hstack([coarse, _step_schedule(nw, q.gamma)]))
+    owner, us, vs = F.step_points(
+        p, xs, ys, _directions(F, q, p, xs, ys),
+        np.hstack([coarse, _step_schedule(nw, q.gamma)]), q.gamma)
     d, r = _quotients(W[owner], us, vs, xs[owner], ys[owner], q.gamma)
     best = np.maximum(best, _best(len(xs), owner, r,
                                   admissible(us, vs) & (d > 0)))
@@ -370,7 +277,8 @@ def local_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
                         (len(xs), 1))
 
     reach = radii[:, -_LAST] * (1 + 1e-9)
-    owner, us, vs = _short_step_candidates(F, q, p, xs, ys, radii, reach)
+    owner, us, vs = F.step_points(p, xs, ys, _directions(F, q, p, xs, ys),
+                                  radii, q.gamma, reach)
     d, r = _quotients(W[owner], us, vs, xs[owner], ys[owner], q.gamma)
     ok = (d > 0) & (d <= reach[owner])
     return _slopes(_best(len(xs), owner, r, ok), one)

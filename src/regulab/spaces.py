@@ -132,6 +132,13 @@ def make_grid(spec: GridSpec, cap: int = DEFAULT_POINT_CAP) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def row_dots(a: np.ndarray) -> np.ndarray:
+    """``a_i . a_i`` for every row (the last axis), rounded as the 1-D
+    ``a_i @ a_i`` is (``np.sum(a * a, -1)`` and ``np.linalg.norm(a,
+    axis=-1)`` round some 2-D rows differently)."""
+    return (a[..., None, :] @ a[..., :, None])[..., 0, 0]
+
+
 def ball_mask(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """Boolean mask of points in the open ball around ``center``."""
     if math.isinf(radius):

@@ -235,6 +235,47 @@ def test_no_slsqp_for_2d_polyhedral_maps(tmp_path, monkeypatch):
         assert abs(margins[check] - margin) <= 1e-9, (check, margins)
 
 
+UNION_4D_SCENARIO = """\
+spaces: {x_dim: 2, y_dim: 2, p_dim: 1}
+mapping:
+  kind: polyhedral
+  pieces:
+    - A: [[-1, 0, 1, 0], [1, 0, -1, 0], [0, -1, 0, 1], [0, 1, 0, -1],
+          [-1, 0, 0, 0]]
+      b: [0, 0, 0, 0, 0]
+    - A: [[1, 0, 1, 0], [-1, 0, -1, 0], [0, -1, 0, 1], [0, 1, 0, -1],
+          [1, 0, 0, 0]]
+      b: [0, 0, 0, 0, 0]
+query: {xbar: [0.0, 0.0], ybar: [0.0, 0.0], pbar: [0.0], alpha: 0.5,
+        delta: 0.5, mu: 0.5, eta: 0.5}
+grids:
+  x: {lower: [-1.0, -1.0], upper: [1.0, 1.0], resolution: 7}
+  y: {lower: [-1.0, -1.0], upper: [1.0, 1.0], resolution: 7}
+  p: {lower: [-0.1], upper: [0.1], resolution: 3}
+checks: [oracle, {name: normal-cone, variant: frechet-cap},
+         {name: coderivative-ball, variant: frechet-cap}]
+expect: {oracle: HOLDS, normal-cone: HOLDS, coderivative-ball: VIOLATED}
+"""
+
+
+def test_nonconvex_union_in_four_dimensions_runs(tmp_path):
+    # y1 = |x1|, y2 = x2 as a two-piece union in X x Y = R^4: the normal
+    # cone at the kink intersects the pieces' cones in R^4, which the ray
+    # enumeration once refused above dimension 3, so run exited 2 on a
+    # scenario that validate accepted
+    path = write(tmp_path, UNION_4D_SCENARIO)
+    assert CliRunner().invoke(main, ["validate", path]).exit_code == 0
+    out = tmp_path / "out"
+    code, report = run_scenario(load_scenario(path), out_dir=str(out))
+    assert code == 0, report
+    with open(out / "sc.csv") as fh:
+        margins = {row["check"]: float(row["margin"])
+                   for row in csv.DictReader(fh)}
+    for check, margin in (("oracle", 0.0), ("normal-cone", 0.495184726672),
+                          ("coderivative-ball", -0.0048152733278)):
+        assert abs(margins[check] - margin) <= 1e-9, (check, margins)
+
+
 def test_polyhedral_normal_cones_build_each_face_once(tmp_path,
                                                      monkeypatch):
     # one cone per distinct generator set, shared across parameters and scan

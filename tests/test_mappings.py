@@ -2,6 +2,7 @@
 reduction."""
 
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from regulab.sets import Polyhedron
 from regulab.slope import (
     check_local_slope_condition,
     check_nonlocal_slope_condition,
+    local_slope,
+    nonlocal_slope,
 )
 from conftest import (
     affine_map_1d,
@@ -146,20 +149,37 @@ def test_hat_double_shift_recovers_residuals():
                - F.residual(0.1, [0.3], [0.0])) < 1e-12
 
 
-@pytest.mark.parametrize("alpha", [1.5, 2.5])
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
 def test_hat_reduction_of_a_metric_parameter_map_scans_the_base_grid(alpha):
     # the base map draws its parameters from the P grid; at shift 0 the
-    # shifted map is the base map, parameter by parameter
-    F = affine_map_1d(2.0, 0.5)
-    H = hat_reduction(F, [(0.0,)])
+    # shifted map is the base map, parameter by parameter, and its slope
+    # checks step as the base map does; shifted by the dyadic 0.125, the
+    # map at target 0 gives the base map's certificates at target 0.125
     q, grids = query_1d(alpha), grids_1d()
-    for check in (check_subreg_uniform, check_nonlocal_slope_condition,
-                  check_normal_cone_condition):
-        base, shifted = check(F, q, grids), check(H, q, grids)
-        assert shifted.verdict is base.verdict
-        assert shifted.margin == base.margin
-        assert shifted.scan_meta["points_scanned"] == \
-            base.scan_meta["points_scanned"] > 0
+    q_shift = dataclasses.replace(q, ybar=(0.125,))
+    for F in (affine_map_1d(2.0, 0.5), halfplane_map_1d(2.0, 0.5),
+              kinked_map_1d()):
+        H, S = hat_reduction(F, [(0.0,)]), hat_reduction(F, [(0.125,)])
+        checks = [check_subreg_uniform, check_nonlocal_slope_condition,
+                  check_local_slope_condition]
+        dual = [check_normal_cone_condition] if F.convex_graph else []
+        for shifted_map, q_base, with_checks in ((H, q, checks + dual),
+                                                 (S, q_shift, checks)):
+            for check in with_checks:
+                base = check(F, q_base, grids)
+                shifted = check(shifted_map, q, grids)
+                assert shifted.verdict is base.verdict
+                assert shifted.margin == base.margin
+                assert shifted.scan_meta["points_scanned"] == \
+                    base.scan_meta["points_scanned"] > 0
+        # its slopes at every scan point are the base map's, up to the
+        # rounding of v - 0.125 at the steps of a point with y near 0
+        for b in condition_scan_points(F, q_shift, grids, q.delta + q.mu):
+            for slope in (nonlocal_slope, local_slope):
+                assert np.allclose(
+                    slope(S, q, (b.p, (0.125,)), b.xs, b.ys - 0.125, grids),
+                    slope(F, q_shift, b.p, b.xs, b.ys, grids),
+                    rtol=1e-6, atol=0)
 
 
 def test_query_validation():

@@ -34,6 +34,7 @@ from regulab.sets import (
     _least_distance,
     _min_norm_2d,
     _min_norm_subspace,
+    _nonneg_lsq,
     _orthonormal_split,
     _support_2d,
     _support_subspace,
@@ -366,6 +367,53 @@ def test_intersect_cones_halfline():
     assert inter.contains([2.0, 0.0])
     assert not inter.contains([0.0, 1.0])
     assert not inter.contains([0.0, -1.0])
+
+
+def _lsq_cone_distance(cone, v):
+    """|B c - v| at the nonnegative least-squares c, with B the columns
+    [G, L, -L] that generate the cone."""
+    B = cone.polar_halfspaces().T
+    if B.shape[1] == 0:
+        return float(np.linalg.norm(v))
+    return float(np.linalg.norm(B @ _nonneg_lsq(B, v) - v))
+
+
+@st.composite
+def _cone_pair_and_points(draw):
+    """Two integer generator cones in R^4 or R^5 that may share rays, and
+    points drawn from the shared part, from each cone and from the box."""
+    n = draw(st.sampled_from([4, 5]))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    shared = draw(st.lists(row, max_size=2))
+    gens = [np.array(draw(st.lists(row, min_size=1, max_size=3)) + shared,
+                     float) for _ in range(2)]
+    lin = [np.array(draw(st.lists(row, max_size=1)), float).reshape(-1, n)
+           for _ in range(2)]
+    cones = [ConeRep.make(generators=G, lineality=L if len(L) else None)
+             for G, L in zip(gens, lin)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = [rng.uniform(-2, 2, n) for _ in range(4)]
+    for G in [np.array(shared, float).reshape(-1, n)] + gens:
+        pts += [rng.uniform(0, 1, len(G)) @ G for _ in range(4) if len(G)]
+    return cones, pts
+
+
+@given(_cone_pair_and_points())
+# two zero cones in R^5: the polars' +-L rows are 20 halfspaces on 5 planes,
+# and their 4-row subsets would exceed the cap counted row by row
+@example(case=([ConeRep.make(generators=[[0.0] * 5])] * 2, [np.ones(5)]))
+@settings(max_examples=100, deadline=None)
+def test_intersect_cones_matches_membership_in_four_and_five_dimensions(case):
+    # the intersection lies in both cones, so a point is no nearer to it
+    # than to either; a point in both cones is in the intersection
+    (c1, c2), pts = case
+    inter = intersect_cones(c1, c2)
+    for v in pts:
+        d1, d2 = _lsq_cone_distance(c1, v), _lsq_cone_distance(c2, v)
+        d = _lsq_cone_distance(inter, v)
+        assert d >= max(d1, d2) - 1e-9 * (1 + np.linalg.norm(v))
+        if max(d1, d2) <= 1e-12:
+            assert d <= 1e-7 * (1 + np.linalg.norm(v))
 
 
 def test_cone_rays_from_halfspaces_quadrant():

@@ -19,8 +19,8 @@ from regulab import (
 )
 from regulab.cli import _RULES, _rule_quadratic_difference
 from regulab.mappings import RegularityQuery, ScanGrids, condition_scan_points
-from regulab.slope import (_LAST, _best, _quotients, _short_step_candidates,
-                           _slopes, _step_schedule, _targets)
+from regulab.slope import (_LAST, _best, _directions, _quotients, _slopes,
+                           _step_schedule, _targets)
 from regulab.spaces import GammaMetric, GridSpec, NormedSpace, prod_dist
 from conftest import (
     affine_map_1d,
@@ -172,8 +172,9 @@ def test_local_slope_skips_only_steps_that_cannot_count(kind, monkeypatch):
         W, nw = _targets(q, b.ys)
         radii = _step_schedule(nw, q.gamma)
         seen.clear()
-        owner, us, vs = _short_step_candidates(F, q, b.p, b.xs, b.ys,
-                                               radii)
+        owner, us, vs = F.step_points(b.p, b.xs, b.ys,
+                                      _directions(F, q, b.p, b.xs, b.ys),
+                                      radii, q.gamma)
         all_rows = sum(seen)
         d, r = _quotients(W[owner], us, vs, b.xs[owner], b.ys[owner],
                           q.gamma)
