@@ -58,6 +58,11 @@ _CHECK_NEEDS = {
 }
 
 
+# the type of each block of a scenario file
+_BLOCKS = {"spaces": dict, "mapping": dict, "query": dict, "grids": dict,
+           "checks": list, "expect": dict, "output": dict}
+
+
 @dataclass
 class Scenario:
     spaces: dict
@@ -86,12 +91,13 @@ def load_scenario(path: str) -> Scenario:
     for block in ("spaces", "mapping", "query", "grids", "checks"):
         if block not in raw:
             _fail(f"{path}: missing required block {block!r}")
-    sc = Scenario(
-        spaces=raw["spaces"], mapping=raw["mapping"], query=dict(raw["query"]),
-        grids=raw["grids"], checks=list(raw["checks"]),
-        expect=raw.get("expect", {}) or {}, output=raw.get("output", {}) or {},
-        path=path,
-    )
+    raw |= {b: raw.get(b) or {} for b in ("expect", "output")}
+    for block, kind in _BLOCKS.items():
+        if not isinstance(raw[block], kind):
+            _fail(f"{path}: block {block!r} must be a "
+                  f"{'list' if kind is list else 'mapping'}, "
+                  f"got {raw[block]!r}")
+    sc = Scenario(**{b: raw[b] for b in _BLOCKS}, path=path)
     _validate(sc)
     return sc
 
@@ -110,7 +116,7 @@ def _number(field: str, value) -> float:
 def _dim(key: str, value) -> int:
     try:
         n = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         _fail(f"{key} must be an integer, got {value!r}")
     if n < 1:
         _fail(f"{key} must be >= 1")
@@ -120,17 +126,23 @@ def _dim(key: str, value) -> int:
 _DIM_KEYS = {"x": "x_dim", "y": "y_dim", "p": "p_dim"}
 
 
+def _finite(field: str, value) -> np.ndarray:
+    """``value`` as an array of finite numbers."""
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        _fail(f"{field} must be numbers, got {value!r}")
+    if not np.all(np.isfinite(v)):
+        _fail(f"{field} must be finite, got {value!r}")
+    return v
+
+
 def _vector(field: str, value, spaces: dict, dim_key: str) -> np.ndarray:
     """A finite vector, of length ``spaces[dim_key]`` when that is declared."""
-    try:
-        v = np.atleast_1d(np.asarray(value, dtype=float))
-    except (TypeError, ValueError):
-        _fail(f"{field} must be a vector of numbers, got {value!r}")
+    v = np.atleast_1d(_finite(field, value))
     if dim_key in spaces and v.shape != (int(spaces[dim_key]),):
         _fail(f"{field} must have {dim_key} = {spaces[dim_key]} "
               f"entries, got {value!r}")
-    if not np.all(np.isfinite(v)):
-        _fail(f"{field} must be finite, got {value!r}")
     return v
 
 
@@ -138,14 +150,13 @@ def _validate_query(q: dict, spaces: dict):
     """Numbers where numbers go, finite rates, and reference points whose
     lengths match the declared spaces."""
     for key in ("alpha", "gamma", "tau", "l", "l_prime"):
-        if q.get(key) is not None and \
-                not math.isfinite(_number(f"query.{key}", q[key])):
+        if key in q and not math.isfinite(_number(f"query.{key}", q[key])):
             _fail(f"query.{key} must be finite, got {q[key]!r}")
     for key in ("delta", "mu", "eta"):
         if q.get(key) not in ("unbounded", None):
             _number(f"query.{key}", q[key])
     for axis, dim_key in _DIM_KEYS.items():
-        if q.get(axis + "bar") is not None and dim_key in spaces:
+        if axis != "p" or q.get("pbar") is not None:
             _vector(f"query.{axis}bar", q[axis + "bar"], spaces, dim_key)
 
 
@@ -174,7 +185,7 @@ def _validate_coeffs(mapping: dict):
     """A known rule, and only the coefficients it reads, each made of
     finite numbers."""
     rule = mapping.get("rule")
-    if rule not in _RULES:
+    if not isinstance(rule, str) or rule not in _RULES:
         _fail(f"unknown mapping rule {rule!r}; known: {sorted(_RULES)}")
     coeffs = mapping.get("coeffs") or {}
     if not isinstance(coeffs, dict):
@@ -184,13 +195,7 @@ def _validate_coeffs(mapping: dict):
         if name not in reads:
             _fail(f"rule {rule!r} has no coefficient {name!r}; "
                   f"it reads {list(reads)}")
-        try:
-            ok = np.all(np.isfinite(np.asarray(value, dtype=float)))
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            _fail(f"mapping.coeffs.{name} must be finite numbers, "
-                  f"got {value!r}")
+        _finite(f"mapping.coeffs.{name}", value)
 
 
 def _validate(sc: Scenario):
@@ -200,8 +205,12 @@ def _validate(sc: Scenario):
         _dim(dim_key, sc.spaces[dim_key])
     if ("p_dim" in sc.spaces) == ("p_labels" in sc.spaces):
         _fail("spaces block needs exactly one of p_dim or p_labels")
+    labels = sc.spaces.get("p_labels")
     if "p_dim" in sc.spaces:
         _dim("p_dim", sc.spaces["p_dim"])
+    elif not labels or not isinstance(labels, list) or any(
+            not isinstance(v, (str, int, float)) for v in labels):
+        _fail("spaces.p_labels must be a nonempty list of names or numbers")
     kind = sc.mapping.get("kind")
     if kind not in ("rule", "polyhedral"):
         _fail("mapping.kind must be 'rule' or 'polyhedral'")
@@ -209,25 +218,30 @@ def _validate(sc: Scenario):
         _validate_coeffs(sc.mapping)
     if kind == "polyhedral":
         pieces = sc.mapping.get("pieces")
-        if not pieces:
+        if not pieces or not isinstance(pieces, list):
             _fail("polyhedral mapping needs a nonempty pieces list")
         n = int(sc.spaces["x_dim"]) + int(sc.spaces["y_dim"])
         for i, pc in enumerate(pieces):
-            A = np.asarray(pc.get("A", []), dtype=float)
-            b = np.asarray(pc.get("b", []), dtype=float)
+            if not isinstance(pc, dict):
+                _fail(f"piece {i} must be a mapping with A and b")
+            A = _finite(f"piece {i}: A", pc.get("A", []))
+            b = _finite(f"piece {i}: b", pc.get("b", []))
             if A.ndim != 2 or A.shape[1] != n:
                 _fail(f"piece {i}: A must have {n} columns")
-            if b.shape[0] != A.shape[0]:
-                _fail(f"piece {i}: A and b row counts differ")
-            if "b_p" in pc:
-                bp = np.asarray(pc["b_p"], dtype=float)
-                if bp.shape[0] != A.shape[0]:
-                    _fail(f"piece {i}: b_p and A row counts differ")
+            if b.shape != A.shape[:1]:
+                _fail(f"piece {i}: b must have one entry per row of A")
+            if "b_p" in pc and "p_dim" in sc.spaces:
+                bp = _finite(f"piece {i}: b_p", pc["b_p"])
+                if bp.shape != (A.shape[0], int(sc.spaces["p_dim"])):
+                    _fail(f"piece {i}: b_p must have p_dim columns and one "
+                          f"row per row of A")
     for q_key in ("xbar", "ybar", "alpha", "delta", "mu"):
         if q_key not in sc.query:
             _fail(f"query block needs {q_key}")
     _validate_query(sc.query, sc.spaces)
     for entry in sc.checks:
+        if not isinstance(entry, (str, dict)):
+            _fail(f"a check is a name or a mapping with a name, got {entry!r}")
         name = _check_name(entry)
         if name not in KNOWN_CHECKS:
             _fail(f"unknown check {name!r}; known: {KNOWN_CHECKS}")
@@ -563,8 +577,9 @@ def run_scenario(sc: Scenario, out_dir: str | None = None,
         t0 = time.perf_counter()
         try:
             cert = _run_one(name, opts, F, q, grids, sc)
-        except NumericError as exc:
-            # a failed solver is no verdict
+        except (NumericError, InputError) as exc:
+            # a failed solver is no verdict, nor is a check that refuses the
+            # accepted scenario; the other checks' rows are still written
             cert = Certificate(Verdict.INCONCLUSIVE, detail=str(exc))
         elapsed = time.perf_counter() - t0
         expect = sc.expect.get(name)

@@ -15,12 +15,14 @@ built from the normal cone N to the graph at (x, y):
 Each checker first collects the (point, dual vector) pairs of every
 ``ScanBatch`` of its scan (one batch per parameter), with the normal cones
 of the points, built without testing their graph membership again.  It then
-solves all pairs in one stacked call per distinct cone object, each
-distinct dual vector of a cone once (``solve_per_cone``): a rule's cone is
-often one object at every point, so a whole check is one array search.
-Last it reduces each batch's margins in one ``MarginScan.add``, batch by
-batch in scan order, so the witness is the first point attaining the
-minimum.
+asks the map for the answers (``SetValuedMap.cone_answers``), which keeps
+them per cone object: each distinct problem is solved once per map, across
+all checks, and the problems a check has not met before are solved in one
+stacked call per cone.  The subdifferential and normal-cone checks and the
+slope checks' first-order directions pose the same support problem
+``d_gamma((0, -y*), N)`` and share its answers.  Last each checker reduces
+each batch's margins in one ``MarginScan.add``, batch by batch in scan
+order, so the witness is the first point attaining the minimum.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from .errors import InputError
 from .mappings import RegularityQuery, ScanGrids, SetValuedMap, check_mode, \
     condition_scan
 from .oracle import Certificate, MarginScan, _base_meta
-from .sets import (cone_min_norm, gamma_dual_distance, solve_per_cone,
-                   _unit_directions)
+from .sets import cone_min_norm, gamma_dual_distance, _unit_directions
 from .spaces import GammaMetric, as_point
 
 
@@ -107,10 +108,11 @@ def coderivative_distance(F: SetValuedMap, p, x, y, ystar, eta: float) -> float:
 
 def _dual_pairs(F: SetValuedMap, batches, q: RegularityQuery, kind: str):
     """The (point, dual vector) pairs of a check's ``ScanBatch``es, point by
-    point in ``dual_candidates`` order, as ``(pairs, cones)``: ``pairs``
+    point in ``dual_candidates`` order, as ``(pairs, cones, Y)``: ``pairs``
     holds ``(b, at, ystars)`` per batch, its pair k the point ``at[k]`` of
-    ``b`` with the dual vector ``ystars[k]``, and ``cones`` the normal cone
-    of every pair of every batch, in that order."""
+    ``b`` with the dual vector ``ystars[k]``, and ``cones`` and the rows of
+    ``Y`` the normal cone and dual vector of every pair of every batch, in
+    that order."""
     pairs, cones = [], []
     for b in batches:
         at, ystars = [], []
@@ -120,17 +122,26 @@ def _dual_pairs(F: SetValuedMap, batches, q: RegularityQuery, kind: str):
                 ystars.append(ystar)
                 cones.append(cone)
         pairs.append((b, at, np.array(ystars).reshape(-1, F.ny)))
-    return pairs, cones
+    return pairs, cones, np.array([y for _, _, ys in pairs for y in ys]
+                                  ).reshape(-1, F.ny)
 
 
-def _solve_pairs(pairs, cones, solve) -> list:
-    """``solve(cone, ystars)`` on the stacked dual vectors of all pairs,
-    one call per distinct cone (``solve_per_cone``), split into one array
-    per batch."""
-    if not pairs:
-        return []
-    vals = solve_per_cone(solve, cones, np.vstack([ys for _, _, ys in pairs]))
-    return np.split(vals, np.cumsum([len(ys) for _, _, ys in pairs])[:-1])
+def _by_batch(pairs, answers) -> list:
+    """The answers to all pairs, in pair order, as one array per batch."""
+    return np.split(np.array(answers, dtype=float),
+                    np.cumsum([len(ys) for _, _, ys in pairs])[:-1])
+
+
+def _distances(F: SetValuedMap, gamma: float, pairs, cones, Y) -> list:
+    """``d_gamma((0, -y*), N)`` of every pair, one array per batch, from
+    ``F.cone_answers``, which keeps them with their maximizing directions
+    for the slope checks' first-order directions."""
+    g = GammaMetric(gamma)
+    found = F.cone_answers(
+        ("support", gamma), cones, np.hstack([np.zeros((len(Y), F.nx)), -Y]),
+        lambda cone, Q: zip(*gamma_dual_distance(Q, cone, g, F.nx,
+                                                 with_direction=True)))
+    return _by_batch(pairs, [d for d, _ in found])
 
 
 def check_variant(variant: str):
@@ -148,34 +159,22 @@ def subdifferential_preconditions(F: SetValuedMap, mode: str):
 
 def check_subdifferential_condition(F: SetValuedMap, q: RegularityQuery,
                                     grids: ScanGrids, mode: str = "sufficient",
-                                    tol: float = 1e-9,
-                                    small_ystar_eps: float = 1e-2) -> Certificate:
-    """Scan ``d_gamma(0, merit subdifferential) >= alpha`` (convex graphs).
-
-    Necessary mode runs at gamma = 1/alpha over the delta-ball.  Points where
-    some subgradient has y-part of norm below ``small_ystar_eps`` but x-part
-    of norm below alpha are counted in ``scan_meta["small_ystar_flags"]`` (the
-    x-part should be >= alpha whenever the y-part vanishes).
-    """
+                                    tol: float = 1e-9) -> Certificate:
+    """Scan ``d_gamma(0, merit subdifferential) >= alpha`` (convex graphs);
+    necessary mode runs at gamma = 1/alpha over the delta-ball."""
     subdifferential_preconditions(F, mode)
     q, x_radius, batches = condition_scan(F, q, grids, mode)
     scan = MarginScan(tol)
-    g = GammaMetric(q.gamma)
     # scan points have y != ybar, so the point part is (0, y*) with y* the
-    # one exact dual vector: the subdifferential at a point is (0, y*) + N
-    pairs, cones = _dual_pairs(F, batches, q, "exact")
-    dists = _solve_pairs(pairs, cones, lambda cone, ys: gamma_dual_distance(
-        -np.hstack([np.zeros((len(ys), F.nx)), ys]), cone, g, F.nx))
-    xnorms = _solve_pairs(pairs, cones, lambda cone, ys: cone_min_norm(
-        cone, F.nx, -ys, small_ystar_eps))
+    # one exact dual vector: the subdifferential at a point is (0, y*) + N,
+    # and its distance to 0 is the normal-cone condition's d((0, -y*), N)
+    pairs, cones, Y = _dual_pairs(F, batches, q, "exact")
+    dists = _distances(F, q.gamma, pairs, cones, Y)
     for (b, _, _), vals in zip(pairs, dists):
         scan.add(vals - q.alpha, lambda i: {
             "p": b.p, "x": b.xs[i], "y": b.ys[i], "value": float(vals[i]),
             "inequality": "d_gamma(0, subdifferential) >= alpha"})
-    flags = sum(int(np.sum(np.isfinite(v) & (v < q.alpha - tol)))
-                for v in xnorms)
-    meta = dict(_base_meta(q, grids), mode=mode, x_radius=x_radius,
-                small_ystar_flags=flags)
+    meta = dict(_base_meta(q, grids), mode=mode, x_radius=x_radius)
     return scan.certificate(meta)
 
 
@@ -203,11 +202,9 @@ def check_normal_cone_condition(F: SetValuedMap, q: RegularityQuery,
     normal_cone_preconditions(F, variant, mode)
     kind = "exact" if variant == "convex-normal" else "cap"
     q, x_radius, batches = condition_scan(F, q, grids, mode)
-    g = GammaMetric(q.gamma)
     scan = MarginScan(tol)
-    pairs, cones = _dual_pairs(F, batches, q, kind)
-    dists = _solve_pairs(pairs, cones, lambda cone, ys: gamma_dual_distance(
-        np.hstack([np.zeros((len(ys), F.nx)), -ys]), cone, g, F.nx))
+    pairs, cones, Y = _dual_pairs(F, batches, q, kind)
+    dists = _distances(F, q.gamma, pairs, cones, Y)
     for (b, at, ystars), vals in zip(pairs, dists):
         scan.add(vals - q.alpha, lambda i: {
             "p": b.p, "x": b.xs[at[i]], "y": b.ys[at[i]],
@@ -255,9 +252,10 @@ def check_coderivative_condition(F: SetValuedMap, q: RegularityQuery,
     kind = "exact" if variant == "convex-normal" else "cap"
     q, x_radius, batches = condition_scan(F, q, grids, mode)
     scan = MarginScan(tol)
-    pairs, cones = _dual_pairs(F, batches, q, kind)
-    norms = _solve_pairs(pairs, cones, lambda cone, ys: cone_min_norm(
-        cone, F.nx, -ys, q.eta))
+    pairs, cones, Y = _dual_pairs(F, batches, q, kind)
+    norms = _by_batch(pairs, F.cone_answers(
+        ("min norm", q.eta), cones, -Y,
+        lambda cone, V: cone_min_norm(cone, F.nx, V, q.eta)))
     for (b, at, ystars), vals in zip(pairs, norms):
         # a vacuous pair has margin +inf: never the scan minimum
         scan.add(vals - threshold, lambda i: {

@@ -7,7 +7,8 @@ short graph steps of the slope checks (``piece_cones``, ``step_points``).
 Two concrete models are provided, both exact: closed-form (finite value sets
 given by a rule, with optional exact solution sets and cones) and polyhedral
 (graph given as a finite union of polyhedra per parameter); ``hat_reduction``
-shifts either.
+shifts either.  A map keeps its per-row answers in one memo, keyed by the
+object each is about (``SetValuedMap._per_point``), shared by every check.
 """
 
 from __future__ import annotations
@@ -202,7 +203,8 @@ class SetValuedMap:
         """The value of every row of ``xs``, each distinct row solved once
         per ``(key, p)``: the values are kept in the map's memo, and the
         rows missing from it go to one call ``solve(X)``, which returns one
-        value per row of ``X``, in the order of their first appearance."""
+        value per row of ``X``, in the order of their first appearance.  A
+        key names the object the rows are about (a region, a cone)."""
         seen = self._memo(key, p, dict)
         xs = np.asarray(xs, dtype=float)
         keys = [x.tobytes() for x in xs]
@@ -214,6 +216,34 @@ class SetValuedMap:
             seen.update(zip(todo, solve(xs[list(todo.values())])))
         return [seen[k] for k in keys]
 
+    def nearest_points(self, region, xs) -> list:
+        """``dist_to_region`` of every row of ``xs`` to ``region``, as ``(d,
+        nearest point)`` per row, kept under the region object: the rows
+        missing from the memo go to one stacked call."""
+        def solve(X):
+            d, near = dist_to_region(X, region)
+            return zip(d.tolist(), near)
+
+        return self._per_point(("nearest", region), None, xs, solve)
+
+    def cone_answers(self, key, cones, vectors, solve) -> list:
+        """The answers to the problems ``(cones[k], vectors[k])``, each
+        distinct one solved once per map and ``key`` (the problem's kind and
+        weight), whichever check poses it: per cone object, the vectors not
+        in the memo go to one call ``solve(cone, V)``, which returns one
+        answer per row of ``V``."""
+        vectors = np.asarray(vectors, dtype=float)
+        groups: dict = {}
+        for k, cone in enumerate(cones):
+            groups.setdefault(cone, []).append(k)
+        out = [None] * len(cones)
+        for cone, ks in groups.items():
+            found = self._per_point((key, cone), None, vectors[ks],
+                                    lambda V, cone=cone: solve(cone, V))
+            for k, answer in zip(ks, found):
+                out[k] = answer
+        return out
+
     def residual_vec(self, p, xs: np.ndarray, ybar) -> np.ndarray:
         ybar = as_point(ybar)
         return np.array(self._per_point(
@@ -224,29 +254,13 @@ class SetValuedMap:
         d, _ = dist_to_region(as_point(x), self.solution_set(p, ybar, grids))
         return d
 
-    def _solution_grids(self, ybar, grids):
-        """The ``grids`` that ``solution_set(p, ybar, grids)`` reads: None
-        where the set has an exact form and ignores them."""
-        return grids
-
     def nearest_solutions(self, p, xs: np.ndarray, ybar,
                           grids: ScanGrids | None = None) -> list:
         """``(d(x, G(p)), a nearest point of G(p))`` for every row ``x`` of
-        ``xs``, ``(inf, None)`` where G(p) is empty; each distinct row is
-        solved once per ``(p, ybar)`` and the grids the solution set reads,
-        in the map's memo, so the scan that measured a point's distance also
-        hands its nearest point to the slope checks.  The rows missing
-        from the memo go to one stacked ``dist_to_region`` call."""
-        ybar = as_point(ybar)
-        grids = self._solution_grids(ybar, grids)
-        region = self.solution_set(p, ybar, grids)
-
-        def solve(X):
-            d, near = dist_to_region(X, region)
-            return list(zip(d.tolist(), near))
-
-        return self._per_point(("nearest solution", ybar.tobytes(), grids),
-                               p, xs, solve)
+        ``xs``, ``(inf, None)`` where G(p) is empty, kept per solution-set
+        object (``nearest_points``): the scan that measured a point's
+        distance hands its nearest point to the slope checks."""
+        return self.nearest_points(self.solution_set(p, ybar, grids), xs)
 
     def solution_distance_vec(self, p, xs: np.ndarray, ybar,
                               grids: ScanGrids | None = None) -> np.ndarray:
@@ -340,7 +354,8 @@ class ClosedFormMap(SetValuedMap):
         with residual within the graph tolerance; built once per ``(p,
         ybar)`` and the grids it reads, in the map's memo."""
         ybar = as_point(ybar)
-        grids = self._solution_grids(ybar, grids)
+        exact = self.solution_any_fn is not None or (
+            self.solution_fn is not None and self._matches_target(ybar))
 
         def build():
             if self.solution_fn is not None and self._matches_target(ybar):
@@ -356,12 +371,8 @@ class ClosedFormMap(SetValuedMap):
             res = self.residual_vec(p, xs, ybar)
             return PointCloud(xs[res <= _GRAPH_TOL], dedupe_tol=0.0)
 
-        return self._memo(("solution set", ybar.tobytes(), grids), p, build)
-
-    def _solution_grids(self, ybar, grids):
-        exact = self.solution_any_fn is not None or (
-            self.solution_fn is not None and self._matches_target(ybar))
-        return None if exact else grids
+        return self._memo(("solution set", ybar.tobytes(),
+                           None if exact else grids), p, build)
 
     def _matches_target(self, ybar) -> bool:
         # once per ybar: every parameter of a scan asks
@@ -494,9 +505,6 @@ class PolyhedralGraphMap(SetValuedMap):
     def solution_set(self, p, ybar, grids=None) -> PolyUnion:
         return self._slice(p, "y", as_point(ybar))
 
-    def _solution_grids(self, ybar, grids):
-        return None
-
     def graph_points(self, p, grids: ScanGrids) -> np.ndarray:
         return self._memo(grids, p, lambda: region_sample_points(
             self.graph_region(p), grids.product_xy()))
@@ -521,27 +529,23 @@ class PolyhedralGraphMap(SetValuedMap):
     def step_points(self, p, xs, ys, dirs, radii, gamma, reach=None):
         """Each step on the graph as it is, and each one off it projected
         back when the projection lies within the step's length: one
-        membership test per direction, and one projection per off-graph step
-        and parameter, in the map's memo, whichever slope check takes it."""
+        membership test for all steps, and one projection per off-graph step
+        and graph region (``nearest_points``), whichever slope check takes
+        it."""
         region = self.graph_region(p)
-        projected = self._memo("graph projections", p, dict)
-        owner, zs = [], []
-        for i, (z0, ts) in enumerate(zip(np.hstack([xs, ys]), radii)):
-            for d in dirs[i]:
-                steps = z0 + np.outer(ts, d)
-                for z, t, on in zip(steps, ts,
-                                    region.contains_rows(steps, 1e-10)):
-                    if not on:
-                        k = z.tobytes()
-                        if k not in projected:
-                            projected[k] = dist_to_region(z, region)
-                        dz, z = projected[k]
-                        if z is None or dz > abs(t):
-                            continue
-                    owner.append(i)
-                    zs.append(z)
-        zs = np.array(zs).reshape(-1, self.nx + self.ny)
-        return np.array(owner, dtype=int), zs[:, :self.nx], zs[:, self.nx:]
+        own = np.repeat(np.arange(len(xs)), [len(d) for d in dirs])
+        D = np.array([d for ds in dirs for d in ds]).reshape(
+            len(own), self.nx + self.ny)
+        ts = radii[own]
+        zs = (np.hstack([xs, ys])[own][:, None, :] +
+              ts[:, :, None] * D[:, None, :]).reshape(-1, self.nx + self.ny)
+        owner, ts = np.repeat(own, radii.shape[1]), ts.ravel()
+        keep = region.contains_rows(zs, 1e-10)
+        off = np.flatnonzero(~keep)
+        for k, (dz, z) in zip(off, self.nearest_points(region, zs[off])):
+            if z is not None and dz <= abs(ts[k]):
+                keep[k], zs[k] = True, z
+        return owner[keep], zs[keep, :self.nx], zs[keep, self.nx:]
 
     def scan_cones(self, p, xs, ys) -> list[ConeRep]:
         # each point's cone once per parameter, for every check that scans it

@@ -32,8 +32,8 @@ comes with a primal-dual bracket that must close, else ``NumericError``.
 rows: the rows of one cone run the face search and the Newton search in
 lockstep, each leaving as its bracket closes, and each row goes through
 the products a single vector would, so stacking changes no answer.  One
-vector is a batch of one; the 1-D vertex forms stay per vector.
-``solve_per_cone`` makes one such call per distinct cone object.
+vector is a batch of one; the 1-D vertex forms stay per vector.  A map
+keeps the answers per cone object (``SetValuedMap.cone_answers``).
 """
 
 from __future__ import annotations
@@ -430,11 +430,13 @@ def region_sample_points(region, grid: GridSpec | None = None) -> np.ndarray:
 # cones
 
 
-@dataclass
+@dataclass(eq=False)
 class ConeRep:
     """Finitely generated cone: conic hull of ``generators`` plus the span of
     ``lineality`` rows.  ``empty=True`` encodes the empty cone (point outside
-    the set); the zero cone has no generators but is nonempty."""
+    the set); the zero cone has no generators but is nonempty.  A cone is
+    compared and hashed by identity, so a map keys its answers by the cone
+    object."""
 
     generators: np.ndarray
     lineality: np.ndarray
@@ -717,30 +719,6 @@ def gamma_dual_distance(q, cone: ConeRep, g: GammaMetric, nx: int,
     if one:
         vals, U = float(vals[0]), None if cone.empty else U[0]
     return (vals, U) if with_direction else vals
-
-
-def solve_per_cone(solve, cones, vectors) -> np.ndarray:
-    """The answers to the pairs ``(cones[k], vectors[k])``, as an array
-    aligned with the pairs, from one call ``solve(cone, V)`` per distinct
-    cone object on the stacked distinct vectors ``V`` paired with it;
-    ``solve`` returns one answer (a number or a row) per row of ``V``.  A
-    rule's cone is often one object at every scan point, so a whole check
-    makes one call per cone."""
-    vectors = np.asarray(vectors, dtype=float)
-    # per cone object, the pairs of each distinct vector
-    groups: dict = {}
-    for k, cone in enumerate(cones):
-        groups.setdefault(id(cone), (cone, {}))[1].setdefault(
-            vectors[k].tobytes(), []).append(k)
-    out = None
-    for cone, by_vector in groups.values():
-        ks = list(by_vector.values())
-        found = np.asarray(solve(cone, vectors[[k[0] for k in ks]]))
-        if out is None:
-            out = np.empty((len(cones),) + found.shape[1:])
-        out[np.concatenate(ks)] = found[np.repeat(np.arange(len(ks)),
-                                                  [len(k) for k in ks])]
-    return np.zeros(0) if out is None else out
 
 
 def _polar_vertices(M, c: float = math.inf) -> np.ndarray:

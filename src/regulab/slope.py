@@ -14,12 +14,12 @@ rows of a ``ScanBatch``), and the checkers make one call per parameter.  The
 candidates of all points are built as arrays: the (scan points x graph
 sample) quotient block, in blocks of rows; each point's nearest solution
 point, from the map's memo; and the short honest steps along first-order
-directions, whose support problems over the map's ``piece_cones`` are solved
-in one stacked call per cone.  The map takes the steps (``step_points``), so
-every model, a shifted one too, scans the same way.  The quotients are
-scored row by row, rounding as for a single point, and a point's slope is
-the maximum of its rows, so the stacked values are the one-point values bit
-for bit.
+directions, whose support problems over the map's ``piece_cones`` the map
+answers (``cone_answers``), sharing them with the dual checks.  The map
+takes the steps (``step_points``), so every model, a shifted one too, scans
+the same way.  The quotients are scored row by row, rounding as for a
+single point, and a point's slope is the maximum of its rows, so the
+stacked values are the one-point values bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .mappings import (
     strict_cap,
 )
 from .oracle import Certificate, MarginScan, _base_meta
-from .sets import gamma_dual_distance, solve_per_cone
+from .sets import gamma_dual_distance
 from .spaces import GammaMetric, as_point, row_dots
 
 _LEVELS = 13
@@ -122,10 +122,8 @@ def _direction_candidates(F: SetValuedMap, q: RegularityQuery, p, xs, ys,
     the polar of one of its ``F.piece_cones`` (the first-order optimal
     direction), plus the direction toward the nearest solution point
     ``near[i]`` (of the solution set without grids, see ``_directions``)
-    paired with the target.  The support problems of all points are solved
-    in one stacked call per distinct cone object, each distinct (cone, dual
-    vector) problem once (``solve_per_cone``): a rule's cone is often one
-    object at every point.
+    paired with the target.  The support problems go through the map's
+    ``cone_answers``, which shares them with the dual checks.
     """
     g = GammaMetric(q.gamma)
     ybar, nx = q.ybar_arr, F.nx
@@ -135,10 +133,12 @@ def _direction_candidates(F: SetValuedMap, q: RegularityQuery, p, xs, ys,
     out = [[] for _ in xs]
     owner = np.repeat(np.arange(len(xs)), [len(c) for c in cones])
     if len(owner):
-        U = solve_per_cone(lambda cone, qv: gamma_dual_distance(
-            qv, cone, g, nx, with_direction=True)[1],
+        found = F.cone_answers(
+            ("support", q.gamma),
             [cone for point_cones in cones for cone in point_cones],
-            qvecs[owner])
+            qvecs[owner], lambda cone, Q: zip(*gamma_dual_distance(
+                Q, cone, g, nx, with_direction=True)))
+        U = np.array([u for _, u in found])
         # an empty cone's rows are NaN, and fail the test
         for k in np.flatnonzero(np.linalg.norm(U, axis=1) > 1e-12):
             out[owner[k]].append(U[k])
@@ -155,21 +155,19 @@ def _direction_candidates(F: SetValuedMap, q: RegularityQuery, p, xs, ys,
 
 def _directions(F, q, p, xs, ys) -> list:
     """The directions of every row, each point's built once per ``(p, x, y,
-    ybar, gamma)`` in the map's per-parameter memo, so both slope checks
-    share them; the rows not built yet are built in one batch.  They read no
-    scan grid: the nearest solution point is one of the solution set without
-    grids, where the map has one; when that set reads no grid anyway, the
-    scan's own distances have already put these points in the memo."""
-    memo = F._memo(("directions", q.ybar_arr.tobytes(), q.gamma), p, dict)
-    keys = [x.tobytes() + y.tobytes() for x, y in zip(xs, ys)]
-    todo = [i for i, k in enumerate(keys) if k not in memo]
-    if todo:
-        built = _direction_candidates(
-            F, q, p, xs[todo], ys[todo],
-            _nearest_solutions(F, q, p, xs[todo], None))
-        for i, dirs in zip(todo, built):
-            memo[keys[i]] = dirs
-    return [memo[k] for k in keys]
+    ybar, gamma)`` in the map's ``_per_point`` memo, so both slope checks
+    share them.  They read no scan grid: the nearest solution point is one
+    of the solution set without grids (where that set reads none, the one
+    the scan measured)."""
+    nx = F.nx
+
+    def build(Z):
+        return _direction_candidates(
+            F, q, p, Z[:, :nx], Z[:, nx:],
+            _nearest_solutions(F, q, p, Z[:, :nx], None))
+
+    return F._per_point(("directions", q.ybar_arr.tobytes(), q.gamma), p,
+                        np.hstack([xs, ys]), build)
 
 
 def _step_schedule(nw: np.ndarray, gamma: float) -> np.ndarray:

@@ -42,7 +42,7 @@ def one_point_distances(F, p, xs, ybar, grids) -> np.ndarray:
     if getattr(F, "solution_dist_rule", None) is not None and \
             F._matches_target(ybar):
         return F.solution_distance_vec(p, xs, ybar, grids)
-    region = F.solution_set(p, ybar, F._solution_grids(ybar, grids))
+    region = F.solution_set(p, ybar, grids)
     return np.array([dist_to_region(x, region)[0] for x in xs], dtype=float)
 
 

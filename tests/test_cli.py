@@ -1,13 +1,20 @@
 """Scenario loading, command-line interface, exit codes, and determinism."""
 
+import copy
 import csv
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import regulab.cli
+import regulab.dual
 import regulab.sets
 import regulab.slope
 from regulab import (
@@ -233,6 +240,34 @@ def test_no_slsqp_for_2d_polyhedral_maps(tmp_path, monkeypatch):
                           ("coderivative-ball", 0.0638034375545),
                           ("coderivative-normalized", -0.236196562445)):
         assert abs(margins[check] - margin) <= 1e-9, (check, margins)
+
+
+def test_2d_polyhedral_run_solves_each_dual_problem_once(tmp_path,
+                                                         monkeypatch):
+    # the subdifferential and normal-cone checks and the slope checks'
+    # directions pose the same support problems on the same cones: the map
+    # keeps the answers, so none reaches a solver twice (12 of the 24
+    # problems solved repeated an earlier one when each check solved its own)
+    posed = []
+    for module, name in ((regulab.dual, "gamma_dual_distance"),
+                         (regulab.slope, "gamma_dual_distance"),
+                         (regulab.dual, "cone_min_norm")):
+        solve = getattr(module, name)
+
+        def spy(*args, solve=solve, name=name, **kwargs):
+            if name == "gamma_dual_distance":
+                (V, cone, g), weight = args[:3], ("support", args[2].gamma)
+            else:
+                (cone, _, V), weight = args[:3], ("min norm", args[3])
+            posed.extend((weight, id(cone), v.tobytes())
+                         for v in np.atleast_2d(V))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    code, report = run_scenario(load_scenario(write(tmp_path,
+                                                    POLY_2D_SCENARIO)))
+    assert code == 0, report
+    assert posed and len(set(posed)) == len(posed)
 
 
 UNION_4D_SCENARIO = """\
@@ -485,6 +520,29 @@ def test_cli_failed_solver_gives_inconclusive_row(tmp_path, monkeypatch):
     assert rows[3].startswith("normal-cone,HOLDS,")
 
 
+def test_cli_check_refusing_an_accepted_scenario_gives_inconclusive_row(
+        tmp_path):
+    # validate accepts the composition on the quadratic example, whose
+    # premises are VIOLATED; run exited 2 at the composition and wrote no
+    # CSV, so the oracle and geometric rows were lost
+    text = replaced(EXAMPLE_QUADRATIC, (
+        ("  gamma: 1.0\n", "  gamma: 1.0\n  l: 1.0\n"),
+        ("  - geometric\n", "  - geometric\n  - compose-rate\n"),
+        ("resolution: 201", "resolution: 21")))
+    path = write(tmp_path, text[:text.index("expect:")])
+    assert CliRunner().invoke(main, ["validate", path]).exit_code == 0
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, ["run", path, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert "note: composition needs both premise certificates to HOLD" in \
+        res.output
+    rows = (out / "sc.csv").read_text().splitlines()
+    assert rows[1].startswith("oracle,VIOLATED,")
+    assert rows[2].startswith("geometric,VIOLATED,")
+    assert rows[3].startswith("compose-rate,INCONCLUSIVE,,")
+    assert (out / "sc.txt").exists()
+
+
 def test_cli_exit_code_three_on_resource_cap(tmp_path):
     # the cap counts X grid points times parameters, so a tiny X grid
     # over a huge P grid is refused before any scan starts
@@ -664,3 +722,95 @@ def test_difference_example_evaluates_its_rule_in_arrays(tmp_path,
     # one array call per parameter per slope check and one per graph
     # sample; the checkers make no one-point graph checks (in_graph)
     assert len(rows) == 3 * 11 and min(rows) > 1
+
+
+# the difference example at small grids, a polyhedral scenario, and the
+# ways a scenario file can be wrong: the fuzz test below mutates them and
+# runs validate and run
+_FUZZ_BASES = [yaml.safe_load(replaced(EXAMPLE_DIFFERENCE, (
+    ("resolution: 81", "resolution: 9"), ("resolution: 11", "resolution: 5")))),
+    yaml.safe_load(POLY_SCENARIO.replace("resolution: 41", "resolution: 9"))]
+_TEXT = st.text(alphabet="abnor-_ .0", max_size=6)
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), _TEXT,
+                  st.lists(_TEXT, max_size=2),
+                  st.dictionaries(_TEXT, st.integers(-3, 3), max_size=2))
+
+
+def _paths(node, at=()):
+    """Every key and list index below ``node``, as paths from the root."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield at + (key,)
+        yield from _paths(child, at + (key,))
+
+
+def _mutate(data, sc):
+    """One mutation of the scenario dict ``sc``, in place."""
+    paths = list(_paths(sc))
+    kind = data.draw(st.sampled_from(
+        ["missing", "type", "number", "non-finite", "check", "rule",
+         "variant", "p_labels", "no pbar"]))
+    if kind in ("missing", "type", "number", "non-finite") and paths:
+        if kind in ("number", "non-finite"):
+            paths = [p for p in paths if type(_at(sc, p)) in (int, float)] \
+                or paths
+        path = data.draw(st.sampled_from(paths))
+        parent = _at(sc, path[:-1])
+        if kind == "missing":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(
+                _JUNK if kind == "type" else
+                st.floats(-3, 3) if kind == "number" else
+                st.sampled_from([math.inf, -math.inf, math.nan]))
+    elif kind == "check" and isinstance(sc.get("checks"), list):
+        sc["checks"].append(data.draw(st.one_of(
+            _TEXT, st.fixed_dictionaries({"name": _TEXT}))))
+    elif kind == "rule" and isinstance(sc.get("mapping"), dict):
+        sc["mapping"]["rule"] = data.draw(_TEXT)
+    elif kind == "variant" and isinstance(sc.get("checks"), list):
+        sc["checks"].append({
+            "name": data.draw(st.sampled_from(
+                ["normal-cone", "coderivative-ball", "subdifferential",
+                 "slope-local"])),
+            data.draw(st.sampled_from(["variant", "mode", "form"])):
+                data.draw(st.one_of(_TEXT, st.sampled_from(
+                    ["frechet-cap", "convex-normal", "necessary"])))})
+    elif kind == "p_labels" and isinstance(sc.get("spaces"), dict):
+        sc["spaces"].pop("p_dim", None)
+        sc["spaces"]["p_labels"] = ["a", "b"]
+    elif kind == "no pbar" and isinstance(sc.get("query"), dict):
+        sc["query"].pop("pbar", None)
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_mutated_scenarios_exit_with_a_code_never_a_traceback(data):
+    # validate exits 0 or 2, run exits 0 to 4, run exits 2 exactly when
+    # validate does, and neither ends in an exception
+    sc = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_BASES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, sc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sc.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump(sc, fh)
+        codes = []
+        for args in (["validate", path],
+                     ["run", path, "--out", os.path.join(tmp, "out")]):
+            res = CliRunner().invoke(main, args)
+            assert res.exception is None or \
+                isinstance(res.exception, SystemExit), (args, sc, res.output)
+            assert "Traceback" not in res.output
+            codes.append(res.exit_code)
+    validate, run = codes
+    assert validate in (0, 2), (sc, validate)
+    assert run in (0, 1, 2, 3, 4), (sc, run)
+    assert (run == 2) == (validate == 2), (sc, codes)

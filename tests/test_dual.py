@@ -269,9 +269,10 @@ def test_dual_checks_2d_instance():
 
 def test_dual_checks_make_one_stacked_call_per_cone(monkeypatch):
     # a 2-D affine rule whose cone is one object at every point: each check
-    # solves all its pairs, over every parameter, in one call per solver,
-    # with each distinct dual vector once; the answers are those of
-    # one-vector calls
+    # solves the problems it is the first to pose, over every parameter, in
+    # one call per solver, and each distinct (cone, vector) problem reaches
+    # a solver once per map across the four checks; the answers are those
+    # of one-vector calls
     import regulab.dual
     from regulab import GridSpec, ScanGrids
     from regulab.sets import ConeRep
@@ -290,37 +291,43 @@ def test_dual_checks_make_one_stacked_call_per_cone(monkeypatch):
     for name in ("gamma_dual_distance", "cone_min_norm"):
         solve = getattr(regulab.dual, name)
 
-        def spy(*args, solve=solve, name=name):
-            calls.append((name, args))
-            return solve(*args)
+        def spy(*args, solve=solve, name=name, **kwargs):
+            # gamma_dual_distance(q, cone, ...), cone_min_norm(cone, nx, y, ...)
+            support = name == "gamma_dual_distance"
+            assert args[support] is cone
+            calls.append((name, np.atleast_2d(args[0 if support else 2])))
+            return solve(*args, **kwargs)
 
         monkeypatch.setattr(regulab.dual, name, spy)
 
     points = scan_points(F, q, grids, q.delta + q.mu)
     assert len({tuple(np.atleast_1d(sp.p)) for sp in points}) == 3
     g = GammaMetric(q.gamma)
-    for check, kw, solvers in [
-            (check_normal_cone_condition, {}, ["gamma_dual_distance"]),
+    solved = {"gamma_dual_distance": set(), "cone_min_norm": set()}
+    for check, kw, solver in [
+            (check_normal_cone_condition, {}, "gamma_dual_distance"),
             (check_normal_cone_condition, {"variant": "frechet-cap"},
-             ["gamma_dual_distance"]),
-            (check_coderivative_condition, {}, ["cone_min_norm"]),
-            (check_subdifferential_condition, {},
-             ["gamma_dual_distance", "cone_min_norm"])]:
+             "gamma_dual_distance"),
+            (check_coderivative_condition, {}, "cone_min_norm"),
+            (check_subdifferential_condition, {}, "gamma_dual_distance")]:
         calls.clear()
         cert = check(F, q, grids, **kw)
-        assert [name for name, _ in calls] == solvers
-        # gamma_dual_distance(q, cone, ...), cone_min_norm(cone, nx, y, ...)
-        assert all(args[name == "gamma_dual_distance"] is cone
-                   for name, args in calls)
         kind = "cap" if kw else "exact"
         ystars = np.array([ys for sp in points for ys in
                            dual_candidates(sp.y, q.ybar_arr, kind, q.tau)])
-        distinct = len(np.unique(ystars, axis=0))
-        assert [len(args[0 if name == "gamma_dual_distance" else 2])
-                for name, args in calls] == [distinct] * len(solvers)
-        assert distinct > 3
         assert cert.scan_meta["points_scanned"] == len(ystars)
+        posed = {(np.hstack([np.zeros(2), -ys]) if solver ==
+                  "gamma_dual_distance" else -ys).tobytes() for ys in ystars}
+        assert len(posed) > 3
+        new = posed - solved[solver]
+        # one stacked call on the problems no earlier check posed, each once
+        assert [name for name, _ in calls] == [solver] * bool(new)
+        rows = [r.tobytes() for _, V in calls for r in V]
+        assert len(rows) == len(set(rows)) and set(rows) == new
+        solved[solver] |= new
         if check is check_normal_cone_condition:
             ref = min(gamma_dual_distance(np.concatenate([np.zeros(2), -ys]),
                                           cone, g, 2) for ys in ystars)
             assert cert.margin == ref - q.alpha
+    # the subdifferential check poses the exact normal-cone check's problems
+    assert [name for name, _ in calls] == []

@@ -16,6 +16,7 @@ from regulab import (
     ScanGrids,
     hat_reduction,
 )
+import regulab.mappings
 import regulab.sets
 from regulab.dual import check_normal_cone_condition
 from regulab.mappings import condition_scan_points
@@ -180,6 +181,30 @@ def test_hat_reduction_of_a_metric_parameter_map_scans_the_base_grid(alpha):
                     slope(S, q, (b.p, (0.125,)), b.xs, b.ys - 0.125, grids),
                     slope(F, q_shift, b.p, b.xs, b.ys, grids),
                     rtol=1e-6, atol=0)
+
+
+def test_shifted_map_measures_each_nearest_solution_once(monkeypatch):
+    # the slope scan asks for the solution set with the scan's grids and
+    # the directions without; a base set that reads no grid is one object
+    # either way, so the shifted map solves each point once, as its base
+    # map does (it once kept the answers apart by grids, and solved twice)
+    calls = []
+    dist_to_region = regulab.mappings.dist_to_region
+
+    def counted(*args):
+        calls.append(1)
+        return dist_to_region(*args)
+
+    monkeypatch.setattr(regulab.mappings, "dist_to_region", counted)
+    q, grids = query_1d(1.5), grids_1d()
+    for F in (halfplane_map_1d(2.0, 0.5), affine_map_1d(2.0, 0.5)):
+        counts = []
+        for G in (F, hat_reduction(F, [(0.0,)])):
+            calls.clear()
+            check_nonlocal_slope_condition(G, q, grids)
+            check_local_slope_condition(G, q, grids)
+            counts.append(len(calls))
+        assert counts == [5, 5]
 
 
 def test_query_validation():
