@@ -1,11 +1,13 @@
 """Scenario loading, check orchestration, and report/CSV emission.
 
 Scenario files are YAML with named blocks: ``spaces``, ``mapping``, ``query``,
-``grids``, ``checks``, and optional ``expect`` and ``output``.  Checks are
-referenced by what they compute: ``oracle``, ``geometric``, ``slope-nonlocal``,
-``slope-local``, ``subdifferential``, ``normal-cone``, ``coderivative-ball``,
+``grids``, ``checks``, and optional ``expect`` and ``output``.  Each field is
+read once, through a checked reader, by the ``build_*`` function that uses
+it.  ``_CHECKS`` declares each check once, in the order of the report's
+rows: ``oracle``, ``geometric``, ``slope-nonlocal``, ``slope-local``,
+``subdifferential``, ``normal-cone``, ``coderivative-ball``,
 ``coderivative-normalized``, ``recede``, ``aubin``, ``compose-rate``,
-``aubin-pipeline``, ``evp``.
+``aubin-pipeline`` (these four scan parameter pairs), ``evp``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
@@ -37,26 +40,9 @@ from .slope import check_local_slope_condition, \
     check_nonlocal_slope_condition, slope_preconditions
 from .spaces import GridSpec, NormedSpace
 
-KNOWN_CHECKS = (
-    "oracle", "geometric", "slope-nonlocal", "slope-local", "subdifferential",
-    "normal-cone", "coderivative-ball", "coderivative-normalized", "recede",
-    "aubin", "compose-rate", "aubin-pipeline", "evp",
-)
-
 CSV_COLUMNS = ("check", "verdict", "margin", "witness_p", "witness_x",
                "witness_y", "value", "alpha", "delta", "mu", "eta", "gamma",
                "tau", "grid_res", "seconds")
-
-# query fields each check needs beyond the common alpha/delta/mu block
-_CHECK_NEEDS = {
-    "recede": ("l", "pbar", "eta"),
-    "aubin": ("l", "pbar", "eta"),
-    "compose-rate": ("l", "pbar", "eta"),
-    "aubin-pipeline": ("l", "l_prime", "pbar", "eta"),
-    "coderivative-ball": ("eta",),
-    "coderivative-normalized": ("eta",),
-}
-
 
 # the type of each block of a scenario file
 _BLOCKS = {"spaces": dict, "mapping": dict, "query": dict, "grids": dict,
@@ -80,7 +66,9 @@ def _fail(msg: str):
 
 
 def load_scenario(path: str) -> Scenario:
-    """Parse and validate a scenario file; all defaults filled in."""
+    """Parse and validate a scenario file: build its map, query and grids,
+    and preflight every check, so that a scenario that loads is refused by
+    no check's options."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -98,165 +86,90 @@ def load_scenario(path: str) -> Scenario:
                   f"{'list' if kind is list else 'mapping'}, "
                   f"got {raw[block]!r}")
     sc = Scenario(**{b: raw[b] for b in _BLOCKS}, path=path)
-    _validate(sc)
+    F, q, grids = build_mapping(sc), build_query(sc), build_grids(sc)
+    planned = _planned_checks(sc)
+    for name, args in planned:
+        check = _CHECKS[name]
+        if check.pairs:
+            param_pair_preconditions(F, grids, q.pbar)
+            positive_rate("l", args["l"])
+        check.preflight(F, q, grids, **args)
+    for name, value in sc.expect.items():
+        if name not in [n for n, _ in planned]:
+            _fail(f"expect block references unknown check {name!r}")
+        if value not in ("HOLDS", "VIOLATED", "INCONCLUSIVE"):
+            _fail(f"expect.{name} must be HOLDS, VIOLATED or INCONCLUSIVE, "
+                  f"got {value!r}")
+    for key, value in sc.output.items():
+        if key not in ("csv", "report") or not isinstance(value, str) \
+                or not value:
+            _fail(f"output takes csv and report file names, got {key!r}: "
+                  f"{value!r}")
     return sc
 
 
-def _check_name(entry) -> str:
-    return entry if isinstance(entry, str) else entry.get("name", "")
+# ---------------------------------------------------------------------------
+# checked readers: each returns the value its builder uses, or refuses it
 
 
-def _number(field: str, value) -> float:
+def _number(field: str, value, finite: bool = True) -> float:
+    """``value`` as a number, a finite one unless ``finite`` is false."""
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        _fail(f"{field} must be a number, got {value!r}")
-
-
-def _dim(key: str, value) -> int:
-    try:
-        n = int(value)
+        v = float(value)
     except (TypeError, ValueError, OverflowError):
-        _fail(f"{key} must be an integer, got {value!r}")
-    if n < 1:
-        _fail(f"{key} must be >= 1")
-    return n
+        _fail(f"{field} must be a number, got {value!r}")
+    if finite and not math.isfinite(v):
+        _fail(f"{field} must be finite, got {value!r}")
+    return v
 
 
-_DIM_KEYS = {"x": "x_dim", "y": "y_dim", "p": "p_dim"}
+def _is_integer(value) -> bool:
+    """An int, or a float without a fraction; not a bool."""
+    return type(value) is int or type(value) is float and value.is_integer()
+
+
+def _dims(spaces: dict) -> dict:
+    """The declared dimensions, ``x_dim``, ``y_dim`` and, unless the
+    parameters are labels, ``p_dim``, each an integer >= 1."""
+    for key in ("x_dim", "y_dim"):
+        if key not in spaces:
+            _fail(f"spaces block needs {key}")
+    if ("p_dim" in spaces) == ("p_labels" in spaces):
+        _fail("spaces block needs exactly one of p_dim or p_labels")
+    dims = {k: spaces[k] for k in ("x_dim", "y_dim", "p_dim") if k in spaces}
+    for key, n in dims.items():
+        if not _is_integer(n):
+            _fail(f"{key} must be an integer, got {n!r}")
+        if n < 1:
+            _fail(f"{key} must be >= 1")
+    return {key: int(n) for key, n in dims.items()}
 
 
 def _finite(field: str, value) -> np.ndarray:
     """``value`` as an array of finite numbers."""
     try:
         v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         _fail(f"{field} must be numbers, got {value!r}")
     if not np.all(np.isfinite(v)):
         _fail(f"{field} must be finite, got {value!r}")
     return v
 
 
-def _vector(field: str, value, spaces: dict, dim_key: str) -> np.ndarray:
-    """A finite vector, of length ``spaces[dim_key]`` when that is declared."""
+def _vector(field: str, value, dims: dict, dim_key: str) -> np.ndarray:
+    """A finite vector, of length ``dims[dim_key]`` when that is declared."""
     v = np.atleast_1d(_finite(field, value))
-    if dim_key in spaces and v.shape != (int(spaces[dim_key]),):
-        _fail(f"{field} must have {dim_key} = {spaces[dim_key]} "
+    if dim_key in dims and v.shape != (dims[dim_key],):
+        _fail(f"{field} must have {dim_key} = {dims[dim_key]} "
               f"entries, got {value!r}")
     return v
 
 
-def _validate_query(q: dict, spaces: dict):
-    """Numbers where numbers go, finite rates, and reference points whose
-    lengths match the declared spaces."""
-    for key in ("alpha", "gamma", "tau", "l", "l_prime"):
-        if key in q and not math.isfinite(_number(f"query.{key}", q[key])):
-            _fail(f"query.{key} must be finite, got {q[key]!r}")
-    for key in ("delta", "mu", "eta"):
-        if q.get(key) not in ("unbounded", None):
-            _number(f"query.{key}", q[key])
-    for axis, dim_key in _DIM_KEYS.items():
-        if axis != "p" or q.get("pbar") is not None:
-            _vector(f"query.{axis}bar", q[axis + "bar"], spaces, dim_key)
-
-
-def _validate_grids(grids: dict, spaces: dict):
-    """Finite bounds of the declared length with lower < upper, and an
-    integer resolution of at least 2, in each grid."""
-    if not isinstance(grids, dict) or "x" not in grids:
-        _fail("grids block needs an 'x' grid")
-    for gname, g in grids.items():
-        for k in ("lower", "upper", "resolution"):
-            if not isinstance(g, dict) or k not in g:
-                _fail(f"grid {gname!r} needs {k}")
-        dim_key = _DIM_KEYS.get(gname, "")
-        lower = _vector(f"grids.{gname}.lower", g["lower"], spaces, dim_key)
-        upper = _vector(f"grids.{gname}.upper", g["upper"], spaces, dim_key)
-        if lower.shape != upper.shape or not np.all(lower < upper):
-            _fail(f"grid {gname!r} needs lower < upper in every dimension")
-        res = g["resolution"]
-        if isinstance(res, bool) or not isinstance(res, (int, float)) or \
-                not float(res).is_integer() or res < 2:
-            _fail(f"grids.{gname}.resolution must be an integer >= 2, "
-                  f"got {res!r}")
-
-
-def _validate_coeffs(mapping: dict):
-    """A known rule, and only the coefficients it reads, each made of
-    finite numbers."""
-    rule = mapping.get("rule")
-    if not isinstance(rule, str) or rule not in _RULES:
-        _fail(f"unknown mapping rule {rule!r}; known: {sorted(_RULES)}")
-    coeffs = mapping.get("coeffs") or {}
-    if not isinstance(coeffs, dict):
-        _fail(f"mapping.coeffs must be a mapping, got {coeffs!r}")
-    reads = _RULE_COEFFS.get(rule, ())
-    for name, value in coeffs.items():
-        if name not in reads:
-            _fail(f"rule {rule!r} has no coefficient {name!r}; "
-                  f"it reads {list(reads)}")
-        _finite(f"mapping.coeffs.{name}", value)
-
-
-def _validate(sc: Scenario):
-    for dim_key in ("x_dim", "y_dim"):
-        if dim_key not in sc.spaces:
-            _fail(f"spaces block needs {dim_key}")
-        _dim(dim_key, sc.spaces[dim_key])
-    if ("p_dim" in sc.spaces) == ("p_labels" in sc.spaces):
-        _fail("spaces block needs exactly one of p_dim or p_labels")
-    labels = sc.spaces.get("p_labels")
-    if "p_dim" in sc.spaces:
-        _dim("p_dim", sc.spaces["p_dim"])
-    elif not labels or not isinstance(labels, list) or any(
-            not isinstance(v, (str, int, float)) for v in labels):
-        _fail("spaces.p_labels must be a nonempty list of names or numbers")
-    kind = sc.mapping.get("kind")
-    if kind not in ("rule", "polyhedral"):
-        _fail("mapping.kind must be 'rule' or 'polyhedral'")
-    if kind == "rule":
-        _validate_coeffs(sc.mapping)
-    if kind == "polyhedral":
-        pieces = sc.mapping.get("pieces")
-        if not pieces or not isinstance(pieces, list):
-            _fail("polyhedral mapping needs a nonempty pieces list")
-        n = int(sc.spaces["x_dim"]) + int(sc.spaces["y_dim"])
-        for i, pc in enumerate(pieces):
-            if not isinstance(pc, dict):
-                _fail(f"piece {i} must be a mapping with A and b")
-            A = _finite(f"piece {i}: A", pc.get("A", []))
-            b = _finite(f"piece {i}: b", pc.get("b", []))
-            if A.ndim != 2 or A.shape[1] != n:
-                _fail(f"piece {i}: A must have {n} columns")
-            if b.shape != A.shape[:1]:
-                _fail(f"piece {i}: b must have one entry per row of A")
-            if "b_p" in pc and "p_dim" in sc.spaces:
-                bp = _finite(f"piece {i}: b_p", pc["b_p"])
-                if bp.shape != (A.shape[0], int(sc.spaces["p_dim"])):
-                    _fail(f"piece {i}: b_p must have p_dim columns and one "
-                          f"row per row of A")
-    for q_key in ("xbar", "ybar", "alpha", "delta", "mu"):
-        if q_key not in sc.query:
-            _fail(f"query block needs {q_key}")
-    _validate_query(sc.query, sc.spaces)
-    for entry in sc.checks:
-        if not isinstance(entry, (str, dict)):
-            _fail(f"a check is a name or a mapping with a name, got {entry!r}")
-        name = _check_name(entry)
-        if name not in KNOWN_CHECKS:
-            _fail(f"unknown check {name!r}; known: {KNOWN_CHECKS}")
-        for need in _CHECK_NEEDS.get(name, ()):
-            if sc.query.get(need) is None:
-                _fail(f"check {name!r} needs query field {need!r}")
-    for name in sc.expect:
-        if name not in [_check_name(e) for e in sc.checks]:
-            _fail(f"expect block references unknown check {name!r}")
-    _validate_grids(sc.grids, sc.spaces)
-    q = build_query(sc)  # the query and the grids check their own ranges
-    grids = build_grids(sc)
-    F = build_mapping(sc)
-    for entry in sc.checks:
-        _preflight(_check_name(entry), _options(entry), F, q, grids, sc.query)
+def _evp_lam(lam) -> float:
+    """The ``evp`` check's ``lam``: a finite positive number."""
+    if not _number("evp option lam", lam) > 0:
+        _fail(f"evp option lam must be positive, got {lam!r}")
+    return float(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +263,7 @@ def _rule_identity(X, Y, P, coeffs):
 def _rule_scale(X, Y, P, coeffs):
     k = coeffs.get("k", 1.0)
     if np.ndim(k):
-        _fail(f"rule scale needs a number k, got {k!r}")
+        _fail(f"rule scale needs a number k, got {np.asarray(k).tolist()!r}")
     return _affine_map(X, Y, P, float(k) * np.eye(X.dim),
                        np.zeros((Y.dim, P.dim)), np.zeros(Y.dim))
 
@@ -367,143 +280,230 @@ _RULE_COEFFS = {"affine": ("a", "b", "c"), "scale": ("k",)}
 
 
 def build_mapping(sc: Scenario) -> SetValuedMap:
-    X = NormedSpace("X", int(sc.spaces["x_dim"]))
-    Y = NormedSpace("Y", int(sc.spaces["y_dim"]))
+    dims, m = _dims(sc.spaces), sc.mapping
+    X, Y = NormedSpace("X", dims["x_dim"]), NormedSpace("Y", dims["y_dim"])
     labels = sc.spaces.get("p_labels")
-    P = None if labels else NormedSpace("P", int(sc.spaces["p_dim"]))
-    if sc.mapping["kind"] == "rule":
-        if labels:
+    P = NormedSpace("P", dims["p_dim"]) if "p_dim" in dims else None
+    if P is None and not (isinstance(labels, list) and labels and all(
+            isinstance(v, (str, int, float)) for v in labels)):
+        _fail("spaces.p_labels must be a nonempty list of names or numbers")
+    kind = m.get("kind")
+    if kind == "rule":
+        rule = m.get("rule")
+        if not isinstance(rule, str) or rule not in _RULES:
+            _fail(f"unknown mapping rule {rule!r}; known: {sorted(_RULES)}")
+        coeffs = m.get("coeffs") or {}
+        if not isinstance(coeffs, dict):
+            _fail(f"mapping.coeffs must be a mapping, got {coeffs!r}")
+        reads = _RULE_COEFFS.get(rule, ())
+        for name in coeffs:
+            if name not in reads:
+                _fail(f"rule {rule!r} has no coefficient {name!r}; "
+                      f"it reads {list(reads)}")
+        if labels is not None:
             _fail("rule mappings need a metric parameter space (p_dim)")
-        coeffs = sc.mapping.get("coeffs", {}) or {}
-        return _RULES[sc.mapping["rule"]](X, Y, P, coeffs)
-    pieces_spec = sc.mapping["pieces"]
+        return _RULES[rule](X, Y, P, {
+            name: _finite(f"mapping.coeffs.{name}", value)
+            for name, value in coeffs.items()})
+    if kind != "polyhedral":
+        _fail("mapping.kind must be 'rule' or 'polyhedral'")
+    if not m.get("pieces") or not isinstance(m["pieces"], list):
+        _fail("polyhedral mapping needs a nonempty pieces list")
+    convex = m.get("convex")
+    if convex is not None and not isinstance(convex, bool):
+        _fail(f"mapping.convex must be true or false, got {convex!r}")
+    n = dims["x_dim"] + dims["y_dim"]
+    pieces = []  # (A, b, b_p), with b_p None for a piece that p moves not
+    for i, pc in enumerate(m["pieces"]):
+        if not isinstance(pc, dict):
+            _fail(f"piece {i} must be a mapping with A and b")
+        A = _finite(f"piece {i}: A", pc.get("A", []))
+        b = _finite(f"piece {i}: b", pc.get("b", []))
+        if A.ndim != 2 or A.shape[1] != n:
+            _fail(f"piece {i}: A must have {n} columns")
+        if b.shape != A.shape[:1]:
+            _fail(f"piece {i}: b must have one entry per row of A")
+        bp = None
+        if "b_p" in pc and labels is None:
+            bp = _finite(f"piece {i}: b_p", pc["b_p"])
+            if bp.shape != (A.shape[0], dims["p_dim"]):
+                _fail(f"piece {i}: b_p must have p_dim columns and one "
+                      f"row per row of A")
+        pieces.append((A, b, bp))
 
-    def pieces(p):
-        pv = np.atleast_1d(np.asarray(p, dtype=float)) if not labels else None
-        out = []
-        for pc in pieces_spec:
-            b = np.asarray(pc["b"], dtype=float)
-            if "b_p" in pc and pv is not None:
-                b = b + np.atleast_2d(np.asarray(pc["b_p"], dtype=float)) @ pv
-            out.append((np.asarray(pc["A"], dtype=float), b))
-        return out
+    def pieces_at(p):
+        return [(A, b if bp is None else
+                 b + bp @ np.atleast_1d(np.asarray(p, dtype=float)))
+                for A, b, bp in pieces]
 
-    return PolyhedralGraphMap(X, Y, pieces, param_space=P, param_labels=labels,
-                              convex=sc.mapping.get("convex"))
+    return PolyhedralGraphMap(X, Y, pieces_at, param_space=P,
+                              param_labels=labels, convex=convex)
 
 
 def build_query(sc: Scenario) -> RegularityQuery:
-    g = sc.query
+    g, dims = sc.query, _dims(sc.spaces)
+    for key in ("xbar", "ybar", "alpha", "delta", "mu"):
+        if key not in g:
+            _fail(f"query block needs {key}")
 
-    def rad(name, default=math.inf):
-        v = g.get(name, default)
-        return math.inf if v in ("unbounded", None) else float(v)
+    def point(axis):
+        return tuple(_vector(f"query.{axis}bar", g[axis + "bar"], dims,
+                             axis + "_dim"))
+
+    def radius(key):
+        v = g.get(key)
+        return math.inf if v in ("unbounded", None) else \
+            _number(f"query.{key}", v, finite=False)
 
     return RegularityQuery(
-        xbar=tuple(np.atleast_1d(g["xbar"]).astype(float)),
-        ybar=tuple(np.atleast_1d(g["ybar"]).astype(float)),
-        pbar=None if g.get("pbar") is None
-        else tuple(np.atleast_1d(g["pbar"]).astype(float)),
-        alpha=float(g["alpha"]), delta=rad("delta"), mu=rad("mu"),
-        eta=rad("eta"), gamma=float(g.get("gamma", 1.0)),
-        tau=float(g.get("tau", 0.99)),
+        xbar=point("x"), ybar=point("y"),
+        pbar=None if g.get("pbar") is None else point("p"),
+        alpha=_number("query.alpha", g["alpha"]), delta=radius("delta"),
+        mu=radius("mu"), eta=radius("eta"),
+        gamma=_number("query.gamma", g.get("gamma", 1.0)),
+        tau=_number("query.tau", g.get("tau", 0.99)),
     )
 
 
 def build_grids(sc: Scenario) -> ScanGrids:
-    def spec(block):
-        return GridSpec(lower=tuple(np.atleast_1d(block["lower"]).astype(float)),
-                        upper=tuple(np.atleast_1d(block["upper"]).astype(float)),
-                        resolution=int(block["resolution"]))
-
-    return ScanGrids(
-        x=spec(sc.grids["x"]),
-        y=spec(sc.grids["y"]) if "y" in sc.grids else None,
-        p=spec(sc.grids["p"]) if "p" in sc.grids else None,
-    )
+    """The x grid and the optional y and p grids, each of finite bounds of
+    the declared length with lower < upper, and an integer resolution of at
+    least 2."""
+    dims = _dims(sc.spaces)
+    if "x" not in sc.grids:
+        _fail("grids block needs an 'x' grid")
+    specs = {}
+    for name, g in sc.grids.items():
+        for k in ("lower", "upper", "resolution"):
+            if not isinstance(g, dict) or k not in g:
+                _fail(f"grid {name!r} needs {k}")
+        lower, upper = (_vector(f"grids.{name}.{k}", g[k], dims, f"{name}_dim")
+                        for k in ("lower", "upper"))
+        if lower.shape != upper.shape or not np.all(lower < upper):
+            _fail(f"grid {name!r} needs lower < upper in every dimension")
+        res = g["resolution"]
+        if not _is_integer(res) or res < 2:
+            _fail(f"grids.{name}.resolution must be an integer >= 2, "
+                  f"got {res!r}")
+        specs[name] = GridSpec(tuple(lower), tuple(upper), int(res))
+    return ScanGrids(x=specs["x"], y=specs.get("y"), p=specs.get("p"))
 
 
 # ---------------------------------------------------------------------------
-# orchestration
-
-_DEP_ORDER = {name: i for i, name in enumerate(KNOWN_CHECKS)}
-# the checks that scan ordered pairs of parameters
-_PAIR_CHECKS = ("recede", "aubin", "compose-rate", "aubin-pipeline")
+# the check table
 
 
-def _options(entry) -> dict:
-    """A check's options, with the condition checks' defaults."""
-    opts = {"mode": "sufficient", "variant": "convex-normal"}
-    return opts | entry if isinstance(entry, dict) else opts
+class _Check(NamedTuple):
+    """``run(F, q, grids, **args)`` gives a check's certificate, and
+    ``preflight`` raises on the same arguments the ``InputError`` its
+    checker would raise before scanning.  ``args`` are the ``options`` (the
+    check entry's, else these defaults) and the query rates among ``needs``,
+    the query fields it needs beyond the common ones; a check that scans
+    ``pairs`` of parameters needs a metric parameter grid and a positive
+    ``l`` too.  Both callables name their checker, so it is looked up here
+    at each call: one patched or wrapped after import is the one run."""
+
+    run: Callable[..., Certificate]
+    preflight: Callable[..., None] = lambda F, q, grids, **args: None
+    needs: tuple = ()
+    pairs: bool = False
+    options: dict = {}
 
 
-def _preflight(name: str, opts: dict, F, q, grids, query: dict):
-    """``InputError`` for the options of a check that its checker would
-    reject, so that a scenario is refused before any check runs;
-    ``validate`` and ``run`` both call it through ``load_scenario``."""
-    mode, variant = opts["mode"], opts["variant"]
-    if name in _PAIR_CHECKS:
-        param_pair_preconditions(F, grids, q.pbar)
-        positive_rate("l", float(query["l"]))
-    if name == "aubin-pipeline":
-        pipeline_preconditions(F, q, opts.get("condition",
-                                              "normal-cone-convex"),
-                               float(query["l_prime"]), float(query["l"]))
-    if name in ("slope-nonlocal", "slope-local"):
-        slope_preconditions(F, mode, local=name == "slope-local")
-    elif name == "subdifferential":
-        subdifferential_preconditions(F, mode)
-    elif name == "normal-cone":
-        normal_cone_preconditions(F, variant, mode)
-    elif name in ("coderivative-ball", "coderivative-normalized"):
-        coderivative_threshold(F, q, name.split("-")[1], variant, mode)
+_MODE = {"mode": "sufficient"}
+_DUAL = {"mode": "sufficient", "variant": "convex-normal"}
+_STABILITY = ("l", "pbar", "eta")
 
 
-def _run_one(name: str, opts: dict, F, q, grids, sc: Scenario) -> Certificate:
-    mode = opts["mode"]
-    if name == "oracle":
-        return check_subreg_uniform(F, q, grids)
-    if name == "geometric":
-        return check_geometric(F, q, grids)
-    if name == "slope-nonlocal":
-        return check_nonlocal_slope_condition(F, q, grids, mode=mode)
-    if name == "slope-local":
-        return check_local_slope_condition(F, q, grids, mode=mode)
-    if name == "subdifferential":
-        return check_subdifferential_condition(F, q, grids, mode=mode)
-    if name == "normal-cone":
-        return check_normal_cone_condition(
-            F, q, grids, variant=opts["variant"], mode=mode)
-    if name == "coderivative-ball":
-        return check_coderivative_condition(
-            F, q, grids, form="ball",
-            variant=opts["variant"], mode=mode)
-    if name == "coderivative-normalized":
-        return check_coderivative_condition(
-            F, q, grids, form="normalized",
-            variant=opts["variant"], mode=mode)
-    if name == "recede":
-        return check_recede(F, q, float(sc.query["l"]), grids)
-    if name == "aubin":
-        aq = AubinQuery(pbar=q.pbar, xbar=q.xbar, ybar=q.ybar,
-                        l=float(sc.query["l"]), eta=q.eta, delta=q.delta,
-                        mu=q.mu)
-        return check_aubin(F, aq, grids)
-    if name == "compose-rate":
-        l = float(sc.query["l"])
-        sub = check_subreg_uniform(F, q, grids)
-        rec = check_recede(F, q, l, grids)
-        return compose_aubin_rate(F, q, sub, l, rec, q.alpha * q.mu / l, grids)
-    if name == "aubin-pipeline":
-        return certify_aubin(F, q, float(sc.query["l_prime"]),
-                             float(sc.query["l"]),
-                             opts.get("condition", "normal-cone-convex"), grids)
-    if name == "evp":
-        return _run_evp(opts, F, q, grids)
-    raise InputError(f"unknown check {name!r}")
+def _coderivative(form: str) -> _Check:
+    return _Check(
+        lambda F, q, grids, **opts: check_coderivative_condition(
+            F, q, grids, form=form, **opts),
+        lambda F, q, grids, mode, variant: coderivative_threshold(
+            F, q, form, variant, mode),
+        needs=("eta",), options=_DUAL)
 
 
-def _run_evp(opts, F, q, grids) -> Certificate:
+# every check, in the order of the report's and the CSV's rows
+_CHECKS = {
+    "oracle": _Check(lambda F, q, grids: check_subreg_uniform(F, q, grids)),
+    "geometric": _Check(lambda F, q, grids: check_geometric(F, q, grids)),
+    "slope-nonlocal": _Check(
+        lambda F, q, grids, mode: check_nonlocal_slope_condition(
+            F, q, grids, mode=mode),
+        lambda F, q, grids, mode: slope_preconditions(F, mode, local=False),
+        options=_MODE),
+    "slope-local": _Check(
+        lambda F, q, grids, mode: check_local_slope_condition(
+            F, q, grids, mode=mode),
+        lambda F, q, grids, mode: slope_preconditions(F, mode, local=True),
+        options=_MODE),
+    "subdifferential": _Check(
+        lambda F, q, grids, mode: check_subdifferential_condition(
+            F, q, grids, mode=mode),
+        lambda F, q, grids, mode: subdifferential_preconditions(F, mode),
+        options=_MODE),
+    "normal-cone": _Check(
+        lambda F, q, grids, **opts: check_normal_cone_condition(
+            F, q, grids, **opts),
+        lambda F, q, grids, mode, variant: normal_cone_preconditions(
+            F, variant, mode),
+        options=_DUAL),
+    "coderivative-ball": _coderivative("ball"),
+    "coderivative-normalized": _coderivative("normalized"),
+    "recede": _Check(lambda F, q, grids, l: check_recede(F, q, l, grids),
+                     needs=_STABILITY, pairs=True),
+    "aubin": _Check(
+        lambda F, q, grids, l: check_aubin(F, AubinQuery(
+            pbar=q.pbar, xbar=q.xbar, ybar=q.ybar, l=l, eta=q.eta,
+            delta=q.delta, mu=q.mu), grids),
+        needs=_STABILITY, pairs=True),
+    "compose-rate": _Check(
+        lambda F, q, grids, l: compose_aubin_rate(
+            F, q, check_subreg_uniform(F, q, grids), l,
+            check_recede(F, q, l, grids), q.alpha * q.mu / l, grids),
+        needs=_STABILITY, pairs=True),
+    "aubin-pipeline": _Check(
+        lambda F, q, grids, l, l_prime, condition: certify_aubin(
+            F, q, l_prime, l, condition, grids),
+        lambda F, q, grids, l, l_prime, condition: pipeline_preconditions(
+            F, q, condition, l_prime, l),
+        needs=("l", "l_prime", "pbar", "eta"), pairs=True,
+        options={"condition": "normal-cone-convex"}),
+    "evp": _Check(
+        lambda F, q, grids, lam: _run_evp(F, q, grids, _evp_lam(lam)),
+        lambda F, q, grids, lam: _evp_lam(lam), options={"lam": 1.0}),
+}
+
+
+def _planned_checks(sc: Scenario) -> list:
+    """``(name, args)`` of each of the scenario's checks, in table order (a
+    check listed twice runs twice): ``args`` are its options, defaults
+    filled in, and the query rates it needs."""
+    rates = {k: _number(f"query.{k}", sc.query[k])
+             for k in ("l", "l_prime") if k in sc.query}
+    planned = []
+    for entry in sc.checks:
+        if not isinstance(entry, (str, dict)):
+            _fail(f"a check is a name or a mapping with a name, got {entry!r}")
+        opts = dict(entry) if isinstance(entry, dict) else {"name": entry}
+        name = opts.pop("name", "")
+        if not isinstance(name, str) or name not in _CHECKS:
+            _fail(f"unknown check {name!r}; known: {tuple(_CHECKS)}")
+        check = _CHECKS[name]
+        for need in check.needs:
+            if sc.query.get(need) is None:
+                _fail(f"check {name!r} needs query field {need!r}")
+        for key in opts:
+            if key not in check.options:
+                _fail(f"check {name!r} has no option {key!r}; "
+                      f"it reads {list(check.options)}")
+        planned.append((name, check.options | opts |
+                        {k: rates[k] for k in check.needs if k in rates}))
+    return sorted(planned, key=lambda c: list(_CHECKS).index(c[0]))
+
+
+def _run_evp(F, q, grids, lam: float) -> Certificate:
     """Demonstration run of the variational-principle search on the merit
     values over the graph sample of the reference slice."""
     p = q.pbar_arr if q.pbar is not None else F.param_points(q, grids)[0]
@@ -512,7 +512,6 @@ def _run_evp(opts, F, q, grids) -> Certificate:
         return Certificate(Verdict.INCONCLUSIVE, detail="empty graph sample")
     ybar = q.ybar_arr
     vals = np.linalg.norm(pts[:, F.nx:] - ybar[None, :], axis=1)
-    lam = float(opts.get("lam", 1.0))
     start = int(np.argmax(vals))
     eps = float(vals[start] - vals.min() + 1e-6)
 
@@ -553,43 +552,37 @@ def _witness_field(cert: Certificate, key: str) -> str:
 def run_scenario(sc: Scenario, out_dir: str | None = None,
                  max_points: int | None = None) -> tuple[int, str]:
     """Execute all requested checks; returns (exit_code, report text)."""
-    F = build_mapping(sc)
-    q = build_query(sc)
-    grids = build_grids(sc)
+    F, q, grids = build_mapping(sc), build_query(sc), build_grids(sc)
+    planned = _planned_checks(sc)
     if max_points is not None:
         # the oracle scans every X grid point at every parameter, and the
         # pair scans every X grid point at every ordered parameter pair
         n_params = len(F.param_labels) if F.param_labels is not None else \
             grids.p.point_count() if grids.p is not None else 1
         n_points = grids.x.point_count() * n_params
-        if any(_check_name(e) in _PAIR_CHECKS for e in sc.checks):
+        if any(_CHECKS[name].pairs for name, _ in planned):
             n_points *= n_params
         if n_points > max_points:
             raise ResourceCapError(n_points, max_points)
 
-    entries = sorted(sc.checks, key=lambda e: _DEP_ORDER[_check_name(e)])
     rows = []
     lines = [f"scenario: {os.path.basename(sc.path) or '(inline)'}"]
     mismatches = []
-    for entry in entries:
-        name = _check_name(entry)
-        opts = _options(entry)
+    for name, args in planned:
         t0 = time.perf_counter()
         try:
-            cert = _run_one(name, opts, F, q, grids, sc)
+            cert = _CHECKS[name].run(F, q, grids, **args)
         except (NumericError, InputError) as exc:
             # a failed solver is no verdict, nor is a check that refuses the
             # accepted scenario; the other checks' rows are still written
             cert = Certificate(Verdict.INCONCLUSIVE, detail=str(exc))
         elapsed = time.perf_counter() - t0
-        expect = sc.expect.get(name)
-        status = ""
-        if expect is not None:
-            if cert.verdict.value != expect:
-                mismatches.append(name)
-                status = f"  [expected {expect}]"
-            else:
-                status = "  [as expected]"
+        expect, status = sc.expect.get(name), ""
+        if expect is not None and cert.verdict.value != expect:
+            mismatches.append(name)
+            status = f"  [expected {expect}]"
+        elif expect is not None:
+            status = "  [as expected]"
         lines.append(
             f"  {name:<24} {cert.verdict.value:<13} "
             f"margin={_fmt(cert.margin) or 'n/a':<16} ({elapsed:.3f}s){status}"
@@ -712,9 +705,9 @@ def main():
 @click.option("--max-points", type=int, default=None,
               help="Refuse scenarios whose scan exceeds this count: X grid "
                    "points times P grid points (or parameter labels) for the "
-                   "oracle, times P grid points again when a recede, aubin, "
-                   "compose-rate or aubin-pipeline check scans parameter "
-                   "pairs.")
+                   "oracle, times P grid points again when a check scans "
+                   "parameter pairs: "
+                   + ", ".join(n for n, c in _CHECKS.items() if c.pairs) + ".")
 def run_cmd(scenario_file, out_dir, max_points):
     """Run all checks of a scenario and report verdicts."""
     try:

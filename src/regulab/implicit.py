@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dual, slope
 from .dual import coderivative_threshold, normal_cone_preconditions
 from .errors import InputError
 from .mappings import RegularityQuery, ScanGrids, SetValuedMap
@@ -204,8 +205,30 @@ def compose_aubin_rate(F: SetValuedMap, q: RegularityQuery,
     return cert
 
 
-_CONDITIONS = ("slope", "normal-cone-convex", "normal-cone-frechet",
-               "coderiv-clarke", "coderiv-frechet")
+def _normal_cone(variant: str):
+    return (lambda F, q, grids: dual.check_normal_cone_condition(
+        F, q, grids, variant=variant),
+        lambda F, q: normal_cone_preconditions(F, variant, "sufficient"))
+
+
+def _coderivative(variant: str):
+    return (lambda F, q, grids: dual.check_coderivative_condition(
+        F, q, grids, variant=variant),
+        lambda F, q: coderivative_threshold(F, q, "ball", variant,
+                                            "sufficient"))
+
+
+# (run, refusals) of the sufficient condition each Aubin pipeline pairs with
+# its recede scan: its checker in sufficient mode at the condition's variant,
+# named so that it is looked up in ``dual`` or ``slope`` when it runs
+_PIPELINE_CONDITIONS = {
+    "slope": (lambda F, q, grids: slope.check_nonlocal_slope_condition(
+        F, q, grids), lambda F, q: None),
+    "normal-cone-convex": _normal_cone("convex-normal"),
+    "normal-cone-frechet": _normal_cone("frechet-cap"),
+    "coderiv-clarke": _coderivative("convex-normal"),
+    "coderiv-frechet": _coderivative("frechet-cap"),
+}
 
 
 def pipeline_preconditions(F: SetValuedMap, q: RegularityQuery,
@@ -213,16 +236,12 @@ def pipeline_preconditions(F: SetValuedMap, q: RegularityQuery,
     """``InputError`` for an Aubin pipeline that ``certify_aubin`` would
     refuse: an unknown condition, a rate that is not positive, or a
     condition check that does not apply to ``F``."""
-    if condition not in _CONDITIONS:
-        raise InputError(
-            f"unknown condition {condition!r}; expected one of {_CONDITIONS}"
-        )
+    if not isinstance(condition, str) or condition not in _PIPELINE_CONDITIONS:
+        raise InputError(f"unknown condition {condition!r}; expected one of "
+                         f"{tuple(_PIPELINE_CONDITIONS)}")
     positive_rate("l_prime", l_prime)
     positive_rate("l", l)
-    if condition == "normal-cone-convex":
-        normal_cone_preconditions(F, "convex-normal", "sufficient")
-    elif condition.startswith("coderiv"):
-        coderivative_threshold(F, q, "ball", "convex-normal", "sufficient")
+    _PIPELINE_CONDITIONS[condition][1](F, q)
 
 
 def certify_aubin(F: SetValuedMap, q: RegularityQuery, l_prime: float,
@@ -235,24 +254,11 @@ def certify_aubin(F: SetValuedMap, q: RegularityQuery, l_prime: float,
     Success of both stages certifies the Aubin property at rate ``l``; the
     certificate reports the original mu and the shrunk shift cap.
     """
-    from .dual import check_coderivative_condition, check_normal_cone_condition
-    from .slope import check_nonlocal_slope_condition
-
     pipeline_preconditions(F, q, condition, l_prime, l)
     recede = check_recede(F, q, l_prime, grids)
     alpha = l_prime / l
-    qa = dataclasses.replace(q, alpha=alpha)
-    if condition == "slope":
-        cond = check_nonlocal_slope_condition(F, qa, grids, mode="sufficient")
-    elif condition == "normal-cone-convex":
-        cond = check_normal_cone_condition(F, qa, grids, variant="convex-normal")
-    elif condition == "normal-cone-frechet":
-        cond = check_normal_cone_condition(F, qa, grids, variant="frechet-cap")
-    elif condition == "coderiv-clarke":
-        cond = check_coderivative_condition(F, qa, grids, variant="convex-normal")
-    else:
-        cond = check_coderivative_condition(F, qa, grids, variant="frechet-cap")
-
+    cond = _PIPELINE_CONDITIONS[condition][0](
+        F, dataclasses.replace(q, alpha=alpha), grids)
     meta = {"condition": condition, "l": l, "l_prime": l_prime,
             "threshold": alpha, "mu": q.mu,
             "mu_prime": alpha * q.mu / l_prime,

@@ -782,7 +782,8 @@ def _support_faces(Q, cone: ConeRep, nx: int, c: float):
     ``min |q_x - w_x| + c |q_y - w_y|`` over ``w`` in the cone, and the ``w
     = G_S^T a + L^T t`` fitting ``q`` by nonnegative least squares on
     ``[G_S, L, -L]`` and the normals of the balls active at ``u`` (within
-    1e-9) bounds it above, as does the face S = () itself: it contains the
+    1e-9), or of both balls where that leaves the face's bracket open,
+    bounds it above, as does the face S = () itself: it contains the
     polar."""
     G, L = cone.generators, cone.lineality
     G_tol = 1e-12 * np.linalg.norm(G, axis=1)
@@ -794,14 +795,22 @@ def _support_faces(Q, cone: ConeRep, nx: int, c: float):
                         axis=1)] = -math.inf
         if S:
             B = np.vstack([G[list(S)], L, -L]).T
-            for j, (q, u) in enumerate(zip(Q[rows], U)):
-                ux = u * (np.arange(len(u)) < nx)  # the ball normals (u_x, 0)
-                balls = [b for b, r2 in ((ux, 1.0),
-                                         (u - ux, c * c))  # (0, u_y)
-                         if b @ b >= r2 * (1 - 1e-9)]
+
+            def fit(q, balls):
                 r = q - B @ _nonneg_lsq(np.column_stack([B, *balls]),
                                         q)[:B.shape[1]]
-                up[j] = np.linalg.norm(r[:nx]) + c * np.linalg.norm(r[nx:])
+                return np.linalg.norm(r[:nx]) + c * np.linalg.norm(r[nx:])
+
+            for j, (q, u) in enumerate(zip(Q[rows], U)):
+                ux = u * (np.arange(len(u)) < nx)
+                normals = (ux, u - ux)  # (u_x, 0) and (0, u_y)
+                active = [b for b, r2 in zip(normals, (1.0, c * c))
+                          if b @ b >= r2 * (1 - 1e-9)]
+                up[j] = fit(q, active)
+                # u is only as accurate as the value needs: a ball active
+                # at the optimum can miss the test where q barely weighs it
+                if len(active) < 2 and not _is_closed(low[j], up[j], 1e-13):
+                    up[j] = min(up[j], fit(q, normals))
         return low, up, U
 
     lower, _, U = _face_search(cone, nx, bounds, len(Q))

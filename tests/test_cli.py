@@ -120,6 +120,9 @@ def test_polyhedral_piece_validation(tmp_path):
     bad = POLY_SCENARIO.replace("A: [[1.5, -1.0]]", "A: [[1.5, -1.0, 2.0]]")
     with pytest.raises(InputError):
         load_scenario(write(tmp_path, bad))
+    bad = POLY_SCENARIO.replace("convex: true", "convex: maybe")
+    with pytest.raises(InputError, match="mapping.convex must be true or"):
+        load_scenario(write(tmp_path, bad))
 
 
 def test_run_scenario_outputs(tmp_path):
@@ -374,6 +377,22 @@ def test_cli_stability_options_are_checked_before_any_check_runs(
     assert ran == []
 
 
+def test_rows_follow_the_check_table_with_duplicates_kept(tmp_path):
+    # the report and the CSV list rows in the table's order, whatever the
+    # order of the checks list, and a check listed twice runs twice
+    text = POLY_SCENARIO.replace("checks: [oracle, normal-cone]",
+                                 "checks: [normal-cone, oracle, oracle]")
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, ["run", write(tmp_path, text),
+                                    "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    rows = [line.split(",")[0] for line in
+            (out / "sc.csv").read_text().splitlines()[1:]]
+    assert rows == ["oracle", "oracle", "normal-cone"]
+    report = [line.split()[0] for line in res.output.splitlines()[1:]]
+    assert report == rows
+
+
 def test_cli_exit_code_four_on_other_errors(tmp_path, monkeypatch):
     def empty(*args, **kwargs):
         raise EmptySetError("cannot project onto an empty polyhedron")
@@ -438,7 +457,14 @@ def test_cli_exit_code_two_on_input_error(tmp_path):
                      ("rule: difference}", "rule: scale, coeffs: {kk: 2}}"),
                      ("rule: difference}", "rule: scale, coeffs: {k: abc}}"),
                      ("delta: 0.5", "delta: -1"),
-                     ("eta: 1.0", "eta: 1.0\n  tau: 1.5")):
+                     ("eta: 1.0", "eta: 1.0\n  tau: 1.5"),
+                     # a dimension that int() once truncated to 1
+                     ("x_dim: 1,", "x_dim: 1.5,"),
+                     ("x_dim: 1,", "x_dim: true,"),
+                     # an expected verdict no check can give
+                     ("oracle: HOLDS,", "oracle: HOLD,"),
+                     # run wrote to the CSV path 5 and ended in a traceback
+                     ("expect:", "output: {csv: 5}\nexpect:")):
         text = FAST_SCENARIO.replace(old, new)
         assert text != FAST_SCENARIO
         path = write(tmp_path, text)
@@ -493,7 +519,23 @@ def test_cli_check_options_are_checked_before_any_check_runs(tmp_path,
              "the local-slope bound is necessary only for convex graphs"),
             ((("normal-cone]", "{name: subdifferential, mode: both}]"),
               ("normal-cone: HOLDS", "subdifferential: HOLDS")),
-             "unknown mode 'both'")):
+             "unknown mode 'both'"),
+            # an option the check does not read: the normal-cone check ran
+            # at its default variant, the oracle ignored the mode
+            ((("normal-cone]", "{name: normal-cone, varaint: frechet-cap}]"),),
+             "check 'normal-cone' has no option 'varaint'; it reads "
+             "['mode', 'variant']"),
+            ((("[oracle,", "[{name: oracle, mode: necessary},"),),
+             "check 'oracle' has no option 'mode'; it reads []"),
+            # evp's lam: run ended in a traceback or an INCONCLUSIVE row
+            *(((("normal-cone]", f"{{name: evp, lam: {lam}}}]"),
+                ("normal-cone: HOLDS", "evp: HOLDS")), message)
+              for lam, message in (
+                  ("abc", "evp option lam must be a number, got 'abc'"),
+                  ("[1, 2]", "evp option lam must be a number, got [1, 2]"),
+                  ("0", "evp option lam must be positive, got 0"),
+                  ("-1", "evp option lam must be positive, got -1"),
+                  (".nan", "evp option lam must be finite, got nan")))):
         path = write(tmp_path, replaced(POLY_SCENARIO, pairs))
         for cmd in ("validate", "run"):
             res = CliRunner().invoke(main, [cmd, path])
@@ -750,7 +792,7 @@ def _mutate(data, sc):
     paths = list(_paths(sc))
     kind = data.draw(st.sampled_from(
         ["missing", "type", "number", "non-finite", "check", "rule",
-         "variant", "p_labels", "no pbar"]))
+         "variant", "lam", "p_labels", "no pbar"]))
     if kind in ("missing", "type", "number", "non-finite") and paths:
         if kind in ("number", "non-finite"):
             paths = [p for p in paths if type(_at(sc, p)) in (int, float)] \
@@ -777,6 +819,10 @@ def _mutate(data, sc):
             data.draw(st.sampled_from(["variant", "mode", "form"])):
                 data.draw(st.one_of(_TEXT, st.sampled_from(
                     ["frechet-cap", "convex-normal", "necessary"])))})
+    elif kind == "lam" and isinstance(sc.get("checks"), list):
+        sc["checks"].append({"name": "evp", "lam": data.draw(st.one_of(
+            _JUNK, st.floats(-3, 3),
+            st.sampled_from([math.inf, -math.inf, math.nan])))})
     elif kind == "p_labels" and isinstance(sc.get("spaces"), dict):
         sc["spaces"].pop("p_dim", None)
         sc["spaces"]["p_labels"] = ["a", "b"]

@@ -790,6 +790,11 @@ def _generator_cone_case(draw):
 # primal search stalls at 0.2964; the exact minimum is 0.2721
 @example((np.array([[1.0, 0.0, 1.0, -1.0]]), np.array([[0.0, 1.0, 0.0, 0.0]]),
           1, np.zeros(4), 0.25, np.array([0.0, 0.375, -0.5]), 0.25))
+# the support maximizer's |u_y|^2 falls 5e-8 short of c^2 = 16, as q_y =
+# (1, 1e-9) barely weighs it: the y-ball missed the activity test, and the
+# bracket [1 + 3.873e-9, 1 + 4e-9] did not close
+@example((np.array([[0.0, 1.0, 1.0, 0.0]]), np.zeros((0, 4)), 2,
+          np.array([0.0, 0.0, 1.0, 1e-9]), 0.25, np.zeros(2), 0.25))
 @settings(max_examples=30, deadline=None)
 def test_generator_cone_distances_match_primal_search(case):
     _check_generator_cone(*case)
