@@ -12,11 +12,15 @@ among its queries is decided once.  Membership is tested one point at a
 time (``contains``) or for every row of an array at once
 (``contains_rows``), each row rounding as the one-point test does.
 
-Euclidean projections onto polyhedra and distances to cones are exact: each
-is one finite nonnegative least-squares solve (``_nonneg_lsq``), checked
-against its optimality conditions.  Projection and emptiness are one
-program, Lawson and Hanson's least-distance program (``_least_distance``),
-which decides only from a certificate that checks either way: a feasible
+Euclidean projections onto polyhedra and distances to cones are exact, each
+answer checked against its optimality conditions.  ``project_polyhedron``
+takes one point or stacked rows and projects them in one active-set pass
+(the enumeration of explicit MPC: Bemporad, Morari, Dua and Pistikopoulos,
+*Automatica* 2002), each row's answer certified by its multipliers and its
+feasibility; a row that no active set certifies goes to Lawson and Hanson's
+least-distance program (``_least_distance``), one finite nonnegative
+least-squares solve (``_nonneg_lsq``).  That program also decides
+emptiness, only from a certificate that checks either way: a feasible
 nearest point, or a Farkas vector proving there is none.
 
 Distances from a dual vector to a cone in the weighted dual norm
@@ -60,11 +64,22 @@ _FEAS_TOL = 1e-9
 # the multipliers that the closed forms on subspace cones search lie in
 # [1 / _LAM_MAX, _LAM_MAX]; the two ends stand for the limits 0 and infinity
 _LAM_MAX = 2.0 ** 128
-# the most faces that _face_search enumerates, and the most row subsets that
-# cone_rays_from_halfspaces tries
+# the most row subsets that one enumeration tries (``_row_subsets``): the
+# faces of _face_search, the ray candidates of cone_rays_from_halfspaces,
+# the vertices of a polyhedron and the active sets of its projections
 _MAX_FACES = 2 ** 12
-# entries of a (rows x cloud points) distance matrix built at once
+# entries of a (rows x cloud points) distance matrix, or of a (rows x active
+# sets) array of projections, built at once
 _BLOCK = 1 << 16
+# an active set's projection is accepted within this tolerance of the rows
+# (``Polyhedron.contains``): near rounding, where the least-distance
+# program's 1e-9 would accept a set that leaves out a row violated by less,
+# and move the projection by as much
+_KKT_TOL = 1e-12
+# an active set is tried only when its unit rows have singular values within
+# this ratio, so its projections carry at most some 1e4 times the rounding
+# of their inputs; the program projects where only a worse set would do
+_ACTIVE_COND = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +108,8 @@ class Polyhedron:
         # membership tolerance per row, relative to |b_i| and |A_i|
         self._scale = np.maximum(1.0, abs(b)) + self._norms
         self._empty = None
+        # the active sets of its projections, built on first use
+        self._sets = None
 
     @property
     def dim(self) -> int:
@@ -132,10 +149,13 @@ class Polyhedron:
                           act_tol * (1.0 + self._norms))[0]
 
     def vertices(self, tol: float = 1e-8) -> np.ndarray:
-        """Vertices by active-set enumeration (intended for small instances)."""
+        """Vertices by active-set enumeration; ``NumericError`` above
+        ``_MAX_FACES`` row subsets to try."""
         n, m = self.dim, self.A.shape[0]
         verts: list[np.ndarray] = []
-        for idx in itertools.combinations(range(m), n):
+        for idx in _row_subsets(
+                range(m), (n,), f"a polyhedron with {m} rows has more than "
+                f"{_MAX_FACES} row subsets to try"):
             Asub = self.A[list(idx)]
             if abs(np.linalg.det(Asub)) < 1e-12:
                 continue
@@ -275,16 +295,106 @@ def _exact_null_vector(B) -> np.ndarray | None:
     return np.array([float(v // g) for v in ints])
 
 
+def _row_subsets(items, sizes, too_many: str):
+    """The subsets of ``items`` of each size in ``sizes`` in turn, each size
+    in ``itertools.combinations`` order; ``NumericError(too_many)`` when
+    there are more than ``_MAX_FACES`` of them."""
+    items = list(items)
+    if sum(math.comb(len(items), k) for k in sizes) > _MAX_FACES:
+        raise NumericError(too_many)
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, k) for k in sizes)
+
+
+def _active_sets(Q: Polyhedron) -> list:
+    """The row subsets S of ``Q`` that may be active at a projection, built
+    once per polyhedron: per size k = 1, ..., dim, the sets of k rows whose
+    unit rows have singular values within ``_ACTIVE_COND`` of each other,
+    stacked as ``(A_S, b_S, M_S, P_S)`` with ``M_S = (A_S A_S^T)^{-1}`` and
+    ``P_S = A_S^T M_S`` (from one SVD), on rows and right-hand sides scaled
+    by powers of two to row norms in [1/2, 1); none above ``_MAX_FACES``
+    sets to try."""
+    if Q._sets is None:
+        d = np.ldexp(1.0, np.frexp(Q._norms)[1])
+        A, b = Q.A / d[:, None], Q.b / d
+        rows = np.flatnonzero(Q._norms > 0)
+        sizes = range(1, min(len(rows), Q.dim) + 1)
+        try:
+            subsets = list(_row_subsets(rows, sizes, "too many active sets"))
+        except NumericError:
+            subsets = []
+        Q._sets = []
+        for _, group in itertools.groupby(subsets, len):
+            idx = np.array(list(group))
+            U, s, Vt = np.linalg.svd(A[idx], full_matrices=False)
+            keep = s[:, -1] > _ACTIVE_COND * s[:, 0]
+            if keep.any():
+                U, s, Vt, idx = U[keep], s[keep], Vt[keep], idx[keep]
+                Ut = U.transpose(0, 2, 1)
+                Q._sets.append(
+                    (A[idx], b[idx], (U / s[:, None] ** 2) @ Ut,
+                     (Vt.transpose(0, 2, 1) / s[:, None]) @ Ut))
+    return Q._sets
+
+
+def _certified_projections(X, Q: Polyhedron, sets):
+    """``(U, done)``: for every row ``x`` of ``X``, the ``u = x - P_S (A_S x
+    - b_S)`` of the first active set S (``_active_sets``) whose multipliers
+    ``M_S (A_S x - b_S)`` are all >= 0 and whose ``u`` is in ``Q`` within
+    ``_KKT_TOL``, and whether there is one; in blocks of at most about
+    ``_BLOCK`` entries per (rows x sets) array."""
+    U, done = np.zeros(X.shape), np.zeros(len(X), dtype=bool)
+    step = max(1, _BLOCK // (sum(len(b) for _, b, _, _ in sets)
+                             * max(Q.A.shape)))
+    for a in range(0, len(X), step):
+        rows = np.arange(a, min(a + step, len(X)))
+        for A, b, M, P in sets:
+            Xr = X[rows][:, None, :]
+            R = np.matvec(A, Xr) - b
+            C = Xr - np.matvec(P, R)
+            ok = np.all(np.matvec(M, R) >= 0, axis=2)
+            i, t = np.nonzero(ok)
+            ok[i, t] = Q.contains_rows(C[i, t], _KKT_TOL)
+            hit = np.flatnonzero(ok.any(axis=1))
+            U[rows[hit]] = C[hit, ok[hit].argmax(axis=1)]
+            done[rows[hit]] = True
+            rows = np.delete(rows, hit)
+            if not len(rows):
+                break
+    return U, done
+
+
 def project_polyhedron(x, Q: Polyhedron) -> np.ndarray:
-    """Euclidean projection of ``x`` onto ``Q``: ``x`` plus the least-norm
-    ``z`` with ``A z <= b - A x``; ``EmptySetError`` when there is none."""
-    x = as_point(x)
-    if Q.contains(x, 1e-10):
-        return x.copy()
-    z = _least_distance(Q.A, Q.b - Q.A @ x)
-    if z is None:
-        raise EmptySetError("cannot project onto an empty polyhedron")
-    return x + z
+    """Euclidean projection of ``x`` onto ``Q``; ``EmptySetError`` when ``Q``
+    is empty.
+
+    ``x`` is one point (a point back) or stacked rows of shape (n, dim) (n
+    projections back, row by row the one-point answers); one point is a
+    batch of one, with no second kernel.  A row in ``Q`` within 1e-10 comes
+    back as it is.  The others go through the active sets S of ``Q``,
+    smallest first, all rows at once (``_certified_projections``): a row
+    takes ``u = x - A_S^T lam`` with ``lam = (A_S A_S^T)^{-1} (A_S x -
+    b_S)`` from the first S where ``lam >= 0`` and ``u`` is in ``Q`` within
+    ``_KKT_TOL``, the optimality conditions of the projection.  A row that
+    no S certifies, and every row when ``Q`` has more than ``_MAX_FACES``
+    sets to try, takes ``x`` plus the least-norm ``z`` with ``A z <= b - A
+    x`` (``_least_distance``).  Every product is stacked (``np.matvec``), so
+    each row rounds as it does alone.
+    """
+    X, one = _rows(x)
+    U = X.copy()
+    out = np.flatnonzero(~Q.contains_rows(X, 1e-10))
+    sets = _active_sets(Q) if len(out) else []
+    if sets:
+        V, done = _certified_projections(X[out], Q, sets)
+        U[out[done]] = V[done]
+        out = out[~done]
+    for i in out:
+        z = _least_distance(Q.A, Q.b - Q.A @ X[i])
+        if z is None:
+            raise EmptySetError("cannot project onto an empty polyhedron")
+        U[i] = X[i] + z
+    return U[0] if one else U
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +475,21 @@ def dist_to_region(x, region):
     row by row the one-point answers); one point is a batch of one, with no
     second kernel.  A point cloud answers its rows from one distance matrix,
     built in blocks of at most ``_BLOCK`` entries; a polyhedral union
-    projects row by row.
+    projects all rows onto each nonempty piece in one stacked
+    ``project_polyhedron`` call, and each row keeps its nearest piece, the
+    first on a tie.
     """
     X, one = _rows(x)
     if isinstance(region, PointCloud):
         d, near = _cloud_distances(X, region.points)
     elif isinstance(region, PolyUnion):
-        found = [_union_distance(x, region) for x in X]
-        d = np.array([dx for dx, _ in found], dtype=float)
-        near = [u for _, u in found]
+        d, best = np.full(len(X), np.inf), np.zeros(X.shape)
+        for piece in region.nonempty_pieces():
+            U = project_polyhedron(X, piece)
+            du = _norms(U - X)
+            closer = du < d
+            d[closer], best[closer] = du[closer], U[closer]
+        near = [u if dx < math.inf else None for dx, u in zip(d, best)]
     else:
         raise InputError(f"unsupported region type {type(region).__name__}")
     return (float(d[0]), near[0]) if one else (d, near)
@@ -394,21 +510,13 @@ def _cloud_distances(X, P):
     return d, near
 
 
-def _union_distance(x, region: PolyUnion):
-    best, best_pt = np.inf, None
-    for piece in region.nonempty_pieces():
-        q = project_polyhedron(x, piece)
-        d = float(np.linalg.norm(q - x))
-        if d < best:
-            best, best_pt = d, q
-    return best, best_pt
-
-
 def region_sample_points(region, grid: GridSpec | None = None) -> np.ndarray:
     """Representative points of a region for scanning.
 
-    Clouds return their points; polyhedral unions project the grid points onto
-    each piece (plus vertices), so boundary structure is represented exactly.
+    Clouds return their points.  A polyhedral union gives, piece by piece,
+    its vertices and the grid points, each grid point outside the piece
+    projected onto it, all in one stacked ``project_polyhedron`` call per
+    piece, so boundary structure is represented exactly.
     """
     if isinstance(region, PointCloud):
         return region.points
@@ -418,8 +526,9 @@ def region_sample_points(region, grid: GridSpec | None = None) -> np.ndarray:
         for piece in region.nonempty_pieces():
             pts.extend(piece.vertices())
             if G is not None:
-                pts.extend(g if inside else project_polyhedron(g, piece)
-                           for g, inside in zip(G, piece.contains_rows(G)))
+                P, out = G.copy(), ~piece.contains_rows(G)
+                P[out] = project_polyhedron(G[out], piece)
+                pts.extend(P)
         if not pts:
             return np.zeros((0, region.dim))
         return PointCloud(np.array(pts), dedupe_tol=1e-10).points
@@ -571,10 +680,9 @@ def cone_rays_from_halfspaces(M: np.ndarray, n: int, tol: float = 1e-9) -> ConeR
                              np.abs(U[:, None] + U).max(-1))
             rows = np.flatnonzero(np.isfinite(U).all(1) &
                                   ~np.tril(gap <= 1e-12, -1).any(1))
-            if math.comb(len(rows), k - 1) > _MAX_FACES:
-                raise NumericError(f"{len(rows)} halfspaces give more than "
-                                   f"{_MAX_FACES} row subsets to try")
-            for idx in itertools.combinations(rows, k - 1):
+            for idx in _row_subsets(
+                    rows, (k - 1,), f"{len(rows)} halfspaces give more than "
+                    f"{_MAX_FACES} row subsets to try"):
                 ns = _orthonormal_split(Mw[list(idx)])[1]
                 if ns.shape[0] != 1:
                     continue
@@ -859,14 +967,12 @@ def _face_search(cone: ConeRep, nx: int, bounds, n: int):
     ``_MAX_FACES`` sets to try."""
     k = cone.generators.shape[0]
     sizes = range(min(k, cone.dim - cone.face((), nx)[1][0].shape[0]) + 1)
-    if sum(math.comb(k, j) for j in sizes) > _MAX_FACES:
-        raise NumericError(f"a cone with {k} generators has more than "
-                           f"{_MAX_FACES} faces to enumerate")
+    faces = _row_subsets(range(k), sizes, f"a cone with {k} generators has "
+                         f"more than {_MAX_FACES} faces to enumerate")
     lower, upper, best = np.full(n, -math.inf), np.full(n, math.inf), None
     rows = np.arange(n)
     with np.errstate(invalid="ignore"):
-        for S in itertools.chain.from_iterable(
-                itertools.combinations(range(k), j) for j in sizes):
+        for S in faces:
             if not len(rows):
                 break
             if (face := cone.face(S, nx)) is None:

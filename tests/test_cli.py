@@ -314,6 +314,29 @@ def test_nonconvex_union_in_four_dimensions_runs(tmp_path):
         assert abs(margins[check] - margin) <= 1e-9, (check, margins)
 
 
+def test_union_in_four_dimensions_holds_on_the_primal_scans(tmp_path):
+    # the graph sample of 2401 grid points per piece and the slope steps
+    # are projected onto pieces with two equalities each (+-row pairs)
+    text = replaced(UNION_4D_SCENARIO, (
+        ("checks: [oracle, {name: normal-cone, variant: frechet-cap},\n"
+         "         {name: coderivative-ball, variant: frechet-cap}]",
+         "checks: [oracle, geometric, slope-nonlocal]"),
+        ("expect: {oracle: HOLDS, normal-cone: HOLDS, "
+         "coderivative-ball: VIOLATED}",
+         "expect: {oracle: HOLDS, geometric: HOLDS, "
+         "slope-nonlocal: HOLDS}")))
+    out = tmp_path / "out"
+    code, report = run_scenario(load_scenario(write(tmp_path, text)),
+                                out_dir=str(out))
+    assert code == 0, report
+    with open(out / "sc.csv") as fh:
+        rows = {row["check"]: row for row in csv.DictReader(fh)}
+    for check, margin in (("oracle", 0.0), ("geometric", 0.0),
+                          ("slope-nonlocal", 0.50000000062)):
+        assert rows[check]["verdict"] == "HOLDS"
+        assert abs(float(rows[check]["margin"]) - margin) <= 1e-8, rows
+
+
 def test_polyhedral_normal_cones_build_each_face_once(tmp_path,
                                                      monkeypatch):
     # one cone per distinct generator set, shared across parameters and scan

@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -156,6 +157,9 @@ def test_projection_variational_inequality():
 def test_projection_onto_empty_raises():
     with pytest.raises(EmptySetError):
         project_polyhedron([0.0], Polyhedron([[1.0], [-1.0]], [-1.0, -1.0]))
+    with pytest.raises(EmptySetError):
+        project_polyhedron(np.array([[0.0], [3.0]]),
+                           Polyhedron([[1.0], [-1.0]], [-1.0, -1.0]))
     # empty, yet the least-distance residual of the origin is +-1.1e-16:
     # emptiness must not be decided on its sign alone
     with pytest.raises(EmptySetError):
@@ -292,6 +296,165 @@ def test_graph_points_of_a_wedge_are_on_the_graph():
         assert F.in_graph((0.0,), [x], [y]), (x, y)
     assert np.allclose(project_polyhedron([2.0, -4.0], Polyhedron(A, b)),
                        [2 / 3, 2.0], atol=1e-12)
+
+
+def _exact_solve(M, v):
+    """The solution of the square system ``M c = v`` of Fractions, by
+    Gauss-Jordan elimination; None when ``M`` is singular."""
+    k = len(v)
+    rows = [list(r) + [c] for r, c in zip(M, v)]
+    for j in range(k):
+        i = next((i for i in range(j, k) if rows[i][j]), None)
+        if i is None:
+            return None
+        rows[j], rows[i] = rows[i], rows[j]
+        rows[j] = [a / rows[j][j] for a in rows[j]]
+        rows = [r if i == j else [a - r[j] * c for a, c in zip(r, rows[j])]
+                for i, r in enumerate(rows)]
+    return [r[k] for r in rows]
+
+
+def _exact_projection(x, A, b, near):
+    """The projection of ``x`` onto ``{A q <= b}`` in rational arithmetic,
+    rounded to floats: the ``q = x - A_S^T lam``, ``(A_S A_S^T) lam = A_S x -
+    b_S``, of the first set S (smallest first) of rows active at ``near``
+    within 1e-6 whose ``lam >= 0`` and ``A q <= b`` hold exactly, the
+    optimality conditions; None when no such S does."""
+    Af = [[Fraction(a) for a in row] for row in A.tolist()]
+    bf = [Fraction(c) for c in b.tolist()]
+    xf = [Fraction(c) for c in x.tolist()]
+    scale = 1 + np.abs(x).max() + np.abs(b).max()
+    rows = np.flatnonzero(np.abs(A @ near - b) <= 1e-6 * scale).tolist()
+
+    def dot(u, v):
+        return sum(a * c for a, c in zip(u, v))
+
+    for k in range(min(len(rows), len(xf)) + 1):
+        for S in itertools.combinations(rows, k):
+            AS = [Af[i] for i in S]
+            lam = _exact_solve([[dot(u, v) for v in AS] for u in AS],
+                               [dot(Af[i], xf) - bf[i] for i in S])
+            if lam is None or any(v < 0 for v in lam):
+                continue
+            q = [c - dot(lam, col) for c, col in zip(xf, zip(*AS))] \
+                if k else xf
+            if all(dot(a, q) <= c for a, c in zip(Af, bf)):
+                return np.array([float(c) for c in q])
+    return None
+
+
+@st.composite
+def _polyhedra_and_rows(draw):
+    """A polyhedron in R^1-R^4 of 1-6 integer rows, up to two of them
+    repeated or repeated with both signs (an equality), and 1-8 points:
+    half-integer ones, some then moved onto a facet's plane or 1e-10
+    inside or outside it."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    A = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    b = draw(st.lists(_halves, min_size=m, max_size=m))
+    for i, sign in draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                           st.sampled_from([1, -1])),
+                                 max_size=2)):
+        A.append([sign * a for a in A[i]])
+        b.append(sign * b[i])
+    A, b = np.array(A, float), np.array(b)
+    X = np.array(draw(st.lists(st.lists(_halves, min_size=n, max_size=n),
+                               min_size=1, max_size=8)))
+    for k, i, t in draw(st.lists(st.tuples(
+            st.integers(0, len(X) - 1), st.integers(0, len(b) - 1),
+            st.sampled_from([-1e-10, 0.0, 1e-10])), max_size=3)):
+        a = A[i]
+        if a @ a:
+            X[k] -= a * (a @ X[k] - b[i] - t) / (a @ a)
+    return A, b, X
+
+
+@given(_polyhedra_and_rows())
+# a polyhedron that is one point of R^4 (two equalities and two rows), far
+# from the points: the least-distance program misses it by 1.1e-11 of the
+# scale, the active sets by 1.1e-14
+@example((np.array([[3, -2, 1, -2], [1, -3, 2, 0], [-3, 2, 2, 1],
+                    [0, 2, 3, -2], [3, -2, -2, -1], [-3, 2, -1, 2]], float),
+          np.array([4.5, 2.0, 3.5, -5.5, -3.5, -4.5]),
+          np.array([[3.0, -2.0, 3.0, 5.5], [-6.0, -0.5, 2.5, 2.0]])))
+@settings(max_examples=300, deadline=None)
+def test_stacked_projections_are_exact_one_point_projections(case):
+    A, b, X = case
+    Q = Polyhedron(A, b)
+    if Q.is_empty():
+        with pytest.raises(EmptySetError):
+            project_polyhedron(X, Q)
+        return
+    U = project_polyhedron(X, Q)
+    # one point is a batch of one, on a polyhedron built afresh
+    one = [project_polyhedron(x, Polyhedron(A, b)) for x in X]
+    assert U.tobytes() == np.array(one).tobytes()
+    for x, u in zip(X, U):
+        if Q.contains(x, 1e-10):
+            assert u.tobytes() == x.tobytes()
+            continue
+        exact = _exact_projection(x, A, b, u)
+        assert exact is not None, (x, u)
+        # rounding scales with the numbers that meet in the products
+        scale = 1 + np.abs(x).max() + np.abs(b).max() + np.abs(exact).max()
+        assert np.abs(u - exact).max() <= 1e-12 * scale, (x, u, exact)
+        program = x + _least_distance(A, b - A @ x)
+        assert np.abs(u - program).max() <= 1e-9 * scale, (x, u, program)
+
+
+def test_rows_no_active_set_certifies_go_to_the_program(monkeypatch):
+    calls = []
+    least_distance = regulab.sets._least_distance
+    monkeypatch.setattr(regulab.sets, "_least_distance",
+                        lambda A, h: calls.append(h) or least_distance(A, h))
+    # two rows 1e-5 apart in angle meet at the origin, the projection of
+    # (2, 1e-5): the pair is too ill-conditioned to try, and either row
+    # alone leaves the point 1e-10 outside the other; (2, -1) projects
+    # onto the first row alone, and (-1, -1) is inside
+    Q = Polyhedron([[1.0, 0.0], [1.0, 1e-5]], [0.0, 0.0])
+    X = np.array([[2.0, 1e-5], [2.0, -1.0], [-1.0, -1.0]])
+    U = project_polyhedron(X, Q)
+    assert len(calls) == 1
+    program = X[0] + least_distance(Q.A, Q.b - Q.A @ X[0])
+    assert U[0].tobytes() == program.tobytes()
+    assert np.abs(U[0]).max() <= 1e-9
+    assert U[1:].tolist() == [[0.0, -1.0], [-1.0, -1.0]]
+    # 30 rows in R^3 have 4525 sets of at most 3 rows to try, above
+    # _MAX_FACES: every row outside goes to the program
+    calls.clear()
+    Q = Polyhedron(regulab.sets._unit_directions(3, 30), np.ones(30))
+    X = np.array([[0.0, 0.0, 0.0], [3.0, 0.5, -1.0], [-2.0, 2.0, 2.0]])
+    U = project_polyhedron(X, Q)
+    assert len(calls) == 2
+    for x, u in zip(X[1:], U[1:]):
+        assert u.tobytes() == (x + least_distance(Q.A, Q.b - Q.A @ x))\
+            .tobytes()
+
+
+def test_union_distances_keep_the_first_nearest_piece():
+    # 1.5 is 0.5 from both boxes: the first piece's point is kept; an
+    # empty piece is skipped
+    left, right = unit_box(1), Polyhedron([[1.0], [-1.0]], [3.0, -2.0])
+    empty = Polyhedron([[1.0], [-1.0]], [-1.0, -1.0])
+    X = np.array([[1.5], [2.5], [-3.0]])
+    for pieces, tie in (([left, empty, right], 1.0), ([right, left], 2.0)):
+        d, near = dist_to_region(X, PolyUnion(pieces))
+        assert d.tolist() == [0.5, 0.0, 2.0]
+        assert [u.tolist() for u in near] == [[tie], [2.5], [-1.0]]
+        for x, dx, u in zip(X, d, near):
+            one = dist_to_region(x, PolyUnion(pieces))
+            assert (one[0], one[1].tolist()) == (dx, u.tolist())
+
+
+def test_row_subsets_are_capped():
+    assert list(regulab.sets._row_subsets(range(3), (1, 2), "")) == \
+        [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+    # C(20, 4) = 4845 vertex candidates, above _MAX_FACES
+    Q = Polyhedron(np.random.default_rng(0).normal(size=(20, 4)), np.ones(20))
+    with pytest.raises(NumericError, match="row subsets to try"):
+        Q.vertices()
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +781,29 @@ def _subspace_case(draw):
     return L, nx, q, gamma
 
 
+def _kink_points(R, q, nx):
+    """The best ``c`` with ``(q - R^T c)_x = 0``, and the best with ``(q -
+    R^T c)_y = 0``, where such ``c`` exist: on each, one norm of the
+    objective of ``test_subspace_dual_distance_matches_primal_search`` is 0,
+    and the other is least by least squares over the affine set."""
+    points = []
+    for zero, rest in ((slice(None, nx), slice(nx, None)),
+                       (slice(nx, None), slice(None, nx))):
+        M, t = R[:, zero].T, q[zero]
+        c = np.linalg.lstsq(M, t, rcond=None)[0]
+        if np.linalg.norm(M @ c - t) > 1e-12 * (1 + np.linalg.norm(t)):
+            continue
+        N = _orthonormal_split(M)[1]  # c + z N keeps the zero block
+        z = np.linalg.lstsq(R[:, rest].T @ N.T, q[rest] - c @ R[:, rest],
+                            rcond=None)[0]
+        points.append(c + z @ N)
+    return points
+
+
 @given(_subspace_case())
+# Nelder-Mead stalled at 3.8716302557454667 on the kink where the x-part is 0
+@example((np.array([[1, 2, -3, -1], [2, -1, 3, 1]], float), 1,
+          np.array([0.0, 0.0, 0.0, 1.0]), 0.25))
 @settings(max_examples=60, deadline=None)
 def test_subspace_dual_distance_matches_primal_search(case):
     L, nx, q, gamma = case
@@ -628,12 +813,23 @@ def test_subspace_dual_distance_matches_primal_search(case):
         r = q - c @ R
         return np.linalg.norm(r[:nx]) + np.linalg.norm(r[nx:]) / gamma
 
+    # f is convex and smooth off its two kinks, where a simplex can stall:
+    # the best points on the kinks, found by least squares, start it too
     c0 = R @ q
     ref = _nelder_mead_min(f, _grid_starts(f, c0, 1.0 + np.linalg.norm(q),
-                                           R.shape[0]))
+                                           R.shape[0])
+                           + _kink_points(R, q, nx))
     val = gamma_dual_distance(q, ConeRep.make(lineality=L), GammaMetric(gamma),
                               nx)
     assert ref - 1e-6 <= val <= ref + 1e-9
+
+
+def test_subspace_dual_distance_on_a_kink():
+    # the optimum has x-part 0, where a Nelder-Mead reference once stalled
+    L = np.array([[1, 2, -3, -1], [2, -1, 3, 1]], float)
+    val = gamma_dual_distance(np.array([0.0, 0.0, 0.0, 1.0]),
+                              ConeRep.make(lineality=L), GammaMetric(0.25), 1)
+    assert abs(val - 3.8402898441337117) <= 1e-12
 
 
 @given(n=st.sampled_from([3, 4]), data=st.data(),
