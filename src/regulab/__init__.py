@@ -67,7 +67,6 @@ from .slope import (
     nonlocal_slope,
 )
 from .spaces import (
-    UNBOUNDED,
     GammaMetric,
     GridSpec,
     NormedSpace,

@@ -2,10 +2,10 @@
 
 Scenario files are YAML with named blocks: ``spaces``, ``mapping``, ``query``,
 ``grids``, ``checks``, and optional ``expect`` and ``output``.  Each field is
-read once, through a checked reader, by the ``build_*`` function that uses
-it.  ``_CHECKS`` declares each check once, in the order of the report's
-rows: ``oracle``, ``geometric``, ``slope-nonlocal``, ``slope-local``,
-``subdifferential``, ``normal-cone``, ``coderivative-ball``,
+read once, through a checked reader, by the ``build_*`` function that uses it;
+no other key is accepted.  ``_CHECKS`` declares each check once, in the order
+of the report's rows: ``oracle``, ``geometric``, ``slope-nonlocal``,
+``slope-local``, ``subdifferential``, ``normal-cone``, ``coderivative-ball``,
 ``coderivative-normalized``, ``recede``, ``aubin``, ``compose-rate``,
 ``aubin-pipeline`` (these four scan parameter pairs), ``evp``.
 """
@@ -47,6 +47,13 @@ CSV_COLUMNS = ("check", "verdict", "margin", "witness_p", "witness_x",
 # the type of each block of a scenario file
 _BLOCKS = {"spaces": dict, "mapping": dict, "query": dict, "grids": dict,
            "checks": list, "expect": dict, "output": dict}
+# the keys each builder reads; any other key is an input error
+_SPACES_KEYS = ("x_dim", "y_dim", "p_dim", "p_labels")
+_MAPPING_KEYS = {"rule": ("kind", "rule", "coeffs"),
+                 "polyhedral": ("kind", "pieces", "convex")}
+_QUERY_KEYS = ("xbar", "ybar", "pbar", "alpha", "delta", "mu", "eta",
+               "gamma", "tau", "l", "l_prime")
+_GRID_KEYS = ("lower", "upper", "resolution")
 
 
 @dataclass
@@ -76,6 +83,7 @@ def load_scenario(path: str) -> Scenario:
         _fail(f"{path}: cannot parse scenario file: {exc}")
     if not isinstance(raw, dict):
         _fail(f"{path}: scenario must be a mapping of blocks")
+    _known_keys(f"{path}: scenario", raw, _BLOCKS)
     for block in ("spaces", "mapping", "query", "grids", "checks"):
         if block not in raw:
             _fail(f"{path}: missing required block {block!r}")
@@ -112,6 +120,13 @@ def load_scenario(path: str) -> Scenario:
 # checked readers: each returns the value its builder uses, or refuses it
 
 
+def _known_keys(where: str, block: dict, keys, what: str = "key"):
+    """``InputError`` naming the first key of ``block`` not in ``keys``."""
+    for key in block:
+        if key not in keys:
+            _fail(f"{where} has no {what} {key!r}; it reads {list(keys)}")
+
+
 def _number(field: str, value, finite: bool = True) -> float:
     """``value`` as a number, a finite one unless ``finite`` is false."""
     try:
@@ -131,6 +146,7 @@ def _is_integer(value) -> bool:
 def _dims(spaces: dict) -> dict:
     """The declared dimensions, ``x_dim``, ``y_dim`` and, unless the
     parameters are labels, ``p_dim``, each an integer >= 1."""
+    _known_keys("spaces block", spaces, _SPACES_KEYS)
     for key in ("x_dim", "y_dim"):
         if key not in spaces:
             _fail(f"spaces block needs {key}")
@@ -288,6 +304,9 @@ def build_mapping(sc: Scenario) -> SetValuedMap:
             isinstance(v, (str, int, float)) for v in labels)):
         _fail("spaces.p_labels must be a nonempty list of names or numbers")
     kind = m.get("kind")
+    if not isinstance(kind, str) or kind not in _MAPPING_KEYS:
+        _fail("mapping.kind must be 'rule' or 'polyhedral'")
+    _known_keys(f"a {kind} mapping", m, _MAPPING_KEYS[kind])
     if kind == "rule":
         rule = m.get("rule")
         if not isinstance(rule, str) or rule not in _RULES:
@@ -295,18 +314,13 @@ def build_mapping(sc: Scenario) -> SetValuedMap:
         coeffs = m.get("coeffs") or {}
         if not isinstance(coeffs, dict):
             _fail(f"mapping.coeffs must be a mapping, got {coeffs!r}")
-        reads = _RULE_COEFFS.get(rule, ())
-        for name in coeffs:
-            if name not in reads:
-                _fail(f"rule {rule!r} has no coefficient {name!r}; "
-                      f"it reads {list(reads)}")
+        _known_keys(f"rule {rule!r}", coeffs, _RULE_COEFFS.get(rule, ()),
+                    "coefficient")
         if labels is not None:
             _fail("rule mappings need a metric parameter space (p_dim)")
         return _RULES[rule](X, Y, P, {
             name: _finite(f"mapping.coeffs.{name}", value)
             for name, value in coeffs.items()})
-    if kind != "polyhedral":
-        _fail("mapping.kind must be 'rule' or 'polyhedral'")
     if not m.get("pieces") or not isinstance(m["pieces"], list):
         _fail("polyhedral mapping needs a nonempty pieces list")
     convex = m.get("convex")
@@ -317,6 +331,9 @@ def build_mapping(sc: Scenario) -> SetValuedMap:
     for i, pc in enumerate(m["pieces"]):
         if not isinstance(pc, dict):
             _fail(f"piece {i} must be a mapping with A and b")
+        # b_p moves a piece with a metric parameter; labels have none
+        _known_keys(f"piece {i}", pc,
+                    ("A", "b") if P is None else ("A", "b", "b_p"))
         A = _finite(f"piece {i}: A", pc.get("A", []))
         b = _finite(f"piece {i}: b", pc.get("b", []))
         if A.ndim != 2 or A.shape[1] != n:
@@ -324,7 +341,7 @@ def build_mapping(sc: Scenario) -> SetValuedMap:
         if b.shape != A.shape[:1]:
             _fail(f"piece {i}: b must have one entry per row of A")
         bp = None
-        if "b_p" in pc and labels is None:
+        if "b_p" in pc:
             bp = _finite(f"piece {i}: b_p", pc["b_p"])
             if bp.shape != (A.shape[0], dims["p_dim"]):
                 _fail(f"piece {i}: b_p must have p_dim columns and one "
@@ -342,6 +359,7 @@ def build_mapping(sc: Scenario) -> SetValuedMap:
 
 def build_query(sc: Scenario) -> RegularityQuery:
     g, dims = sc.query, _dims(sc.spaces)
+    _known_keys("query block", g, _QUERY_KEYS)
     for key in ("xbar", "ybar", "alpha", "delta", "mu"):
         if key not in g:
             _fail(f"query block needs {key}")
@@ -372,11 +390,13 @@ def build_grids(sc: Scenario) -> ScanGrids:
     dims = _dims(sc.spaces)
     if "x" not in sc.grids:
         _fail("grids block needs an 'x' grid")
+    _known_keys("grids block", sc.grids, ("x", "y", "p"))
     specs = {}
     for name, g in sc.grids.items():
-        for k in ("lower", "upper", "resolution"):
+        for k in _GRID_KEYS:
             if not isinstance(g, dict) or k not in g:
                 _fail(f"grid {name!r} needs {k}")
+        _known_keys(f"grid {name!r}", g, _GRID_KEYS)
         lower, upper = (_vector(f"grids.{name}.{k}", g[k], dims, f"{name}_dim")
                         for k in ("lower", "upper"))
         if lower.shape != upper.shape or not np.all(lower < upper):
@@ -494,10 +514,7 @@ def _planned_checks(sc: Scenario) -> list:
         for need in check.needs:
             if sc.query.get(need) is None:
                 _fail(f"check {name!r} needs query field {need!r}")
-        for key in opts:
-            if key not in check.options:
-                _fail(f"check {name!r} has no option {key!r}; "
-                      f"it reads {list(check.options)}")
+        _known_keys(f"check {name!r}", opts, check.options, "option")
         planned.append((name, check.options | opts |
                         {k: rates[k] for k in check.needs if k in rates}))
     return sorted(planned, key=lambda c: list(_CHECKS).index(c[0]))

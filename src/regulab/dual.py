@@ -68,12 +68,12 @@ def subdiff_distance(F: SetValuedMap, q: RegularityQuery, p, x, y) -> float:
     return gamma_dual_distance(-point_part, cone, g, F.nx)
 
 
-def dual_candidates(y, ybar, kind: str, tau: float, n_cap: int = 64):
+def dual_candidates(y, ybar, kind: str, tau: float):
     """Unit dual vectors aligned with y - ybar.
 
     ``exact`` yields the single normalized difference (the Euclidean norm has
-    a singleton subdifferential off the origin); ``cap`` yields deterministic
-    unit samples with pairing above tau*|y - ybar|.
+    a singleton subdifferential off the origin); ``cap`` yields those of 64
+    deterministic unit samples with pairing above tau*|y - ybar|.
     """
     y, ybar = as_point(y), as_point(ybar)
     w = y - ybar
@@ -85,7 +85,7 @@ def dual_candidates(y, ybar, kind: str, tau: float, n_cap: int = 64):
     if kind == "cap":
         if not 0 < tau < 1:
             raise InputError(f"tau must lie strictly between 0 and 1, got {tau}")
-        cands = _unit_directions(y.shape[0], n_cap)
+        cands = _unit_directions(y.shape[0], 64)
         keep = [c for c in cands if c @ w > tau * nw]
         if not keep:
             keep = [w / nw]

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import InputError
 from .spaces import as_point
 
+# the slack of the after-the-fact checks of the three conclusions
+_VERIFY_TOL = 1e-12
+
 
 @dataclass
 class EvpResult:
@@ -31,8 +34,7 @@ class EvpResult:
         return self.within_lam and self.no_increase and self.global_perturbed_min
 
 
-def evp_search(f, points, x, eps: float, lam: float,
-               verify_tol: float = 1e-12) -> EvpResult:
+def evp_search(f, points, x, eps: float, lam: float) -> EvpResult:
     """Run the improving-selection search and verify its conclusions.
 
     ``f`` maps points to extended reals; ``points`` is the finite ground set.
@@ -72,8 +74,8 @@ def evp_search(f, points, x, eps: float, lam: float,
         trace.append(cur)
 
     d_all = np.linalg.norm(pts - cur[None, :], axis=1)
-    within = bool(np.linalg.norm(cur - x) < lam + verify_tol)
-    no_inc = bool(fcur <= fx + verify_tol)
-    global_min = bool(np.all(vals + rate * d_all >= fcur - verify_tol))
+    within = bool(np.linalg.norm(cur - x) < lam + _VERIFY_TOL)
+    no_inc = bool(fcur <= fx + _VERIFY_TOL)
+    global_min = bool(np.all(vals + rate * d_all >= fcur - _VERIFY_TOL))
     return EvpResult(xhat=cur, within_lam=within, no_increase=no_inc,
                      global_perturbed_min=global_min, trace=trace)

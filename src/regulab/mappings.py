@@ -647,7 +647,7 @@ class ScanBatch:
 
 
 def condition_scan_points(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
-                          x_radius: float, sol_tol: float = SOL_TOL):
+                          x_radius: float):
     """Admissible (p, x, y) triples shared by every condition checker, as one
     ``ScanBatch`` per parameter that has any.
 
@@ -667,11 +667,11 @@ def condition_scan_points(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
             continue
         xs, ys = pts[:, :nx], pts[:, nx:]
         dy = np.linalg.norm(ys - ybar[None, :], axis=1)
-        mask = (dy > sol_tol) & (dy <= strict) & ball_mask(xs, xbar, x_radius)
+        mask = (dy > SOL_TOL) & (dy <= strict) & ball_mask(xs, xbar, x_radius)
         if not mask.any():
             continue
         sol_d = F.solution_distance_vec(p, xs[mask], ybar, grids)
-        off = ~(sol_d <= sol_tol)
+        off = ~(sol_d <= SOL_TOL)
         if off.any():
             yield ScanBatch(p=p, xs=xs[mask][off], ys=ys[mask][off],
                             dist_to_target=dy[mask][off], sol_dist=sol_d[off])

@@ -31,6 +31,8 @@ from .spaces import ball_mask, make_grid
 
 # rows of a stacked scan reduced at once
 _BLOCK = 1 << 16
+# rungs of check_geometric's uniform radius ladder
+_N_RHO = 64
 
 
 class Verdict(str, Enum):
@@ -216,15 +218,15 @@ def _nearest_value(F, p, x, ybar):
     return vals[int(np.argmin(np.linalg.norm(vals - ybar[None, :], axis=1)))]
 
 
-def check_geometric(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
-                    n_rho: int = 64) -> Certificate:
+def check_geometric(F: SetValuedMap, q: RegularityQuery,
+                    grids: ScanGrids) -> Certificate:
     """Ball-intersection characterization of the subregularity estimate.
 
     For sampled radii rho in ]0, mu[ and every scanned (p, x) with residual
     strictly below alpha*rho, the solution set must meet the closed ball of
-    radius rho around x.  The rho samples are a uniform ladder augmented, per
-    scan point, with the critical radius residual/alpha so the scan cannot
-    miss a violation that falls between ladder rungs.
+    radius rho around x.  The rho samples are a uniform ladder of ``_N_RHO``
+    rungs augmented, per scan point, with the critical radius residual/alpha
+    so the scan cannot miss a violation that falls between ladder rungs.
 
     A point's margin is its smallest tested radius less its solution
     distance, and that radius is one of two: the first rung above
@@ -234,13 +236,13 @@ def check_geometric(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
     """
     ybar = q.ybar_arr
     mu = q.mu if math.isfinite(q.mu) else _grid_diameter(grids)
-    ladder = np.linspace(mu / (n_rho + 1), mu, n_rho, endpoint=False)
+    ladder = np.linspace(mu / (_N_RHO + 1), mu, _N_RHO, endpoint=False)
     scan = MarginScan()
     for r in _residual_scan(F, q, grids, strict_cap(q.alpha * mu)):
         crit = r.res / q.alpha
         k = np.searchsorted(ladder, crit / (1 - 1e-12), side="right")
-        has_rung = k < n_rho
-        rung = ladder[np.minimum(k, n_rho - 1)]
+        has_rung = k < _N_RHO
+        rung = ladder[np.minimum(k, _N_RHO - 1)]
         at_crit = crit * (1 + 1e-9)
         has_crit = at_crit < mu
         tested = np.flatnonzero(has_rung | has_crit)
@@ -256,7 +258,7 @@ def check_geometric(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
                     "inequality": "G(p) meets closed ball of radius rho around x"}
 
         scan.add(np.minimum(rung_gap, crit_gap)[tested], witness)
-    return scan.certificate(dict(_base_meta(q, grids), n_rho=n_rho))
+    return scan.certificate(dict(_base_meta(q, grids), n_rho=_N_RHO))
 
 
 def _grid_diameter(grids: ScanGrids) -> float:

@@ -61,12 +61,16 @@ from .errors import (
 from .spaces import GammaMetric, GridSpec, as_point, make_grid
 
 _FEAS_TOL = 1e-9
+# active rows, pieces holding a point and vertices, relative to row norms
+_ACT_TOL = 1e-8
+# singular values below this ratio to the largest count as rank deficient
+_RANK_TOL = 1e-10
 # the multipliers that the closed forms on subspace cones search lie in
 # [1 / _LAM_MAX, _LAM_MAX]; the two ends stand for the limits 0 and infinity
 _LAM_MAX = 2.0 ** 128
-# the most row subsets that one enumeration tries (``_row_subsets``): the
-# faces of _face_search, the ray candidates of cone_rays_from_halfspaces,
-# the vertices of a polyhedron and the active sets of its projections
+# the most subsets that one enumeration tries (``_row_subsets``): faces of
+# _face_search, rays of cone_rays_from_halfspaces, vertices and active sets
+# of a polyhedron, column sets of _nonneg_lsq_enum
 _MAX_FACES = 2 ** 12
 # entries of a (rows x cloud points) distance matrix, or of a (rows x active
 # sets) array of projections, built at once
@@ -115,9 +119,6 @@ class Polyhedron:
     def dim(self) -> int:
         return self.A.shape[1]
 
-    def __repr__(self):
-        return f"Polyhedron(m={self.A.shape[0]}, n={self.dim})"
-
     def contains(self, x, tol: float = _FEAS_TOL) -> bool:
         """``A x - b <= tol (max(1, |b|) + |A_i|)`` row by row."""
         x = as_point(x)
@@ -142,13 +143,13 @@ class Polyhedron:
             self._empty = _least_distance(self.A, self.b) is None
         return self._empty
 
-    def active_rows(self, x, act_tol: float = 1e-8) -> np.ndarray:
-        """Indices of rows active at ``x`` (tolerance relative to row norms)."""
+    def active_rows(self, x) -> np.ndarray:
+        """Indices of the rows active at ``x`` within ``_ACT_TOL``."""
         x = as_point(x)
         return np.nonzero(np.abs(self.A @ x - self.b) <=
-                          act_tol * (1.0 + self._norms))[0]
+                          _ACT_TOL * (1.0 + self._norms))[0]
 
-    def vertices(self, tol: float = 1e-8) -> np.ndarray:
+    def vertices(self) -> np.ndarray:
         """Vertices by active-set enumeration; ``NumericError`` above
         ``_MAX_FACES`` row subsets to try."""
         n, m = self.dim, self.A.shape[0]
@@ -160,9 +161,8 @@ class Polyhedron:
             if abs(np.linalg.det(Asub)) < 1e-12:
                 continue
             v = np.linalg.solve(Asub, self.b[list(idx)])
-            if self.contains(v, tol) and not any(
-                np.linalg.norm(v - w) < 1e-9 for w in verts
-            ):
+            if self.contains(v, _ACT_TOL) and not any(
+                    np.linalg.norm(v - w) < 1e-9 for w in verts):
                 verts.append(v)
         return np.array(verts) if verts else np.zeros((0, n))
 
@@ -204,19 +204,20 @@ def _nonneg_lsq_enum(B, v) -> np.ndarray:
     """argmin ``|B c - v|`` over ``c >= 0`` by enumeration: least squares on
     every linearly independent set of columns, keeping the nonnegative
     solution of least residual (some minimizer has independent support, by
-    Caratheodory's theorem).  For the few columns of the cones and
-    least-distance programs here."""
+    Caratheodory's theorem); ``NumericError`` above ``_MAX_FACES`` column
+    sets to try."""
     m, k = B.shape
     best, best_r = np.zeros(k), np.linalg.norm(v)
-    for size in range(1, min(m, k) + 1):
-        for cols in map(list, itertools.combinations(range(k), size)):
-            cs, _, rank, _ = np.linalg.lstsq(B[:, cols], v, rcond=None)
-            if rank < size or np.any(cs < 0):
-                continue
-            r = np.linalg.norm(B[:, cols] @ cs - v)
-            if r < best_r:
-                best, best_r = np.zeros(k), r
-                best[cols] = cs
+    for cols in map(list, _row_subsets(
+            range(k), range(1, min(m, k) + 1), f"nonnegative least squares "
+            f"on {k} columns has more than {_MAX_FACES} column sets to try")):
+        cs, _, rank, _ = np.linalg.lstsq(B[:, cols], v, rcond=None)
+        if rank < len(cols) or np.any(cs < 0):
+            continue
+        r = np.linalg.norm(B[:, cols] @ cs - v)
+        if r < best_r:
+            best, best_r = np.zeros(k), r
+            best[cols] = cs
     return best
 
 
@@ -410,11 +411,7 @@ class PolyUnion:
         if len(dims) > 1:
             raise DimensionMismatchError("union pieces must share one dimension")
         self.pieces = pieces
-        self._dim = dims.pop() if dims else 0
-
-    @property
-    def dim(self) -> int:
-        return self._dim
+        self.dim = dims.pop() if dims else 0
 
     def nonempty_pieces(self):
         return [p for p in self.pieces if not p.is_empty()]
@@ -429,12 +426,12 @@ class PolyUnion:
             hit |= p.contains_rows(X, tol)
         return hit
 
-    def active_pieces(self, x, act_tol: float = 1e-8):
+    def active_pieces(self, x):
         """``(piece, active rows)`` of each nonempty piece holding ``x``
-        within ``act_tol``."""
+        within ``_ACT_TOL``."""
         x = as_point(x)
-        return [(p, p.active_rows(x, act_tol)) for p in self.nonempty_pieces()
-                if p.contains(x, act_tol)]
+        return [(p, p.active_rows(x)) for p in self.nonempty_pieces()
+                if p.contains(x, _ACT_TOL)]
 
 
 class PointCloud:
@@ -454,16 +451,6 @@ class PointCloud:
                     keep.append(i)
             pts = pts[keep]
         self.points = pts
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def contains(self, x, tol: float = _FEAS_TOL) -> bool:
-        x = as_point(x)
-        if self.points.shape[0] == 0:
-            return False
-        return bool(np.min(np.linalg.norm(self.points - x, axis=1)) <= tol)
 
 
 def dist_to_region(x, region):
@@ -510,7 +497,7 @@ def _cloud_distances(X, P):
     return d, near
 
 
-def region_sample_points(region, grid: GridSpec | None = None) -> np.ndarray:
+def region_sample_points(region, grid: GridSpec) -> np.ndarray:
     """Representative points of a region for scanning.
 
     Clouds return their points.  A polyhedral union gives, piece by piece,
@@ -522,13 +509,12 @@ def region_sample_points(region, grid: GridSpec | None = None) -> np.ndarray:
         return region.points
     if isinstance(region, PolyUnion):
         pts: list[np.ndarray] = []
-        G = None if grid is None else make_grid(grid)
+        G = make_grid(grid)
         for piece in region.nonempty_pieces():
             pts.extend(piece.vertices())
-            if G is not None:
-                P, out = G.copy(), ~piece.contains_rows(G)
-                P[out] = project_polyhedron(G[out], piece)
-                pts.extend(P)
+            P, out = G.copy(), ~piece.contains_rows(G)
+            P[out] = project_polyhedron(G[out], piece)
+            pts.extend(P)
         if not pts:
             return np.zeros((0, region.dim))
         return PointCloud(np.array(pts), dedupe_tol=1e-10).points
@@ -593,8 +579,8 @@ class ConeRep:
         B = self.polar_halfspaces().T
         return float(np.linalg.norm(B @ _nonneg_lsq(B, v) - v))
 
-    def contains(self, v, tol: float = 1e-9) -> bool:
-        return not self.empty and self.euclidean_distance(v) <= tol
+    def contains(self, v) -> bool:
+        return not self.empty and self.euclidean_distance(v) <= _FEAS_TOL
 
     def face(self, S: tuple, nx: int):
         """``(polar, primal, D)``: the ``_block_basis`` of ``{u : G_S u = 0,
@@ -612,7 +598,7 @@ class ConeRep:
             # L's orthonormal basis: its rows may depend on each other
             M = np.vstack([self.generators[list(S)], self.face((), nx)[1][0]])
             U, s, vt = np.linalg.svd(M)
-            if s[-1] <= 1e-10 * self.dim * s[0]:
+            if s[-1] <= _RANK_TOL * self.dim * s[0]:
                 self._bases[key] = None
                 return None
             rows, null = vt[:M.shape[0]], vt[M.shape[0]:]
@@ -644,17 +630,17 @@ class ConeRep:
         return self._vertices[c]
 
 
-def _orthonormal_split(M: np.ndarray, tol: float = 1e-10):
+def _orthonormal_split(M: np.ndarray):
     """Orthonormal bases, as rows, of the row space of ``M`` and of its
     nullspace."""
     if M.size == 0:
         return np.zeros((0, M.shape[1])), np.eye(M.shape[1])
     _, s, vt = np.linalg.svd(M)
-    rank = int(np.sum(s > tol * max(M.shape) * s[0]))
+    rank = int(np.sum(s > _RANK_TOL * max(M.shape) * s[0]))
     return vt[:rank], vt[rank:]
 
 
-def cone_rays_from_halfspaces(M: np.ndarray, n: int, tol: float = 1e-9) -> ConeRep:
+def cone_rays_from_halfspaces(M: np.ndarray, n: int) -> ConeRep:
     """V-form of ``{v in R^n : M v <= 0}``.
 
     The lineality space is the nullspace of M; extreme rays are enumerated on
@@ -688,7 +674,7 @@ def cone_rays_from_halfspaces(M: np.ndarray, n: int, tol: float = 1e-9) -> ConeR
                     continue
                 cands.extend([ns[0], -ns[0]])
         for c in cands:
-            if np.all(Mw @ c <= tol):
+            if np.all(Mw @ c <= _FEAS_TOL):
                 r = W.T @ c
                 r = r / np.linalg.norm(r)
                 if not any(np.linalg.norm(r - q) < 1e-8 for q in rays):
@@ -716,7 +702,7 @@ def intersect_cones(c1: ConeRep, c2: ConeRep) -> ConeRep:
     return cone_rays_from_halfspaces(gens, n)
 
 
-def normal_cone_at(region, x, act_tol: float = 1e-8) -> ConeRep:
+def normal_cone_at(region, x) -> ConeRep:
     """Normal cone to a polyhedron or a polyhedral union at a point.
 
     Convex polyhedron: conic hull of the active rows.  Union: intersection of
@@ -729,7 +715,7 @@ def normal_cone_at(region, x, act_tol: float = 1e-8) -> ConeRep:
         raise InputError(f"unsupported region type {type(region).__name__}")
     return normal_cone_from(
         [ConeRep.make(generators=piece.A[act], dim=piece.dim)
-         for piece, act in region.active_pieces(x, act_tol)], region.dim)
+         for piece, act in region.active_pieces(x)], region.dim)
 
 
 def normal_cone_from(cones, dim: int) -> ConeRep:

@@ -47,11 +47,10 @@ _LAST = 3
 _BLOCK = 1 << 14
 
 
-def merit_value(F: SetValuedMap, q: RegularityQuery, p, u, v,
-                tol: float = 1e-9) -> float:
-    """|v - ybar| on the graph of F_p, +inf off it."""
+def merit_value(F: SetValuedMap, q: RegularityQuery, p, u, v) -> float:
+    """|v - ybar| on the graph of F_p (``F.in_graph``), +inf off it."""
     u, v = as_point(u), as_point(v)
-    if not F.in_graph(p, u, v, tol):
+    if not F.in_graph(p, u, v):
         return math.inf
     return float(np.linalg.norm(v - q.ybar_arr))
 
@@ -193,14 +192,15 @@ def _slopes(best: np.ndarray, one: bool):
 
 
 def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
-                   grids: ScanGrids, x_radius: float | None = None):
+                   grids: ScanGrids):
     """Supremum of merit difference quotients over the admissible graph scan.
 
     Admissible competitors (u, v) lie on gph F_p with u in the open ball of
-    radius ``x_radius`` (default delta + mu) around xbar and |v - ybar|
-    strictly below alpha*mu.  The scan uses the graph sample plus the nearest
-    solution point and short honest steps from (x, y), so the reported value
-    is a certified lower bound of the supremum.
+    radius delta + mu around xbar, in both modes (necessary mode scans the
+    points of the delta-ball, its ``x_radius``: more competitors only raise
+    the slope), and |v - ybar| strictly below alpha*mu.  The scan uses the
+    graph sample plus the nearest solution point and short honest steps from
+    (x, y), so the reported value is a certified lower bound of the supremum.
 
     ``x`` and ``y`` are one graph point (checked, a float back) or one
     parameter's stacked graph points as rows of shapes (n, nx) and (n, ny),
@@ -209,13 +209,11 @@ def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
     """
     xs, ys, one = _stack(F, p, x, y)
     W, nw = _targets(q, ys)
-    if x_radius is None:
-        x_radius = q.delta + q.mu
     cap = strict_cap(q.alpha * q.mu)
     xbar, ybar, nx = q.xbar_arr, q.ybar_arr, F.nx
 
     def admissible(us, vs):
-        return (np.sqrt(row_dots(us - xbar)) < x_radius) & \
+        return (np.sqrt(row_dots(us - xbar)) < q.delta + q.mu) & \
             (np.sqrt(row_dots(vs - ybar)) <= cap)
 
     # the nearest solution points paired with the target
@@ -255,11 +253,12 @@ def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
 
 
 def local_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
-                grids: ScanGrids | None = None, r0: float | None = None):
+                grids: ScanGrids | None = None):
     """Limit of merit difference quotients as competitors approach (x, y).
 
-    Approximated on the geometric radius schedule ``r0 * 2^-k``, k = 0..12;
-    the reported value is the maximum over the last three levels; the levels
+    Approximated on the geometric radius schedule of ``_step_schedule``, 13
+    halving radii from one set by the point's distance to the target; the
+    reported value is the maximum over the last three levels; the levels
     are nested, so that is the level of the third-last radius.  Competitors
     are honest graph points stepped along first-order optimal directions,
     which read no scan grid (``grids`` is taken for the checkers' common
@@ -268,12 +267,7 @@ def local_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
     """
     xs, ys, one = _stack(F, p, x, y)
     W, nw = _targets(q, ys)
-    if r0 is None:
-        radii = _step_schedule(nw, q.gamma)
-    else:
-        radii = np.tile(r0 * 2.0 ** (-np.arange(_LEVELS, dtype=float)),
-                        (len(xs), 1))
-
+    radii = _step_schedule(nw, q.gamma)
     reach = radii[:, -_LAST] * (1 + 1e-9)
     owner, us, vs = F.step_points(p, xs, ys, _directions(F, q, p, xs, ys),
                                   radii, q.gamma, reach)

@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InputError, ResourceCapError
 
-UNBOUNDED = math.inf
-
 DEFAULT_POINT_CAP = 4_000_000
 
 
@@ -122,11 +120,12 @@ class GridSpec:
         ]
 
 
-def make_grid(spec: GridSpec, cap: int = DEFAULT_POINT_CAP) -> np.ndarray:
-    """All grid points as an ``(n, dim)`` array in lexicographic order."""
+def make_grid(spec: GridSpec) -> np.ndarray:
+    """All grid points as an ``(n, dim)`` array in lexicographic order;
+    ``ResourceCapError`` above ``DEFAULT_POINT_CAP`` points."""
     n = spec.point_count()
-    if n > cap:
-        raise ResourceCapError(n, cap)
+    if n > DEFAULT_POINT_CAP:
+        raise ResourceCapError(n, DEFAULT_POINT_CAP)
     axes = spec.axes()
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)

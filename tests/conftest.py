@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import regulab.implicit
 import regulab.oracle
@@ -25,6 +26,12 @@ from regulab import (
 )
 from regulab.mappings import condition_scan_points
 from regulab.sets import ConeRep, dist_to_region
+
+# a failing random case prints the @reproduce_failure blob that replays it;
+# every other setting is hypothesis's default or the test's own
+settings.register_profile("regulab", print_blob=True)
+settings.load_profile("regulab")
+
 
 def scan_points(F, q, grids, x_radius) -> list:
     """The points of ``condition_scan_points`` one by one, as ``(p, x, y)``

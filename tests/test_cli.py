@@ -567,6 +567,49 @@ def test_cli_check_options_are_checked_before_any_check_runs(tmp_path,
     assert ran == []
 
 
+def test_cli_refuses_keys_no_builder_reads(tmp_path):
+    # validate printed OK for each, and run dropped the key: the query ran
+    # at gamma 1, the piece's b_p was ignored under p_labels
+    labelled = (("p_dim: 1}", "p_labels: [a, b]}"),)
+
+    def added(*pairs):
+        return replaced(EXAMPLE_DIFFERENCE, pairs)
+
+    for text, message in (
+            (EXAMPLE_DIFFERENCE + "comment: none\n",
+             "scenario has no key 'comment'; it reads ['spaces', 'mapping', "
+             "'query', 'grids', 'checks', 'expect', 'output']"),
+            (added(("p_dim: 1}", "p_dim: 1, z_dim: 1}")),
+             "spaces block has no key 'z_dim'; it reads ['x_dim', 'y_dim', "
+             "'p_dim', 'p_labels']"),
+            (added(("  gamma: 1.0\n", "  gamma: 1.0\n  gama: 4.0\n")),
+             "query block has no key 'gama'"),
+            (added(("rule: difference}", "rule: difference, convx: false}")),
+             "a rule mapping has no key 'convx'; it reads ['kind', 'rule', "
+             "'coeffs']"),
+            (added(("resolution: 11}\n", "resolution: 11}\n  z: {lower: "
+                    "[0.0], upper: [1.0], resolution: 2}\n")),
+             "grids block has no key 'z'; it reads ['x', 'y', 'p']"),
+            (added(("resolution: 81}", "resolution: 81, step: 0.1}")),
+             "grid 'x' has no key 'step'"),
+            (replaced(POLY_SCENARIO, (("convex: true", "convx: true"),)),
+             "a polyhedral mapping has no key 'convx'; it reads ['kind', "
+             "'pieces', 'convex']"),
+            (replaced(POLY_SCENARIO, (("b_p: [[-0.3]]", "bp: [[-0.3]]"),)),
+             "piece 0 has no key 'bp'; it reads ['A', 'b', 'b_p']"),
+            (replaced(POLY_SCENARIO, labelled),
+             "piece 0 has no key 'b_p'; it reads ['A', 'b']")):
+        path = write(tmp_path, text)
+        for cmd in ("validate", "run"):
+            res = CliRunner().invoke(main, [cmd, path])
+            assert res.exit_code == 2, (cmd, message, res.output)
+            assert message in res.output
+    # without b_p, the labelled scenario is valid
+    path = write(tmp_path, replaced(POLY_SCENARIO, (
+        *labelled, ("      b_p: [[-0.3]]\n", ""))))
+    assert CliRunner().invoke(main, ["validate", path]).exit_code == 0
+
+
 def test_cli_failed_solver_gives_inconclusive_row(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise NumericError("least-distance problem found no feasible point")
@@ -657,6 +700,44 @@ def test_cli_examples_emitted_and_runnable(tmp_path):
         assert (tmp_path / name).exists()
         sc = load_scenario(str(tmp_path / name))
         assert sc.expect
+
+
+def _csv_rows(out):
+    with open(out / "sc.csv") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_cli_evp_check_runs_with_default_and_given_lam(tmp_path):
+    text = EXAMPLE_DIFFERENCE[:EXAMPLE_DIFFERENCE.index("checks:")] + \
+        "checks: [evp, {name: evp, lam: 0.25}]\nexpect: {evp: HOLDS}\n"
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, ["run", write(tmp_path, text),
+                                    "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert [(r["check"], r["verdict"]) for r in _csv_rows(out)] == \
+        [("evp", "HOLDS")] * 2
+
+
+def test_cli_affine_rule_at_a_target_other_than_zero(tmp_path):
+    # the difference rule's solution sets at ybar = 0.25 come from its
+    # solution_any rule: x = p - 0.25
+    def at(alpha):
+        return replaced(EXAMPLE_DIFFERENCE, (("ybar: [0.0]", "ybar: [0.25]"),
+                                             ("alpha: 1.0", f"alpha: {alpha}")))
+
+    res = CliRunner().invoke(main, ["run", write(tmp_path, at(0.5))])
+    assert res.exit_code == 0, res.output
+    assert res.output.count("[as expected]") == 8
+    # at the exact modulus, alpha = 1, the oracle's margin is rounding
+    # (-5.55e-17, read as VIOLATED): one tolerance for every checker
+    # (ROADMAP item 9) would settle its verdict
+    text = at(1.0)
+    out = tmp_path / "out"
+    CliRunner().invoke(main, ["run", write(tmp_path, text[:text.index(
+        "expect:")]), "--out", str(out)])
+    oracle = _csv_rows(out)[0]
+    assert oracle["check"] == "oracle"
+    assert abs(float(oracle["margin"])) <= 1e-15
 
 
 # `regulab run --out` CSVs of the shipped examples, frozen: verdicts and CSV

@@ -457,6 +457,23 @@ def test_row_subsets_are_capped():
         Q.vertices()
 
 
+def test_nonneg_lsq_enumeration_is_capped():
+    # where nnls fails, 13 columns in R^13 have 2^13 - 1 = 8191 column sets,
+    # above _MAX_FACES; 12 columns have 4095 and are enumerated
+    def broken(*args, **kwargs):
+        raise RuntimeError("too many iterations")
+
+    rng = np.random.default_rng(0)
+    B, v = rng.normal(size=(13, 13)), rng.normal(size=13)
+    with mock.patch.object(regulab.sets, "nnls", broken):
+        with pytest.raises(NumericError, match="column sets to try"):
+            _nonneg_lsq(B, v)
+        c = _nonneg_lsq(B[:, :12], v)
+    assert np.all(c >= 0)
+    assert np.linalg.norm(B[:, :12] @ c - v) <= \
+        np.linalg.norm(B[:, :12] @ _nonneg_lsq(B[:, :12], v) - v) + 1e-12
+
+
 # ---------------------------------------------------------------------------
 # norm subdifferential
 
@@ -914,6 +931,18 @@ def _support_reference(q, cone, gamma, nx):
     return _nelder_mead_min(f, _grid_starts(f, np.zeros(2), 12.0, 2))
 
 
+def _nnls_residual(M, t):
+    """``M c - t`` at ``c = nnls(M, t)``, or None unless ``c`` passes the
+    optimality conditions: ``g = M^T (M c - t)`` is >= 0, and 0 where ``c_j
+    > 0``, within 1e-9 |M_j| |t| (|g_j| is at most |M_j| |t| at the
+    optimum, where |M c - t| <= |t|).  At a large scale ``nnls`` can stop
+    far from the optimum, with a residual that is no least value."""
+    c = nnls(M, t, maxiter=5000)[0]
+    r = M @ c - t
+    g, tol = r @ M, 1e-9 * np.linalg.norm(M, axis=0) * np.linalg.norm(t)
+    return r if np.all((g >= -tol) & ((c == 0) | (g <= tol))) else None
+
+
 def _min_norm_bracket(cone, nx, y, eta):
     """Bounds on min |w_x| over w in the cone with |w_y - y| <= eta.
 
@@ -924,7 +953,8 @@ def _min_norm_bracket(cone, nx, y, eta):
     ball.  Below: the Lagrangian dual, the least over w in the cone of
     |w_x|^2 + mu (|w_y - y|^2 - eta^2), a nonnegative least-squares value,
     maximized over mu > 0 (concave in mu); loose only where the ball just
-    touches the cone's y-parts."""
+    touches the cone's y-parts.  A mu whose least-squares answer fails its
+    optimality conditions (``_nnls_residual``) gives no bound."""
     B = cone.polar_halfspaces().T
     A = np.vstack([B[:nx], 1e5 * B[nx:]])
 
@@ -937,16 +967,19 @@ def _min_norm_bracket(cone, nx, y, eta):
     def dual(log_mu):
         s = math.exp(log_mu / 2)
         M = np.vstack([B[:nx], s * B[nx:]])
-        target = np.concatenate([np.zeros(nx), s * y])
-        r = M @ nnls(M, target, maxiter=5000)[0] - target
-        return r @ r - s * s * eta * eta
+        r = _nnls_residual(M, np.concatenate([np.zeros(nx), s * y]))
+        return -math.inf if r is None else r @ r - s * s * eta * eta
 
     upper = math.sqrt(_nelder_mead_min(f, _grid_starts(f, np.zeros(len(y)),
                                                        np.pi / 2, len(y))))
     grid = np.linspace(-30.0, 30.0, 121)
     top = grid[np.argmax([dual(t) for t in grid])]
-    best = minimize_scalar(lambda t: -dual(t), bounds=(top - 0.5, top + 0.5),
-                           method="bounded", options={"xatol": 1e-12})
+    # a mu without a bound is -inf, which the search may take from itself:
+    # its nan value then bounds nothing
+    with np.errstate(invalid="ignore"):
+        best = minimize_scalar(lambda t: -dual(t),
+                               bounds=(top - 0.5, top + 0.5),
+                               method="bounded", options={"xatol": 1e-12})
     return math.sqrt(max(0.0, dual(top), -best.fun)), upper
 
 
@@ -991,6 +1024,14 @@ def _generator_cone_case(draw):
 # bracket [1 + 3.873e-9, 1 + 4e-9] did not close
 @example((np.array([[0.0, 1.0, 1.0, 0.0]]), np.zeros((0, 4)), 2,
           np.array([0.0, 0.0, 1.0, 1e-9]), 0.25, np.zeros(2), 0.25))
+# the reference's dual took nnls's answer at mu = e^26, far from the
+# optimum, and gave the lower bound 670679.6 above its own upper bound
+# 2.35e-11; w = (11/9) G_1 + (7/9) L_1 = (0, -11/9, -7/9, 8/9) has w_x = 0
+# and |w_y - y| = 1/3 <= eta, so the minimum is 0, as the program finds
+@example((np.array([[0.0, -1.0, 0.0, 2.0], [-1.0, 0.0, -1.0, -2.0]]),
+          np.array([[0.0, 0.0, -1.0, -2.0]]), 1,
+          np.array([1.0, -1.0, 0.5, 0.0]), 1.0, np.array([-1.0, -1.0, 1.0]),
+          0.5))
 @settings(max_examples=30, deadline=None)
 def test_generator_cone_distances_match_primal_search(case):
     _check_generator_cone(*case)
