@@ -12,31 +12,34 @@ built from the normal cone N to the graph at (x, y):
   ball around -y* must have norm >= alpha (ball form), alpha/(1-eta)
   (normalized sufficient form) or alpha(1-eta) (necessary form).
 
-Each checker first collects the (point, dual vector) pairs of every
-``ScanBatch`` of its scan (one batch per parameter), with the normal cones
-of the points, built without testing their graph membership again.  It then
-asks the map for the answers (``SetValuedMap.cone_answers``), which keeps
-them per cone object: each distinct problem is solved once per map, across
-all checks, and the problems a check has not met before are solved in one
-stacked call per cone.  The subdifferential and normal-cone checks and the
-slope checks' first-order directions pose the same support problem
-``d_gamma((0, -y*), N)`` and share its answers.  Last each checker reduces
-each batch's margins in one ``MarginScan.add``, batch by batch in scan
-order, so the witness is the first point attaining the minimum.
+Each checker makes one stacked pass over the rows of all the
+``ScanBatch``es of its scan (one batch per parameter).  It builds the dual
+vectors of all points in arrays (``_dual_vectors``), and the normal cones
+per parameter (``scan_cones``), without testing graph membership again.  It
+then asks the map for the answers of all (point, dual vector) pairs in one
+``SetValuedMap.cone_answers`` call, which keeps them per cone object: each
+distinct problem is solved once per map, across all checks, and the
+problems a check has not met before are solved in one stacked call per
+cone.  The subdifferential and normal-cone checks and the slope checks'
+first-order directions pose the same support problem ``d_gamma((0, -y*),
+N)`` and share its answers.  Last each checker reduces the margins of all
+pairs in one ``MarginScan.add``, in scan order, so the witness is the first
+point attaining the minimum, as in a scan batch by batch.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
 from .mappings import RegularityQuery, ScanGrids, SetValuedMap, check_mode, \
-    condition_scan
+    condition_scan, stack_batches
 from .oracle import Certificate, MarginScan, _base_meta
 from .sets import cone_min_norm, gamma_dual_distance, _unit_directions
-from .spaces import GammaMetric, as_point
+from .spaces import GammaMetric, as_point, row_dots
 
 
 def merit_subdifferential(F: SetValuedMap, q: RegularityQuery, p, x, y):
@@ -73,24 +76,36 @@ def dual_candidates(y, ybar, kind: str, tau: float):
 
     ``exact`` yields the single normalized difference (the Euclidean norm has
     a singleton subdifferential off the origin); ``cap`` yields those of 64
-    deterministic unit samples with pairing above tau*|y - ybar|.
+    deterministic unit samples with pairing above tau*|y - ybar|, or the
+    normalized difference when none has.
     """
-    y, ybar = as_point(y), as_point(ybar)
-    w = y - ybar
-    nw = np.linalg.norm(w)
-    if nw == 0:
+    return list(_dual_vectors((as_point(y) - as_point(ybar))[None, :],
+                              kind, tau)[1])
+
+
+def _dual_vectors(W: np.ndarray, kind: str, tau: float):
+    """The ``dual_candidates`` of every row w = y - ybar of ``W``, as
+    ``(owner, Y)``: row j of Y is a dual vector of the row ``owner[j]``,
+    the rows of each in ``dual_candidates`` order."""
+    nw = np.sqrt(row_dots(W))  # np.linalg.norm(w) of each row
+    if np.any(nw == 0):
         raise InputError("dual candidates need y != ybar")
+    unit = W / nw[:, None]
     if kind == "exact":
-        return [w / nw]
-    if kind == "cap":
-        if not 0 < tau < 1:
-            raise InputError(f"tau must lie strictly between 0 and 1, got {tau}")
-        cands = _unit_directions(y.shape[0], 64)
-        keep = [c for c in cands if c @ w > tau * nw]
-        if not keep:
-            keep = [w / nw]
-        return keep
-    raise InputError(f"unknown candidate kind {kind!r}")
+        return np.arange(len(W)), unit
+    if kind != "cap":
+        raise InputError(f"unknown candidate kind {kind!r}")
+    if not 0 < tau < 1:
+        raise InputError(f"tau must lie strictly between 0 and 1, got {tau}")
+    C = _unit_directions(W.shape[1], 64)
+    # c @ w for every sample c and row w, each rounded as the 1-D product
+    inside = (C[None, :, None, :] @ W[:, None, :, None])[..., 0, 0] > \
+        tau * nw[:, None]
+    rows, cols = np.nonzero(inside)
+    bare = np.flatnonzero(~inside.any(axis=1))
+    owner = np.concatenate([rows, bare])
+    order = np.argsort(owner, kind="stable")
+    return owner[order], np.vstack([C[cols], unit[bare]])[order]
 
 
 def coderivative_distance(F: SetValuedMap, p, x, y, ystar, eta: float) -> float:
@@ -106,42 +121,54 @@ def coderivative_distance(F: SetValuedMap, p, x, y, ystar, eta: float) -> float:
     return cone_min_norm(cone, F.nx, -ystar, eta)
 
 
-def _dual_pairs(F: SetValuedMap, batches, q: RegularityQuery, kind: str):
-    """The (point, dual vector) pairs of a check's ``ScanBatch``es, point by
-    point in ``dual_candidates`` order, as ``(pairs, cones, Y)``: ``pairs``
-    holds ``(b, at, ystars)`` per batch, its pair k the point ``at[k]`` of
-    ``b`` with the dual vector ``ystars[k]``, and ``cones`` and the rows of
-    ``Y`` the normal cone and dual vector of every pair of every batch, in
-    that order."""
-    pairs, cones = [], []
-    for b in batches:
-        at, ystars = [], []
-        for i, (y, cone) in enumerate(zip(b.ys, F.scan_cones(b.p, b.xs, b.ys))):
-            for ystar in dual_candidates(y, q.ybar_arr, kind, q.tau):
-                at.append(i)
-                ystars.append(ystar)
-                cones.append(cone)
-        pairs.append((b, at, np.array(ystars).reshape(-1, F.ny)))
-    return pairs, cones, np.array([y for _, _, ys in pairs for y in ys]
-                                  ).reshape(-1, F.ny)
+class _Pairs(NamedTuple):
+    """The (point, dual vector) pairs of a check's scan and their answers:
+    pair j is the dual vector ``Y[j]`` at the row ``at[j]`` of the stacked
+    rows ``(xs, ys)``, which is a point of ``batches[k[at[j]]]``."""
+
+    batches: list
+    k: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    at: np.ndarray
+    Y: np.ndarray
+    vals: np.ndarray
+
+    def witness(self, j: int, **more) -> dict:
+        i = self.at[j]
+        return {"p": self.batches[self.k[i]].p, "x": self.xs[i],
+                "y": self.ys[i], "value": float(self.vals[j]), **more}
 
 
-def _by_batch(pairs, answers) -> list:
-    """The answers to all pairs, in pair order, as one array per batch."""
-    return np.split(np.array(answers, dtype=float),
-                    np.cumsum([len(ys) for _, _, ys in pairs])[:-1])
+def _dual_pairs(F: SetValuedMap, q: RegularityQuery, batches, kind: str,
+                solve) -> _Pairs:
+    """The (point, dual vector) pairs of the rows of all ``batches`` in scan
+    order, each point's in ``dual_candidates`` order, with the answers
+    ``solve(cones, Y)`` gives for their normal cones and dual vectors in one
+    call.  The cones are built per parameter (``scan_cones``), without
+    testing graph membership again."""
+    k, xs, ys = stack_batches(F, batches)
+    at, Y = _dual_vectors(ys - q.ybar_arr, kind, q.tau)
+    cones = [cone for b in batches for cone in F.scan_cones(b.p, b.xs, b.ys)]
+    vals = np.array(solve([cones[i] for i in at], Y), dtype=float)
+    return _Pairs(batches, k, xs, ys, at, Y, vals)
 
 
-def _distances(F: SetValuedMap, gamma: float, pairs, cones, Y) -> list:
-    """``d_gamma((0, -y*), N)`` of every pair, one array per batch, from
-    ``F.cone_answers``, which keeps them with their maximizing directions
-    for the slope checks' first-order directions."""
+def _distances(F: SetValuedMap, gamma: float):
+    """``solve`` for ``_dual_pairs``: ``d_gamma((0, -y*), N)`` of every pair
+    from ``F.cone_answers``, which keeps them with their maximizing
+    directions for the slope checks' first-order directions."""
     g = GammaMetric(gamma)
-    found = F.cone_answers(
-        ("support", gamma), cones, np.hstack([np.zeros((len(Y), F.nx)), -Y]),
-        lambda cone, Q: zip(*gamma_dual_distance(Q, cone, g, F.nx,
-                                                 with_direction=True)))
-    return _by_batch(pairs, [d for d, _ in found])
+
+    def solve(cones, Y):
+        found = F.cone_answers(
+            ("support", gamma), cones,
+            np.hstack([np.zeros((len(Y), F.nx)), -Y]),
+            lambda cone, Q: zip(*gamma_dual_distance(Q, cone, g, F.nx,
+                                                     with_direction=True)))
+        return [d for d, _ in found]
+
+    return solve
 
 
 def check_variant(variant: str):
@@ -168,12 +195,9 @@ def check_subdifferential_condition(F: SetValuedMap, q: RegularityQuery,
     # scan points have y != ybar, so the point part is (0, y*) with y* the
     # one exact dual vector: the subdifferential at a point is (0, y*) + N,
     # and its distance to 0 is the normal-cone condition's d((0, -y*), N)
-    pairs, cones, Y = _dual_pairs(F, batches, q, "exact")
-    dists = _distances(F, q.gamma, pairs, cones, Y)
-    for (b, _, _), vals in zip(pairs, dists):
-        scan.add(vals - q.alpha, lambda i: {
-            "p": b.p, "x": b.xs[i], "y": b.ys[i], "value": float(vals[i]),
-            "inequality": "d_gamma(0, subdifferential) >= alpha"})
+    pairs = _dual_pairs(F, q, batches, "exact", _distances(F, q.gamma))
+    scan.add(pairs.vals - q.alpha, lambda j: pairs.witness(
+        j, inequality="d_gamma(0, subdifferential) >= alpha"))
     meta = dict(_base_meta(q, grids), mode=mode, x_radius=x_radius)
     return scan.certificate(meta)
 
@@ -203,13 +227,9 @@ def check_normal_cone_condition(F: SetValuedMap, q: RegularityQuery,
     kind = "exact" if variant == "convex-normal" else "cap"
     q, x_radius, batches = condition_scan(F, q, grids, mode)
     scan = MarginScan(tol)
-    pairs, cones, Y = _dual_pairs(F, batches, q, kind)
-    dists = _distances(F, q.gamma, pairs, cones, Y)
-    for (b, at, ystars), vals in zip(pairs, dists):
-        scan.add(vals - q.alpha, lambda i: {
-            "p": b.p, "x": b.xs[at[i]], "y": b.ys[at[i]],
-            "value": float(vals[i]), "ystar": ystars[i],
-            "inequality": "d_gamma((0,-y*), N) >= alpha"})
+    pairs = _dual_pairs(F, q, batches, kind, _distances(F, q.gamma))
+    scan.add(pairs.vals - q.alpha, lambda j: pairs.witness(
+        j, ystar=pairs.Y[j], inequality="d_gamma((0,-y*), N) >= alpha"))
     meta = dict(_base_meta(q, grids), mode=mode, variant=variant,
                 x_radius=x_radius)
     return scan.certificate(meta)
@@ -252,17 +272,13 @@ def check_coderivative_condition(F: SetValuedMap, q: RegularityQuery,
     kind = "exact" if variant == "convex-normal" else "cap"
     q, x_radius, batches = condition_scan(F, q, grids, mode)
     scan = MarginScan(tol)
-    pairs, cones, Y = _dual_pairs(F, batches, q, kind)
-    norms = _by_batch(pairs, F.cone_answers(
+    pairs = _dual_pairs(F, q, batches, kind, lambda cones, Y: F.cone_answers(
         ("min norm", q.eta), cones, -Y,
         lambda cone, V: cone_min_norm(cone, F.nx, V, q.eta)))
-    for (b, at, ystars), vals in zip(pairs, norms):
-        # a vacuous pair has margin +inf: never the scan minimum
-        scan.add(vals - threshold, lambda i: {
-            "p": b.p, "x": b.xs[at[i]], "y": b.ys[at[i]],
-            "value": float(vals[i]), "ystar": ystars[i],
-            "inequality": f"min |x*| >= {threshold:.6g}"})
-    vacuous = sum(int(np.sum(np.isinf(v))) for v in norms)
+    # a vacuous pair has margin +inf: never the scan minimum
+    scan.add(pairs.vals - threshold, lambda j: pairs.witness(
+        j, ystar=pairs.Y[j], inequality=f"min |x*| >= {threshold:.6g}"))
+    vacuous = int(np.sum(np.isinf(pairs.vals)))
     meta = dict(_base_meta(q, grids), mode=mode, form=form, variant=variant,
                 x_radius=x_radius, threshold=threshold, vacuous=vacuous)
     return scan.certificate(meta)

@@ -185,9 +185,11 @@ class SetValuedMap:
 
     def step_points(self, p, xs, ys, dirs, radii, gamma: float, reach=None):
         """Graph points stepped from the stacked graph points (xs[i], ys[i])
-        along ``dirs[i]`` by the radii ``radii[i]``, as ``(owner, us, vs)``
-        with row k a step from point ``owner[k]`` (x-steps beyond ``reach[i]``
-        may be dropped); none for a map without a stepping rule."""
+        along their directions by the radii ``radii[i]``, as ``(owner, us,
+        vs)`` with row k a step from point ``owner[k]`` (x-steps beyond
+        ``reach[i]`` may be dropped); none for a map without a stepping
+        rule.  ``dirs`` is ``(own, D)``: row j of D a direction in X x Y of
+        the point ``own[j]``."""
         return np.zeros(0, dtype=int), np.zeros((0, self.nx)), \
             np.zeros((0, self.ny))
 
@@ -205,16 +207,40 @@ class SetValuedMap:
         rows missing from it go to one call ``solve(X)``, which returns one
         value per row of ``X``, in the order of their first appearance.  A
         key names the object the rows are about (a region, a cone)."""
-        seen = self._memo(key, p, dict)
         xs = np.asarray(xs, dtype=float)
+        seen, keys, new = self._lookup(key, p, xs)
+        if new:
+            seen.update(zip(new, solve(xs[list(new.values())])))
+        return [seen[k] for k in keys]
+
+    def _per_rows(self, key, parts, solve) -> list[list]:
+        """``_per_point`` of every ``(p, xs)`` of ``parts``, one list of
+        values per part: the rows missing from the memos of all parts go to
+        one call ``solve([(p, X), ...])``, one entry per part with any, which
+        returns one value per row of its X's, part after part."""
+        looked = [(p, np.asarray(xs, dtype=float)) for p, xs in parts]
+        looked = [(p, xs, *self._lookup(key, p, xs)) for p, xs in looked]
+        todo = [(p, xs[list(new.values())], seen, new)
+                for p, xs, seen, _, new in looked if new]
+        if todo:
+            values = list(solve([(p, X) for p, X, _, _ in todo]))
+            a = 0
+            for _, X, seen, new in todo:
+                seen.update(zip(new, values[a:a + len(X)]))
+                a += len(X)
+        return [[seen[k] for k in keys] for _, _, seen, keys, _ in looked]
+
+    def _lookup(self, key, p, xs):
+        """``(seen, keys, new)``: the memo of ``(key, p)``, the key of every
+        row of ``xs``, and the first index of each row missing from the
+        memo."""
+        seen = self._memo(key, p, dict)
         keys = [x.tobytes() for x in xs]
-        todo = {}
+        new = {}
         for i, k in enumerate(keys):
             if k not in seen:
-                todo.setdefault(k, i)
-        if todo:
-            seen.update(zip(todo, solve(xs[list(todo.values())])))
-        return [seen[k] for k in keys]
+                new.setdefault(k, i)
+        return seen, keys, new
 
     def nearest_points(self, region, xs) -> list:
         """``dist_to_region`` of every row of ``xs`` to ``region``, as ``(d,
@@ -317,7 +343,11 @@ class ClosedFormMap(SetValuedMap):
     def values(self, p, x) -> np.ndarray:
         if self.value_fn is None:
             return self.graph_over(p, as_point(x)[None, :])[1]
-        vals = np.asarray(self.value_fn(p, as_point(x)), dtype=float)
+        return self._value_set(p, as_point(x))
+
+    def _value_set(self, p, x) -> np.ndarray:
+        """``value_fn(p, x)`` at a float row ``x``, as an (m, ny) array."""
+        vals = np.asarray(self.value_fn(p, x), dtype=float)
         if vals.size == 0:
             return np.zeros((0, self.ny))
         if vals.ndim == 1:
@@ -327,11 +357,13 @@ class ClosedFormMap(SetValuedMap):
     def graph_rows(self, p, xs) -> tuple[np.ndarray, np.ndarray]:
         """The graph points over the rows of ``xs``, as ``(rows, vs)`` with
         ``vs[k]`` in F(p, xs[rows[k]]), in row order: one call of the
-        batched rule, else one call of ``value_fn`` per row."""
+        batched rule, else one call of ``value_fn`` per distinct row and
+        parameter, kept in the map's memo."""
         if self.value_fn is None:
             vs = np.asarray(self.value_rule(p, xs), dtype=float)
             return np.arange(len(xs)), vs.reshape(xs.shape[0], self.ny)
-        vals = [self.values(p, x) for x in xs]
+        vals = self._per_point("values", p, xs, lambda X: [
+            self._value_set(p, x) for x in X])
         if not vals:
             return np.zeros(0, dtype=int), np.zeros((0, self.ny))
         return np.repeat(np.arange(len(xs)), [len(v) for v in vals]), \
@@ -414,9 +446,8 @@ class ClosedFormMap(SetValuedMap):
         one ``lexsort`` on (point, u) and evaluated in one ``graph_rows``
         call."""
         nx, n = self.nx, len(xs)
-        own = np.repeat(np.arange(n), [len(d) for d in dirs])
-        D = np.array([d[:nx] for ds in dirs for d in ds]).reshape(-1, nx)
-        along = radii[own][:, :, None] * D[:, None, :]
+        own, D = dirs
+        along = radii[own][:, :, None] * D[:, None, :nx]
         axes = np.hstack([radii, radii / (1 + gamma)])
         axes = np.hstack([axes, -axes])[:, None, :, None] * \
             np.eye(nx)[None, :, None, :]
@@ -432,10 +463,11 @@ class ClosedFormMap(SetValuedMap):
         # np.unique(us, axis=0) gives them at several times the cost
         order = np.lexsort((*us.T[::-1], owner))
         us, owner = us[order], owner[order]
-        keep = np.r_[True, (us[1:] != us[:-1]).any(1) |
-                     (owner[1:] != owner[:-1])]
-        rows, vs = self.graph_rows(p, us[keep])
-        return owner[keep][rows], us[keep][rows], vs
+        keep = np.ones(len(us), dtype=bool)
+        keep[1:] = (us[1:] != us[:-1]).any(1) | (owner[1:] != owner[:-1])
+        us, owner = us[keep], owner[keep]
+        rows, vs = self.graph_rows(p, us)
+        return owner[rows], us[rows], vs
 
 
 class PolyhedralGraphMap(SetValuedMap):
@@ -533,18 +565,20 @@ class PolyhedralGraphMap(SetValuedMap):
         and graph region (``nearest_points``), whichever slope check takes
         it."""
         region = self.graph_region(p)
-        own = np.repeat(np.arange(len(xs)), [len(d) for d in dirs])
-        D = np.array([d for ds in dirs for d in ds]).reshape(
-            len(own), self.nx + self.ny)
+        own, D = dirs
         ts = radii[own]
         zs = (np.hstack([xs, ys])[own][:, None, :] +
               ts[:, :, None] * D[:, None, :]).reshape(-1, self.nx + self.ny)
         owner, ts = np.repeat(own, radii.shape[1]), ts.ravel()
         keep = region.contains_rows(zs, 1e-10)
         off = np.flatnonzero(~keep)
-        for k, (dz, z) in zip(off, self.nearest_points(region, zs[off])):
-            if z is not None and dz <= abs(ts[k]):
-                keep[k], zs[k] = True, z
+        if len(off):
+            # an empty region's distance is inf: no step comes back
+            dz, near = zip(*self.nearest_points(region, zs[off]))
+            back = np.flatnonzero(np.array(dz) <= np.abs(ts[off]))
+            keep[off[back]] = True
+            zs[off[back]] = np.array([near[j] for j in back]).reshape(
+                len(back), zs.shape[1])
         return owner[keep], zs[keep, :self.nx], zs[keep, self.nx:]
 
     def scan_cones(self, p, xs, ys) -> list[ConeRep]:
@@ -646,6 +680,15 @@ class ScanBatch:
     sol_dist: np.ndarray
 
 
+def stack_batches(F: SetValuedMap, batches) -> tuple:
+    """The rows of all ``batches`` in scan order, as ``(k, xs, ys)``: row i
+    is the point ``(xs[i], ys[i])`` of ``batches[k[i]]``."""
+    k = np.repeat(np.arange(len(batches)), [len(b.xs) for b in batches])
+    xs = np.vstack([np.zeros((0, F.nx))] + [b.xs for b in batches])
+    ys = np.vstack([np.zeros((0, F.ny))] + [b.ys for b in batches])
+    return k, xs, ys
+
+
 def condition_scan_points(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
                           x_radius: float):
     """Admissible (p, x, y) triples shared by every condition checker, as one
@@ -689,8 +732,9 @@ def condition_scan(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
 
     Sufficient mode scans the (delta + mu)-ball at the caller's gamma;
     necessary mode scans the delta-ball at gamma = 1/alpha.  Returns
-    ``(query, x_radius, batches)`` with ``batches`` a lazy
-    ``condition_scan_points`` stream of one ``ScanBatch`` per parameter.
+    ``(query, x_radius, batches)`` with ``batches`` the list of
+    ``condition_scan_points``, one ``ScanBatch`` per parameter, built once
+    per map for every check that scans the same points.
     """
     check_mode(mode)
     if mode == "necessary":
@@ -698,4 +742,8 @@ def condition_scan(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
         x_radius = q.delta
     else:
         x_radius = q.delta + q.mu
-    return q, x_radius, condition_scan_points(F, q, grids, x_radius)
+    key = ("scan points", q.xbar_arr.tobytes(), q.ybar_arr.tobytes(),
+           q.alpha * q.mu, x_radius,
+           None if q.pbar is None else q.pbar_arr.tobytes(), q.eta, grids)
+    return q, x_radius, F._memo(key, None, lambda: list(
+        condition_scan_points(F, q, grids, x_radius)))

@@ -190,14 +190,21 @@ def _nonneg_lsq(B, v) -> np.ndarray:
 
 def _is_nonneg_lsq_optimal(B, v, c) -> bool:
     """KKT conditions of min ``|B c - v|`` over ``c >= 0`` at ``c >= 0``:
-    ``g = B^T (B c - v)`` is >= 0, and 0 where ``c_j > 0``, within a rounding
-    tolerance scaled by the largest entries of B and v and by the sum of c,
-    with a floor of 1e-300 for a ``g`` that underflows (a subnormal ``v``)."""
-    g = ((B @ c - v) @ B).tolist()
-    a = float(np.abs(B).max())
-    tol = 1e-9 * a * (float(np.abs(v).max()) + a * float(c.sum())) + 1e-300
-    return all(gj >= -tol and (cj == 0 or gj <= tol)
-               for gj, cj in zip(g, c.tolist()))
+    ``g = B^T (B c - v)`` is >= 0, and 0 where ``c_j > 0``, within the
+    rounding of ``g_j = B_j . (B c - v)``: ``|B_j|`` times 1e-9 of ``|v| +
+    |B c|`` (the residual's size) plus a multiple of ``eps |(|B| c)|`` (the
+    rounding of ``B c`` when its terms cancel), in 1-norms, which do not
+    underflow where the squares of tiny entries would, with a floor of
+    1e-300 for a ``g`` that underflows (a subnormal ``v``).  It is not
+    scaled by ``sum c``, so a run that stops at large coefficients far from
+    the optimum fails it."""
+    Bc = B @ c
+    g = (Bc - v) @ B
+    absB = np.abs(B)
+    tol = absB.sum(axis=0) * (
+        1e-9 * (np.abs(v).sum() + np.abs(Bc).sum()) +
+        4 * (B.shape[1] + 1) * np.finfo(float).eps * (absB @ c).sum()) + 1e-300
+    return bool(np.all((g >= -tol) & ((c == 0) | (g <= tol))))
 
 
 def _nonneg_lsq_enum(B, v) -> np.ndarray:

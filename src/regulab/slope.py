@@ -9,14 +9,19 @@ slope being at least alpha on the admissible scan set, and is implied by the
 corresponding local-slope bound; both checkers below scan that set and report
 certificates.
 
-Both slopes take one graph point or one parameter's stacked scan points (the
-rows of a ``ScanBatch``), and the checkers make one call per parameter.  The
-candidates of all points are built as arrays: the (scan points x graph
-sample) quotient block, in blocks of rows; each point's nearest solution
-point, from the map's memo; and the short honest steps along first-order
-directions, whose support problems over the map's ``piece_cones`` the map
-answers (``cone_answers``), sharing them with the dual checks.  The map
-takes the steps (``step_points``), so every model, a shifted one too, scans
+Both slopes take one graph point, one parameter's stacked points, or the
+``ScanBatch``es of a whole scan, one per parameter; each checker makes one
+call, which scores the rows of all parameters in one stacked pass (a single
+point is a batch of one).  Per parameter go only the questions the map
+answers per parameter: its graph sample, its nearest solution points, the
+cones at its points (``piece_cones``) and the short honest steps
+(``step_points``), whose rule call gets the rows a scan of that parameter
+alone gives it.  The candidates of all points are arrays: each point
+against its parameter's graph sample, in blocks of rows; each point's
+nearest solution point; and the steps along first-order directions, held as
+``(owner, D)`` rows, whose support problems over the cones of all points
+the map answers in one ``cone_answers`` call, sharing them with the dual
+checks.  The map takes the steps, so every model, a shifted one too, scans
 the same way.  The quotients are scored row by row, rounding as for a
 single point, and a point's slope is the maximum of its rows, so the
 stacked values are the one-point values bit for bit.
@@ -25,6 +30,7 @@ stacked values are the one-point values bit for bit.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +41,7 @@ from .mappings import (
     SetValuedMap,
     check_mode,
     condition_scan,
+    stack_batches,
     strict_cap,
 )
 from .oracle import Certificate, MarginScan, _base_meta
@@ -55,20 +62,41 @@ def merit_value(F: SetValuedMap, q: RegularityQuery, p, u, v) -> float:
     return float(np.linalg.norm(v - q.ybar_arr))
 
 
-def _stack(F, p, x, y):
-    """``(xs, ys, one)``: a single point as one row once it has passed the
-    graph check, or stacked rows as they are (shapes checked, graph not)."""
+class _Rows(NamedTuple):
+    """Stacked graph points of F_p: a batch of a slope call made at one
+    parameter, read as a ``ScanBatch`` is."""
+
+    p: object
+    xs: np.ndarray
+    ys: np.ndarray
+
+
+def _batches(F, p, x, y):
+    """``(batches, one)``: the ``ScanBatch``es ``p`` when ``x`` and ``y``
+    are None; else one batch at the parameter ``p``, of a single point once
+    it has passed the graph check (``one``), or of stacked rows as they are
+    (shapes checked, graph not)."""
+    if x is None and y is None:
+        return list(p), False
     if np.ndim(x) < 2 and np.ndim(y) < 2:
         if not F.in_graph(p, x, y, 1e-8):
             raise InputError("slope is only defined at points of the graph")
-        return as_point(x)[None, :], as_point(y)[None, :], True
+        return [_Rows(p, as_point(x)[None, :], as_point(y)[None, :])], True
     xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if xs.ndim != 2 or ys.ndim != 2 or len(xs) != len(ys) or \
             xs.shape[1] != F.nx or ys.shape[1] != F.ny:
         raise DimensionMismatchError(
             f"stacked points need shapes (n, {F.nx}) and (n, {F.ny}), got "
             f"{xs.shape} and {ys.shape}")
-    return xs, ys, False
+    return [_Rows(p, xs, ys)], False
+
+
+def _spans(batches):
+    """Each batch with the slice of its rows among the rows of all."""
+    a = 0
+    for b in batches:
+        yield b, slice(a, a + len(b.xs))
+        a += len(b.xs)
 
 
 def _targets(q: RegularityQuery, ys: np.ndarray):
@@ -112,61 +140,94 @@ def _nearest_solutions(F, q, p, xs, grids) -> list:
 
 
 def _direction_candidates(F: SetValuedMap, q: RegularityQuery, p, xs, ys,
-                          near) -> list[list[np.ndarray]]:
-    """Unit-scale descent directions in the product space at each stacked
-    graph point (xs[i], ys[i]), as a list of arrays per point.
-
-    Directions with ``max(|d_x|, gamma |d_y|) <= 1``: the maximizer of the
-    dual-distance support problem over each graph tangent cone at the point,
-    the polar of one of its ``F.piece_cones`` (the first-order optimal
-    direction), plus the direction toward the nearest solution point
-    ``near[i]`` (of the solution set without grids, see ``_directions``)
-    paired with the target.  The support problems go through the map's
-    ``cone_answers``, which shares them with the dual checks.
-    """
-    g = GammaMetric(q.gamma)
-    ybar, nx = q.ybar_arr, F.nx
-    W, nw = _targets(q, ys)
-    qvecs = np.hstack([np.zeros((len(xs), nx)), -W / nw[:, None]])
-    cones = F.piece_cones(p, xs, ys)
-    out = [[] for _ in xs]
-    owner = np.repeat(np.arange(len(xs)), [len(c) for c in cones])
-    if len(owner):
-        found = F.cone_answers(
-            ("support", q.gamma),
-            [cone for point_cones in cones for cone in point_cones],
-            qvecs[owner], lambda cone, Q: zip(*gamma_dual_distance(
-                Q, cone, g, nx, with_direction=True)))
-        U = np.array([u for _, u in found])
-        # an empty cone's rows are NaN, and fail the test
-        for k in np.flatnonzero(np.linalg.norm(U, axis=1) > 1e-12):
-            out[owner[k]].append(U[k])
-    for x, y, dirs, (sd, upt) in zip(xs, ys, out, near):
-        # direction toward the nearest solution point, paired with the target
-        if upt is not None and math.isfinite(sd):
-            step = np.concatenate([upt - x, ybar - y])
-            s = max(np.linalg.norm(step[:nx]),
-                    q.gamma * np.linalg.norm(step[nx:]))
-            if s > 0:
-                dirs.append(step / s)
-    return out
-
-
-def _directions(F, q, p, xs, ys) -> list:
-    """The directions of every row, each point's built once per ``(p, x, y,
-    ybar, gamma)`` in the map's ``_per_point`` memo, so both slope checks
-    share them.  They read no scan grid: the nearest solution point is one
-    of the solution set without grids (where that set reads none, the one
-    the scan measured)."""
+                          near) -> tuple:
+    """What ``_directions`` builds the directions of the stacked graph
+    points (xs[i], ys[i]) of F_p from, as ``(cones, has, S)``: ``cones[i]``
+    the point's ``F.piece_cones``, and row j of S the step from the point
+    ``has[j]`` to its nearest solution point ``near[has[j]]``, paired with
+    the step to the target."""
     nx = F.nx
+    has = np.array([i for i, (d, u) in enumerate(near)
+                    if u is not None and math.isfinite(d)], dtype=int)
+    S = np.hstack([np.array([near[i][1] for i in has]).reshape(-1, nx) -
+                   xs[has], q.ybar_arr - ys[has]])
+    return F.piece_cones(p, xs, ys), has, S
 
-    def build(Z):
-        return _direction_candidates(
+
+def _directions(F, q, batches):
+    """The directions of every row of all ``batches`` as ``(own, D)``, row
+    j of D a unit-scale descent direction in the product space (``max(|d_x|,
+    gamma |d_y|) <= 1``) at the row ``own[j]``.
+
+    A point's directions are the maximizer of the dual-distance support
+    problem over each graph tangent cone at the point, the polar of one of
+    its ``F.piece_cones`` (the first-order optimal direction), and the
+    direction toward its nearest solution point, paired with the target.
+    Each point's are built once per ``(p, x, y, ybar, gamma)`` in the map's
+    memo, so both slope checks share them.  The cones and nearest points of
+    the points missing from it come per parameter, and all their support
+    problems go to one ``cone_answers`` call, which shares them with the
+    dual checks.  They read no scan grid: the nearest solution point is one
+    of the solution set without grids (where that set reads none, the one
+    the scan measured).
+    """
+    nx, g = F.nx, GammaMetric(q.gamma)
+
+    def build(parts):
+        found = [_direction_candidates(
             F, q, p, Z[:, :nx], Z[:, nx:],
-            _nearest_solutions(F, q, p, Z[:, :nx], None))
+            _nearest_solutions(F, q, p, Z[:, :nx], None)) for p, Z in parts]
+        Z = np.vstack([Z for _, Z in parts])
+        W, nw = _targets(q, Z[:, nx:])
+        cones = [cs for point_cones, _, _ in found for cs in point_cones]
+        owner = np.repeat(np.arange(len(Z)), [len(cs) for cs in cones])
+        U = np.zeros((0, Z.shape[1]))
+        if len(owner):
+            # the support problems of all points in one call
+            U = np.array([u for _, u in F.cone_answers(
+                ("support", q.gamma), [c for cs in cones for c in cs],
+                np.hstack([np.zeros((len(owner), nx)),
+                           (-W / nw[:, None])[owner]]),
+                lambda cone, Q: zip(*gamma_dual_distance(
+                    Q, cone, g, nx, with_direction=True)))])
+        # an empty cone's rows are NaN, and fail the test
+        ok = np.linalg.norm(U, axis=1) > 1e-12
+        starts = np.cumsum([0] + [len(Zp) for _, Zp in parts])
+        has = np.concatenate([h + a for (_, h, _), a in zip(found, starts)])
+        S = np.vstack([S for _, _, S in found])
+        s = np.maximum(np.sqrt(row_dots(S[:, :nx])),
+                       q.gamma * np.sqrt(row_dots(S[:, nx:])))
+        owner = np.concatenate([owner[ok], has[s > 0]])
+        order = np.argsort(owner, kind="stable")
+        U = np.vstack([U[ok], S[s > 0] / s[s > 0, None]])[order]
+        ends = np.cumsum(np.bincount(owner, minlength=len(Z)))
+        return [U[a:b] for a, b in zip(np.r_[0, ends[:-1]], ends)]
 
-    return F._per_point(("directions", q.ybar_arr.tobytes(), q.gamma), p,
-                        np.hstack([xs, ys]), build)
+    dirs = [d for ds in F._per_rows(
+        ("directions", q.ybar_arr.tobytes(), q.gamma),
+        [(b.p, np.hstack([b.xs, b.ys])) for b in batches], build) for d in ds]
+    return np.repeat(np.arange(len(dirs)), [len(d) for d in dirs]), \
+        np.vstack([np.zeros((0, nx + F.ny))] + dirs)
+
+
+def _steps(F, q, batches, radii, reach=None):
+    """The map's steps from the rows of all ``batches`` along their
+    ``_directions`` by the radii ``radii[i]`` (x-steps beyond ``reach[i]``
+    may be dropped), as ``(owner, us, vs)`` with ``owner`` a row of all
+    batches: one ``step_points`` call per parameter, so a rule sees the
+    rows a scan of that parameter alone gives it."""
+    own, D = _directions(F, q, batches)
+    owners, us, vs = [np.zeros(0, dtype=int)], [np.zeros((0, F.nx))], \
+        [np.zeros((0, F.ny))]
+    for b, c in _spans(batches):
+        mine = (own >= c.start) & (own < c.stop)
+        owner, u, v = F.step_points(
+            b.p, b.xs, b.ys, (own[mine] - c.start, D[mine]), radii[c],
+            q.gamma, None if reach is None else reach[c])
+        owners.append(owner + c.start)
+        us.append(u)
+        vs.append(v)
+    return np.concatenate(owners), np.vstack(us), np.vstack(vs)
 
 
 def _step_schedule(nw: np.ndarray, gamma: float) -> np.ndarray:
@@ -191,8 +252,8 @@ def _slopes(best: np.ndarray, one: bool):
     return float(vals[0]) if one else vals
 
 
-def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
-                   grids: ScanGrids):
+def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x=None, y=None,
+                   grids: ScanGrids | None = None):
     """Supremum of merit difference quotients over the admissible graph scan.
 
     Admissible competitors (u, v) lie on gph F_p with u in the open ball of
@@ -202,12 +263,15 @@ def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
     graph sample plus the nearest solution point and short honest steps from
     (x, y), so the reported value is a certified lower bound of the supremum.
 
-    ``x`` and ``y`` are one graph point (checked, a float back) or one
-    parameter's stacked graph points as rows of shapes (n, nx) and (n, ny),
-    as a ``ScanBatch`` holds them: an array back, row by row the one-point
-    values.  Stacked rows are not checked against the graph.
+    ``x`` and ``y`` are one graph point (checked, a float back) or stacked
+    graph points at the parameter ``p`` as rows of shapes (n, nx) and (n,
+    ny) (not checked against the graph, an array back).  Without them,
+    ``p`` is a list of ``ScanBatch``es, and the array back holds the slopes
+    of all their rows, batch after batch.  Row by row, the values are the
+    one-point values.
     """
-    xs, ys, one = _stack(F, p, x, y)
+    batches, one = _batches(F, p, x, y)
+    k, xs, ys = stack_batches(F, batches)
     W, nw = _targets(q, ys)
     cap = strict_cap(q.alpha * q.mu)
     xbar, ybar, nx = q.xbar_arr, q.ybar_arr, F.nx
@@ -217,7 +281,8 @@ def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
             (np.sqrt(row_dots(vs - ybar)) <= cap)
 
     # the nearest solution points paired with the target
-    near = _nearest_solutions(F, q, p, xs, grids)
+    near = [n for b in batches
+            for n in _nearest_solutions(F, q, b.p, b.xs, grids)]
     has = np.array([i for i, (_, u) in enumerate(near) if u is not None],
                    dtype=int)
     us = np.array([near[i][1] for i in has]).reshape(-1, nx)
@@ -225,17 +290,22 @@ def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
     d, r = _quotients(W[has], us, vs, xs[has], ys[has], q.gamma)
     best = _best(len(xs), has, r, admissible(us, vs) & (d > 0))
 
-    # the graph sample against every point, in blocks of about _BLOCK rows
-    pts = F.graph_points(p, grids)
-    su, sv = pts[:, :nx], pts[:, nx:]
-    keep = admissible(su, sv)
-    su, sv = su[keep], sv[keep]
-    if len(su):
-        step = max(1, _BLOCK // len(su))
+    # each point against the admissible graph sample of its parameter,
+    # padded with NaN rows (no quotient) to one length, in blocks of about
+    # _BLOCK rows
+    samples = [F.graph_points(b.p, grids) for b in batches]
+    samples = [pts[admissible(pts[:, :nx], pts[:, nx:])] for pts in samples]
+    m = max(map(len, samples), default=0)
+    pad = np.full((len(samples), m, nx + F.ny), np.nan)
+    for j, pts in enumerate(samples):
+        pad[j, :len(pts)] = pts
+    if m:
+        step = max(1, _BLOCK // m)
         for a in range(0, len(xs), step):
             c = slice(a, a + step)
-            d, r = _quotients(W[c, None], su, sv, xs[c, None], ys[c, None],
-                              q.gamma)
+            P = pad[k[c]]
+            d, r = _quotients(W[c, None], P[..., :nx], P[..., nx:],
+                              xs[c, None], ys[c, None], q.gamma)
             best[c] = np.maximum(best[c],
                                  np.where(d > 0, r, -np.inf).max(axis=1))
 
@@ -243,16 +313,15 @@ def nonlocal_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
     # the nonlocal value dominates the local one numerically)
     coarse = np.minimum(0.1 * nw, 0.1 * nw * q.gamma)[:, None] * \
         2.0 ** (-np.arange(6, dtype=float))
-    owner, us, vs = F.step_points(
-        p, xs, ys, _directions(F, q, p, xs, ys),
-        np.hstack([coarse, _step_schedule(nw, q.gamma)]), q.gamma)
+    owner, us, vs = _steps(F, q, batches, np.hstack(
+        [coarse, _step_schedule(nw, q.gamma)]))
     d, r = _quotients(W[owner], us, vs, xs[owner], ys[owner], q.gamma)
     best = np.maximum(best, _best(len(xs), owner, r,
                                   admissible(us, vs) & (d > 0)))
     return _slopes(best, one)
 
 
-def local_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
+def local_slope(F: SetValuedMap, q: RegularityQuery, p, x=None, y=None,
                 grids: ScanGrids | None = None):
     """Limit of merit difference quotients as competitors approach (x, y).
 
@@ -262,15 +331,14 @@ def local_slope(F: SetValuedMap, q: RegularityQuery, p, x, y,
     are nested, so that is the level of the third-last radius.  Competitors
     are honest graph points stepped along first-order optimal directions,
     which read no scan grid (``grids`` is taken for the checkers' common
-    call).  ``x`` and ``y`` are one graph point or stacked rows, as for
-    ``nonlocal_slope``.
+    call).  ``p``, ``x`` and ``y`` are as for ``nonlocal_slope``.
     """
-    xs, ys, one = _stack(F, p, x, y)
+    batches, one = _batches(F, p, x, y)
+    _, xs, ys = stack_batches(F, batches)
     W, nw = _targets(q, ys)
     radii = _step_schedule(nw, q.gamma)
     reach = radii[:, -_LAST] * (1 + 1e-9)
-    owner, us, vs = F.step_points(p, xs, ys, _directions(F, q, p, xs, ys),
-                                  radii, q.gamma, reach)
+    owner, us, vs = _steps(F, q, batches, radii, reach)
     d, r = _quotients(W[owner], us, vs, xs[owner], ys[owner], q.gamma)
     ok = (d > 0) & (d <= reach[owner])
     return _slopes(_best(len(xs), owner, r, ok), one)
@@ -288,12 +356,12 @@ def slope_preconditions(F: SetValuedMap, mode: str, local: bool):
 def _condition_check(F, q, grids, mode, slope_fn, tol, local) -> Certificate:
     slope_preconditions(F, mode, local)
     q, x_radius, batches = condition_scan(F, q, grids, mode)
+    k, xs, ys = stack_batches(F, batches)
+    vals = slope_fn(F, q, batches, grids=grids)
     scan = MarginScan(tol)
-    for b in batches:
-        vals = slope_fn(F, q, b.p, b.xs, b.ys, grids)
-        scan.add(vals - q.alpha, lambda i: {
-            "p": b.p, "x": b.xs[i], "y": b.ys[i], "value": float(vals[i]),
-            "inequality": "slope >= alpha"})
+    scan.add(vals - q.alpha, lambda i: {
+        "p": batches[k[i]].p, "x": xs[i], "y": ys[i], "value": float(vals[i]),
+        "inequality": "slope >= alpha"})
     meta = dict(_base_meta(q, grids), mode=mode, x_radius=x_radius,
                 kind="local" if local else "nonlocal")
     return scan.certificate(meta)

@@ -856,15 +856,17 @@ def test_difference_example_evaluates_its_rule_in_arrays(tmp_path,
         regulab.slope._direction_candidates
     monkeypatch.setattr(regulab.cli, "build_mapping", spied_build)
     monkeypatch.setattr(regulab.slope, "nonlocal_slope", lambda *a, **k:
-                        scanned.append(len(a[3])) or slope_at(*a, **k))
+                        scanned.append([len(b.xs) for b in a[2]])
+                        or slope_at(*a, **k))
     monkeypatch.setattr(regulab.slope, "_direction_candidates", lambda *a:
                         built.append(len(a[3])) or directions(*a))
     assert run_scenario(sc)[0] == 0
-    # one call per parameter (11) with its stacked scan points
-    assert len(scanned) == 11 and sum(scanned) == 418
+    # one call per check, with the stacked scan points of all 11 parameters
+    [batches] = scanned
+    assert len(batches) == 11 and sum(batches) == 418
     # slope-local scans the same points and reuses the directions that
     # slope-nonlocal built, one batch per parameter
-    assert built == scanned
+    assert built == batches
     # one array call per parameter per slope check and one per graph
     # sample; the checkers make no one-point graph checks (in_graph)
     assert len(rows) == 3 * 11 and min(rows) > 1

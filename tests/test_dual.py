@@ -78,6 +78,27 @@ def test_subdifferential_check_builds_one_cone_per_point(monkeypatch):
                               for sp in points) - q.alpha
 
 
+@pytest.mark.parametrize("check", [
+    check_subdifferential_condition,
+    lambda F, q, grids: check_normal_cone_condition(F, q, grids,
+                                                    variant="frechet-cap"),
+    lambda F, q, grids: check_coderivative_condition(F, q, grids,
+                                                     variant="frechet-cap"),
+])
+def test_dual_check_asks_the_map_once(check, monkeypatch):
+    # the (point, dual vector) pairs of all parameters go to one
+    # cone_answers call per check, whatever the number of parameters
+    F = halfplane_map_1d(1.5, 0.5)
+    q, grids = query_1d(0.8, eta=0.5), grids_1d(21, 5)
+    calls = []
+    cone_answers = F.cone_answers
+    monkeypatch.setattr(F, "cone_answers", lambda key, cones, *a: calls.append(
+        len(cones)) or cone_answers(key, cones, *a))
+    cert = check(F, q, grids)
+    assert len(F.param_points(q, grids)) > 1
+    assert calls == [cert.scan_meta["points_scanned"]] and calls[0] > 1
+
+
 def test_subdiff_distance_equals_finite_difference_subgradient_bound():
     # convex check: every element (a*t, t - sign) of the subdifferential
     # satisfies the subgradient inequality for the merit function

@@ -32,6 +32,7 @@ from regulab import (
 from regulab.mappings import PolyhedralGraphMap, ScanGrids
 from regulab.sets import (
     ConeRep,
+    _is_nonneg_lsq_optimal,
     _least_distance,
     _min_norm_2d,
     _min_norm_subspace,
@@ -472,6 +473,23 @@ def test_nonneg_lsq_enumeration_is_capped():
     assert np.all(c >= 0)
     assert np.linalg.norm(B[:, :12] @ c - v) <= \
         np.linalg.norm(B[:, :12] @ _nonneg_lsq(B[:, :12], v) - v) + 1e-12
+
+
+def test_nonneg_lsq_rejects_an_nnls_answer_far_from_the_optimum():
+    # a cone's generators with the y-part weighted by e^13: nnls stops at
+    # residual^2 4.99e11 with coefficients near 3e6, where the optimum is
+    # 2.17e10; a tolerance that grows with sum(c) once passed its gradient
+    # of 6.9e5 on the support, while the rounding of B c - v is about 1e3
+    G = np.array([[0.0, -1, 0, 2], [-1, 0, -1, -2]])
+    L = np.array([[0.0, 0, -1, -2]])
+    B = np.vstack([G, L, -L]).T
+    w = math.exp(13)
+    M, t = np.vstack([B[:1], w * B[1:]]), np.r_[0.0, w * np.array([-1, -1, 1])]
+    far = nnls(M, t)[0]
+    assert not _is_nonneg_lsq_optimal(M, t, far)
+    c = _nonneg_lsq(M, t)
+    assert np.all(c >= 0) and _is_nonneg_lsq_optimal(M, t, c)
+    assert np.sum((M @ c - t) ** 2) <= 2.2e10 < np.sum((M @ far - t) ** 2)
 
 
 # ---------------------------------------------------------------------------

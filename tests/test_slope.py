@@ -172,8 +172,7 @@ def test_local_slope_skips_only_steps_that_cannot_count(kind, monkeypatch):
         W, nw = _targets(q, b.ys)
         radii = _step_schedule(nw, q.gamma)
         seen.clear()
-        owner, us, vs = F.step_points(b.p, b.xs, b.ys,
-                                      _directions(F, q, b.p, b.xs, b.ys),
+        owner, us, vs = F.step_points(b.p, b.xs, b.ys, _directions(F, q, [b]),
                                       radii, q.gamma)
         all_rows = sum(seen)
         d, r = _quotients(W[owner], us, vs, b.xs[owner], b.ys[owner],
