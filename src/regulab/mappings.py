@@ -23,11 +23,13 @@ from .errors import DimensionMismatchError, InputError
 from .sets import (
     ConeRep,
     PointCloud,
+    PolyMatrix,
     PolyUnion,
     Polyhedron,
     dist_to_region,
     normal_cone_from,
     region_sample_points,
+    slice_distances,
 )
 from .spaces import (GridSpec, NormedSpace, as_point, ball_mask, make_grid,
                      row_dots)
@@ -274,7 +276,13 @@ class SetValuedMap:
         ybar = as_point(ybar)
         return np.array(self._per_point(
             ("residual", ybar.tobytes()), p, xs,
-            lambda X: [self.residual(p, x, ybar) for x in X]), dtype=float)
+            lambda X: self._residuals(p, X, ybar)), dtype=float)
+
+    def _residuals(self, p, X, ybar) -> list:
+        """The residual of every row of ``X``, for the rows that
+        ``residual_vec`` misses in the memo: one ``residual`` call per row,
+        unless a map solves the rows together."""
+        return [self.residual(p, x, ybar) for x in X]
 
     def solution_distance(self, p, x, ybar, grids: ScanGrids | None = None) -> float:
         d, _ = dist_to_region(as_point(x), self.solution_set(p, ybar, grids))
@@ -484,10 +492,21 @@ class PolyhedralGraphMap(SetValuedMap):
         self.pieces_fn = pieces_fn
         self._convex = convex
 
+    def _matrix(self, A) -> PolyMatrix:
+        """The map's one ``PolyMatrix`` of ``A``, kept in its memo under the
+        matrix's shape and bytes: every graph piece, value slice and
+        solution slice with that matrix shares its work, at every p, x and
+        y."""
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        return self._memo(("matrix", A.shape, A.tobytes()), None,
+                          lambda: PolyMatrix(A))
+
     def graph_region(self, p) -> PolyUnion:
         def region():
-            pieces = [pc if isinstance(pc, Polyhedron) else Polyhedron(*pc)
-                      for pc in self.pieces_fn(p)]
+            pieces = []
+            for pc in self.pieces_fn(p):
+                A, b = (pc.A, pc.b) if isinstance(pc, Polyhedron) else pc
+                pieces.append(Polyhedron(self._matrix(A), b))
             for pc in pieces:
                 if pc.dim != self.nx + self.ny:
                     raise DimensionMismatchError(
@@ -507,35 +526,40 @@ class PolyhedralGraphMap(SetValuedMap):
 
     def values(self, p, x) -> np.ndarray:
         # kept for interface completeness; residual() below is the exact path
-        raise InputError("polyhedral values are regions; use value_region()")
-
-    def _slice(self, p, at, point) -> PolyUnion:
-        """The graph's slice at a fixed x (``at`` = "x": the values) or a
-        fixed y (``at`` = "y": the solutions), one shared object per ``(p,
-        point)`` so that its pieces' emptiness is decided once."""
-        def build():
-            nx = self.nx
-            pieces = []
-            for pc in self.graph_region(p).pieces:
-                Ax, Ay = pc.A[:, :nx], pc.A[:, nx:]
-                free, fixed = (Ay, Ax) if at == "x" else (Ax, Ay)
-                pieces.append(Polyhedron(free, pc.b - fixed @ point))
-            return PolyUnion(pieces)
-        return self._memo(("slice", at, point.tobytes()), p, build)
-
-    def value_region(self, p, x) -> PolyUnion:
-        return self._slice(p, "x", as_point(x))
+        raise InputError("polyhedral values are regions; use residual()")
 
     def residual(self, p, x, ybar) -> float:
-        d, _ = dist_to_region(as_point(ybar), self.value_region(p, x))
-        return d
+        return self._residuals(p, as_point(x)[None, :], as_point(ybar))[0]
+
+    def _residuals(self, p, X, ybar) -> list:
+        """``d(ybar, F(p, x))`` for every row x of ``X``: per graph piece
+        ``{A_x x + A_y y <= b}``, one ``slice_distances`` call on the
+        matrix ``A_y`` with a right-hand side ``b - A_x x`` per row (a
+        stacked matrix-vector product, each row rounding as the one-row
+        product), and the least over the pieces."""
+        nx, d = self.nx, np.full(len(X), math.inf)
+        for pc in self.graph_region(p).pieces:
+            H = pc.b - np.matvec(pc.A[:, :nx], X)
+            d = np.minimum(d, slice_distances(ybar, self._matrix(pc.A[:, nx:]),
+                                              H))
+        return d.tolist()
 
     def in_graph(self, p, x, y, tol: float = _GRAPH_TOL) -> bool:
         xy = np.concatenate([as_point(x), as_point(y)])
         return self.graph_region(p).contains(xy, tol)
 
     def solution_set(self, p, ybar, grids=None) -> PolyUnion:
-        return self._slice(p, "y", as_point(ybar))
+        """The graph's slice at y = ybar, one shared object per ``(p,
+        ybar)`` so that its pieces' emptiness is decided once."""
+        ybar = as_point(ybar)
+
+        def build():
+            nx = self.nx
+            return PolyUnion([
+                Polyhedron(self._matrix(pc.A[:, :nx]),
+                           pc.b - pc.A[:, nx:] @ ybar)
+                for pc in self.graph_region(p).pieces])
+        return self._memo(("solution set", ybar.tobytes()), p, build)
 
     def graph_points(self, p, grids: ScanGrids) -> np.ndarray:
         return self._memo(grids, p, lambda: region_sample_points(

@@ -6,11 +6,15 @@ lineality basis); for a convex polyhedron the cone at a boundary point is
 spanned by the active rows, and for a union it is the intersection of the
 per-piece cones at the point.
 
-A polyhedron is immutable: its arrays are read-only, and it keeps its row
-norms and, once decided, its emptiness, so a slice that a mapping shares
-among its queries is decided once.  Membership is tested one point at a
-time (``contains``) or for every row of an array at once
-(``contains_rows``), each row rounding as the one-point test does.
+A polyhedron is immutable: its arrays are read-only, and it keeps, once
+decided, its emptiness, so a slice that a mapping shares among its queries
+is decided once.  What depends on its matrix alone is a ``PolyMatrix``,
+built on first use and shared by every polyhedron on it, whatever its
+right-hand side: the row norms, the unit rows, the active sets of its
+projections with their factorizations, and its Farkas rays.  A mapping
+keeps one per distinct matrix.  Membership is tested one point at a time
+(``contains``) or for every row of an array at once (``contains_rows``),
+each row rounding as the one-point test does.
 
 Euclidean projections onto polyhedra and distances to cones are exact, each
 answer checked against its optimality conditions.  ``project_polyhedron``
@@ -19,9 +23,17 @@ takes one point or stacked rows and projects them in one active-set pass
 *Automatica* 2002), each row's answer certified by its multipliers and its
 feasibility; a row that no active set certifies goes to Lawson and Hanson's
 least-distance program (``_least_distance``), one finite nonnegative
-least-squares solve (``_nonneg_lsq``).  That program also decides
-emptiness, only from a certificate that checks either way: a feasible
-nearest point, or a Farkas vector proving there is none.
+least-squares solve (``_nonneg_lsq``).  ``slice_distances`` runs the same
+pass for one point and many polyhedra of one matrix, a right-hand side per
+row: the value slices F(p, x) of a graph piece at every x.
+
+Emptiness is decided only from a certificate that checks, and first without
+a solve: a polyhedron is nonempty when the origin is in it or has a
+certified projection onto it, and empty when one of the matrix's Farkas
+rays, the extreme rays of ``{y >= 0 : A^T y = 0}``, has ``b.y < 0`` (some
+ray does on every empty polyhedron, by Farkas' lemma).  Only where rounding
+leaves both unchecked does the least-distance program decide, from a
+feasible nearest point or a Farkas vector proving there is none.
 
 Distances from a dual vector to a cone in the weighted dual norm
 ``|u*| + |v*|/gamma`` are computed through the support-function form
@@ -90,30 +102,114 @@ _ACTIVE_COND = 1e-4
 # polyhedra
 
 
+class PolyMatrix:
+    """The matrix ``A`` of polyhedra ``{x : A x <= b}``, with the work that
+    depends on ``A`` alone, built on first use and shared by every
+    polyhedron with this matrix, whatever its right-hand side: the row
+    norms, the unit rows (``A`` scaled row by row by ``scale``, a power of
+    two, to norms in [1/2, 1)), the active sets of projections and the
+    Farkas rays.  ``A`` is a read-only copy."""
+
+    def __init__(self, A):
+        A = np.atleast_2d(np.array(A, dtype=float))
+        A.setflags(write=False)
+        self.A = A
+        self.norms = np.linalg.norm(A, axis=1)
+        self.scale = np.ldexp(1.0, np.frexp(self.norms)[1])
+        self.unit = A / self.scale[:, None]
+        self._sets = self._rays = None
+
+    def active_sets(self) -> list:
+        """The row subsets S that may be active at a projection: per size k
+        = 1, ..., dim, the sets of k rows whose unit rows have singular
+        values within ``_ACTIVE_COND`` of each other, stacked as ``(idx,
+        A_S, M_S, P_S)``, ``idx`` the rows of each set, ``A_S`` their unit
+        rows, ``M_S = (A_S A_S^T)^{-1}`` and ``P_S = A_S^T M_S`` (from one
+        SVD); none above ``_MAX_FACES`` sets to try."""
+        if self._sets is None:
+            rows = np.flatnonzero(self.norms > 0)
+            sizes = range(1, min(len(rows), self.A.shape[1]) + 1)
+            try:
+                subsets = list(_row_subsets(rows, sizes, "too many active sets"))
+            except NumericError:
+                subsets = []
+            self._sets = []
+            for _, group in itertools.groupby(subsets, len):
+                idx = np.array(list(group))
+                U, s, Vt = np.linalg.svd(self.unit[idx], full_matrices=False)
+                keep = s[:, -1] > _ACTIVE_COND * s[:, 0]
+                if keep.any():
+                    U, s, Vt, idx = U[keep], s[keep], Vt[keep], idx[keep]
+                    Ut = U.transpose(0, 2, 1)
+                    self._sets.append(
+                        (idx, self.unit[idx], (U / s[:, None] ** 2) @ Ut,
+                         (Vt.transpose(0, 2, 1) / s[:, None]) @ Ut))
+        return self._sets
+
+    def farkas(self, B) -> np.ndarray:
+        """Per row ``b`` of ``B``, whether a Farkas ray proves ``{x : A x <=
+        b}`` empty: ``_is_farkas`` on the unit rows, with ``b`` scaled as
+        ``_least_distance`` scales it, for any of the extreme rays ``y`` of
+        ``{y >= 0 : A^T y = 0}``.  By Farkas' lemma a polyhedron is empty
+        exactly when one of them has ``b.y < 0``.  A ray's support is a set
+        of k rows whose unit rows have rank k - 1 and whose left null vector
+        (from one SVD per size) is positive; there are no rays above
+        ``_MAX_FACES`` sets to try."""
+        if self._rays is None:
+            self._rays = self._farkas_rays()
+        Y, gap = self._rays
+        if not len(Y):
+            return np.zeros(len(B), dtype=bool)
+        H = B / self.scale
+        s = np.ldexp(1.0, np.maximum(0, np.frexp(np.abs(H).max(axis=1))[1]))
+        hy = (H / s[:, None]) @ Y.T
+        return np.any((hy < 0) & (gap <= 1e-9 * -hy), axis=1)
+
+    def _farkas_rays(self):
+        """``(Y, |unit^T y|)``: the rays of ``farkas`` as the rows of ``Y``,
+        zero off their support, and the norm of each one's product."""
+        m, n = self.A.shape
+        rays = []
+        try:
+            subsets = list(_row_subsets(range(m), range(1, min(m, n + 1) + 1),
+                                        "too many ray supports"))
+        except NumericError:
+            subsets = []
+        for k, group in itertools.groupby(subsets, len):
+            idx = np.array(list(group))
+            U, s, _ = np.linalg.svd(self.unit[idx])
+            rank = np.sum(s > _RANK_TOL * max(k, n) * s[:, :1], axis=1)
+            y = U[:, :, -1] * np.sign(U[:, :, -1].sum(axis=1))[:, None]
+            for i in np.flatnonzero((rank == k - 1) & np.all(y > 0, axis=1)):
+                rays.append(np.zeros(m))
+                rays[-1][idx[i]] = y[i]
+        Y = np.array(rays).reshape(len(rays), m)
+        return Y, np.linalg.norm(Y @ self.unit, axis=1)
+
+
 class Polyhedron:
     """Convex polyhedron ``{x : A x <= b}``.
 
-    ``A`` and ``b`` are read-only copies, so the row norms and the
-    emptiness cached on the object stay true while slices of a map's graph
-    are shared."""
+    ``A`` is a matrix or the ``PolyMatrix`` of one, whose work the
+    polyhedron shares with every other on that ``PolyMatrix``.  ``A`` and
+    ``b`` are read-only, so the row norms and the emptiness cached on the
+    object stay true while slices of a map's graph are shared."""
 
     def __init__(self, A, b):
-        A = np.atleast_2d(np.array(A, dtype=float))
+        matrix = A if isinstance(A, PolyMatrix) else PolyMatrix(A)
         b = np.atleast_1d(np.array(b, dtype=float))
-        if A.shape[0] != b.shape[0]:
+        if matrix.A.shape[0] != b.shape[0]:
             raise DimensionMismatchError(
-                f"A has {A.shape[0]} rows but b has {b.shape[0]} entries"
-            )
-        A.setflags(write=False)
+                f"A has {matrix.A.shape[0]} rows but b has {b.shape[0]} "
+                f"entries")
         b.setflags(write=False)
-        self.A = A
+        self.matrix = matrix
+        self.A = matrix.A
         self.b = b
-        self._norms = np.linalg.norm(A, axis=1)
+        self._norms = matrix.norms
         # membership tolerance per row, relative to |b_i| and |A_i|
         self._scale = np.maximum(1.0, abs(b)) + self._norms
         self._empty = None
-        # the active sets of its projections, built on first use
-        self._sets = None
 
     @property
     def dim(self) -> int:
@@ -137,10 +233,20 @@ class Polyhedron:
         return np.all(r <= tol * self._scale, axis=1)
 
     def is_empty(self) -> bool:
-        """Whether no ``x`` has ``A x <= b``, decided (and cached) by the
-        least-distance program that projects, with a certificate either way."""
+        """Whether no ``x`` has ``A x <= b``, decided (and cached) from a
+        certificate: nonempty if the origin passes ``contains`` or has a
+        certified projection (``_certified_projections``), empty if a Farkas
+        ray of the matrix proves it (``PolyMatrix.farkas``); else the
+        least-distance program decides, with a certificate either way."""
         if self._empty is None:
-            self._empty = _least_distance(self.A, self.b) is None
+            o = np.zeros((1, self.dim))
+            if self.contains(o[0]) or _certified_projections(
+                    o, self.b[None], self.matrix)[1][0]:
+                self._empty = False
+            elif self.matrix.farkas(self.b[None])[0]:
+                self._empty = True
+            else:
+                self._empty = _least_distance(self.A, self.b) is None
         return self._empty
 
     def active_rows(self, x) -> np.ndarray:
@@ -314,59 +420,37 @@ def _row_subsets(items, sizes, too_many: str):
         itertools.combinations(items, k) for k in sizes)
 
 
-def _active_sets(Q: Polyhedron) -> list:
-    """The row subsets S of ``Q`` that may be active at a projection, built
-    once per polyhedron: per size k = 1, ..., dim, the sets of k rows whose
-    unit rows have singular values within ``_ACTIVE_COND`` of each other,
-    stacked as ``(A_S, b_S, M_S, P_S)`` with ``M_S = (A_S A_S^T)^{-1}`` and
-    ``P_S = A_S^T M_S`` (from one SVD), on rows and right-hand sides scaled
-    by powers of two to row norms in [1/2, 1); none above ``_MAX_FACES``
-    sets to try."""
-    if Q._sets is None:
-        d = np.ldexp(1.0, np.frexp(Q._norms)[1])
-        A, b = Q.A / d[:, None], Q.b / d
-        rows = np.flatnonzero(Q._norms > 0)
-        sizes = range(1, min(len(rows), Q.dim) + 1)
-        try:
-            subsets = list(_row_subsets(rows, sizes, "too many active sets"))
-        except NumericError:
-            subsets = []
-        Q._sets = []
-        for _, group in itertools.groupby(subsets, len):
-            idx = np.array(list(group))
-            U, s, Vt = np.linalg.svd(A[idx], full_matrices=False)
-            keep = s[:, -1] > _ACTIVE_COND * s[:, 0]
-            if keep.any():
-                U, s, Vt, idx = U[keep], s[keep], Vt[keep], idx[keep]
-                Ut = U.transpose(0, 2, 1)
-                Q._sets.append(
-                    (A[idx], b[idx], (U / s[:, None] ** 2) @ Ut,
-                     (Vt.transpose(0, 2, 1) / s[:, None]) @ Ut))
-    return Q._sets
-
-
-def _certified_projections(X, Q: Polyhedron, sets):
-    """``(U, done)``: for every row ``x`` of ``X``, the ``u = x - P_S (A_S x
-    - b_S)`` of the first active set S (``_active_sets``) whose multipliers
-    ``M_S (A_S x - b_S)`` are all >= 0 and whose ``u`` is in ``Q`` within
-    ``_KKT_TOL``, and whether there is one; in blocks of at most about
-    ``_BLOCK`` entries per (rows x sets) array."""
+def _certified_projections(X, B, matrix: PolyMatrix):
+    """``(U, done)``: for every row ``x`` of ``X`` and right-hand side ``b``
+    (its row of ``B``, or the one row of ``B``), the ``u = x - P_S (A_S x -
+    b_S)`` of the first active set S (``PolyMatrix.active_sets``, ``b_S``
+    scaled as its rows) whose multipliers ``M_S (A_S x - b_S)`` are all >= 0
+    and whose ``u`` is in ``{A u <= b}`` within ``_KKT_TOL`` (as
+    ``Polyhedron.contains_rows`` tests it), and whether there is one; in
+    blocks of at most about ``_BLOCK`` entries per (rows x sets) array."""
     U, done = np.zeros(X.shape), np.zeros(len(X), dtype=bool)
-    step = max(1, _BLOCK // (sum(len(b) for _, b, _, _ in sets)
-                             * max(Q.A.shape)))
+    sets = matrix.active_sets()
+    # row r of X takes the side B[at[r]]: its own row of B, or B's one row
+    at = np.arange(len(X)) if len(B) > 1 else np.zeros(len(X), dtype=int)
+    Bs = B / matrix.scale
+    tol = _KKT_TOL * (np.maximum(1.0, abs(B)) + matrix.norms)
+    step = max(1, _BLOCK // max(1, sum(len(idx) for idx, _, _, _ in sets)
+                                * max(matrix.A.shape)))
     for a in range(0, len(X), step):
         rows = np.arange(a, min(a + step, len(X)))
-        for A, b, M, P in sets:
+        for idx, A, M, P in sets:
             Xr = X[rows][:, None, :]
-            R = np.matvec(A, Xr) - b
+            R = np.matvec(A, Xr) - Bs[at[rows]][:, idx]
             C = Xr - np.matvec(P, R)
             ok = np.all(np.matvec(M, R) >= 0, axis=2)
             i, t = np.nonzero(ok)
-            ok[i, t] = Q.contains_rows(C[i, t], _KKT_TOL)
-            hit = np.flatnonzero(ok.any(axis=1))
+            j = at[rows[i]]
+            ok[i, t] = np.all((matrix.A[None] @ C[i, t][:, :, None])[:, :, 0]
+                              - B[j] <= tol[j], axis=1)
+            hit = ok.any(axis=1)
             U[rows[hit]] = C[hit, ok[hit].argmax(axis=1)]
             done[rows[hit]] = True
-            rows = np.delete(rows, hit)
+            rows = rows[~hit]
             if not len(rows):
                 break
     return U, done
@@ -379,22 +463,21 @@ def project_polyhedron(x, Q: Polyhedron) -> np.ndarray:
     ``x`` is one point (a point back) or stacked rows of shape (n, dim) (n
     projections back, row by row the one-point answers); one point is a
     batch of one, with no second kernel.  A row in ``Q`` within 1e-10 comes
-    back as it is.  The others go through the active sets S of ``Q``,
-    smallest first, all rows at once (``_certified_projections``): a row
-    takes ``u = x - A_S^T lam`` with ``lam = (A_S A_S^T)^{-1} (A_S x -
-    b_S)`` from the first S where ``lam >= 0`` and ``u`` is in ``Q`` within
-    ``_KKT_TOL``, the optimality conditions of the projection.  A row that
-    no S certifies, and every row when ``Q`` has more than ``_MAX_FACES``
-    sets to try, takes ``x`` plus the least-norm ``z`` with ``A z <= b - A
-    x`` (``_least_distance``).  Every product is stacked (``np.matvec``), so
-    each row rounds as it does alone.
+    back as it is.  The others go through the active sets S of ``Q``'s
+    matrix, smallest first, all rows at once (``_certified_projections``):
+    a row takes ``u = x - A_S^T lam`` with ``lam = (A_S A_S^T)^{-1} (A_S x
+    - b_S)`` from the first S where ``lam >= 0`` and ``u`` is in ``Q``
+    within ``_KKT_TOL``, the optimality conditions of the projection.  A row
+    that no S certifies, and every row when ``Q`` has more than
+    ``_MAX_FACES`` sets to try, takes ``x`` plus the least-norm ``z`` with
+    ``A z <= b - A x`` (``_least_distance``).  Every product is stacked
+    (``np.matvec``), so each row rounds as it does alone.
     """
     X, one = _rows(x)
     U = X.copy()
     out = np.flatnonzero(~Q.contains_rows(X, 1e-10))
-    sets = _active_sets(Q) if len(out) else []
-    if sets:
-        V, done = _certified_projections(X[out], Q, sets)
+    if len(out):
+        V, done = _certified_projections(X[out], Q.b[None], Q.matrix)
         U[out[done]] = V[done]
         out = out[~done]
     for i in out:
@@ -403,6 +486,38 @@ def project_polyhedron(x, Q: Polyhedron) -> np.ndarray:
             raise EmptySetError("cannot project onto an empty polyhedron")
         U[i] = X[i] + z
     return U[0] if one else U
+
+
+def slice_distances(v, matrix: PolyMatrix, H) -> np.ndarray:
+    """``d(v, {y : A y <= H[i]})`` for every row ``H[i]`` of ``H``, inf
+    where that polyhedron is empty: row by row the ``dist_to_region`` of
+    ``v`` and the union of that one polyhedron, bit for bit.
+
+    The rows go through the kernel of ``project_polyhedron`` together, a
+    right-hand side per row: a row whose polyhedron holds ``v`` within
+    1e-10 is at 0, and the others are projected through the active sets of
+    ``matrix`` (``_certified_projections``).  A row that no set certifies is
+    empty if a Farkas ray of ``matrix`` proves it, and goes through
+    ``dist_to_region`` on its own polyhedron otherwise.
+    """
+    v = as_point(v)
+    H = np.atleast_2d(np.asarray(H, dtype=float))
+    d = np.zeros(len(H))
+    # v in each polyhedron within 1e-10, as Polyhedron.contains_rows tests it
+    r = (matrix.A[None] @ v[None, :, None])[:, :, 0] - H
+    out = np.flatnonzero(~np.all(
+        r <= 1e-10 * (np.maximum(1.0, abs(H)) + matrix.norms), axis=1))
+    if len(out):
+        U, done = _certified_projections(
+            np.broadcast_to(v, (len(out), len(v))), H[out], matrix)
+        d[out[done]] = _norms(U[done] - v)
+        out = out[~done]
+        empty = matrix.farkas(H[out])
+        d[out[empty]] = math.inf
+        out = out[~empty]
+    for i in out:
+        d[i] = dist_to_region(v, PolyUnion([Polyhedron(matrix, H[i])]))[0]
+    return d
 
 
 # ---------------------------------------------------------------------------

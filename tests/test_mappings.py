@@ -1,7 +1,6 @@
 """Mapping models: values, residuals, solution sets, and the shifted-target
 reduction."""
 
-import collections
 import dataclasses
 import math
 
@@ -21,13 +20,13 @@ import regulab.sets
 from regulab.dual import check_normal_cone_condition
 from regulab.mappings import condition_scan_points
 from regulab.oracle import check_geometric, check_subreg_uniform
-from regulab.sets import Polyhedron
 from regulab.slope import (
     check_local_slope_condition,
     check_nonlocal_slope_condition,
     local_slope,
     nonlocal_slope,
 )
+from regulab.spaces import make_grid
 from conftest import (
     affine_map_1d,
     counting_rule,
@@ -235,24 +234,20 @@ def test_condition_scan_points_filters():
 
 
 def test_polyhedral_scans_solve_each_slice_and_point_once(monkeypatch):
-    # the slices F(p, x) and G(p) are shared per map, so each one's
-    # emptiness program runs once; residuals and solution distances are
-    # kept per point, so a second scan of the same points solves nothing
-    emptiness, solves = [], []
-    least_distance, is_empty = regulab.sets._least_distance, Polyhedron.is_empty
-
-    def counted_is_empty(poly):
-        if poly._empty is None:
-            emptiness.append((poly.A.tobytes(), poly.b.tobytes()))
-        return is_empty(poly)
-
-    def counted_least_distance(A, h):
-        solves.append(1)
-        return least_distance(A, h)
-
-    monkeypatch.setattr(Polyhedron, "is_empty", counted_is_empty)
+    # a slice's emptiness and distance come from certificates on the work
+    # that the map keeps per matrix (active sets, Farkas rays), so the
+    # checks run no least-distance program; residuals and solution
+    # distances are kept per point, so a second scan solves nothing
+    solves, kernel = [], []
+    least_distance = regulab.sets._least_distance
+    slice_distances = regulab.mappings.slice_distances
+    dist_to_region = regulab.mappings.dist_to_region
     monkeypatch.setattr(regulab.sets, "_least_distance",
-                        counted_least_distance)
+                        lambda A, h: solves.append(1) or least_distance(A, h))
+    monkeypatch.setattr(regulab.mappings, "slice_distances",
+                        lambda *a: kernel.append(1) or slice_distances(*a))
+    monkeypatch.setattr(regulab.mappings, "dist_to_region",
+                        lambda *a: kernel.append(1) or dist_to_region(*a))
     F, grids = kinked_map_1d(), grids_1d(9, 3)
     for alpha in (0.5, 1.2):
         q = query_1d(alpha)
@@ -260,14 +255,30 @@ def test_polyhedral_scans_solve_each_slice_and_point_once(monkeypatch):
                       check_nonlocal_slope_condition,
                       check_local_slope_condition):
             assert check(F, q, grids).scan_meta["points_scanned"] > 0
-    # once per slice piece: the two pieces of the slice at the kink x = 0
-    # are one polyhedron, and nothing else repeats
-    counts = collections.Counter(emptiness)
-    repeated = [n for n in counts.values() if n > 1]
-    assert repeated == [2] * len(repeated) and len(repeated) <= 3  # per p
-    assert len(counts) >= 12  # slices at several x, ybar and p
-    solves.clear()
+    assert solves == [] and kernel
+    kernel.clear()
     q = query_1d(0.5)
     check_subreg_uniform(F, q, grids)
     check_geometric(F, q, grids)
-    assert solves == []
+    assert kernel == []
+
+
+def test_polyhedral_residual_rows_are_one_row_residuals():
+    # the kinked map's pieces hold x <= 0 and x >= 0: off the kink, one
+    # piece's slice F(p, x) is empty; each row of a stacked residual is the
+    # one-row residual of a map with its own memo, bit for bit
+    xs = make_grid(grids_1d(9, 3).x)
+    F = kinked_map_1d()
+    for p, ybar in ((-0.3, 0.0), (0.0, 0.4), (0.3, -1.0)):
+        vec = F.residual_vec(p, xs, [ybar])
+        one = [kinked_map_1d().residual(p, x, [ybar]) for x in xs]
+        assert vec.tobytes() == np.array(one).tobytes()
+    left = F.graph_region(0.0).pieces[0]
+    d = regulab.sets.slice_distances([0.0], F._matrix(left.A[:, 1:]),
+                                     left.b - left.A[:, :1] @ [0.5])
+    assert d.tolist() == [math.inf]
+    # the matrix work is shared by the pieces of every parameter of one
+    # map, and by no other map
+    assert F.graph_region(0.3).pieces[0].matrix is left.matrix
+    assert kinked_map_1d().graph_region(0.0).pieces[0].matrix \
+        is not left.matrix

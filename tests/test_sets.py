@@ -32,6 +32,7 @@ from regulab import (
 from regulab.mappings import PolyhedralGraphMap, ScanGrids
 from regulab.sets import (
     ConeRep,
+    PolyMatrix,
     _is_nonneg_lsq_optimal,
     _least_distance,
     _min_norm_2d,
@@ -41,6 +42,7 @@ from regulab.sets import (
     _support_2d,
     _support_subspace,
     cone_rays_from_halfspaces,
+    slice_distances,
 )
 from regulab.spaces import NormedSpace, make_grid
 
@@ -1320,6 +1322,81 @@ def test_far_empty_polyhedron_has_a_farkas_certificate():
     res = linprog(np.zeros(2), A_ub=A, b_ub=b2, bounds=[(None, None)] * 2,
                   method="highs")
     assert res.status == 0
+
+
+@st.composite
+def _matrices_and_sides(draw):
+    """A matrix of 0-5 integer rows in R^1-R^3, with up to two rows that
+    are zero or a multiple of another (parallel or opposite), a point and
+    1-6 right-hand sides: half-integers times 1, 1e3 or 1e6, an opposite
+    copy's entry sometimes the negative of its row's (an equality)."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 5))
+    A = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    copies = draw(st.lists(st.tuples(st.integers(0, 4),
+                                     st.sampled_from([0, 2, -1, -2])),
+                           max_size=2)) if m else []
+    for i, t in copies:
+        A.append([t * a for a in A[i % m]])
+    H = []
+    for _ in range(draw(st.integers(1, 6))):
+        h = draw(st.lists(_halves, min_size=len(A), max_size=len(A)))
+        for j, (i, t) in enumerate(copies):
+            if t == -1 and draw(st.booleans()):
+                h[m + j] = -h[i % m]
+        H.append(np.array(h) * draw(st.sampled_from([1.0, 1e3, 1e6])))
+    v = np.array(draw(st.lists(_halves, min_size=n, max_size=n)))
+    return np.array(A, float).reshape(len(A), n), np.array(H), v
+
+
+# a slice that is one point, {1.5}, and an empty one
+@example((np.array([[1.0], [-1.0]]), np.array([[1.5, -1.5], [1.0, -2.0]]),
+          np.zeros(1)))
+# one point of R^2, far from v, and no rows at all
+@example((np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+          np.array([[1e6, -1e6, -3e5, 3e5]]), np.ones(2)))
+@example((np.zeros((0, 2)), np.zeros((3, 0)), np.ones(2)))
+# a zero row: empty where its side is negative
+@example((np.array([[0.0, 0.0], [1.0, 1.0]]),
+          np.array([[-0.5, 1.0], [0.5, 1.0]]), np.ones(2)))
+# v 1e-8 outside {y <= 1}: a distance, not a point inside
+@example((np.array([[1.0]]), np.array([[1.0], [-1.0]]),
+          np.array([1.0 + 1e-8])))
+# sides near 3e6 beside sides near 1: the projection onto the far
+# triangle misses a row by rounding that only a tolerance relative to its
+# own sides accepts
+@example((np.array([[-1.0, -3.0], [1.0, 2.0], [-1.0, 3.0]]),
+          np.array([[1.0, 1.0, 1.0], [2945934, -2188393, -1599311.5]]),
+          np.zeros(2)))
+# two rows 1e-5 apart in angle: no active set certifies the projection of
+# v, which the least-distance program gives
+@example((np.array([[1.0, 0.0], [1.0, 1e-5]]), np.zeros((2, 2)),
+          np.array([2.0, 1e-5])))
+@given(_matrices_and_sides())
+@settings(max_examples=300, deadline=None)
+def test_stacked_slice_distances_are_one_slice_distances(case):
+    A, H, v = case
+    d = slice_distances(v, PolyMatrix(A), H)
+    one = [dist_to_region(v, PolyUnion([Polyhedron(A, h)]))[0] for h in H]
+    assert d.tobytes() == np.array(one).tobytes()
+    assert np.isinf(d).tolist() == [Polyhedron(A, h).is_empty() for h in H]
+
+
+@given(_matrices_and_sides())
+@settings(max_examples=300, deadline=None)
+def test_shared_matrix_emptiness_matches_highs(case):
+    # the polyhedra of one matrix decide their emptiness from the matrix's
+    # certificates (Farkas rays, active sets), whatever their sides
+    A, H, _ = case
+    matrix = PolyMatrix(A)
+    n = A.shape[1]
+    for h in H:
+        res = linprog(np.zeros(n), A_ub=A if len(A) else None,
+                      b_ub=h if len(A) else None,
+                      bounds=[(None, None)] * n, method="highs")
+        assert res.status in (0, 2)
+        assert Polyhedron(matrix, h).is_empty() == (res.status == 2)
 
 
 # ---------------------------------------------------------------------------
