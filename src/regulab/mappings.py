@@ -145,13 +145,15 @@ class SetValuedMap:
 
     def _memo(self, key, p, build):
         """The map's per-parameter memo: ``build()`` once per ``(key, p)``,
-        or once per ``key`` for every parameter when ``p`` is None.  Arrays
-        are shared by every caller, so they come back read-only."""
+        or once per ``key`` for every parameter when ``p`` is None.  Arrays,
+        on their own or in a tuple, are shared by every caller, so they
+        come back read-only."""
         k = (key, None if p is None else self._pkey(p))
         if k not in self._cache:
             v = self._cache[k] = build()
-            if isinstance(v, np.ndarray):
-                v.setflags(write=False)
+            for a in v if isinstance(v, tuple) else (v,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
         return self._cache[k]
 
     # --- model interface -------------------------------------------------
@@ -306,7 +308,9 @@ class SetValuedMap:
         return self.residual(p, x, y) <= tol
 
     def param_points(self, q: RegularityQuery, grids: ScanGrids):
-        """Scanned parameters: the label list, or grid points in B_eta(pbar)."""
+        """Scanned parameters: the label list, or the grid points in
+        B_eta(pbar) as read-only rows (memoized scans and their witnesses
+        share them)."""
         if self.param_labels is not None:
             return self.param_labels
         if grids.p is None:
@@ -314,6 +318,7 @@ class SetValuedMap:
         pts = make_grid(grids.p)
         if q.pbar is not None:
             pts = pts[ball_mask(pts, q.pbar_arr, q.eta)]
+        pts.setflags(write=False)
         return list(pts)
 
 
@@ -658,6 +663,11 @@ class ShiftedTargetMap(SetValuedMap):
         base_p, shift = self._split(p)
         return self.base.residual(base_p, x, as_point(ybar) + shift)
 
+    def _residuals(self, p, X, ybar) -> list:
+        # the base map's rows, solved together where it stacks them
+        base_p, shift = self._split(p)
+        return self.base._residuals(base_p, X, as_point(ybar) + shift)
+
     def solution_set(self, p, ybar, grids=None):
         base_p, shift = self._split(p)
         return self.base.solution_set(base_p, as_point(ybar) + shift, grids)
@@ -695,13 +705,18 @@ class ScanBatch:
     """The admissible points of a condition scan at one parameter ``p``:
     graph points ``(xs[i], ys[i])`` of F_p off the solution set, stacked in
     the order of the graph sample, with ``|ys[i] - ybar|`` and
-    ``d(xs[i], G(p))`` attached."""
+    ``d(xs[i], G(p))`` attached.  Its arrays are read-only: a condition
+    scan's batches are shared by every check that scans them."""
 
     p: object
     xs: np.ndarray
     ys: np.ndarray
     dist_to_target: np.ndarray
     sol_dist: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.xs, self.ys, self.dist_to_target, self.sol_dist):
+            a.setflags(write=False)
 
 
 def stack_batches(F: SetValuedMap, batches) -> tuple:

@@ -12,7 +12,11 @@ The scan is stacked: ``_residual_scan`` yields the rows of all parameters
 in scan order, in blocks of at most ``_BLOCK`` rows, and each check reduces
 a block in one array pass and one ``MarginScan.add``, so its witness is the
 first scan point attaining the minimum, as in a scan parameter by
-parameter.  The map's rules still see one parameter's rows per call.
+parameter.  The map's rules still see one parameter's rows per call.  The
+scan table is built once per map and query and shared read-only through
+the map's memo: one residual row per parameter (``_residual_table``),
+whatever the cap, and the rows each cap admits with their solution
+distances, so the checks on one map compute each residual once.
 """
 
 from __future__ import annotations
@@ -140,6 +144,29 @@ class ScanRows(NamedTuple):
         return self.params[self.k[i]]
 
 
+def _scan_key(q: RegularityQuery, grids: ScanGrids) -> tuple:
+    """What a ground-truth scan's points and parameters depend on."""
+    return (q.xbar_arr.tobytes(), q.ybar_arr.tobytes(), q.delta,
+            None if q.pbar is None else q.pbar_arr.tobytes(), q.eta, grids)
+
+
+def _residual_table(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids):
+    """``(params, xs, table)``: the scanned parameters, the X-grid points of
+    B_delta(xbar), and the (P, N) residuals with row k from one
+    ``residual_vec`` call at ``params[k]`` on all of ``xs``.  Built once per
+    map and key, whatever the residual cap, and shared read-only."""
+    def build():
+        xs = make_grid(grids.x)
+        xs = xs[ball_mask(xs, q.xbar_arr, q.delta)]
+        params = list(F.param_points(q, grids))
+        ybar = q.ybar_arr
+        table = np.array([F.residual_vec(p, xs, ybar) for p in params],
+                         dtype=float).reshape(len(params), len(xs))
+        return params, xs, table
+
+    return F._memo(("residual table", *_scan_key(q, grids)), None, build)
+
+
 def _residual_scan(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
                    cap: float):
     """The X-grid points of B_delta(xbar) with residual <= cap at every
@@ -147,42 +174,27 @@ def _residual_scan(F: SetValuedMap, q: RegularityQuery, grids: ScanGrids,
     a distance within ``SOL_TOL`` (float noise between grids) counts as 0.
 
     Yields the rows of all parameters stacked in scan order, as
-    ``ScanRows`` blocks of at most ``_BLOCK`` rows.  Each parameter's rows
-    come from one ``residual_vec`` call on the ball's grid points and one
-    ``solution_distance_vec`` call on the points it admits, as a scan of
-    that parameter alone makes them: a rule evaluated on other rows can
-    round differently.
+    ``ScanRows`` blocks of at most ``_BLOCK`` rows.  The rows come from the
+    map's memo, built once per map, key and cap from ``_residual_table``
+    with one ``solution_distance_vec`` call per parameter on the points it
+    admits, as a scan of that parameter alone makes it: a rule evaluated on
+    other rows can round differently.
     """
-    ybar = q.ybar_arr
-    xs_all = make_grid(grids.x)
-    xs_all = xs_all[ball_mask(xs_all, q.xbar_arr, q.delta)]
-    params = list(F.param_points(q, grids))
-    pending, n = [], 0
-    for k, p in enumerate(params):
-        res = F.residual_vec(p, xs_all, ybar)
-        mask = res <= cap
-        if not mask.any():
-            continue
-        xs = xs_all[mask]
-        if pending and n + len(xs) > _BLOCK:
-            yield from _blocks(params, pending)
-            pending, n = [], 0
-        pending.append((k, xs, res[mask],
-                        F.solution_distance_vec(p, xs, ybar, grids)))
-        n += len(xs)
-    if pending:
-        yield from _blocks(params, pending)
+    def build():
+        params, xs, table = _residual_table(F, q, grids)
+        mask = table <= cap
+        k, j = np.nonzero(mask)
+        ybar = q.ybar_arr
+        dist = np.concatenate([np.zeros(0)] + [
+            F.solution_distance_vec(params[i], xs[mask[i]], ybar, grids)
+            for i in np.flatnonzero(mask.any(axis=1))])
+        dist = np.where(dist <= SOL_TOL, 0.0, dist)
+        return ScanRows(params, k, xs[j], table[k, j], dist)
 
-
-def _blocks(params, parts):
-    """The scan parts ``(k, xs, res, dist)``, each of the parameter
-    ``params[k]``, stacked in ``ScanRows`` of at most ``_BLOCK`` rows."""
-    k = np.repeat([part[0] for part in parts], [len(part[1]) for part in parts])
-    xs, res, dist = (np.concatenate(c) for c in list(zip(*parts))[1:])
-    dist = np.where(dist <= SOL_TOL, 0.0, dist)
-    for a in range(0, len(k), _BLOCK):
+    rows = F._memo(("residual scan", *_scan_key(q, grids), cap), None, build)
+    for a in range(0, len(rows.k), _BLOCK):
         b = slice(a, a + _BLOCK)
-        yield ScanRows(params, k[b], xs[b], res[b], dist[b])
+        yield ScanRows(rows.params, *(v[b] for v in rows[1:]))
 
 
 def check_subreg_uniform(F: SetValuedMap, q: RegularityQuery,

@@ -263,6 +263,28 @@ def test_polyhedral_scans_solve_each_slice_and_point_once(monkeypatch):
     assert kernel == []
 
 
+def test_shifted_polyhedral_residuals_are_the_base_map_stacked_rows(
+        monkeypatch):
+    # a shifted map hands its rows to the base map's stacked solve: one
+    # slice_distances call per graph piece for all nine rows, where a solve
+    # row by row made one call per row and piece (18); each row is still
+    # the one-row residual of a map with its own memo, bit for bit
+    calls = []
+    slice_distances = regulab.mappings.slice_distances
+    monkeypatch.setattr(regulab.mappings, "slice_distances",
+                        lambda *a: calls.append(len(a[2])) or
+                        slice_distances(*a))
+    xs = make_grid(grids_1d(9, 3).x)
+    for p in ((0.0, (0.1,)), (0.3, (0.0,)), (-0.3, (-1.0,))):
+        calls.clear()
+        vec = hat_reduction(kinked_map_1d(), [(0.0,), (0.1,)]).residual_vec(
+            p, xs, [0.0])
+        assert calls == [9, 9]
+        one = [hat_reduction(kinked_map_1d(), [p[1]]).residual(p, x, [0.0])
+               for x in xs]
+        assert vec.tobytes() == np.array(one).tobytes()
+
+
 def test_polyhedral_residual_rows_are_one_row_residuals():
     # the kinked map's pieces hold x <= 0 and x >= 0: off the kink, one
     # piece's slice F(p, x) is empty; each row of a stacked residual is the

@@ -18,8 +18,8 @@ from regulab import (
 from regulab.cli import (EXAMPLE_DIFFERENCE, EXAMPLE_QUADRATIC,
                          _rule_quadratic_difference, build_grids,
                          build_mapping, build_query, load_scenario)
-from regulab.mappings import SOL_TOL, strict_cap
-from regulab.oracle import MarginScan, _residual_scan
+from regulab.mappings import SOL_TOL, condition_scan, strict_cap
+from regulab.oracle import MarginScan, _residual_scan, _residual_table
 from regulab.spaces import NormedSpace, ball_mask, make_grid
 from conftest import (abs_shift_map, affine_map_1d, assert_same_certificate,
                       grids_1d, kinked_map_1d, one_point_distances, query_1d,
@@ -389,18 +389,37 @@ BLOCK_CASES = [(case, "default") for case in sorted(SCAN_CASES)] + \
     [("quadratic", "small"), ("difference-violated", "small")]
 
 
+def _scan_checks(q, grids) -> dict:
+    """The oracle, the ball test and the best rate of ``q`` on a map."""
+    return {
+        "oracle": lambda F: check_subreg_uniform(F, q, grids),
+        "ball": lambda F: check_geometric(F, q, grids),
+        "modulus": lambda F: estimate_modulus(
+            F, q.xbar, q.ybar, q.delta, q.mu, grids, pbar=q.pbar, eta=q.eta),
+    }
+
+
 @pytest.mark.parametrize("case, blocks", BLOCK_CASES)
 def test_stacked_scans_equal_the_per_parameter_scans(case, blocks, tmp_path,
                                                       monkeypatch):
+    # each check on a fresh map, then all three on one map in both orders,
+    # so that a check reads the scan rows and residual table that another
+    # one left in the map's memo
     if blocks == "small":
         small_blocks(monkeypatch)
     build, q, grids = SCAN_CASES[case](tmp_path)
     oracle, ball, modulus = _parent_scans(build(), q, grids)
-    assert_same_certificate(check_subreg_uniform(build(), q, grids), oracle)
-    assert_same_certificate(check_geometric(build(), q, grids), ball)
-    m = estimate_modulus(build(), q.xbar, q.ybar, q.delta, q.mu, grids,
-                         pbar=q.pbar, eta=q.eta)
-    assert repr(m) == repr(modulus)
+    checks = _scan_checks(q, grids)
+    names = list(checks)
+    runs = [[(name, build()) for name in names]]
+    for order in (names, names[::-1]):
+        F = build()
+        runs.append([(name, F) for name in order])
+    for run in runs:
+        got = {name: checks[name](F) for name, F in run}
+        assert_same_certificate(got["oracle"], oracle)
+        assert_same_certificate(got["ball"], ball)
+        assert repr(got["modulus"]) == repr(modulus)
     if case == "tie":
         assert oracle.verdict is Verdict.VIOLATED
         assert oracle.witness["p"].tolist() == [-0.3]
@@ -408,3 +427,34 @@ def test_stacked_scans_equal_the_per_parameter_scans(case, blocks, tmp_path,
         assert oracle.detail == ball.detail == "no admissible scan points"
     if case.startswith(("quadratic", "difference-violated", "kinked")):
         assert oracle.verdict is Verdict.VIOLATED
+
+
+@pytest.mark.parametrize("case", ["quadratic", "tie"])
+def test_one_map_computes_each_parameter_residuals_once(case, tmp_path):
+    # the oracle, the ball test and the best rate read one residual table,
+    # whether their residual caps agree (quadratic, a finite mu) or not
+    # (tie, an unbounded mu: the ball test caps at the grid's diameter)
+    build, q, grids = SCAN_CASES[case](tmp_path)
+    F = build()
+    calls = []
+    residual_vec = F.residual_vec
+    F.residual_vec = lambda *args: calls.append(1) or residual_vec(*args)
+    for check in _scan_checks(q, grids).values():
+        check(F)
+    assert len(calls) == len(F.param_points(q, grids)) > 1
+
+
+def test_shared_scan_arrays_are_read_only(tmp_path):
+    # the memo hands the same arrays to every check: none can write them
+    build, q, grids = SCAN_CASES["quadratic"](tmp_path)
+    F = build()
+    cert = check_subreg_uniform(F, q, grids)
+    _, xs, table = _residual_table(F, q, grids)
+    rows = next(_residual_scan(F, q, grids, strict_cap(q.alpha * q.mu)))
+    _, _, batches = condition_scan(F, q, grids, "sufficient")
+    b = batches[0]
+    shared = [xs, table, *rows[1:], cert.witness["p"], b.p, b.xs, b.ys,
+              b.dist_to_target, b.sol_dist]
+    for a in shared:
+        with pytest.raises(ValueError):
+            a[...] = 0
