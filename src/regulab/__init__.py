@@ -19,9 +19,7 @@ from .dual import (
     check_coderivative_condition,
     check_normal_cone_condition,
     check_subdifferential_condition,
-    coderivative_distance,
     dual_candidates,
-    merit_subdifferential,
     subdiff_distance,
 )
 from .implicit import (
@@ -55,7 +53,6 @@ from .sets import (
     dist_to_region,
     gamma_dual_distance,
     intersect_cones,
-    norm_subdifferential,
     normal_cone_at,
     project_polyhedron,
 )
@@ -63,16 +60,13 @@ from .slope import (
     check_local_slope_condition,
     check_nonlocal_slope_condition,
     local_slope,
-    merit_value,
     nonlocal_slope,
 )
 from .spaces import (
     GammaMetric,
     GridSpec,
     NormedSpace,
-    dual_norm,
     make_grid,
-    prod_dist,
 )
 
 __version__ = "0.1.0"

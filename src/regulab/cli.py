@@ -481,7 +481,7 @@ _CHECKS = {
     "compose-rate": _Check(
         lambda F, q, grids, l: compose_aubin_rate(
             F, q, check_subreg_uniform(F, q, grids), l,
-            check_recede(F, q, l, grids), q.alpha * q.mu / l, grids),
+            check_recede(F, q, l, grids), grids),
         needs=_STABILITY, pairs=True),
     "aubin-pipeline": _Check(
         lambda F, q, grids, l, l_prime, condition: certify_aubin(

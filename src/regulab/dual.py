@@ -37,38 +37,28 @@ import numpy as np
 from .errors import InputError
 from .mappings import RegularityQuery, ScanGrids, SetValuedMap, check_mode, \
     condition_scan, stack_batches
-from .oracle import Certificate, MarginScan, _base_meta
+from .oracle import CHECK_TOL, Certificate, MarginScan, _base_meta
 from .sets import cone_min_norm, gamma_dual_distance, _unit_directions
 from .spaces import GammaMetric, as_point, row_dots
 
 
-def merit_subdifferential(F: SetValuedMap, q: RegularityQuery, p, x, y):
-    """Minkowski-sum form of the merit subdifferential at a graph point.
+def subdiff_distance(F: SetValuedMap, q: RegularityQuery, p, x, y) -> float:
+    """d_gamma(0, merit subdifferential) at a graph point with y != ybar.
 
-    Returns ``(point_part, cone)``: the subdifferential is point_part + cone.
-    ``point_part`` is (0, y*) with y* the unit vector along y - ybar, or the
-    string marker ``"unit-ball"`` scaled variant at y = ybar.  Convex graphs
-    only (the exact sum rule needs convexity).
+    Convex graphs only (the exact sum rule needs convexity): the
+    subdifferential is ``(0, y*) + N`` with y* the unit vector along
+    y - ybar and N the graph normal cone at (x, y).
     """
     if not F.convex_graph:
         raise InputError("exact merit subdifferential requires a convex graph")
     x, y = as_point(x), as_point(y)
     w = y - q.ybar_arr
     nw = np.linalg.norm(w)
-    cone = F.normal_cone(p, x, y)
     if nw == 0:
-        return "unit-ball", cone
-    point_part = np.concatenate([np.zeros(F.nx), w / nw])
-    return point_part, cone
-
-
-def subdiff_distance(F: SetValuedMap, q: RegularityQuery, p, x, y) -> float:
-    """d_gamma(0, merit subdifferential) at a graph point with y != ybar."""
-    point_part, cone = merit_subdifferential(F, q, p, x, y)
-    if isinstance(point_part, str):
         raise InputError("distance query needs y != ybar")
-    g = GammaMetric(q.gamma)
-    return gamma_dual_distance(-point_part, cone, g, F.nx)
+    point_part = np.concatenate([np.zeros(F.nx), w / nw])
+    return gamma_dual_distance(-point_part, F.normal_cone(p, x, y),
+                               GammaMetric(q.gamma), F.nx)
 
 
 def dual_candidates(y, ybar, kind: str, tau: float):
@@ -106,19 +96,6 @@ def _dual_vectors(W: np.ndarray, kind: str, tau: float):
     owner = np.concatenate([rows, bare])
     order = np.argsort(owner, kind="stable")
     return owner[order], np.vstack([C[cols], unit[bare]])[order]
-
-
-def coderivative_distance(F: SetValuedMap, p, x, y, ystar, eta: float) -> float:
-    """min |x*| with (x*, -v*) in the graph normal cone and |v* - y*| <= eta.
-
-    Returns +inf when no cone element has y-part within the ball (the
-    associated condition is then vacuous at this point).
-    """
-    if not eta > 0:
-        raise InputError(f"eta must be positive, got {eta}")
-    ystar = as_point(ystar)
-    cone = F.normal_cone(p, x, y)
-    return cone_min_norm(cone, F.nx, -ystar, eta)
 
 
 class _Pairs(NamedTuple):
@@ -185,13 +162,13 @@ def subdifferential_preconditions(F: SetValuedMap, mode: str):
 
 
 def check_subdifferential_condition(F: SetValuedMap, q: RegularityQuery,
-                                    grids: ScanGrids, mode: str = "sufficient",
-                                    tol: float = 1e-9) -> Certificate:
+                                    grids: ScanGrids,
+                                    mode: str = "sufficient") -> Certificate:
     """Scan ``d_gamma(0, merit subdifferential) >= alpha`` (convex graphs);
     necessary mode runs at gamma = 1/alpha over the delta-ball."""
     subdifferential_preconditions(F, mode)
     q, x_radius, batches = condition_scan(F, q, grids, mode)
-    scan = MarginScan(tol)
+    scan = MarginScan(CHECK_TOL)
     # scan points have y != ybar, so the point part is (0, y*) with y* the
     # one exact dual vector: the subdifferential at a point is (0, y*) + N,
     # and its distance to 0 is the normal-cone condition's d((0, -y*), N)
@@ -215,8 +192,7 @@ def normal_cone_preconditions(F: SetValuedMap, variant: str, mode: str):
 def check_normal_cone_condition(F: SetValuedMap, q: RegularityQuery,
                                 grids: ScanGrids,
                                 variant: str = "convex-normal",
-                                mode: str = "sufficient",
-                                tol: float = 1e-9) -> Certificate:
+                                mode: str = "sufficient") -> Certificate:
     """Scan ``d_gamma((0, -y*), N_graph(x, y)) >= alpha``.
 
     ``convex-normal`` uses the exact aligned dual vector and requires convex
@@ -226,7 +202,7 @@ def check_normal_cone_condition(F: SetValuedMap, q: RegularityQuery,
     normal_cone_preconditions(F, variant, mode)
     kind = "exact" if variant == "convex-normal" else "cap"
     q, x_radius, batches = condition_scan(F, q, grids, mode)
-    scan = MarginScan(tol)
+    scan = MarginScan(CHECK_TOL)
     pairs = _dual_pairs(F, q, batches, kind, _distances(F, q.gamma))
     scan.add(pairs.vals - q.alpha, lambda j: pairs.witness(
         j, ystar=pairs.Y[j], inequality="d_gamma((0,-y*), N) >= alpha"))
@@ -259,8 +235,7 @@ def coderivative_threshold(F: SetValuedMap, q: RegularityQuery, form: str,
 def check_coderivative_condition(F: SetValuedMap, q: RegularityQuery,
                                  grids: ScanGrids, form: str = "ball",
                                  variant: str = "convex-normal",
-                                 mode: str = "sufficient",
-                                 tol: float = 1e-9) -> Certificate:
+                                 mode: str = "sufficient") -> Certificate:
     """Scan the coderivative lower bound over dual-ball perturbations.
 
     ``ball`` form requires min |x*| >= alpha over v* in B_eta(y*);
@@ -271,7 +246,7 @@ def check_coderivative_condition(F: SetValuedMap, q: RegularityQuery,
     threshold = coderivative_threshold(F, q, form, variant, mode)
     kind = "exact" if variant == "convex-normal" else "cap"
     q, x_radius, batches = condition_scan(F, q, grids, mode)
-    scan = MarginScan(tol)
+    scan = MarginScan(CHECK_TOL)
     pairs = _dual_pairs(F, q, batches, kind, lambda cones, Y: F.cone_answers(
         ("min norm", q.eta), cones, -Y,
         lambda cone, V: cone_min_norm(cone, F.nx, V, q.eta)))

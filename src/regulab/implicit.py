@@ -10,7 +10,6 @@ yields the Aubin property at rate l/alpha on suitably shrunk neighborhoods.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from . import dual, slope
 from .dual import coderivative_threshold, normal_cone_preconditions
 from .errors import InputError
 from .mappings import RegularityQuery, ScanGrids, SetValuedMap
-from .oracle import _BLOCK, Certificate, MarginScan, Verdict
+from .oracle import _BLOCK, CHECK_TOL, Certificate, MarginScan, Verdict
 from .sets import region_sample_points
 from .spaces import as_point, ball_mask, make_grid
 
@@ -88,8 +87,8 @@ def _solution_points(F, p, ybar, xbar, delta, grids):
     return pts[ball_mask(pts, as_point(xbar), delta)]
 
 
-def _pair_scan(F: SetValuedMap, q, grids: ScanGrids, tol: float,
-               pair_margins, inequality: str) -> MarginScan:
+def _pair_scan(F: SetValuedMap, q, grids: ScanGrids, pair_margins,
+               inequality: str) -> MarginScan:
     """The margins of every parameter pair (p, p') of ``_param_pairs`` and
     point x of G(p') in the delta-ball around xbar, for the radii and
     reference points of ``q`` (a ``RegularityQuery`` or an ``AubinQuery``),
@@ -101,7 +100,7 @@ def _pair_scan(F: SetValuedMap, q, grids: ScanGrids, tol: float,
     alone, so a rule it evaluates sees the rows a scan of that pair alone
     gives it: merged pairs could round differently.
     """
-    scan = MarginScan(tol)
+    scan = MarginScan(CHECK_TOL)
     pending, n = [], 0
 
     def flush():
@@ -134,7 +133,7 @@ def _pair_scan(F: SetValuedMap, q, grids: ScanGrids, tol: float,
 
 
 def check_recede(F: SetValuedMap, q: RegularityQuery, l: float,
-                 grids: ScanGrids, tol: float = 1e-9) -> Certificate:
+                 grids: ScanGrids) -> Certificate:
     """Scan ``d(ybar, F(p, x)) <= l d(p, p')`` for x solving the p'-problem.
 
     Pairs p, p' range over grid points of B_eta(pbar) with 0 < d(p,p') < mu;
@@ -149,15 +148,14 @@ def check_recede(F: SetValuedMap, q: RegularityQuery, l: float,
         res = F.residual_vec(p, xs, ybar)
         return l * dpp - res, res
 
-    scan = _pair_scan(F, q, grids, tol, margins,
-                      "d(ybar, F(p,x)) <= l*d(p,p')")
+    scan = _pair_scan(F, q, grids, margins, "d(ybar, F(p,x)) <= l*d(p,p')")
     meta = {"l": l, "eta": q.eta, "delta": q.delta, "mu": q.mu,
             "grid_res": grids.x.resolution}
     return scan.certificate(meta)
 
 
-def check_aubin(F: SetValuedMap, aq: AubinQuery, grids: ScanGrids,
-                tol: float = 1e-9) -> Certificate:
+def check_aubin(F: SetValuedMap, aq: AubinQuery,
+                grids: ScanGrids) -> Certificate:
     """Scan ``d(x, G(p)) <= l d(p, p')`` for x in G(p') near xbar.
 
     Each pair's distances are one ``solution_distance_vec`` call; the
@@ -170,7 +168,7 @@ def check_aubin(F: SetValuedMap, aq: AubinQuery, grids: ScanGrids,
         dist = F.solution_distance_vec(p, xs, ybar, grids)
         return aq.l * dpp - dist, dist
 
-    scan = _pair_scan(F, aq, grids, tol, margins, "d(x, G(p)) <= l*d(p,p')")
+    scan = _pair_scan(F, aq, grids, margins, "d(x, G(p)) <= l*d(p,p')")
     meta = {"l": aq.l, "eta": aq.eta, "delta": aq.delta, "mu": aq.mu,
             "grid_res": grids.x.resolution}
     return scan.certificate(meta)
@@ -178,22 +176,16 @@ def check_aubin(F: SetValuedMap, aq: AubinQuery, grids: ScanGrids,
 
 def compose_aubin_rate(F: SetValuedMap, q: RegularityQuery,
                        subreg: Certificate, l: float, recede: Certificate,
-                       mu_prime: float, grids: ScanGrids) -> Certificate:
+                       grids: ScanGrids) -> Certificate:
     """Derive and validate the Aubin rate l/alpha from certified premises.
 
-    Requires both premise certificates to HOLD and the shift cap to satisfy
-    ``mu_prime = alpha * mu / l`` exactly (relative tolerance 1e-9); the
-    derived claim (rate l/alpha, radii eta, delta, mu_prime) is then validated
-    by a direct scan, which must succeed.
+    Requires both premise certificates to HOLD; the derived claim (rate
+    l/alpha, radii eta and delta, shift cap ``mu_prime = alpha * mu / l``)
+    is then validated by a direct scan, which must succeed.
     """
     if not (subreg.holds and recede.holds):
         raise InputError("composition needs both premise certificates to HOLD")
-    expected = q.alpha * q.mu / l
-    if not math.isclose(mu_prime, expected, rel_tol=1e-9):
-        raise InputError(
-            f"composition requires mu_prime = alpha*mu/l = {expected}, "
-            f"got {mu_prime}"
-        )
+    mu_prime = q.alpha * q.mu / l
     if q.pbar is None:
         raise InputError("composition needs a reference parameter pbar")
     aq = AubinQuery(pbar=q.pbar, xbar=q.xbar, ybar=q.ybar, l=l / q.alpha,

@@ -75,6 +75,11 @@ def _base_meta(q: RegularityQuery, grids: ScanGrids) -> dict:
     return meta
 
 
+# a margin above -CHECK_TOL is no violation of a dual, recede or Aubin
+# check (the slope checks allow slope.SLOPE_TOL)
+CHECK_TOL = 1e-9
+
+
 class MarginScan:
     """Running minimum of a check's margins and the certificate it yields.
 

@@ -687,9 +687,6 @@ class ConeRep:
     def dim(self) -> int:
         return self.generators.shape[1]
 
-    def is_trivial(self) -> bool:
-        return not self.empty and self.generators.shape[0] == 0 and self.lineality.shape[0] == 0
-
     def euclidean_distance(self, v) -> float:
         """Euclidean distance from ``v`` to the cone (inf if empty)."""
         v = as_point(v)
@@ -876,20 +873,6 @@ def _unit_directions(n: int, count: int) -> np.ndarray:
     extra = rng.normal(size=(count, n))
     extra /= np.linalg.norm(extra, axis=1, keepdims=True)
     return np.vstack([dirs, extra])
-
-
-def norm_subdifferential(y, base):
-    """Subdifferential of ``|. - base|`` at ``y``.
-
-    Returns the string marker ``"unit-ball"`` at ``y == base`` and the
-    normalized difference otherwise.
-    """
-    y, base = as_point(y), as_point(base)
-    d = y - base
-    nd = np.linalg.norm(d)
-    if nd == 0:
-        return "unit-ball"
-    return d / nd
 
 
 # ---------------------------------------------------------------------------

@@ -52,14 +52,10 @@ _LEVELS = 13
 _LAST = 3
 # rows of the (scan points x graph sample) quotient block scored at once
 _BLOCK = 1 << 14
-
-
-def merit_value(F: SetValuedMap, q: RegularityQuery, p, u, v) -> float:
-    """|v - ybar| on the graph of F_p (``F.in_graph``), +inf off it."""
-    u, v = as_point(u), as_point(v)
-    if not F.in_graph(p, u, v):
-        return math.inf
-    return float(np.linalg.norm(v - q.ybar_arr))
+# a margin above -SLOPE_TOL is no violation of a slope check: local_slope
+# rounds by up to 6e-8 at its smallest steps (ROADMAP item 12 moves both
+# slope checks to oracle.CHECK_TOL)
+SLOPE_TOL = 1e-7
 
 
 class _Rows(NamedTuple):
@@ -115,9 +111,13 @@ def _quotients(w, us, vs, x, y, gamma: float):
     (x, y), with ``w = y - ybar``; ``w``, ``x`` and ``y`` are one point or
     one row per candidate (any shapes that broadcast against ``us``).
     Returns ``d = max(|u-x|, gamma*|v-y|)`` and ``(|y-ybar| - |v-ybar|) /
-    d`` for every row.  The numerator is evaluated through the
-    difference-of-squares identity to avoid cancellation when v is close to
-    y.  Rows with ``d = 0`` give no quotient; callers drop them.
+    d`` for every row.  The numerator is computed as ``(|w|^2 - |wv|^2) /
+    (|w| + |wv|)`` with ``wv = v - ybar``; ``|w|^2 - |wv|^2`` cancels when v
+    is close to y, so this does not avoid cancellation.  The formula is
+    frozen by the shipped examples' CSV bytes and pinned by
+    ``test_quotients_round_as_the_per_candidate_formula``; ROADMAP item 12
+    replaces it with ``(y - v) . (w + wv)``.  Rows with ``d = 0`` give no
+    quotient; callers drop them.
     """
     ww = row_dots(w)
     d = np.maximum(np.sqrt(row_dots(us - x)),
@@ -353,12 +353,12 @@ def slope_preconditions(F: SetValuedMap, mode: str, local: bool):
         )
 
 
-def _condition_check(F, q, grids, mode, slope_fn, tol, local) -> Certificate:
+def _condition_check(F, q, grids, mode, slope_fn, local) -> Certificate:
     slope_preconditions(F, mode, local)
     q, x_radius, batches = condition_scan(F, q, grids, mode)
     k, xs, ys = stack_batches(F, batches)
     vals = slope_fn(F, q, batches, grids=grids)
-    scan = MarginScan(tol)
+    scan = MarginScan(SLOPE_TOL)
     scan.add(vals - q.alpha, lambda i: {
         "p": batches[k[i]].p, "x": xs[i], "y": ys[i], "value": float(vals[i]),
         "inequality": "slope >= alpha"})
@@ -368,8 +368,8 @@ def _condition_check(F, q, grids, mode, slope_fn, tol, local) -> Certificate:
 
 
 def check_nonlocal_slope_condition(F: SetValuedMap, q: RegularityQuery,
-                                   grids: ScanGrids, mode: str = "sufficient",
-                                   tol: float = 1e-7) -> Certificate:
+                                   grids: ScanGrids,
+                                   mode: str = "sufficient") -> Certificate:
     """Scan ``nonlocal_slope >= alpha`` over the admissible set.
 
     In sufficient mode (caller-chosen gamma, scan radius delta + mu) a HOLDS
@@ -377,11 +377,11 @@ def check_nonlocal_slope_condition(F: SetValuedMap, q: RegularityQuery,
     the scan runs at gamma = 1/alpha over the delta-ball and must hold
     whenever subregularity does.
     """
-    return _condition_check(F, q, grids, mode, nonlocal_slope, tol, local=False)
+    return _condition_check(F, q, grids, mode, nonlocal_slope, local=False)
 
 
 def check_local_slope_condition(F: SetValuedMap, q: RegularityQuery,
-                                grids: ScanGrids, mode: str = "sufficient",
-                                tol: float = 1e-7) -> Certificate:
+                                grids: ScanGrids,
+                                mode: str = "sufficient") -> Certificate:
     """Scan ``local_slope >= alpha``; necessary mode requires convex graphs."""
-    return _condition_check(F, q, grids, mode, local_slope, tol, local=True)
+    return _condition_check(F, q, grids, mode, local_slope, local=True)

@@ -25,6 +25,12 @@ def as_point(v) -> np.ndarray:
     return a
 
 
+def _integer(what: str, n) -> None:
+    """``InputError`` unless ``n`` is an integer (a bool is none)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise InputError(f"{what} must be an integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class NormedSpace:
     """A finite-dimensional real coordinate space with a Euclidean norm."""
@@ -33,20 +39,9 @@ class NormedSpace:
     dim: int
 
     def __post_init__(self):
+        _integer(f"space {self.name!r}: dim", self.dim)
         if self.dim < 1:
             raise InputError(f"space {self.name!r}: dim must be >= 1, got {self.dim}")
-
-    def norm(self, v) -> float:
-        v = self.check(v)
-        return float(np.linalg.norm(v))
-
-    def check(self, v) -> np.ndarray:
-        v = as_point(v)
-        if v.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"space {self.name!r} has dim {self.dim}, got vector of dim {v.shape[0]}"
-            )
-        return v
 
 
 @dataclass(frozen=True)
@@ -58,21 +53,6 @@ class GammaMetric:
     def __post_init__(self):
         if not self.gamma > 0:
             raise InputError(f"gamma must be positive, got {self.gamma}")
-
-
-def prod_dist(u, v, x, y, g: GammaMetric) -> float:
-    """Weighted product distance ``max(|u-x|, gamma*|v-y|)``."""
-    u, x = as_point(u), as_point(x)
-    v, y = as_point(v), as_point(y)
-    if u.shape != x.shape or v.shape != y.shape:
-        raise DimensionMismatchError("point pairs must live in matching spaces")
-    return max(float(np.linalg.norm(u - x)), g.gamma * float(np.linalg.norm(v - y)))
-
-
-def dual_norm(xs, ys, g: GammaMetric) -> float:
-    """Dual norm ``|xs| + |ys|/gamma`` on the product of dual spaces."""
-    xs, ys = as_point(xs), as_point(ys)
-    return float(np.linalg.norm(xs)) + float(np.linalg.norm(ys)) / g.gamma
 
 
 @dataclass(frozen=True)
@@ -89,6 +69,7 @@ class GridSpec:
             raise DimensionMismatchError("grid bounds must have equal length")
         if not np.all(lo < up):
             raise InputError("grid requires lower < upper in every dimension")
+        _integer("grid resolution", self.resolution)
         if self.resolution < 2:
             raise InputError(f"grid resolution must be >= 2, got {self.resolution}")
 

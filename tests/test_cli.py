@@ -742,10 +742,10 @@ def test_cli_affine_rule_at_a_target_other_than_zero(tmp_path):
 
 # `regulab run --out` CSVs of the shipped examples, frozen: verdicts and CSV
 # bytes of these two scenarios must not move.  The slope-local row's margin
-# of -1.5457386815e-08 is a known defect, not a goal: slope checks use
-# tol=1e-7 where the dual checks use 1e-9, so a slightly negative margin
-# passes as HOLDS.  The fix that gives every check one tolerance must update
-# that line.
+# of -1.5457386815e-08 is a known defect, not a goal: the slope checks allow
+# margins down to -slope.SLOPE_TOL (1e-7) where the others allow
+# -oracle.CHECK_TOL (1e-9), so a slightly negative margin passes as HOLDS.
+# The fix that gives every check one tolerance must update that line.
 _CSV_HEADER = ("check,verdict,margin,witness_p,witness_x,witness_y,value,"
                "alpha,delta,mu,eta,gamma,tau,grid_res,seconds")
 FROZEN_CSV = {
@@ -781,6 +781,18 @@ def test_shipped_examples_match_expectations(tmp_path):
         csv_bytes = (tmp_path / "out" / (stem + ".csv")).read_bytes()
         assert csv_bytes == "".join(
             line + "\r\n" for line in FROZEN_CSV[stem]).encode()
+
+
+def test_slope_tolerance_is_what_keeps_the_difference_slope_local_holds(
+        tmp_path, monkeypatch):
+    # without the slope checks' tolerance, the frozen slope-local margin is
+    # a violation
+    monkeypatch.setattr(regulab.slope, "SLOPE_TOL", 0.0)
+    out = tmp_path / "out"
+    CliRunner().invoke(main, ["run", write(tmp_path, EXAMPLE_DIFFERENCE),
+                              "--out", str(out)])
+    [row] = [r for r in _csv_rows(out) if r["check"] == "slope-local"]
+    assert (row["verdict"], row["margin"]) == ("VIOLATED", "-1.5457386815e-08")
 
 
 _A2, _B2, _C2 = (np.array([[2.0, 1.0], [0.0, -2.0]]),

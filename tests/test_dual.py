@@ -14,10 +14,9 @@ from regulab import (
     check_normal_cone_condition,
     check_subdifferential_condition,
     check_subreg_uniform,
-    coderivative_distance,
+    cone_min_norm,
     dual_candidates,
     gamma_dual_distance,
-    merit_subdifferential,
     subdiff_distance,
 )
 from regulab.cli import _rule_affine, _rule_quadratic_difference
@@ -38,20 +37,14 @@ def quadratic_map():
                                       NormedSpace("P", 1), {})
 
 
-def test_merit_subdifferential_structure():
-    F = affine_map_1d(-1.0, 1.0)  # {p - x}, cone {(t, t)}
-    q = query_1d(1.0)
-    pp, cone = merit_subdifferential(F, q, [0.0], [0.3], [-0.3])
-    assert np.allclose(pp, [0.0, -1.0])
-    assert cone.contains([2.0, 2.0])
-    pp0, _ = merit_subdifferential(F, q, [0.0], [0.0], [0.0])
-    assert pp0 == "unit-ball"
-
-
 def test_merit_subdifferential_requires_convex():
-    with pytest.raises(InputError):
-        merit_subdifferential(quadratic_map(), query_1d(0.5), [0.0], [0.1],
-                              [0.01])
+    with pytest.raises(InputError, match="convex graph"):
+        subdiff_distance(quadratic_map(), query_1d(0.5), [0.0], [0.1],
+                         [0.01])
+    # at y = ybar the norm's subdifferential is the unit ball: refused
+    with pytest.raises(InputError, match="y != ybar"):
+        subdiff_distance(affine_map_1d(-1.0, 1.0), query_1d(1.0), [0.0],
+                         [0.0], [0.0])
 
 
 def test_subdiff_distance_difference_map():
@@ -101,15 +94,20 @@ def test_dual_check_asks_the_map_once(check, monkeypatch):
 
 def test_subdiff_distance_equals_finite_difference_subgradient_bound():
     # convex check: every element (a*t, t - sign) of the subdifferential
-    # satisfies the subgradient inequality for the merit function
+    # (0, y*) + N satisfies the subgradient inequality for the merit
+    # function, and subdiff_distance is at most its weighted dual norm
     F = affine_map_1d(1.5, 0.2)
     q = query_1d(1.0)
     p, x, y = np.array([0.1]), np.array([0.3]), None
     y = F.values(p, x)[0]
-    pp, cone = merit_subdifferential(F, q, p, x, y)
-    base = float(np.linalg.norm(y - q.ybar_arr))
+    w = y - q.ybar_arr
+    pp = np.concatenate([[0.0], w / np.linalg.norm(w)])
+    assert F.normal_cone(p, x, y).contains([1.5, -1.0])
+    dist = subdiff_distance(F, q, p, x, y)
+    base = float(np.linalg.norm(w))
     for t in (-0.5, 0.2, 1.0):
         sub = pp + t * np.array([1.5, -1.0])  # element of the sum
+        assert dist <= abs(sub[0]) + abs(sub[1]) / q.gamma + 1e-12
         for dx in (-0.1, 0.05):
             u = x + dx
             v = F.values(p, u)[0]
@@ -135,16 +133,19 @@ def test_dual_candidates_exact_and_cap():
 
 
 def test_coderivative_distance_difference_map():
+    # min |x*| with (x*, -v*) in the graph normal cone, |v* - y*| <= eta
     F = affine_map_1d(-1.0, 1.0)  # cone {(t,t)}: x* = -v*
+    cone = F.normal_cone([0.0], [0.3], [-0.3])
     for eta in (0.1, 0.5, 0.9):
-        v = coderivative_distance(F, [0.0], [0.3], [-0.3], [1.0], eta)
+        v = cone_min_norm(cone, F.nx, -np.array([1.0]), eta)
         assert abs(v - (1.0 - eta)) < 1e-9
 
 
 def test_coderivative_distance_quadratic_map():
     F = quadratic_map()
     for xv in (0.05, 0.2):
-        v = coderivative_distance(F, [0.0], [xv], [xv * xv], [1.0], 0.25)
+        v = cone_min_norm(F.normal_cone([0.0], [xv], [xv * xv]), F.nx,
+                          -np.array([1.0]), 0.25)
         assert abs(v - 2 * xv * 0.75) < 1e-8
 
 
@@ -158,7 +159,8 @@ def test_coderivative_vacuous_ball_is_inf():
                       lambda p, x: np.array([[x[0]]]), param_labels=[0],
                       cone_fn=lambda p, x, y: ConeRep.make(generators=[[1.0, 1.0]]),
                       convex=True)
-    assert math.isinf(coderivative_distance(G, 0, [0.0], [0.0], [1.0], 0.5))
+    assert math.isinf(cone_min_norm(G.normal_cone(0, [0.0], [0.0]), G.nx,
+                                    -np.array([1.0]), 0.5))
 
 
 def test_normal_cone_checker_difference_map():
@@ -188,8 +190,7 @@ def test_necessity_normal_cone_on_certified_instances(convex_suite):
     for F, modulus, _ in convex_suite[:8]:
         q = query_1d(0.7 * modulus)
         if check_subreg_uniform(F, q, grids).verdict is Verdict.HOLDS:
-            cert = check_normal_cone_condition(F, q, grids, mode="necessary",
-                                               tol=1e-6)
+            cert = check_normal_cone_condition(F, q, grids, mode="necessary")
             assert cert.verdict is not Verdict.VIOLATED
 
 

@@ -18,7 +18,7 @@ from regulab import (
 from regulab.cli import (EXAMPLE_DIFFERENCE, EXAMPLE_QUADRATIC,
                          _rule_quadratic_difference, build_grids,
                          build_mapping, build_query, load_scenario)
-from regulab.oracle import MarginScan
+from regulab.oracle import CHECK_TOL, MarginScan
 from regulab.sets import region_sample_points
 from regulab.spaces import NormedSpace, as_point, ball_mask, make_grid
 from conftest import (abs_shift_map, affine_map_1d, assert_same_certificate,
@@ -39,6 +39,15 @@ def test_recede_difference_map_tight_rate():
     cert = check_recede(F, q, 0.9, grids)
     assert cert.verdict is Verdict.VIOLATED
     assert cert.witness is not None
+    # the margins are (l - 1) d(p, p'), most negative at the largest shift
+    # d; a margin above -CHECK_TOL is no violation
+    d = -cert.margin / 0.1
+    inside = check_recede(F, q, 1 - 0.5 * CHECK_TOL / d, grids)
+    assert inside.verdict is Verdict.HOLDS
+    assert -CHECK_TOL < inside.margin < 0
+    beyond = check_recede(F, q, 1 - 2 * CHECK_TOL / d, grids)
+    assert beyond.verdict is Verdict.VIOLATED
+    assert beyond.margin < -CHECK_TOL
 
 
 def test_recede_rate_matches_parameter_slope():
@@ -108,25 +117,21 @@ def test_compose_rate_validates_derived_claim():
     sub = check_subreg_uniform(F, q, grids)
     rec = check_recede(F, q, 0.8, grids)
     assert sub.holds and rec.holds
-    mu_prime = q.alpha * q.mu / 0.8
-    cert = compose_aubin_rate(F, q, sub, 0.8, rec, mu_prime, grids)
+    cert = compose_aubin_rate(F, q, sub, 0.8, rec, grids)
     assert cert.verdict is Verdict.HOLDS
     assert abs(cert.scan_meta["derived_rate"] - 0.8 / 1.5) < 1e-12
-    assert cert.scan_meta["mu_prime"] == mu_prime
+    assert cert.scan_meta["mu_prime"] == q.alpha * q.mu / 0.8
 
 
-def test_compose_rate_rejects_wrong_shift_cap_and_failed_premises():
+def test_compose_rate_rejects_failed_premises():
     F = affine_map_1d(2.0, 0.8)
     grids = grids_1d(41, 5)
     q = query_1d(1.5, eta=0.7)
     sub = check_subreg_uniform(F, q, grids)
-    rec = check_recede(F, q, 0.8, grids)
-    with pytest.raises(InputError):
-        compose_aubin_rate(F, q, sub, 0.8, rec, 0.123, grids)
     bad = check_recede(F, q, 0.1, grids)
-    assert not bad.holds
+    assert sub.holds and not bad.holds
     with pytest.raises(InputError):
-        compose_aubin_rate(F, q, sub, 0.8, bad, q.alpha * q.mu / 0.8, grids)
+        compose_aubin_rate(F, q, sub, 0.8, bad, grids)
 
 
 def test_certify_aubin_pipeline_conditions():

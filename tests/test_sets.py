@@ -25,7 +25,6 @@ from regulab import (
     dist_to_region,
     gamma_dual_distance,
     intersect_cones,
-    norm_subdifferential,
     normal_cone_at,
     project_polyhedron,
 )
@@ -495,16 +494,6 @@ def test_nonneg_lsq_rejects_an_nnls_answer_far_from_the_optimum():
 
 
 # ---------------------------------------------------------------------------
-# norm subdifferential
-
-
-def test_norm_subdifferential():
-    assert norm_subdifferential([1.0], [1.0]) == "unit-ball"
-    assert np.allclose(norm_subdifferential([3.0, 4.0], [0.0, 0.0]), [0.6, 0.8])
-    assert np.allclose(norm_subdifferential([-2.0], [0.0]), [-1.0])
-
-
-# ---------------------------------------------------------------------------
 # cones
 
 
@@ -527,7 +516,8 @@ def test_normal_cone_outside_point_is_empty():
 
 def test_normal_cone_interior_point_is_zero_cone():
     cone = normal_cone_at(unit_box(2), [0.0, 0.0])
-    assert cone.is_trivial()
+    assert not cone.empty
+    assert cone.generators.shape[0] == cone.lineality.shape[0] == 0
     assert cone.euclidean_distance([0.3, 0.4]) == 0.5
 
 

@@ -1,4 +1,4 @@
-"""Product metric, dual norm, and grid plumbing."""
+"""Weighted dual norm, spaces, and grid plumbing."""
 
 import math
 
@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regulab import (
-    DimensionMismatchError,
+    ConeRep,
     GammaMetric,
     GridSpec,
     InputError,
     NormedSpace,
     ResourceCapError,
-    dual_norm,
+    gamma_dual_distance,
     make_grid,
-    prod_dist,
 )
 from regulab.spaces import ball_mask
 
@@ -24,27 +23,17 @@ finite = st.floats(-10, 10, allow_nan=False)
 gammas = st.floats(0.01, 10, allow_nan=False)
 
 
-def test_prod_dist_coincident_points_is_zero():
-    g = GammaMetric(0.7)
-    assert prod_dist([1, 2], [3], [1, 2], [3], g) == 0.0
-
-
-def test_prod_dist_direct_formula():
-    assert prod_dist([1.0], [2.0], [0.0], [0.0], GammaMetric(0.5)) == 1.0
-    assert prod_dist([0.0], [1.0], [0.0], [0.0], GammaMetric(2.0)) == 2.0
-
-
-def test_prod_dist_symmetry_and_mismatch():
-    g = GammaMetric(1.5)
-    assert prod_dist([1], [2], [0], [0], g) == prod_dist([0], [0], [1], [2], g)
-    with pytest.raises(DimensionMismatchError):
-        prod_dist([1, 2], [0], [1], [0], g)
+def zero_cone_distance(xs, ys, g: GammaMetric) -> float:
+    """Weighted distance from (xs, ys) to the zero cone: the dual norm
+    ``|xs| + |ys|/gamma``."""
+    cone = ConeRep.make(dim=len(xs) + len(ys))
+    return gamma_dual_distance(np.concatenate([xs, ys]), cone, g, len(xs))
 
 
 def test_dual_norm_values():
-    assert dual_norm([0.0], [0.0], GammaMetric(1.0)) == 0.0
-    assert dual_norm([1.0], [0.0], GammaMetric(3.0)) == 1.0
-    assert dual_norm([0.0], [1.0], GammaMetric(0.5)) == 2.0
+    assert zero_cone_distance([0.0], [0.0], GammaMetric(1.0)) == 0.0
+    assert zero_cone_distance([1.0], [0.0], GammaMetric(3.0)) == 1.0
+    assert zero_cone_distance([0.0], [1.0], GammaMetric(0.5)) == 2.0
 
 
 def test_gamma_must_be_positive():
@@ -73,15 +62,21 @@ def test_grid_validation():
         GridSpec((0.0,), (0.0,), 3)
     with pytest.raises(InputError):
         GridSpec((0.0,), (1.0,), 1)
+    # a resolution that is no integer is refused, not left to np.linspace
+    for res in (2.5, 3.0, True, "3"):
+        with pytest.raises(InputError, match="integer"):
+            GridSpec((0.0,), (1.0,), res)
+    assert GridSpec((0.0,), (1.0,), np.int64(3)).point_count() == 3
 
 
 def test_normed_space_checks():
-    X = NormedSpace("X", 2)
-    assert X.norm([3.0, 4.0]) == 5.0
-    with pytest.raises(DimensionMismatchError):
-        X.norm([1.0])
+    assert NormedSpace("X", 2).dim == 2
+    assert NormedSpace("X", np.int64(2)).dim == 2
     with pytest.raises(InputError):
         NormedSpace("bad", 0)
+    for dim in (1.5, 2.0, True, None):
+        with pytest.raises(InputError, match="integer"):
+            NormedSpace("bad", dim)
 
 
 def test_ball_mask():
@@ -99,7 +94,7 @@ def test_duality_pairing_bound(xs, ys, g):
     never exceeds the dual norm, and the sampled maximum comes close."""
     gm = GammaMetric(g)
     xs, ys = np.array(xs), np.array(ys)
-    dn = dual_norm(xs, ys, gm)
+    dn = zero_cone_distance(xs, ys, gm)
     best = 0.0
     th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     for tu in th:
@@ -111,12 +106,3 @@ def test_duality_pairing_bound(xs, ys, g):
             best = max(best, pair)
             assert pair <= dn + 1e-9
     assert best >= dn - 0.05 * dn - 1e-9
-
-
-@given(u=finite, v=finite, x=finite, y=finite, g1=gammas, g2=gammas)
-@settings(max_examples=60, deadline=None)
-def test_metric_monotone_in_gamma(u, v, x, y, g1, g2):
-    lo, hi = sorted([g1, g2])
-    d_lo = prod_dist([u], [v], [x], [y], GammaMetric(lo))
-    d_hi = prod_dist([u], [v], [x], [y], GammaMetric(hi))
-    assert d_lo <= d_hi + 1e-12

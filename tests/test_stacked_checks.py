@@ -20,7 +20,8 @@ from regulab import (
 from regulab.cli import _RULES
 from regulab.dual import _distances, _dual_pairs
 from regulab.mappings import RegularityQuery, ScanGrids, condition_scan_points
-from regulab.oracle import MarginScan
+from regulab.oracle import CHECK_TOL, MarginScan
+from regulab.slope import SLOPE_TOL
 from regulab.spaces import GridSpec, NormedSpace
 from conftest import affine_map_1d, affine_map_2d, grids_1d, kinked_map_1d
 
@@ -78,26 +79,26 @@ def _checks(convex):
     def cod(q):
         return f"min |x*| >= {q.alpha:.6g}"
 
-    out = [(check_nonlocal_slope_condition, 1e-7,
+    out = [(check_nonlocal_slope_condition, SLOPE_TOL,
             _slope_ref(nonlocal_slope, "slope >= alpha")),
-           (check_local_slope_condition, 1e-7,
+           (check_local_slope_condition, SLOPE_TOL,
             _slope_ref(local_slope, "slope >= alpha"))]
     variants = ("convex-normal", "frechet-cap") if convex else ("frechet-cap",)
     if convex:
-        out.append((check_subdifferential_condition, 1e-9, _dual_ref(
+        out.append((check_subdifferential_condition, CHECK_TOL, _dual_ref(
             "exact", lambda G, q: _distances(G, q.gamma), alpha,
             lambda q: "d_gamma(0, subdifferential) >= alpha", ystar=False)))
     for variant in variants:
         kind = "exact" if variant == "convex-normal" else "cap"
         out.append((lambda F, q, grids, variant=variant:
                     check_normal_cone_condition(F, q, grids, variant=variant),
-                    1e-9, _dual_ref(kind, lambda G, q: _distances(G, q.gamma),
+                    CHECK_TOL, _dual_ref(kind, lambda G, q: _distances(G, q.gamma),
                                     alpha,
                                     lambda q: "d_gamma((0,-y*), N) >= alpha")))
         out.append((lambda F, q, grids, variant=variant:
                     check_coderivative_condition(F, q, grids,
                                                  variant=variant),
-                    1e-9, _dual_ref(kind, _min_norms, alpha, cod)))
+                    CHECK_TOL, _dual_ref(kind, _min_norms, alpha, cod)))
     return out
 
 
